@@ -10,9 +10,8 @@ Pregel-like system:
 * aggregators, combiners and the request-respond idiom,
 * the paper's two API extensions: mini-MapReduce loading
   (:class:`~repro.pregel.mapreduce.MiniMapReduce`) and in-memory job
-  chaining, now provided by
-  :class:`~repro.workflow.executor.StageExecutor` (the old
-  :class:`~repro.pregel.job.JobChain` remains as a deprecated shim),
+  chaining, provided by
+  :class:`~repro.workflow.executor.StageExecutor`,
 * exact per-superstep metrics and a BSP cost model used to estimate
   cluster execution time (Figure 12 of the paper).
 
@@ -32,14 +31,17 @@ from .aggregator import (
 )
 from .cost_model import ClusterProfile, CostModel, estimate_seconds
 from .engine import DEFAULT_MAX_SUPERSTEPS, JobResult, PregelEngine, PregelJob, run_single_job
-from .job import ConversionResult, JobChain
 from .mapreduce import MapReduceResult, MiniMapReduce
-from .message import Combiner, MessageRouter, min_combiner, sum_combiner
+from .message import Combiner, min_combiner, sum_combiner
 from .metrics import JobMetrics, PipelineMetrics, SuperstepMetrics
 from .partitioner import HashPartitioner
 from .request_respond import Request, RequestRespondMixin, Response, split_responses
 from .vertex import ComputeContext, Vertex, VertexFactory, vertices_from_pairs
 from .worker import Worker
+
+# Re-exported for callers that import it from here; must follow the
+# imports above, which repro.workflow.executor itself needs.
+from ..workflow.executor import ConversionResult
 
 __all__ = [
     "Aggregator",
@@ -59,11 +61,9 @@ __all__ = [
     "PregelJob",
     "run_single_job",
     "ConversionResult",
-    "JobChain",
     "MapReduceResult",
     "MiniMapReduce",
     "Combiner",
-    "MessageRouter",
     "min_combiner",
     "sum_combiner",
     "JobMetrics",

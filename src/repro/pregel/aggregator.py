@@ -163,17 +163,12 @@ class AggregatorRegistry:
         """Fresh per-superstep aggregator copies keyed by name."""
         return {name: agg.fresh_copy() for name, agg in self._aggregators.items()}
 
-    def merge_from(self, copies: Dict[str, Aggregator]) -> None:
-        """Merge per-worker partial aggregates into the authoritative set."""
-        for name, partial in copies.items():
-            self._aggregators[name].merge(partial)
-
     def merge_states(self, states: Dict[str, tuple]) -> None:
-        """Merge ``name -> (value, touched)`` partials shipped by a worker.
+        """Merge one worker's ``name -> (value, touched)`` partials.
 
-        Mirror of :meth:`merge_from` for distributed backends whose
-        workers report :meth:`Aggregator.dump_state` pairs instead of
-        aggregator objects.
+        Workers report :meth:`Aggregator.dump_state` pairs rather than
+        aggregator objects, so the same report crosses a process
+        boundary unchanged.
         """
         for name, (value, touched) in states.items():
             partial = self._aggregators[name].fresh_copy()

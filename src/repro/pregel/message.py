@@ -1,44 +1,40 @@
-"""Message routing infrastructure for the Pregel engine.
+"""The one message path of the Pregel engine: combiners and the routing pair.
 
-Messages sent during superstep *s* are buffered per destination worker
-and delivered at the start of superstep *s+1*.  An optional
-:class:`Combiner` merges messages addressed to the same vertex as they
-are posted (sender-side), which is how real Pregel systems (and the
-paper's Pregel+) reduce network traffic and bound buffer memory; the
-engine counts both raw and combined message totals so that benchmarks
-can report the numbers the paper reports (raw messages).
+Messages sent during superstep *s* are delivered at the start of
+superstep *s+1*.  Every execution backend moves them with the same two
+functions: :func:`route_outbox` groups one worker's outbox into a batch
+per destination worker, and :func:`merge_batches` folds the batches a
+worker received, in sender-id order, into its per-vertex inbox.  An
+optional :class:`Combiner` merges messages addressed to the same vertex
+sender-side, which is how real Pregel systems (and the paper's Pregel+)
+reduce network traffic; the raw (pre-combine) message and byte totals
+the paper reports are counted where messages are sent, in
+:class:`~repro.pregel.vertex.ComputeContext`.
 
 Columnar batch path
 -------------------
 Jobs whose messages are plain integers (the common case: vertex IDs
-and counts) can skip per-message Python work entirely.  When a posted
-batch qualifies, the router stores it as two parallel ``uint64``
-arrays, routes it with a vectorized hash, combines duplicates with a
-segment-reduce, and materialises the per-vertex inboxes only at
-delivery — reproducing the scalar path's results *bit for bit*:
+and counts) can skip per-message Python work entirely.  A qualifying
+outbox is routed as two parallel ``uint64`` arrays with a vectorized
+hash, duplicates are combined with a segment-reduce, and the per-vertex
+inboxes are materialised only on receipt — reproducing the scalar
+path's results *bit for bit*:
 
-* raw message/byte counters are computed from array lengths (8 bytes
-  per int, exactly what ``_estimate_size`` charges);
-* inbox keys appear in first-occurrence post order, matching the
-  scalar dict-insertion order;
+* inbox keys appear in first-occurrence order, matching the scalar
+  dict-insertion order;
 * only ``min``/``sum`` combiners are vectorized, for which integer
   reassociation is exact (a ``sum`` whose total could wrap 64 bits
   falls back to Python arithmetic);
 * delivered targets and values are converted back to Python ints.
 
-Batches that do not qualify (non-int payloads, custom combiners, tiny
-batches) flow through the original scalar path unchanged, and a job
-that starts columnar but later posts a non-qualifying batch is demoted
-mid-superstep with its buffered arrays replayed in post order.
+Outboxes that do not qualify (non-int payloads, custom combiners, tiny
+batches) are routed as scalar ``(target, message)`` lists, and a
+receiver holding both kinds folds them pair by pair in Python.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from .partitioner import HashPartitioner
-from .vertex import _estimate_size
 
 try:  # pragma: no cover - exercised implicitly by every import
     import numpy as np
@@ -92,7 +88,7 @@ def sum_combiner() -> Combiner:
 
 
 # ----------------------------------------------------------------------
-# columnar helpers (shared with the multiprocess backend)
+# columnar helpers
 # ----------------------------------------------------------------------
 def combiner_vectorizable(combiner: Optional[Combiner]) -> bool:
     """True when a job's combining step has an exact array reduction."""
@@ -182,266 +178,156 @@ def group_columns(targets, values):
         yield keys[run], sorted_values[starts[run] : ends[run]]
 
 
-class MessageRouter:
-    """Buffers outgoing messages and delivers them to per-vertex inboxes.
+# ----------------------------------------------------------------------
+# the routing pair
+# ----------------------------------------------------------------------
+#: Marker tag of a columnar batch: ``("cols", targets, values)``.
+COLS = "cols"
 
-    The router models the communication layer of a distributed Pregel
-    system: messages are grouped by destination worker so that the cost
-    model can charge each worker for the bytes it sends and receives,
-    and so that per-worker skew shows up in simulated execution time.
 
-    When a combiner is configured it is applied *incrementally at post
-    time* (sender-side), the way real Pregel systems combine before
-    messages hit the network: the buffer then holds at most one value
-    per destination vertex, so peak memory is bounded by the number of
-    distinct targets instead of the raw message count.  The raw
-    message/byte counters keep counting every posted message, which is
-    what the paper's tables report.
+def is_cols(batch) -> bool:
+    return isinstance(batch, tuple) and len(batch) == 3 and batch[0] == COLS
 
-    ``columnar=True`` (the default) enables the array batch path for
-    qualifying integer-message jobs; see the module docstring.  The
-    results are bit-identical either way.
+
+def route_outbox(
+    outbox: List[Tuple[int, Any]],
+    partitioner,
+    combiner: Optional[Combiner],
+    columnar: bool = True,
+    sender: Optional[int] = None,
+) -> Tuple[Dict[int, Any], int]:
+    """Group an outbox into per-destination batches, combining sender-side.
+
+    With a combiner, each destination batch carries at most one message
+    per target vertex — this happens *before* a batch leaves its worker,
+    so combined traffic is what crosses a process boundary, exactly like
+    the sender-side combining of real Pregel systems.
+
+    Qualifying integer outboxes become columnar batches
+    ``("cols", targets, values)`` — two ndarrays pickle orders of
+    magnitude faster than millions of tuples — preserving the scalar
+    batches' first-occurrence ordering so receivers fold identically.
+
+    Returns ``(batches, cross)`` where ``cross`` counts the raw
+    (pre-combine) outbox messages routed to a worker other than
+    ``sender`` (0 when ``sender`` is None).
     """
-
-    def __init__(
-        self,
-        partitioner: HashPartitioner,
-        combiner: Optional[Combiner] = None,
-        columnar: bool = True,
-    ) -> None:
-        self._partitioner = partitioner
-        self._combiner = combiner
-        self._columnar = bool(columnar) and np is not None
-        # Without a combiner: outgoing[worker] is the list of
-        # (target_id, message) produced this superstep.
-        self._outgoing: Dict[int, List[Tuple[int, Any]]] = defaultdict(list)
-        # With a combiner: combined[worker][target_id] is the running
-        # combined value (insertion-ordered by first message per target).
-        self._combined: Dict[int, Dict[int, Any]] = defaultdict(dict)
-        # Columnar segments in post order: (targets, values) uint64
-        # arrays, already combined per batch when a combiner is set.
-        self._segments: List[Tuple[Any, Any]] = []
-        # Per-superstep columnar decision: None until the first post,
-        # then "cols" or "py"; deliver() resets it.
-        self._mode: Optional[str] = None
-        # Raw per-worker counts survive combining for the accounting API.
-        self._pending_messages: Dict[int, int] = defaultdict(int)
-        self._pending_bytes: Dict[int, int] = defaultdict(int)
-        self.raw_message_count = 0
-        self.raw_byte_count = 0
-        # Raw messages whose destination worker differed from the
-        # posting worker (only charged when post() names a sender).
-        self.cross_message_count = 0
-
-    def post(self, messages: List[Tuple[int, Any]], sender: Optional[int] = None) -> None:
-        """Accept a batch of ``(target_id, message)`` pairs from one vertex
-        or worker outbox.
-
-        ``sender`` optionally names the worker that produced the batch;
-        when given, messages routed to a different worker are charged to
-        ``cross_message_count`` (the boundary-crossing traffic the
-        locality metrics report).
-        """
-        if not messages:
-            return
-        if self._columnar and self._mode != "py":
-            if self._mode is None:
-                # The first non-empty batch decides the superstep's mode.
-                # A small or non-qualifying first batch pins the whole
-                # superstep to the scalar path: mixing scalar and
-                # columnar stores would lose the global first-occurrence
-                # inbox ordering that bit-for-bit parity requires, and
-                # per-worker outboxes are posted whole, so a qualifying
-                # job's first batch is essentially never small.
-                if (
-                    len(messages) >= COLUMNAR_MIN_BATCH
-                    and combiner_vectorizable(self._combiner)
-                    and self._post_columnar(messages, sender)
-                ):
-                    self._mode = "cols"
-                    return
-                self._mode = "py"
-            else:  # already columnar this superstep
-                if self._post_columnar(messages, sender):
-                    return
-                self._demote()
-        self._post_scalar(messages, sender)
-
-    # ------------------------------------------------------------------
-    # scalar path (reference implementation)
-    # ------------------------------------------------------------------
-    def _post_scalar(
-        self, messages: List[Tuple[int, Any]], sender: Optional[int] = None
-    ) -> None:
-        for target_id, message in messages:
-            worker = self._partitioner.worker_for(target_id)
-            self.raw_message_count += 1
-            if sender is not None and worker != sender:
-                self.cross_message_count += 1
-            size = _estimate_size(message)
-            self.raw_byte_count += size
-            self._pending_messages[worker] += 1
-            self._pending_bytes[worker] += size
-            if self._combiner is None:
-                self._outgoing[worker].append((target_id, message))
-            else:
-                slot = self._combined[worker]
-                if target_id in slot:
-                    slot[target_id] = self._combiner.combine(slot[target_id], message)
+    cross = 0
+    if columnar and np is not None and len(outbox) >= COLUMNAR_MIN_BATCH and combiner_vectorizable(combiner):
+        columns = columns_from_pairs(outbox)
+        if columns is not None:
+            targets, values = columns
+            # Cross-worker accounting is charged on the *raw* outbox,
+            # before combining shrinks it.
+            if sender is not None:
+                raw_destinations = partitioner.worker_for_array(targets)
+                cross = int(targets.size) - int(
+                    np.count_nonzero(raw_destinations == sender)
+                )
+            if combiner is not None:
+                combined = combine_columns(targets, values, combiner.kind)
+                if combined is None:
+                    columns = None  # sum could wrap: fall through to scalar
                 else:
-                    slot[target_id] = message
-
-    # ------------------------------------------------------------------
-    # columnar path
-    # ------------------------------------------------------------------
-    def _post_columnar(
-        self, messages: List[Tuple[int, Any]], sender: Optional[int] = None
-    ) -> bool:
-        columns = columns_from_pairs(messages)
-        if columns is None:
-            return False
-        targets, values = columns
-        if self._combiner is not None:
-            combined = combine_columns(targets, values, self._combiner.kind)
-            if combined is None:
-                return False
-            stored_targets, stored_values = combined
+                    targets, values = combined
+            if columns is not None:
+                # Shipping destinations are computed on the (possibly
+                # combined) targets; the raw array is only reusable when
+                # combining removed nothing.
+                if sender is not None and targets.size == raw_destinations.size:
+                    destinations = raw_destinations
+                else:
+                    destinations = partitioner.worker_for_array(targets)
+                batches: Dict[int, Any] = {}
+                for destination in np.unique(destinations).tolist():
+                    selector = destinations == destination
+                    batches[destination] = (COLS, targets[selector], values[selector])
+                return batches, cross
+    cross = 0
+    if combiner is None:
+        batches: Dict[int, List[Tuple[int, Any]]] = {}
+        for target_id, message in outbox:
+            destination = partitioner.worker_for(target_id)
+            if sender is not None and destination != sender:
+                cross += 1
+            batches.setdefault(destination, []).append((target_id, message))
+        return batches, cross
+    combined: Dict[int, Dict[int, Any]] = {}
+    for target_id, message in outbox:
+        destination = partitioner.worker_for(target_id)
+        if sender is not None and destination != sender:
+            cross += 1
+        slot = combined.setdefault(destination, {})
+        if target_id in slot:
+            slot[target_id] = combiner.combine(slot[target_id], message)
         else:
-            stored_targets, stored_values = targets, values
-        # Raw accounting always charges the *posted* messages.
-        raw_count = int(targets.size)
-        destinations = self._partitioner.worker_for_array(targets)
-        pending = np.bincount(destinations, minlength=self._partitioner.num_workers)
-        self.raw_message_count += raw_count
-        self.raw_byte_count += 8 * raw_count
-        if sender is not None:
-            self.cross_message_count += raw_count - int(
-                np.count_nonzero(destinations == sender)
-            )
-        for worker in np.flatnonzero(pending).tolist():
-            count = int(pending[worker])
-            self._pending_messages[worker] += count
-            self._pending_bytes[worker] += 8 * count
-        self._segments.append((stored_targets, stored_values))
-        return True
+            slot[target_id] = message
+    return {
+        destination: list(slot.items()) for destination, slot in combined.items()
+    }, cross
 
-    def _demote(self) -> None:
-        """Replay buffered columnar segments through the scalar stores.
 
-        Raw counters were already charged at post time, so the replay
-        only rebuilds the scalar buffers, in the original post order.
-        """
-        segments, self._segments = self._segments, []
-        self._mode = "py"
-        for targets, values in segments:
-            pairs = list(zip(targets.tolist(), values.tolist()))
-            if self._combiner is None:
-                for target_id, message in pairs:
-                    worker = self._partitioner.worker_for(target_id)
-                    self._outgoing[worker].append((target_id, message))
-            else:
-                for target_id, message in pairs:
-                    worker = self._partitioner.worker_for(target_id)
-                    slot = self._combined[worker]
-                    if target_id in slot:
-                        slot[target_id] = self._combiner.combine(slot[target_id], message)
-                    else:
-                        slot[target_id] = message
+def _batch_pairs(batch):
+    """Iterate a batch as ``(target, message)`` pairs.
 
-    def _deliver_columnar(self) -> Dict[int, Dict[int, List[Any]]]:
-        targets = np.concatenate([segment[0] for segment in self._segments])
-        values = np.concatenate([segment[1] for segment in self._segments])
-        destinations = self._partitioner.worker_for_array(targets)
-        inboxes: Dict[int, Dict[int, List[Any]]] = {}
-        for worker in np.unique(destinations).tolist():
-            selector = destinations == worker
-            worker_targets = targets[selector]
-            worker_values = values[selector]
-            if self._combiner is None:
-                inboxes[worker] = {
+    Accepts both the scalar tuple-list format and the columnar
+    ``("cols", targets, values)`` format; columnar values come back as
+    plain Python ints, so folding is identical either way.
+    """
+    if is_cols(batch):
+        return zip(batch[1].tolist(), batch[2].tolist())
+    return iter(batch)
+
+
+def merge_batches(
+    batches_by_sender: Dict[int, Any],
+    num_workers: int,
+    combiner: Optional[Combiner],
+) -> Dict[int, List[Any]]:
+    """Fold sender batches into a per-vertex inbox, in sender-id order.
+
+    The fixed sender order makes the fold sequence a deterministic
+    function of the job, so every backend delivers the same inbox for
+    any associative combine function.
+
+    When every non-empty batch is columnar and the combiner has an
+    exact array reduction, the fold itself is vectorized: the batches
+    are concatenated in sender-id order and segment-reduced, which
+    preserves the scalar fold's first-occurrence key order and (for
+    ``min``/``sum`` without uint64 overflow) its exact values.
+    """
+    ordered = [batches_by_sender.get(sender, ()) for sender in range(num_workers)]
+    if np is not None and combiner_vectorizable(combiner):
+        columnar_parts = []
+        all_columnar = True
+        for batch in ordered:
+            if is_cols(batch):
+                columnar_parts.append(batch)
+            elif len(batch):
+                all_columnar = False
+                break
+        if all_columnar and columnar_parts:
+            targets = np.concatenate([batch[1] for batch in columnar_parts])
+            values = np.concatenate([batch[2] for batch in columnar_parts])
+            if combiner is None:
+                return {
                     target: messages
-                    for target, messages in group_columns(worker_targets, worker_values)
+                    for target, messages in group_columns(targets, values)
                 }
-                continue
-            combined = combine_columns(worker_targets, worker_values, self._combiner.kind)
-            if combined is None:
-                # A sum could wrap the uint64 lane: fold exactly in Python.
-                slot: Dict[int, Any] = {}
-                for target, message in zip(worker_targets.tolist(), worker_values.tolist()):
-                    if target in slot:
-                        slot[target] = self._combiner.combine(slot[target], message)
-                    else:
-                        slot[target] = message
-                inboxes[worker] = {target: [message] for target, message in slot.items()}
-            else:
-                inboxes[worker] = {
+            combined = combine_columns(targets, values, combiner.kind)
+            if combined is not None:
+                return {
                     target: [message]
-                    for target, message in zip(combined[0].tolist(), combined[1].tolist())
+                    for target, message in zip(
+                        combined[0].tolist(), combined[1].tolist()
+                    )
                 }
-        return inboxes
-
-    # ------------------------------------------------------------------
-    # accounting API
-    # ------------------------------------------------------------------
-    def messages_to_worker(self, worker: int) -> int:
-        """Number of pending raw messages addressed to ``worker``."""
-        return self._pending_messages.get(worker, 0)
-
-    def bytes_to_worker(self, worker: int) -> int:
-        """Pending raw byte volume addressed to ``worker``."""
-        return self._pending_bytes.get(worker, 0)
-
-    def buffered_message_count(self) -> int:
-        """Messages actually held in memory right now.
-
-        Equals the raw pending count without a combiner; with one it is
-        bounded by the number of distinct destination vertices (per
-        posted batch on the columnar path).
-        """
-        buffered = sum(int(segment[0].size) for segment in self._segments)
-        if self._combiner is None:
-            return buffered + sum(len(pending) for pending in self._outgoing.values())
-        return buffered + sum(len(slot) for slot in self._combined.values())
-
-    def deliver(self) -> Dict[int, Dict[int, List[Any]]]:
-        """Group pending messages into per-worker, per-vertex inboxes.
-
-        Returns a mapping ``worker -> vertex_id -> [messages]`` and
-        clears the internal buffers.  When a combiner is configured each
-        per-vertex list holds the single combined message, folded in
-        post order — the same fold the old deliver-time combining
-        performed, so results are unchanged.
-        """
-        if self._segments:
-            inboxes = self._deliver_columnar()
-        elif self._combiner is None:
-            inboxes = {}
-            for worker, pending in self._outgoing.items():
-                per_vertex: Dict[int, List[Any]] = defaultdict(list)
-                for target_id, message in pending:
-                    per_vertex[target_id].append(message)
-                inboxes[worker] = dict(per_vertex)
-        else:
-            inboxes = {}
-            for worker, slot in self._combined.items():
-                inboxes[worker] = {target_id: [message] for target_id, message in slot.items()}
-        self._outgoing = defaultdict(list)
-        self._combined = defaultdict(dict)
-        self._segments = []
-        self._mode = None
-        self._pending_messages = defaultdict(int)
-        self._pending_bytes = defaultdict(int)
-        return inboxes
-
-    def has_pending(self) -> bool:
-        """True if any message is waiting for delivery."""
-        return (
-            any(self._outgoing.values())
-            or any(self._combined.values())
-            or any(int(segment[0].size) for segment in self._segments)
-        )
-
-    def reset_counters(self) -> None:
-        self.raw_message_count = 0
-        self.raw_byte_count = 0
-        self.cross_message_count = 0
+            # A sum could wrap the uint64 lane: fold exactly in Python.
+    inbox: Dict[int, List[Any]] = {}
+    for batch in ordered:
+        for target_id, message in _batch_pairs(batch):
+            if combiner is not None and target_id in inbox:
+                inbox[target_id] = [combiner.combine(inbox[target_id][0], message)]
+            else:
+                inbox.setdefault(target_id, []).append(message)
+    return inbox

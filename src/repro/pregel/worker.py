@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import VertexNotFoundError
 from .aggregator import AggregatorRegistry
-from .vertex import ComputeContext, Vertex, VertexFactory
+from .vertex import ComputeContext, Vertex, VertexFactory, _estimate_size
 
 
 class Worker:
@@ -94,6 +94,4 @@ class Worker:
 
 
 def _messages_size(messages: List[Any]) -> int:
-    from .vertex import _estimate_size
-
     return sum(_estimate_size(message) for message in messages)

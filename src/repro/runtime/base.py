@@ -1,16 +1,19 @@
-"""The execution-backend interface behind the Pregel superstep loop.
+"""The one BSP superstep driver, and the interface a runtime plugs into it.
 
-The engine historically *simulated* a Pregel cluster by looping over
-:class:`~repro.pregel.worker.Worker` objects sequentially.  This module
-abstracts that loop behind :class:`ExecutionBackend` so the same job
-can run on different runtimes:
+Every operation of the paper is a program on one Pregel loop, and the
+loop exists once: :meth:`ExecutionBackend.run` partitions the job,
+drives supersteps until global termination and folds per-worker reports
+into :class:`~repro.pregel.metrics.SuperstepMetrics`, and
+:func:`run_worker_superstep` is the one per-worker body.  A runtime
+supplies only what differs — a :class:`JobSession` that launches the
+workers, steps them, collects their partitions and tears them down:
 
-* :class:`~repro.runtime.serial.SerialBackend` — the original
-  in-process simulation with exact, deterministic counters (used for
-  reproducing the paper's Tables 2-5 and Figure 12);
+* :class:`~repro.runtime.serial.SerialBackend` — workers step one after
+  another in the calling process, with exact, deterministic counters
+  (used for reproducing the paper's Tables 2-5 and Figure 12);
 * :class:`~repro.runtime.multiprocess.MultiprocessBackend` —
-  shared-nothing worker processes exchanging pickled message batches,
-  for real wall-clock parallelism on multi-core hosts.
+  shared-nothing worker processes exchanging message batches, for real
+  wall-clock parallelism on multi-core hosts.
 
 Backends register themselves in a name registry so that configuration
 layers (``AssemblyConfig(backend="multiprocess")``, the bench harness,
@@ -19,14 +22,27 @@ the CLI) can select one by name without importing its module directly.
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, Iterable, List, Type, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Type, Union
 
-from ..errors import InvalidJobError, UnknownBackendError
-from ..pregel.partitioner import HashPartitioner, ensure_partitioner, make_partitioner
-from ..pregel.vertex import Vertex
+from ..errors import InvalidJobError, SuperstepLimitExceededError, UnknownBackendError
+from ..pregel.aggregator import Aggregator, AggregatorRegistry
+from ..pregel.engine import JobResult, PregelJob
+from ..pregel.message import Combiner, route_outbox
+from ..pregel.metrics import JobMetrics, SuperstepMetrics
+from ..pregel.partitioner import ensure_partitioner, make_partitioner
+from ..pregel.vertex import Vertex, VertexFactory
 from ..pregel.worker import Worker
-from ..telemetry import get_registry, get_timeline
+from ..telemetry import (
+    TraceContext,
+    get_registry,
+    get_timeline,
+    remote_context,
+    span,
+    start_remote_span,
+)
 
 #: Message-plane names accepted by the multiprocess backend ("shm"
 #: falls back to "queue" when shared memory is unusable; the serial
@@ -43,20 +59,16 @@ def ensure_message_plane(name: str) -> str:
         )
     return name
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..pregel.engine import JobResult, PregelJob
-    from ..pregel.metrics import SuperstepMetrics
-
 
 # ----------------------------------------------------------------------
 # telemetry instruments shared by every backend
 # ----------------------------------------------------------------------
 def worker_messages_counter(registry):
     """The per-worker message counter family, declared identically
-    everywhere it is touched — master-side by the serial backend,
-    child-side by multiprocess worker processes — so cross-process
-    merges land in the same series and per-worker sums equal the
-    job-level totals exactly.
+    everywhere it is touched — in the process-wide registry by the
+    serial backend, in each child's local registry by multiprocess
+    workers — so cross-process merges land in the same series and
+    per-worker sums equal the job-level totals exactly.
     """
     return registry.counter(
         "repro_pregel_worker_messages_total",
@@ -115,7 +127,6 @@ class SuperstepInstruments:
             "Wall-clock seconds per superstep, by job.",
             labelnames=labels,
         ).labels(job_name)
-        self._worker_messages = worker_messages_counter(registry)
         # Timeline events are recorded at the same barrier point on
         # every backend, so serial and multiprocess runs of the same
         # job emit identical superstep event sequences.  Spill totals
@@ -127,7 +138,7 @@ class SuperstepInstruments:
 
             self._spill_base = process_spill_stats().snapshot()
 
-    def record_superstep(self, step: "SuperstepMetrics", elapsed_seconds: float) -> None:
+    def record_superstep(self, step: SuperstepMetrics, elapsed_seconds: float) -> None:
         """Charge one finished superstep's counters to the registry."""
         self._supersteps.inc()
         self._messages.inc(step.messages_sent)
@@ -155,24 +166,122 @@ class SuperstepInstruments:
                 ledger_peak_bytes=spill["ledger_peak_bytes"],
             )
 
-    def record_worker(self, worker_id: int, counters: Dict[str, int]) -> None:
-        """Charge one worker's share of a superstep (serial backend —
-        the multiprocess backend's children record this themselves)."""
-        self._worker_messages.labels(self.job_name, worker_id).inc(
-            counters["messages_sent"]
+
+# ----------------------------------------------------------------------
+# the per-worker superstep body shared by every backend
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class WorkerPlan:
+    """What every worker knows about its job, fixed for the whole run."""
+
+    job_name: str
+    num_workers: int
+    num_vertices: int
+    partitioner: Any
+    combiner: Optional[Combiner]
+    vertex_factory: Optional[VertexFactory]
+    #: Empty aggregators, copied afresh by each worker every superstep.
+    aggregators: Dict[str, Aggregator]
+    columnar: bool
+
+
+#: One worker's end-of-superstep report: ``(counters, aggregator
+#: states, active vertex count, worker span dict or None)`` — plain
+#: data, so it crosses a process boundary unchanged.
+WorkerReport = Tuple[Dict[str, Any], Dict[str, tuple], int, Optional[Dict[str, Any]]]
+
+
+def run_worker_superstep(
+    worker: Worker,
+    plan: WorkerPlan,
+    superstep: int,
+    inbox: Dict[int, List[Any]],
+    previous_aggregates: Dict[str, Any],
+    trace_ctx: Optional[TraceContext],
+    worker_messages,
+) -> Tuple[Dict[int, Any], WorkerReport]:
+    """Run one worker's share of a superstep and route what it sent.
+
+    ``inbox`` is the worker's :func:`~repro.pregel.message.merge_batches`
+    result for this superstep; ``worker_messages`` is its child of
+    :func:`worker_messages_counter`.  Returns the outgoing batches by
+    destination worker and the worker's report.
+    """
+    aggregator_copies = {
+        name: aggregator.fresh_copy() for name, aggregator in plan.aggregators.items()
+    }
+    worker_span = (
+        start_remote_span(f"worker-{worker.worker_id}", trace_ctx, worker=worker.worker_id)
+        if trace_ctx is not None
+        else None
+    )
+    outbox, counters = worker.execute_superstep(
+        superstep=superstep,
+        inbox=inbox,
+        aggregator_copies=aggregator_copies,
+        previous_aggregates=previous_aggregates,
+        num_vertices=plan.num_vertices,
+        vertex_factory=plan.vertex_factory,
+    )
+    span_dict = (
+        worker_span.finish(
+            messages_sent=counters["messages_sent"],
+            compute_calls=counters["compute_calls"],
         )
+        if worker_span is not None
+        else None
+    )
+    worker_messages.inc(counters["messages_sent"])
+    batches, counters["messages_cross"] = route_outbox(
+        outbox, plan.partitioner, plan.combiner, plan.columnar, sender=worker.worker_id
+    )
+    aggregator_states = {
+        name: copy.dump_state() for name, copy in aggregator_copies.items()
+    }
+    return batches, (counters, aggregator_states, worker.active_count(), span_dict)
+
+
+class JobSession(ABC):
+    """One job's workers on one runtime: the four things a backend implements.
+
+    :meth:`ExecutionBackend.run` constructs the session (which must not
+    acquire anything yet), then calls :meth:`launch` and everything
+    after it inside one ``try``/``finally`` that ends in :meth:`close`.
+    """
+
+    @abstractmethod
+    def launch(self) -> None:
+        """Bring the workers up (fork processes, adopt partitions)."""
+
+    @abstractmethod
+    def step(
+        self,
+        superstep: int,
+        previous_aggregates: Dict[str, Any],
+        trace_ctx: Optional[TraceContext],
+    ) -> List[WorkerReport]:
+        """Run :func:`run_worker_superstep` on every worker and deliver
+        the batches for the next superstep; reports in worker-id order."""
+
+    @abstractmethod
+    def collect(self) -> List[Dict[int, Vertex]]:
+        """The final partitions, ``vertex_id -> vertex``, in worker-id order."""
+
+    @abstractmethod
+    def close(self) -> None:
+        """Release everything :meth:`launch` acquired, however far it got
+        and whether or not the job failed.  Must not raise."""
 
 
 class ExecutionBackend(ABC):
     """Runs one Pregel job to termination on ``num_workers`` workers.
 
-    A backend owns partitioning (all backends build the partitioner
-    from the same named strategy — ``"hash"`` by default — so that
-    per-worker load and message routing are identical regardless of
-    runtime) and the BSP loop itself.  Implementations must preserve
-    the engine's observable semantics: superstep counts, aggregate
-    histories, the per-superstep metrics, and the final vertex states
-    must not depend on which backend executed the job.
+    This class owns partitioning (every backend builds the partitioner
+    from the same named strategy — ``"hash"`` by default) and the BSP
+    loop itself, so superstep counts, aggregate histories, per-superstep
+    metrics and final vertex states cannot depend on which backend
+    executed the job; a subclass only says how its :class:`JobSession`
+    runs the workers.
     """
 
     #: Registry key; subclasses override and register via :func:`register_backend`.
@@ -209,8 +318,102 @@ class ExecutionBackend(ABC):
         )
 
     @abstractmethod
-    def run(self, job: "PregelJob") -> "JobResult":
+    def _session(self, plan: WorkerPlan, workers: List[Worker]) -> JobSession:
+        """A not-yet-launched session running ``workers`` under ``plan``."""
+
+    def run(self, job: PregelJob) -> JobResult:
         """Execute ``job`` until global termination and return the result."""
+        initial_vertices = list(job.vertices)
+        partitioner = self.job_partitioner(initial_vertices)
+        workers = self.partition_into_workers(initial_vertices, partitioner)
+        # The flat list would otherwise pin every vertex in memory
+        # regardless of what a spill plane evicts.
+        del initial_vertices
+        num_vertices = sum(len(worker) for worker in workers)
+        if num_vertices == 0:
+            raise InvalidJobError(f"job {job.name!r} has no vertices")
+        active = sum(worker.active_count() for worker in workers)
+
+        registry = AggregatorRegistry()
+        for aggregator in job.aggregators:
+            registry.register(aggregator)
+        plan = WorkerPlan(
+            job_name=job.name,
+            num_workers=self.num_workers,
+            num_vertices=num_vertices,
+            partitioner=partitioner,
+            combiner=job.combiner,
+            vertex_factory=job.vertex_factory,
+            aggregators=registry.current_copies(),
+            columnar=self.columnar_messages,
+        )
+        metrics = JobMetrics(job_name=job.name, num_workers=self.num_workers)
+        aggregate_history: List[Dict[str, Any]] = []
+        instruments = SuperstepInstruments(job.name)
+        session = self._session(plan, workers)
+        del workers
+        pending = False
+        superstep = 0
+
+        try:
+            session.launch()
+            while True:
+                if superstep >= job.max_supersteps:
+                    raise SuperstepLimitExceededError(job.max_supersteps)
+                if active == 0 and not pending:
+                    break
+
+                step_started = time.perf_counter()
+                with span(f"superstep-{superstep}") as step_span:
+                    reports = session.step(
+                        superstep, registry.previous_values(), remote_context()
+                    )
+                    step = SuperstepMetrics(superstep=superstep)
+                    for counters, aggregator_states, active_count, span_dict in reports:
+                        registry.merge_states(aggregator_states)
+                        if span_dict is not None:
+                            step_span.add_child(span_dict)
+                        step.compute_calls += counters["compute_calls"]
+                        step.compute_ops += counters["compute_ops"]
+                        step.messages_sent += counters["messages_sent"]
+                        step.bytes_sent += counters["bytes_sent"]
+                        step.cross_worker_messages += counters["messages_cross"]
+                        step.active_vertices += active_count
+                        step.worker_compute_ops.append(counters["compute_ops"])
+                        step.worker_messages_sent.append(counters["messages_sent"])
+                        step.worker_bytes_sent.append(counters["bytes_sent"])
+                        step.worker_messages_received.append(counters["messages_received"])
+                        step.worker_bytes_received.append(counters["bytes_received"])
+                    step_span.set(
+                        messages_sent=step.messages_sent,
+                        bytes_sent=step.bytes_sent,
+                        active_vertices=step.active_vertices,
+                    )
+                instruments.record_superstep(step, time.perf_counter() - step_started)
+                metrics.add(step)
+
+                snapshot = registry.finish_superstep()
+                aggregate_history.append(snapshot)
+                active = step.active_vertices
+                pending = step.messages_sent > 0
+                superstep += 1
+
+                if job.halt_condition is not None and job.halt_condition(snapshot):
+                    break
+
+            # Worker-id order, so downstream iteration order does not
+            # depend on the backend.
+            vertices: Dict[int, Vertex] = {}
+            for partition in session.collect():
+                vertices.update(partition)
+        finally:
+            session.close()
+        return JobResult(
+            job_name=job.name,
+            vertices=vertices,
+            metrics=metrics,
+            aggregates=aggregate_history,
+        )
 
     # ------------------------------------------------------------------
     # shared helpers

@@ -6,27 +6,30 @@ cluster slot:
 
 * every worker process owns its hash partition of vertices for the
   whole job (vertices never migrate);
-* outgoing messages are grouped into per-destination-worker batches,
-  combined sender-side when the job has a combiner (so the bytes that
-  cross the process boundary are the combined ones), and shipped
-  either through the destination worker's data queue (pickled) or —
+* the per-destination batches of
+  :func:`~repro.pregel.message.route_outbox` (combined sender-side when
+  the job has a combiner, so the bytes that cross the process boundary
+  are the combined ones) are shipped either through the destination
+  worker's data queue (pickled) or —
   for columnar batches on the default ``shm`` message plane — written
   into the sender's shared-memory arena with only a
   ``(name, offset, count)`` descriptor crossing the queue (see
   :mod:`repro.runtime.shm`);
-* per-worker aggregator partials are shipped to the master at the
-  superstep barrier as plain ``(value, touched)`` state pairs and
-  merged in worker-id order, mirroring how Pregel ships partial
+* each worker's report (counters, aggregator partials as plain
+  ``(value, touched)`` state pairs, its span) is shipped to the master
+  at the superstep barrier, mirroring how Pregel ships partial
   aggregates to the master;
-* the master runs the BSP control loop: it collects the per-worker
-  counters, merges aggregates, evaluates the halt condition, and
-  broadcasts either the next superstep command or a stop command.
+* the master side is a :class:`~repro.runtime.base.JobSession`: the
+  shared driver in :meth:`ExecutionBackend.run
+  <repro.runtime.base.ExecutionBackend.run>` asks it to broadcast a
+  superstep command and gather the reports, and finally to stop the
+  workers and take their partitions back.
 
-Determinism: message batches are merged at the receiver in sender-id
-order and combiners are required to be associative and commutative, so
-vertex values, aggregate histories and metrics are identical to the
-:class:`~repro.runtime.serial.SerialBackend` (the parity tests under
-``tests/runtime/`` assert this for the PPA primitives and an
+Determinism: the superstep loop and the per-worker body are the same
+code the :class:`~repro.runtime.serial.SerialBackend` runs, and batches
+are merged at the receiver in sender-id order, so vertex values,
+aggregate histories and metrics are identical on both (the parity tests
+under ``tests/runtime/`` assert this for the PPA primitives and an
 end-to-end assembly).
 
 The default start method is ``fork`` where available: the job's vertex
@@ -43,47 +46,39 @@ import pickle
 import queue as queue_module
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from ..errors import BackendExecutionError, InvalidJobError, SuperstepLimitExceededError
-from ..pregel.aggregator import Aggregator
-from ..pregel.aggregator import AggregatorRegistry
-from ..pregel.engine import JobResult, PregelJob
-from ..pregel.message import (
-    COLUMNAR_MIN_BATCH,
-    Combiner,
-    columns_from_pairs,
-    combine_columns,
-    combiner_vectorizable,
-    group_columns,
-)
-from ..pregel.metrics import JobMetrics, SuperstepMetrics
-from ..pregel.vertex import Vertex, VertexFactory
+from ..errors import BackendExecutionError
+from ..pregel.message import COLS, is_cols, merge_batches
+from ..pregel.vertex import Vertex
 from ..pregel.worker import Worker
 from ..telemetry import (
     ResourceSampler,
     TimelineRecorder,
+    TraceContext,
     get_profiler,
     get_registry,
     get_timeline,
-    remote_context,
-    span,
-    start_remote_span,
 )
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.profiling import stats_state
 from ..store.spill import process_spill_stats
 from . import shm as shm_plane
-from .base import ExecutionBackend, SuperstepInstruments, register_backend, worker_messages_counter
+from .base import (
+    ExecutionBackend,
+    JobSession,
+    WorkerPlan,
+    WorkerReport,
+    register_backend,
+    run_worker_superstep,
+    worker_messages_counter,
+)
 from .spilling import WorkerBatchSpiller
 
 try:  # pragma: no cover - exercised implicitly by every import
     import numpy as np
 except Exception:  # pragma: no cover - containers without numpy
     np = None  # type: ignore[assignment]
-
-#: Marker tag for columnar message batches on the data queues.
-_COLS = "cols"
 
 #: Commands on the master -> worker channel.
 _STEP = "step"
@@ -104,101 +99,9 @@ _JOIN_SECONDS = 5.0
 _DEAD_GRACE_SECONDS = 2.0
 
 
-class _WorkerFailure(Exception):
-    """Internal: carries a worker's exception back to the master loop."""
-
-    def __init__(self, worker_id: int, original: BaseException, remote_traceback: str) -> None:
-        super().__init__(f"worker {worker_id} failed: {original!r}")
-        self.worker_id = worker_id
-        self.original = original
-        self.remote_traceback = remote_traceback
-
-
 # ----------------------------------------------------------------------
 # worker-process side
 # ----------------------------------------------------------------------
-def _route_outbox(
-    outbox: List[Tuple[int, Any]],
-    partitioner,
-    combiner: Optional[Combiner],
-    columnar: bool = True,
-    sender: Optional[int] = None,
-) -> Tuple[Dict[int, Any], int]:
-    """Group an outbox into per-destination batches, combining sender-side.
-
-    With a combiner, each destination batch carries at most one message
-    per target vertex — this happens *before* pickling, so combined
-    traffic is what crosses the process boundary, exactly like the
-    sender-side combining of real Pregel systems.
-
-    Qualifying integer outboxes are shipped as columnar batches
-    ``("cols", targets, values)`` — two ndarrays pickle orders of
-    magnitude faster than millions of tuples — preserving the scalar
-    batches' first-occurrence ordering so receivers fold identically.
-
-    Returns ``(batches, cross)`` where ``cross`` counts the raw
-    (pre-combine) outbox messages routed to a worker other than
-    ``sender`` (0 when ``sender`` is None).
-    """
-    cross = 0
-    if columnar and np is not None and len(outbox) >= COLUMNAR_MIN_BATCH and combiner_vectorizable(combiner):
-        columns = columns_from_pairs(outbox)
-        if columns is not None:
-            targets, values = columns
-            # Cross-worker accounting is charged on the *raw* outbox,
-            # before combining shrinks it (matching the serial router).
-            if sender is not None:
-                raw_destinations = partitioner.worker_for_array(targets)
-                cross = int(targets.size) - int(
-                    np.count_nonzero(raw_destinations == sender)
-                )
-            if combiner is not None:
-                combined = combine_columns(targets, values, combiner.kind)
-                if combined is None:
-                    columns = None  # sum could wrap: fall through to scalar
-                else:
-                    targets, values = combined
-            if columns is not None:
-                # Shipping destinations are computed on the (possibly
-                # combined) targets; the raw array is only reusable when
-                # combining removed nothing.
-                if sender is not None and targets.size == raw_destinations.size:
-                    destinations = raw_destinations
-                else:
-                    destinations = partitioner.worker_for_array(targets)
-                batches: Dict[int, Any] = {}
-                for destination in np.unique(destinations).tolist():
-                    selector = destinations == destination
-                    batches[destination] = (_COLS, targets[selector], values[selector])
-                return batches, cross
-    cross = 0
-    if combiner is None:
-        batches: Dict[int, List[Tuple[int, Any]]] = {}
-        for target_id, message in outbox:
-            destination = partitioner.worker_for(target_id)
-            if sender is not None and destination != sender:
-                cross += 1
-            batches.setdefault(destination, []).append((target_id, message))
-        return batches, cross
-    combined: Dict[int, Dict[int, Any]] = {}
-    for target_id, message in outbox:
-        destination = partitioner.worker_for(target_id)
-        if sender is not None and destination != sender:
-            cross += 1
-        slot = combined.setdefault(destination, {})
-        if target_id in slot:
-            slot[target_id] = combiner.combine(slot[target_id], message)
-        else:
-            slot[target_id] = message
-    return {
-        destination: list(slot.items()) for destination, slot in combined.items()
-    }, cross
-
-
-def _is_cols(batch) -> bool:
-    return isinstance(batch, tuple) and len(batch) == 3 and batch[0] == _COLS
-
-
 def _resolve_batch(batch, reader):
     """Materialise a shared-memory descriptor into a columnar batch.
 
@@ -212,74 +115,8 @@ def _resolve_batch(batch, reader):
         and batch[0] == shm_plane.SHM_BATCH
     ):
         targets, values = reader.read(batch[1], batch[2], batch[3])
-        return (_COLS, targets, values)
+        return (COLS, targets, values)
     return batch
-
-
-def _batch_pairs(batch):
-    """Iterate a data-queue batch as ``(target, message)`` pairs.
-
-    Accepts both the scalar tuple-list format and the columnar
-    ``("cols", targets, values)`` format; columnar values come back as
-    plain Python ints, so folding is identical either way.
-    """
-    if _is_cols(batch):
-        return zip(batch[1].tolist(), batch[2].tolist())
-    return iter(batch)
-
-
-def _merge_batches(
-    batches_by_sender: Dict[int, Any],
-    num_workers: int,
-    combiner: Optional[Combiner],
-) -> Dict[int, List[Any]]:
-    """Fold sender batches into a per-vertex inbox, in sender-id order.
-
-    The fixed sender order makes the fold sequence a deterministic
-    function of the job, so results match the serial backend for any
-    associative combine function.
-
-    When every non-empty batch is columnar and the combiner has an
-    exact array reduction, the fold itself is vectorized: the batches
-    are concatenated in sender-id order and segment-reduced, which
-    preserves the scalar fold's first-occurrence key order and (for
-    ``min``/``sum`` without uint64 overflow) its exact values.
-    """
-    ordered = [batches_by_sender.get(sender, ()) for sender in range(num_workers)]
-    if np is not None and combiner_vectorizable(combiner):
-        columnar_parts = []
-        all_columnar = True
-        for batch in ordered:
-            if _is_cols(batch):
-                columnar_parts.append(batch)
-            elif len(batch):
-                all_columnar = False
-                break
-        if all_columnar and columnar_parts:
-            targets = np.concatenate([batch[1] for batch in columnar_parts])
-            values = np.concatenate([batch[2] for batch in columnar_parts])
-            if combiner is None:
-                return {
-                    target: messages
-                    for target, messages in group_columns(targets, values)
-                }
-            combined = combine_columns(targets, values, combiner.kind)
-            if combined is not None:
-                return {
-                    target: [message]
-                    for target, message in zip(
-                        combined[0].tolist(), combined[1].tolist()
-                    )
-                }
-            # A sum could wrap the uint64 lane: fold exactly in Python.
-    inbox: Dict[int, List[Any]] = {}
-    for batch in ordered:
-        for target_id, message in _batch_pairs(batch):
-            if combiner is not None and target_id in inbox:
-                inbox[target_id] = [combiner.combine(inbox[target_id][0], message)]
-            else:
-                inbox.setdefault(target_id, []).append(message)
-    return inbox
 
 
 def _pack_partition(vertices: List[Vertex]):
@@ -354,16 +191,8 @@ def _unpack_partition(payload) -> List[Vertex]:
 
 
 def _worker_main(
-    worker_id: int,
-    num_workers: int,
-    vertices: List[Vertex],
-    combiner: Optional[Combiner],
-    vertex_factory: Optional[VertexFactory],
-    aggregator_template: Dict[str, Aggregator],
-    num_vertices: int,
-    columnar: bool,
-    partitioner,
-    job_name: str,
+    worker: Worker,
+    plan: WorkerPlan,
     metrics_enabled: bool,
     timeline_enabled: bool,
     profile_enabled: bool,
@@ -374,30 +203,26 @@ def _worker_main(
     result_queue,
 ) -> None:
     """Superstep loop of one shared-nothing worker process."""
+    worker_id, num_workers = worker.worker_id, plan.num_workers
     arena_writer = None
     arena_reader = None
     spiller = None
     sampler = None
     try:
-        worker = Worker(worker_id)
-        for vertex in vertices:
-            worker.add_vertex(vertex)
         own_queue = data_queues[worker_id]
         arena_reader = shm_plane.ArenaReader()
         # Batches this worker sent to itself stay local (no pickling).
-        local_batches: Dict[int, List[Tuple[int, Any]]] = {}
+        local_batches: Dict[int, Any] = {}
         # Batches received early for a future superstep, keyed by superstep.
-        staged: Dict[int, Dict[int, List[Tuple[int, Any]]]] = {}
+        staged: Dict[int, Dict[int, Any]] = {}
         # Telemetry is recorded into a registry local to this process
         # (never the fork-inherited global one — the master merges the
         # shipped deltas, so recording globally here would double-count)
         # and shipped to the master as a delta at each barrier.
         local_registry = MetricsRegistry() if metrics_enabled else None
-        worker_messages = (
-            worker_messages_counter(local_registry).labels(job_name, worker_id)
-            if local_registry is not None
-            else None
-        )
+        worker_messages = worker_messages_counter(
+            local_registry or get_registry()
+        ).labels(plan.job_name, worker_id)
         # Timeline events mirror the metric-delta transport: recorded
         # into a process-local buffer, drained at every barrier and
         # shipped to the master inside the counters dict (either
@@ -415,7 +240,7 @@ def _worker_main(
             spiller = WorkerBatchSpiller(
                 max(1, budget_bytes // num_workers),
                 worker_id,
-                job_name,
+                plan.job_name,
                 registry=local_registry,
             )
             spiller.account_partition(worker.vertices)
@@ -463,40 +288,12 @@ def _worker_main(
                     if spiller is not None:
                         batch = spiller.resolve(superstep, sender, batch)
                     batches[sender] = _resolve_batch(batch, arena_reader)
-                inbox = _merge_batches(batches, num_workers, combiner)
+                inbox = merge_batches(batches, num_workers, plan.combiner)
 
-            aggregator_copies = {
-                name: aggregator.fresh_copy()
-                for name, aggregator in aggregator_template.items()
-            }
-            remote_span = (
-                start_remote_span(f"worker-{worker_id}", trace_ctx, worker=worker_id)
-                if trace_ctx is not None
-                else None
+            batches, report = run_worker_superstep(
+                worker, plan, superstep, inbox, previous_aggregates, trace_ctx,
+                worker_messages,
             )
-            outbox, counters = worker.execute_superstep(
-                superstep=superstep,
-                inbox=inbox,
-                aggregator_copies=aggregator_copies,
-                previous_aggregates=previous_aggregates,
-                num_vertices=num_vertices,
-                vertex_factory=vertex_factory,
-            )
-            span_dict = (
-                remote_span.finish(
-                    messages_sent=counters["messages_sent"],
-                    compute_calls=counters["compute_calls"],
-                )
-                if remote_span is not None
-                else None
-            )
-            if worker_messages is not None:
-                worker_messages.inc(counters["messages_sent"])
-
-            batches, cross_messages = _route_outbox(
-                outbox, partitioner, combiner, columnar, sender=worker_id
-            )
-            counters["messages_cross"] = cross_messages
             for destination in range(num_workers):
                 batch = batches.get(destination, [])
                 if destination == worker_id:
@@ -504,11 +301,13 @@ def _worker_main(
                         batch = spiller.stash(superstep + 1, worker_id, batch)
                     local_batches[superstep + 1] = batch
                 else:
-                    if arena_writer is not None and _is_cols(batch):
+                    if arena_writer is not None and is_cols(batch):
                         descriptor = arena_writer.try_write(batch[1], batch[2])
                         if descriptor is not None:
                             batch = descriptor
                     data_queues[destination].put((superstep + 1, worker_id, batch))
+            # What only a process boundary needs rides the counters dict.
+            counters = report[0]
             if step_profiler is not None:
                 step_profiler.disable()
                 counters["profile"] = stats_state(step_profiler)
@@ -517,31 +316,15 @@ def _worker_main(
                 # the step finishes inside the sampling interval.
                 sampler.sample_once()
                 counters["timeline"] = local_timeline.drain_events()
-            counters["arena_wanted"] = (
-                arena_writer.wanted_bytes if arena_writer is not None else 0
-            )
+            if arena_writer is not None:
+                counters["arena_wanted"] = arena_writer.wanted_bytes
             if spiller is not None:
                 # The factory may have grown the partition this superstep.
                 spiller.account_partition(worker.vertices)
                 counters["spill_stats"] = spiller.drain_stats()
-
-            aggregator_states = {
-                name: copy.dump_state() for name, copy in aggregator_copies.items()
-            }
-            metrics_state = (
-                local_registry.drain_state() if local_registry is not None else None
-            )
-            control_queue.put(
-                (
-                    _OK,
-                    worker_id,
-                    counters,
-                    aggregator_states,
-                    worker.active_count(),
-                    span_dict,
-                    metrics_state,
-                )
-            )
+            if local_registry is not None:
+                counters["metrics"] = local_registry.drain_state()
+            control_queue.put((_OK, worker_id, report))
     except BaseException as exc:  # noqa: BLE001 - must reach the master
         try:
             # Full round-trip check: exceptions with multi-argument
@@ -574,6 +357,207 @@ def _worker_main(
 # ----------------------------------------------------------------------
 # master side
 # ----------------------------------------------------------------------
+class _MultiprocessSession(JobSession):
+    """One job's worker processes, their queues and their arenas.
+
+    Worker processes live for exactly one job: forking at launch time
+    is what lets children inherit the job's vertices, combiner and
+    vertex factory without pickling (lambdas and closures included).
+    A persistent pool would have to ship job state through queues
+    instead, restricting jobs to picklable state — revisit if per-job
+    start-up cost ever dominates a workload that can accept that
+    restriction.
+    """
+
+    def __init__(
+        self, backend: "MultiprocessBackend", plan: WorkerPlan, workers: List[Worker]
+    ) -> None:
+        self._backend = backend
+        self._plan = plan
+        self._workers: Optional[List[Worker]] = workers
+        self._command_queues: list = []
+        self._drain_queues: list = []
+        self._control_queue = None
+        self._result_queue = None
+        self._arena_pool: Optional[shm_plane.ArenaPool] = None
+        #: Every process object, and the prefix of it that start()ed.
+        self._processes: list = []
+        self._started: list = []
+        self._collected = False
+
+    def launch(self) -> None:
+        backend, plan, context = self._backend, self._plan, self._backend._context
+        self._command_queues = [context.Queue() for _ in range(plan.num_workers)]
+        data_queues = [context.Queue() for _ in range(plan.num_workers)]
+        self._control_queue = context.Queue()
+        self._result_queue = context.Queue()
+        self._drain_queues = [self._control_queue, self._result_queue] + data_queues
+
+        # The shared-memory plane needs the columnar path (descriptors
+        # only describe array batches) and a host whose /dev/shm works;
+        # anything else degrades to the pickled queue plane, which is
+        # bit-identical, just slower.
+        if (
+            backend.message_plane == "shm"
+            and plan.columnar
+            and shm_plane.shm_plane_usable()
+        ):
+            pool = shm_plane.ArenaPool(plan.num_workers, backend.shm_arena_bytes)
+            try:
+                pool.create_all()
+                self._arena_pool = pool
+            except Exception:
+                pool.unlink_all()
+
+        workers, self._workers = self._workers, None
+        self._processes = [
+            context.Process(
+                target=_worker_main,
+                args=(
+                    worker,
+                    plan,
+                    get_registry().enabled,
+                    get_timeline().enabled,
+                    get_profiler().enabled,
+                    backend.memory_budget_bytes,
+                    self._command_queues[worker.worker_id],
+                    data_queues,
+                    self._control_queue,
+                    self._result_queue,
+                ),
+                daemon=True,
+                name=f"pregel-worker-{worker.worker_id}",
+            )
+            for worker in workers
+        ]
+        for process in self._processes:
+            process.start()
+            self._started.append(process)
+
+    def step(
+        self,
+        superstep: int,
+        previous_aggregates: Dict[str, Any],
+        trace_ctx: Optional[TraceContext],
+    ) -> List[WorkerReport]:
+        pool = self._arena_pool
+        for worker_id, command_queue in enumerate(self._command_queues):
+            command_queue.put(
+                (
+                    _STEP,
+                    superstep,
+                    previous_aggregates,
+                    trace_ctx,
+                    pool.names(worker_id) if pool is not None else None,
+                )
+            )
+        # One barrier: gather every worker's end-of-superstep report.
+        reports: Dict[int, WorkerReport] = {}
+        while len(reports) < self._plan.num_workers:
+            message = self._get_checked(self._control_queue, reports)
+            tag, worker_id = message[0], message[1]
+            if tag == _FAILED:
+                original = message[2]
+                original.remote_traceback = message[3]  # type: ignore[attr-defined]
+                raise original from None
+            reports[worker_id] = message[2]
+
+        metrics_registry, timeline, profiler = get_registry(), get_timeline(), get_profiler()
+        ordered = [reports[worker_id] for worker_id in range(self._plan.num_workers)]
+        for worker_id, report in enumerate(ordered):
+            counters = report[0]
+            metrics_state = counters.pop("metrics", None)
+            if metrics_state is not None:
+                metrics_registry.merge_state(metrics_state)
+            timeline.merge_events(counters.pop("timeline", None))
+            profiler.merge_state(counters.pop("profile", None))
+            spill_delta = counters.get("spill_stats")
+            if spill_delta is not None:
+                process_spill_stats().merge(spill_delta)
+            if pool is not None:
+                pool.request(worker_id, counters.get("arena_wanted", 0))
+        if pool is not None:
+            # The buffers read during this superstep are idle until
+            # superstep + 1 starts writing them: the only window where
+            # an undersized buffer may be replaced.
+            pool.grow_idle(superstep % 2)
+        return ordered
+
+    def collect(self) -> List[Dict[int, Vertex]]:
+        """Stop all workers and take their partitions back."""
+        for command_queue in self._command_queues:
+            command_queue.put((_STOP, True))
+        collected: Dict[int, Dict[int, Vertex]] = {}
+        while len(collected) < self._plan.num_workers:
+            worker_id, payload = self._get_checked(self._result_queue, collected)
+            collected[worker_id] = {
+                vertex.vertex_id: vertex for vertex in _unpack_partition(payload)
+            }
+        self._collected = True
+        return [collected[worker_id] for worker_id in range(self._plan.num_workers)]
+
+    def close(self) -> None:
+        """Best-effort teardown on every exit path: never raise from here."""
+        if not self._collected:
+            for command_queue in self._command_queues:
+                try:
+                    command_queue.put_nowait((_STOP, False))
+                except Exception:
+                    pass
+        for source_queue in self._drain_queues:
+            while True:
+                try:
+                    source_queue.get_nowait()
+                except Exception:
+                    break
+        for process in self._started:
+            process.join(timeout=_JOIN_SECONDS)
+        for process in self._started:
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=_JOIN_SECONDS)
+        for source_queue in self._command_queues + self._drain_queues:
+            source_queue.cancel_join_thread()
+        # Unlink the arena segments last: every worker process has been
+        # joined or terminated by now, so no attachment can outlive
+        # this (and a worker that died mid-superstep could not have
+        # unlinked anything itself — workers never own segments).
+        if self._arena_pool is not None:
+            self._arena_pool.unlink_all()
+
+    def _get_checked(self, source_queue, seen):
+        """Blocking get that notices dead workers instead of hanging.
+
+        ``seen`` holds the worker ids whose data has already arrived.
+        A worker found dead while we still expect data from it gets a
+        short grace period (its queue feeder may have flushed just
+        before exit), after which the backend gives up loudly.
+        """
+        processes = self._processes
+        deadline = None
+        while True:
+            try:
+                return source_queue.get(timeout=_POLL_SECONDS)
+            except queue_module.Empty:
+                dead = [
+                    w
+                    for w in range(self._plan.num_workers)
+                    if w not in seen and not processes[w].is_alive()
+                ]
+                if not dead:
+                    deadline = None
+                    continue
+                now = time.monotonic()
+                if deadline is None:
+                    deadline = now + _DEAD_GRACE_SECONDS
+                elif now > deadline:
+                    exit_codes = {w: processes[w].exitcode for w in dead}
+                    raise BackendExecutionError(
+                        f"worker process(es) {sorted(dead)} exited "
+                        f"(exit codes {exit_codes}) without delivering expected data"
+                    ) from None
+
+
 @register_backend
 class MultiprocessBackend(ExecutionBackend):
     """Real parallel execution across shared-nothing worker processes."""
@@ -604,315 +588,5 @@ class MultiprocessBackend(ExecutionBackend):
         self.shm_arena_bytes = shm_arena_bytes
         self._context = multiprocessing.get_context(start_method)
 
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
-    def run(self, job: PregelJob) -> JobResult:
-        # Worker processes live for exactly one job: forking at run()
-        # time is what lets children inherit the job's vertices,
-        # combiner and vertex factory without pickling (lambdas and
-        # closures included).  A persistent pool would have to ship
-        # job state through queues instead, restricting jobs to
-        # picklable state — revisit if per-job start-up cost ever
-        # dominates a workload that can accept that restriction.
-        initial_vertices = list(job.vertices)
-        partitioner = self.job_partitioner(initial_vertices)
-        partitions: List[List[Vertex]] = [[] for _ in range(self.num_workers)]
-        for vertex in initial_vertices:
-            partitions[partitioner.worker_for(vertex.vertex_id)].append(vertex)
-        num_vertices = sum(len(partition) for partition in partitions)
-        if num_vertices == 0:
-            raise InvalidJobError(f"job {job.name!r} has no vertices")
-
-        registry = AggregatorRegistry()
-        for aggregator in job.aggregators:
-            registry.register(aggregator)
-        aggregator_template = {
-            aggregator.name: aggregator.fresh_copy() for aggregator in job.aggregators
-        }
-
-        context = self._context
-        command_queues = [context.Queue() for _ in range(self.num_workers)]
-        data_queues = [context.Queue() for _ in range(self.num_workers)]
-        control_queue = context.Queue()
-        result_queue = context.Queue()
-
-        # The shared-memory plane needs the columnar path (descriptors
-        # only describe array batches) and a host whose /dev/shm works;
-        # anything else degrades to the pickled queue plane, which is
-        # bit-identical, just slower.
-        arena_pool = None
-        if (
-            self.message_plane == "shm"
-            and self.columnar_messages
-            and shm_plane.shm_plane_usable()
-        ):
-            try:
-                arena_pool = shm_plane.ArenaPool(
-                    self.num_workers, self.shm_arena_bytes
-                )
-                arena_pool.create_all()
-            except Exception:
-                if arena_pool is not None:
-                    arena_pool.unlink_all()
-                arena_pool = None
-
-        processes = [
-            context.Process(
-                target=_worker_main,
-                args=(
-                    worker_id,
-                    self.num_workers,
-                    partitions[worker_id],
-                    job.combiner,
-                    job.vertex_factory,
-                    aggregator_template,
-                    num_vertices,
-                    self.columnar_messages,
-                    partitioner,
-                    job.name,
-                    get_registry().enabled,
-                    get_timeline().enabled,
-                    get_profiler().enabled,
-                    self.memory_budget_bytes,
-                    command_queues[worker_id],
-                    data_queues,
-                    control_queue,
-                    result_queue,
-                ),
-                daemon=True,
-                name=f"pregel-worker-{worker_id}",
-            )
-            for worker_id in range(self.num_workers)
-        ]
-        for process in processes:
-            process.start()
-
-        metrics = JobMetrics(job_name=job.name, num_workers=self.num_workers)
-        aggregate_history: List[Dict[str, Any]] = []
-        instruments = SuperstepInstruments(job.name)
-        metrics_registry = get_registry()
-        timeline = get_timeline()
-        profiler = get_profiler()
-        active = sum(
-            1
-            for partition in partitions
-            for vertex in partition
-            if not vertex.halted
-        )
-        pending = False
-        superstep = 0
-
-        try:
-            while True:
-                if superstep >= job.max_supersteps:
-                    raise SuperstepLimitExceededError(job.max_supersteps)
-                if active == 0 and not pending:
-                    break
-
-                previous_aggregates = registry.previous_values()
-                step_started = time.perf_counter()
-                with span(f"superstep-{superstep}") as step_span:
-                    trace_ctx = remote_context()
-                    for worker_id, command_queue in enumerate(command_queues):
-                        command_queue.put(
-                            (
-                                _STEP,
-                                superstep,
-                                previous_aggregates,
-                                trace_ctx,
-                                arena_pool.names(worker_id)
-                                if arena_pool is not None
-                                else None,
-                            )
-                        )
-
-                    reports = self._collect_control(control_queue, processes)
-                    step = SuperstepMetrics(superstep=superstep)
-                    active = 0
-                    messages_in_flight = 0
-                    for worker_id in range(self.num_workers):
-                        (
-                            counters,
-                            aggregator_states,
-                            active_count,
-                            span_dict,
-                            metrics_state,
-                        ) = reports[worker_id]
-                        registry.merge_states(aggregator_states)
-                        if span_dict is not None:
-                            step_span.add_child(span_dict)
-                        if metrics_state is not None:
-                            metrics_registry.merge_state(metrics_state)
-                        timeline.merge_events(counters.pop("timeline", None))
-                        profiler.merge_state(counters.pop("profile", None))
-                        spill_delta = counters.get("spill_stats")
-                        if spill_delta is not None:
-                            process_spill_stats().merge(spill_delta)
-                        step.compute_calls += counters["compute_calls"]
-                        step.compute_ops += counters["compute_ops"]
-                        step.messages_sent += counters["messages_sent"]
-                        step.bytes_sent += counters["bytes_sent"]
-                        step.cross_worker_messages += counters.get("messages_cross", 0)
-                        if arena_pool is not None:
-                            arena_pool.request(
-                                worker_id, counters.get("arena_wanted", 0)
-                            )
-                        step.worker_compute_ops.append(counters["compute_ops"])
-                        step.worker_messages_sent.append(counters["messages_sent"])
-                        step.worker_bytes_sent.append(counters["bytes_sent"])
-                        step.worker_messages_received.append(counters["messages_received"])
-                        step.worker_bytes_received.append(counters["bytes_received"])
-                        active += active_count
-                        messages_in_flight += counters["messages_sent"]
-                    step.active_vertices = active
-                    step_span.set(
-                        messages_sent=step.messages_sent,
-                        bytes_sent=step.bytes_sent,
-                        active_vertices=step.active_vertices,
-                    )
-                instruments.record_superstep(
-                    step, time.perf_counter() - step_started
-                )
-                metrics.add(step)
-                if arena_pool is not None:
-                    # The buffers read during this superstep are idle
-                    # until superstep + 1 starts writing them: the only
-                    # window where an undersized buffer may be replaced.
-                    arena_pool.grow_idle(superstep % 2)
-
-                snapshot = registry.finish_superstep()
-                aggregate_history.append(snapshot)
-                pending = messages_in_flight > 0
-                superstep += 1
-
-                if job.halt_condition is not None and job.halt_condition(snapshot):
-                    break
-
-            vertices = self._collect_vertices(command_queues, result_queue, processes)
-        except _WorkerFailure as failure:
-            self._abort(
-                command_queues,
-                [control_queue, result_queue] + data_queues,
-                processes,
-                arena_pool,
-            )
-            original = failure.original
-            original.remote_traceback = failure.remote_traceback  # type: ignore[attr-defined]
-            raise original from None
-        except BaseException:
-            self._abort(
-                command_queues,
-                [control_queue, result_queue] + data_queues,
-                processes,
-                arena_pool,
-            )
-            raise
-        self._shutdown(
-            command_queues,
-            [control_queue, result_queue] + data_queues,
-            processes,
-            arena_pool,
-        )
-        return JobResult(
-            job_name=job.name,
-            vertices=vertices,
-            metrics=metrics,
-            aggregates=aggregate_history,
-        )
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _get_checked(self, source_queue, processes, waiting_on):
-        """Blocking get that notices dead workers instead of hanging.
-
-        ``waiting_on`` is the set of worker ids whose data has not been
-        seen yet.  A worker found dead while we still expect data from
-        it gets a short grace period (its queue feeder may have flushed
-        just before exit), after which the backend gives up loudly.
-        """
-        deadline = None
-        while True:
-            try:
-                return source_queue.get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
-                dead = [w for w in waiting_on if not processes[w].is_alive()]
-                if not dead:
-                    deadline = None
-                    continue
-                now = time.monotonic()
-                if deadline is None:
-                    deadline = now + _DEAD_GRACE_SECONDS
-                elif now > deadline:
-                    exit_codes = {w: processes[w].exitcode for w in dead}
-                    raise BackendExecutionError(
-                        f"worker process(es) {sorted(dead)} exited "
-                        f"(exit codes {exit_codes}) without delivering expected data"
-                    ) from None
-
-    def _collect_control(self, control_queue, processes) -> Dict[int, tuple]:
-        """One barrier: gather every worker's end-of-superstep report."""
-        reports: Dict[int, tuple] = {}
-        while len(reports) < self.num_workers:
-            waiting_on = set(range(self.num_workers)) - set(reports)
-            message = self._get_checked(control_queue, processes, waiting_on)
-            tag, worker_id = message[0], message[1]
-            if tag == _FAILED:
-                raise _WorkerFailure(worker_id, message[2], message[3])
-            reports[worker_id] = message[2:]
-        return reports
-
-    def _collect_vertices(
-        self, command_queues, result_queue, processes
-    ) -> Dict[int, Vertex]:
-        """Stop all workers and reassemble the vertex map in worker order."""
-        for command_queue in command_queues:
-            command_queue.put((_STOP, True))
-        collected: Dict[int, List[Vertex]] = {}
-        while len(collected) < self.num_workers:
-            waiting_on = set(range(self.num_workers)) - set(collected)
-            worker_id, payload = self._get_checked(
-                result_queue, processes, waiting_on
-            )
-            collected[worker_id] = _unpack_partition(payload)
-        # Worker-id order matches how the serial backend concatenates
-        # partitions, so downstream iteration order is identical.
-        vertices: Dict[int, Vertex] = {}
-        for worker_id in range(self.num_workers):
-            for vertex in collected[worker_id]:
-                vertices[vertex.vertex_id] = vertex
-        return vertices
-
-    def _abort(self, command_queues, drain_queues, processes, arena_pool=None) -> None:
-        """Best-effort stop after an error: never raise from here."""
-        for command_queue in command_queues:
-            try:
-                command_queue.put_nowait((_STOP, False))
-            except Exception:
-                pass
-        self._shutdown(command_queues, drain_queues, processes, arena_pool)
-
-    def _shutdown(self, command_queues, drain_queues, processes, arena_pool=None) -> None:
-        for source_queue in drain_queues:
-            while True:
-                try:
-                    source_queue.get_nowait()
-                except Exception:
-                    break
-        for process in processes:
-            process.join(timeout=_JOIN_SECONDS)
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=_JOIN_SECONDS)
-        for command_queue in command_queues:
-            command_queue.cancel_join_thread()
-        for source_queue in drain_queues:
-            source_queue.cancel_join_thread()
-        # Unlink the arena segments last: every worker process has been
-        # joined or terminated by now, so no attachment can outlive
-        # this (and a worker that died mid-superstep could not have
-        # unlinked anything itself — workers never own segments).
-        if arena_pool is not None:
-            arena_pool.unlink_all()
+    def _session(self, plan: WorkerPlan, workers: List[Worker]) -> JobSession:
+        return _MultiprocessSession(self, plan, workers)

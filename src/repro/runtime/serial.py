@@ -1,175 +1,87 @@
 """Serial backend: the original in-process Pregel cluster simulation.
 
-Workers execute one after another inside the calling process, exactly
-as :class:`~repro.pregel.engine.PregelEngine` always did.  This keeps
-counter-based reproduction of the paper bit-exact and deterministic:
-the per-worker compute/message/byte breakdowns feed the BSP cost model
-that regenerates Tables 2-5 and Figure 12, so this backend remains the
-default for every benchmark that reports simulated cluster numbers.
+Workers execute one after another inside the calling process.  This
+keeps counter-based reproduction of the paper bit-exact and
+deterministic: the per-worker compute/message/byte breakdowns feed the
+BSP cost model that regenerates Tables 2-5 and Figure 12, so this
+backend remains the default for every benchmark that reports simulated
+cluster numbers.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
-from ..errors import InvalidJobError, SuperstepLimitExceededError
-from ..pregel.aggregator import AggregatorRegistry
-from ..pregel.engine import JobResult, PregelJob
-from ..pregel.message import MessageRouter
-from ..pregel.metrics import JobMetrics, SuperstepMetrics
+from ..pregel.message import merge_batches
+from ..pregel.vertex import Vertex
 from ..pregel.worker import Worker
-from ..telemetry import span
-from .base import ExecutionBackend, SuperstepInstruments, register_backend
+from ..telemetry import TraceContext, get_registry
+from .base import (
+    ExecutionBackend,
+    JobSession,
+    WorkerPlan,
+    WorkerReport,
+    register_backend,
+    run_worker_superstep,
+    worker_messages_counter,
+)
 from .spilling import SerialSpillPlane
 
 
-@register_backend
-class SerialBackend(ExecutionBackend):
-    """Sequential in-process execution with exact simulated-cluster counters."""
+class _SerialSession(JobSession):
+    """Steps the workers in worker-id order inside this process."""
 
-    name = "serial"
+    def __init__(
+        self, plan: WorkerPlan, workers: List[Worker], budget_bytes: Optional[int]
+    ) -> None:
+        self._plan = plan
+        self._workers: Optional[List[Worker]] = workers
+        self._budget_bytes = budget_bytes
+        self._plane: Optional[SerialSpillPlane] = None
+        #: worker -> vertex -> messages, delivered by the previous superstep.
+        self._inboxes: Dict[int, Dict[int, List[Any]]] = {}
+        counter = worker_messages_counter(get_registry())
+        self._worker_messages = [
+            counter.labels(plan.job_name, worker_id)
+            for worker_id in range(plan.num_workers)
+        ]
 
-    def run(self, job: PregelJob) -> JobResult:
-        initial_vertices = list(job.vertices)
-        partitioner = self.job_partitioner(initial_vertices)
-        workers = self.partition_into_workers(initial_vertices, partitioner)
-        num_vertices = sum(len(worker) for worker in workers)
-        if num_vertices == 0:
-            raise InvalidJobError(f"job {job.name!r} has no vertices")
-
+    def launch(self) -> None:
+        if self._budget_bytes is None:
+            return
         # With a memory budget, the spill plane takes custody of the
         # partitions: workers are loaded just-in-time and idle ones may
-        # live on disk between supersteps.  Dropping the flat vertex
-        # list matters — it would otherwise pin every vertex in memory
-        # regardless of what the plane evicts.
-        plane = None
-        if self.memory_budget_bytes is not None:
-            plane = SerialSpillPlane(self.memory_budget_bytes, job.name)
-            plane.adopt(workers)
-            workers = None
-            del initial_vertices
+        # live on disk between supersteps.
+        self._plane = SerialSpillPlane(self._budget_bytes, self._plan.job_name)
+        workers, self._workers = self._workers, None
+        self._plane.adopt(workers)
 
-        registry = AggregatorRegistry()
-        for aggregator in job.aggregators:
-            registry.register(aggregator)
-
-        router = MessageRouter(partitioner, job.combiner, columnar=self.columnar_messages)
-        metrics = JobMetrics(job_name=job.name, num_workers=self.num_workers)
-        aggregate_history: List[Dict[str, Any]] = []
-        instruments = SuperstepInstruments(job.name)
-
-        try:
-            superstep = 0
-            inboxes: Dict[int, Dict[int, List[Any]]] = {}
-            while True:
-                if superstep >= job.max_supersteps:
-                    raise SuperstepLimitExceededError(job.max_supersteps)
-
-                if plane is None:
-                    active = sum(worker.active_count() for worker in workers)
-                else:
-                    active = plane.active_total()
-                pending = any(inboxes.get(w, {}) for w in range(self.num_workers))
-                if active == 0 and not pending:
-                    break
-
-                step_started = time.perf_counter()
-                with span(f"superstep-{superstep}") as step_span:
-                    step_metrics = self._run_superstep(
-                        superstep, job, workers, inboxes, router, registry,
-                        num_vertices, instruments, plane,
-                    )
-                    step_span.set(
-                        messages_sent=step_metrics.messages_sent,
-                        bytes_sent=step_metrics.bytes_sent,
-                        active_vertices=step_metrics.active_vertices,
-                    )
-                instruments.record_superstep(
-                    step_metrics, time.perf_counter() - step_started
-                )
-                metrics.add(step_metrics)
-
-                snapshot = registry.finish_superstep()
-                aggregate_history.append(snapshot)
-
-                inboxes = router.deliver()
-                if plane is not None:
-                    inboxes = plane.stash_inboxes(inboxes)
-                superstep += 1
-
-                if job.halt_condition is not None and job.halt_condition(snapshot):
-                    break
-
-            if plane is not None:
-                workers = plane.restore_all()
-            vertices = {}
-            for worker in workers:
-                vertices.update(worker.vertices)
-        finally:
-            if plane is not None:
-                plane.close()
-        return JobResult(
-            job_name=job.name,
-            vertices=vertices,
-            metrics=metrics,
-            aggregates=aggregate_history,
-        )
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _run_superstep(
+    def step(
         self,
         superstep: int,
-        job: PregelJob,
-        workers: List[Worker],
-        inboxes: Dict[int, Dict[int, List[Any]]],
-        router: MessageRouter,
-        registry: AggregatorRegistry,
-        num_vertices: int,
-        instruments: SuperstepInstruments,
-        plane: "SerialSpillPlane | None" = None,
-    ) -> SuperstepMetrics:
-        step = SuperstepMetrics(superstep=superstep)
-        previous_aggregates = registry.previous_values()
-        cross_before = router.cross_message_count
-
-        for worker_id in range(self.num_workers):
+        previous_aggregates: Dict[str, Any],
+        trace_ctx: Optional[TraceContext],
+    ) -> List[WorkerReport]:
+        plan, plane, inboxes = self._plan, self._plane, self._inboxes
+        # outgoing[destination][sender] is one routed batch.  Destinations
+        # stay in first-routed order: the spill plane's ledger ages the
+        # inboxes in the order they are stashed.
+        outgoing: Dict[int, Dict[int, Any]] = {}
+        reports = []
+        for worker_id in range(plan.num_workers):
             if plane is None:
-                worker = workers[worker_id]
+                worker = self._workers[worker_id]
                 inbox = inboxes.get(worker_id, {})
             else:
                 worker = plane.worker(worker_id)
                 inbox = plane.take_inbox(worker_id, inboxes)
-            aggregator_copies = registry.current_copies()
-            with span(f"worker-{worker.worker_id}", worker=worker.worker_id) as wspan:
-                outbox, counters = worker.execute_superstep(
-                    superstep=superstep,
-                    inbox=inbox,
-                    aggregator_copies=aggregator_copies,
-                    previous_aggregates=previous_aggregates,
-                    num_vertices=num_vertices,
-                    vertex_factory=job.vertex_factory,
-                )
-                wspan.set(
-                    messages_sent=counters["messages_sent"],
-                    compute_calls=counters["compute_calls"],
-                )
-            instruments.record_worker(worker.worker_id, counters)
-            registry.merge_from(aggregator_copies)
-            router.post(outbox, sender=worker.worker_id)
-
-            step.compute_calls += counters["compute_calls"]
-            step.compute_ops += counters["compute_ops"]
-            step.messages_sent += counters["messages_sent"]
-            step.bytes_sent += counters["bytes_sent"]
-            step.worker_compute_ops.append(counters["compute_ops"])
-            step.worker_messages_sent.append(counters["messages_sent"])
-            step.worker_bytes_sent.append(counters["bytes_sent"])
-            step.worker_messages_received.append(counters["messages_received"])
-            step.worker_bytes_received.append(counters["bytes_received"])
-
+            batches, report = run_worker_superstep(
+                worker, plan, superstep, inbox, previous_aggregates, trace_ctx,
+                self._worker_messages[worker_id],
+            )
+            for destination, batch in batches.items():
+                outgoing.setdefault(destination, {})[worker_id] = batch
+            reports.append(report)
             if plane is not None:
                 # Execution mutated the partition (values, factory-made
                 # vertices): refresh its ledger entry, then shed memory
@@ -178,9 +90,27 @@ class SerialBackend(ExecutionBackend):
                 plane.reaccount(worker)
                 plane.rebalance(exclude_worker=worker_id)
 
-        step.cross_worker_messages = router.cross_message_count - cross_before
-        if plane is None:
-            step.active_vertices = sum(worker.active_count() for worker in workers)
-        else:
-            step.active_vertices = plane.active_total()
-        return step
+        inboxes = {
+            destination: merge_batches(batches, plan.num_workers, plan.combiner)
+            for destination, batches in outgoing.items()
+        }
+        self._inboxes = inboxes if plane is None else plane.stash_inboxes(inboxes)
+        return reports
+
+    def collect(self) -> List[Dict[int, Vertex]]:
+        workers = self._workers if self._plane is None else self._plane.restore_all()
+        return [worker.vertices for worker in workers]
+
+    def close(self) -> None:
+        if self._plane is not None:
+            self._plane.close()
+
+
+@register_backend
+class SerialBackend(ExecutionBackend):
+    """Sequential in-process execution with exact simulated-cluster counters."""
+
+    name = "serial"
+
+    def _session(self, plan: WorkerPlan, workers: List[Worker]) -> JobSession:
+        return _SerialSession(plan, workers, self.memory_budget_bytes)

@@ -8,8 +8,7 @@ Two cooperating pieces, one per backend shape:
   construction (workers run one after another), so any of them may live
   on disk; the plane loads each worker just-in-time, re-accounts it
   after it executes, and spills least-recently-used entries until the
-  ledger is back under budget.  Active counts are recorded at spill
-  time so the termination check never needs to load a partition.
+  ledger is back under budget.
 
 * :class:`WorkerBatchSpiller` — used *inside* a multiprocess worker
   process for message batches staged for future supersteps.  Each
@@ -32,24 +31,8 @@ from ..store.ledger import MemoryLedger, estimate_nbytes
 from ..store.spill import SpillManager, SpillStats, process_spill_stats
 
 
-class _SpilledInbox:
-    """Truthy placeholder for an inbox that lives on disk.
-
-    The serial loop's "messages pending?" check only asks whether any
-    worker's inbox is non-empty; empty inboxes are never spilled, so
-    the marker can answer truthfully without touching disk.
-    """
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return True
-
-    def __len__(self) -> int:  # pragma: no cover - debugging aid
-        return 1
-
-
-_SPILLED = _SpilledInbox()
+#: Stands in, in the inbox mapping, for an inbox that lives on disk.
+_SPILLED = object()
 
 
 class SerialSpillPlane:
@@ -59,9 +42,6 @@ class SerialSpillPlane:
         self.ledger = MemoryLedger(budget_bytes, name=f"serial:{job_name}")
         self.manager = SpillManager(owner=f"serial:{job_name}")
         self._workers: Dict[int, Optional[Worker]] = {}
-        #: active_count recorded when a partition spilled, so the
-        #: termination check works without loading it back.
-        self._spilled_active: Dict[int, int] = {}
         self._inboxes: Dict[int, Any] = {}
 
     # ------------------------------------------------------------------
@@ -80,7 +60,6 @@ class SerialSpillPlane:
         if worker is None:
             worker = self.manager.load(self._partition_key(worker_id))
             self._workers[worker_id] = worker
-            self._spilled_active.pop(worker_id, None)
             self._account(worker)
         else:
             self.ledger.touch(self._partition_key(worker_id))
@@ -94,25 +73,14 @@ class SerialSpillPlane:
         """
         self._account(worker)
 
-    def active_total(self) -> int:
-        """Sum of active vertices without loading spilled partitions."""
-        total = 0
-        for worker_id, worker in self._workers.items():
-            if worker is None:
-                total += self._spilled_active.get(worker_id, 0)
-            else:
-                total += worker.active_count()
-        return total
-
     # ------------------------------------------------------------------
     # inboxes
     # ------------------------------------------------------------------
     def stash_inboxes(self, inboxes: Dict[int, Any]) -> Dict[int, Any]:
         """Account delivered inboxes, then rebalance (may spill some).
 
-        Returns the inbox mapping with spilled entries replaced by
-        truthy markers, so the caller's pending-messages check still
-        reads correctly.
+        Returns the inbox mapping with spilled entries replaced by a
+        marker; :meth:`take_inbox` loads those back.
         """
         for worker_id, inbox in inboxes.items():
             if inbox:
@@ -124,7 +92,7 @@ class SerialSpillPlane:
     def take_inbox(self, worker_id: int, inboxes: Dict[int, Any]) -> Dict[int, Any]:
         """The worker's inbox, loaded back if it was spilled; releases it."""
         inbox = inboxes.get(worker_id, {})
-        if isinstance(inbox, _SpilledInbox):
+        if inbox is _SPILLED:
             inbox = self.manager.load(self._inbox_key(worker_id))
         else:
             self.ledger.release(self._inbox_key(worker_id))
@@ -155,13 +123,12 @@ class SerialSpillPlane:
                 if worker is None:
                     continue
                 if self.manager.spill(name, worker):
-                    self._spilled_active[worker_id] = worker.active_count()
                     self._workers[worker_id] = None
                     self.ledger.release(name)
             elif name.startswith("inbox:"):
                 worker_id = int(name.split(":", 1)[1])
                 inbox = self._inboxes.get(worker_id)
-                if inbox is None or isinstance(inbox, _SpilledInbox):
+                if inbox is None or inbox is _SPILLED:
                     continue
                 if self.manager.spill(name, inbox):
                     self._inboxes[worker_id] = _SPILLED

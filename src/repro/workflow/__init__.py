@@ -13,8 +13,7 @@ with metering, lifecycle hooks, and checkpoint/resume.
 * :class:`~repro.workflow.runner.WorkflowRunner` — execution with
   hooks, per-stage backend/worker overrides, and pickle checkpoints;
 * :class:`~repro.workflow.executor.StageExecutor` — the shared engine
-  + metrics substrate every stage runs on (the successor of the
-  deprecated :class:`~repro.pregel.job.JobChain`).
+  + metrics substrate every stage runs on.
 
 The assembler (:func:`repro.assembler.pipeline.build_assembly_workflow`)
 and the scaffolder

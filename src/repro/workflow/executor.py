@@ -13,9 +13,7 @@ into one :class:`~repro.pregel.metrics.PipelineMetrics` so the cost
 model can price the whole workflow (what Figure 12 measures).
 
 Workflows (:mod:`repro.workflow.builder`) declare *which* stages run in
-*what* order; the executor is the service they all share.  The old
-imperative :class:`~repro.pregel.job.JobChain` is now a deprecated
-alias of this class.
+*what* order; the executor is the service they all share.
 """
 
 from __future__ import annotations

@@ -84,7 +84,7 @@ def test_registry_superstep_cycle():
     registry.register(sum_aggregator("total"))
     copies = registry.current_copies()
     copies["total"].accumulate(5)
-    registry.merge_from(copies)
+    registry.merge_states({name: copy.dump_state() for name, copy in copies.items()})
     snapshot = registry.finish_superstep()
     assert snapshot == {"total": 5}
     # After finishing the superstep the aggregator resets but the value

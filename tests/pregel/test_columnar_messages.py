@@ -1,9 +1,9 @@
-"""Parity tests for the columnar message plane.
+"""Parity tests for the columnar message path.
 
-The columnar batch path must be observationally identical to the
-scalar reference path: same delivered inboxes (keys, ordering, value
-types), same raw counters, and same job-level results for jobs that
-flow through an execution backend.
+The columnar batches of ``route_outbox``/``merge_batches`` must be
+observationally identical to the scalar reference: same delivered
+inboxes (keys, ordering, value types), same cross-worker counts, and
+same job-level results for jobs that flow through an execution backend.
 """
 
 from __future__ import annotations
@@ -11,121 +11,147 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 pytest.importorskip("numpy")
 
 from repro.pregel.engine import PregelEngine, PregelJob
 from repro.pregel.message import (
     COLUMNAR_MIN_BATCH,
-    MessageRouter,
+    is_cols,
+    merge_batches,
     min_combiner,
+    route_outbox,
     sum_combiner,
 )
-from repro.pregel.partitioner import HashPartitioner
+from repro.pregel.partitioner import HashPartitioner, make_partitioner
 from repro.pregel.vertex import Vertex
 from repro.ppa.hash_min import run_hash_min
 from repro.ppa.sv import GraphInput
 
 
-def _routers(workers, combiner_factory):
-    make = lambda: combiner_factory() if combiner_factory else None
-    columnar = MessageRouter(HashPartitioner(workers), make(), columnar=True)
-    scalar = MessageRouter(HashPartitioner(workers), make(), columnar=False)
-    return columnar, scalar
+def _dict_fold(outboxes, partitioner, combiner):
+    """The reference: every message folded at delivery, in sender then post order."""
+    inboxes = {}
+    for outbox in outboxes:
+        for target, message in outbox:
+            inbox = inboxes.setdefault(partitioner.worker_for(target), {})
+            if combiner is not None and target in inbox:
+                inbox[target] = [combiner.combine(inbox[target][0], message)]
+            else:
+                inbox.setdefault(target, []).append(message)
+    return inboxes
 
 
-def _random_batches(seed, batches=3, size=500, value_range=(0, 2**40)):
+def _route_and_merge(outboxes, partitioner, combiner, columnar):
+    """One outbox per sender through the pair; also checks the cross counts."""
+    received = {}
+    for sender, outbox in enumerate(outboxes):
+        batches, cross = route_outbox(outbox, partitioner, combiner, columnar, sender=sender)
+        assert cross == sum(partitioner.worker_for(target) != sender for target, _ in outbox)
+        for destination, batch in batches.items():
+            received.setdefault(destination, {})[sender] = batch
+    return {
+        destination: merge_batches(batches, len(outboxes), combiner)
+        for destination, batches in received.items()
+    }
+
+
+def _assert_matches_fold(outboxes, combiner_factory=None, partitioner_name="hash"):
+    combiner = combiner_factory() if combiner_factory else None
+    targets = [target for outbox in outboxes for target, _ in outbox]
+    partitioner = make_partitioner(partitioner_name, len(outboxes)).for_job(targets)
+    want = _dict_fold(outboxes, partitioner, combiner)
+    for columnar in (True, False):
+        got = _route_and_merge(outboxes, partitioner, combiner, columnar)
+        assert got == want
+        # dict ordering (insertion order) must match too — downstream
+        # vertex auto-creation iterates inboxes in this order.
+        for worker in want:
+            assert list(got[worker]) == list(want[worker])
+            for messages in got[worker].values():
+                assert all(type(value) is int for value in messages)
+    return want
+
+
+#: name -> (target space, value range); sizes straddle COLUMNAR_MIN_BATCH
+#: so one draw mixes columnar and scalar senders.
+_SHAPES = {
+    "wide": (2**62, (0, 2**40)),
+    "duplicate-heavy": (20, (0, 2**62)),
+    "sum-overflow": (3, (2**61, 2**63 + 12)),
+    "negative": (2**62, (-(2**40), 2**40)),
+}
+
+
+def _outboxes(seed, senders, shape):
     rng = random.Random(seed)
+    target_space, value_range = _SHAPES[shape]
     return [
         [
-            (rng.randrange(0, 2**63), rng.randrange(*value_range))
-            for _ in range(size)
+            (rng.randrange(target_space), rng.randrange(*value_range))
+            for _ in range(rng.choice((0, 5, COLUMNAR_MIN_BATCH - 1, COLUMNAR_MIN_BATCH, 400)))
         ]
-        for _ in range(batches)
+        for _ in range(senders)
     ]
 
 
 @pytest.mark.parametrize(
     "combiner_factory", [None, min_combiner, sum_combiner], ids=["none", "min", "sum"]
 )
-def test_columnar_deliver_matches_scalar(combiner_factory):
-    columnar, scalar = _routers(4, combiner_factory)
-    for batch in _random_batches(seed=1):
-        columnar.post(batch)
-        scalar.post(batch)
-
-    assert columnar.raw_message_count == scalar.raw_message_count
-    assert columnar.raw_byte_count == scalar.raw_byte_count
-    for worker in range(4):
-        assert columnar.messages_to_worker(worker) == scalar.messages_to_worker(worker)
-        assert columnar.bytes_to_worker(worker) == scalar.bytes_to_worker(worker)
-
-    got = columnar.deliver()
-    want = scalar.deliver()
-    assert got == want
-    # dict ordering (insertion order) must match too — downstream
-    # vertex auto-creation iterates inboxes in this order.
-    for worker in want:
-        assert list(got[worker]) == list(want[worker])
-        for target in want[worker]:
-            assert [type(value) for value in got[worker][target]] == [
-                type(value) for value in want[worker][target]
-            ]
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    senders=st.integers(1, 5),
+    shape=st.sampled_from(sorted(_SHAPES)),
+    partitioner_name=st.sampled_from(["hash", "prefix_range"]),
+)
+def test_columnar_deliver_matches_scalar(combiner_factory, seed, senders, shape, partitioner_name):
+    _assert_matches_fold(_outboxes(seed, senders, shape), combiner_factory, partitioner_name)
 
 
-def test_duplicate_heavy_batches_match(seed=7):
-    rng = random.Random(seed)
-    columnar, scalar = _routers(3, min_combiner)
+# The named behaviours below are pinned inputs of the same property, so
+# each runs on every invocation whatever hypothesis happens to draw.
+def test_duplicate_heavy_batches_match():
+    rng = random.Random(7)
     batch = [(rng.randrange(0, 20), rng.randrange(0, 2**62)) for _ in range(2000)]
-    columnar.post(batch)
-    scalar.post(batch)
-    got, want = columnar.deliver(), scalar.deliver()
-    assert got == want
-    for worker in want:
-        assert list(got[worker]) == list(want[worker])
+    _assert_matches_fold([batch, batch[::-1], batch[:100]], min_combiner)
 
 
-def test_demotion_replays_in_post_order():
-    """A non-int batch after columnar posts demotes without data loss."""
-    columnar, scalar = _routers(2, None)
+def test_mixed_columnar_and_scalar_senders_fold_in_sender_order():
+    """A receiver holding both kinds of batch folds them pair by pair."""
     big = [(index % 50, index) for index in range(COLUMNAR_MIN_BATCH * 2)]
     mixed = [(1, "not-an-int"), (2, 5)]
-    for router in (columnar, scalar):
-        router.post(big)
-        router.post(mixed)
-    assert columnar.raw_message_count == scalar.raw_message_count
-    assert columnar.raw_byte_count == scalar.raw_byte_count
-    got, want = columnar.deliver(), scalar.deliver()
-    assert got == want
-    for worker in want:
-        assert list(got[worker]) == list(want[worker])
+    partitioner = HashPartitioner(2)
+    assert all(is_cols(batch) for batch in route_outbox(big, partitioner, None)[0].values())
+    assert not any(is_cols(batch) for batch in route_outbox(mixed, partitioner, None)[0].values())
+    want = _dict_fold([big, mixed], partitioner, None)
+    assert _route_and_merge([big, mixed], partitioner, None, columnar=True) == want
+    assert want[partitioner.worker_for(1)][1][-1] == "not-an-int"
 
 
 def test_small_batches_stay_scalar():
-    router = MessageRouter(HashPartitioner(2), columnar=True)
-    router.post([(1, 2), (3, 4)])
-    assert router._mode == "py"
-    assert router.deliver() is not None
+    partitioner = HashPartitioner(2)
+    batches, _ = route_outbox([(1, 2), (3, 4)], partitioner, None)
+    assert batches and not any(is_cols(batch) for batch in batches.values())
+    _assert_matches_fold([[(1, 2), (3, 4)], []])
 
 
 def test_sum_overflow_falls_back_to_python_ints():
-    """Sums that would wrap a uint64 lane must stay exact."""
+    """Sums that would wrap a uint64 lane must stay exact, on either side."""
     huge = (1 << 63) + 11
-    batch = [(5, huge), (5, huge), (6, 1)] * COLUMNAR_MIN_BATCH
-    columnar, scalar = _routers(1, sum_combiner)
-    columnar.post(batch)
-    scalar.post(batch)
-    got, want = columnar.deliver(), scalar.deliver()
-    assert got == want
-    assert got[0][5] == [2 * COLUMNAR_MIN_BATCH * huge]
+    sender_side = [(5, huge), (5, huge), (6, 1)] * COLUMNAR_MIN_BATCH
+    want = _assert_matches_fold([sender_side], sum_combiner)
+    assert want[0][5] == [2 * COLUMNAR_MIN_BATCH * huge]
+    # Each sender's own sum fits the lane; only the receiver's fold overflows.
+    receiver_side = [[(5, 1 << 55)] * COLUMNAR_MIN_BATCH] * 4
+    want = _assert_matches_fold(receiver_side, sum_combiner)
+    assert [m for inbox in want.values() for m in inbox[5]] == [4 * COLUMNAR_MIN_BATCH << 55]
 
 
 def test_negative_values_fall_back():
     batch = [(index, -index) for index in range(COLUMNAR_MIN_BATCH * 2)]
-    columnar, scalar = _routers(2, None)
-    columnar.post(batch)
-    scalar.post(batch)
-    assert columnar.deliver() == scalar.deliver()
+    _assert_matches_fold([batch, batch], None)
 
 
 class FloodVertex(Vertex):

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.pregel.message import Combiner, MessageRouter, min_combiner, sum_combiner
+from repro.pregel.message import (
+    Combiner,
+    merge_batches,
+    min_combiner,
+    route_outbox,
+    sum_combiner,
+)
 from repro.pregel.partitioner import HashPartitioner
 
 
@@ -61,96 +67,45 @@ def test_custom_combiner():
 
 
 # ----------------------------------------------------------------------
-# router
+# the routing pair
 # ----------------------------------------------------------------------
-def test_router_counts_raw_messages():
-    router = MessageRouter(HashPartitioner(4))
-    router.post([(1, "a"), (2, "b"), (1, "c")])
-    assert router.raw_message_count == 3
-    assert router.raw_byte_count > 0
-    assert router.has_pending()
+def _deliver(outboxes, partitioner, combiner=None):
+    """One outbox per sender through route_outbox, then merge_batches."""
+    received = {}
+    for sender, outbox in enumerate(outboxes):
+        batches, _cross = route_outbox(outbox, partitioner, combiner, sender=sender)
+        for destination, batch in batches.items():
+            received.setdefault(destination, {})[sender] = batch
+    return {
+        destination: merge_batches(batches, len(outboxes), combiner)
+        for destination, batches in received.items()
+    }
 
 
 def test_router_delivery_groups_by_vertex():
-    router = MessageRouter(HashPartitioner(1))
-    router.post([(1, "a"), (2, "b"), (1, "c")])
-    inboxes = router.deliver()
-    assert sorted(inboxes[0][1]) == ["a", "c"]
-    assert inboxes[0][2] == ["b"]
-    assert not router.has_pending()
+    inboxes = _deliver([[(1, "a"), (2, "b"), (1, "c")]], HashPartitioner(1))
+    assert inboxes == {0: {1: ["a", "c"], 2: ["b"]}}
 
 
 def test_router_with_combiner_collapses_per_vertex():
-    router = MessageRouter(HashPartitioner(1), combiner=min_combiner())
-    router.post([(7, 5), (7, 3), (7, 9)])
-    inboxes = router.deliver()
-    assert inboxes[0][7] == [3]
-
-
-def test_router_per_worker_accounting():
-    partitioner = HashPartitioner(4)
-    router = MessageRouter(partitioner)
-    router.post([(i, "payload") for i in range(100)])
-    total = sum(router.messages_to_worker(worker) for worker in range(4))
-    assert total == 100
-    total_bytes = sum(router.bytes_to_worker(worker) for worker in range(4))
-    assert total_bytes == 100 * len("payload")
-
-
-def test_router_reset_counters():
-    router = MessageRouter(HashPartitioner(2))
-    router.post([(1, "a")])
-    router.reset_counters()
-    assert router.raw_message_count == 0
-    assert router.raw_byte_count == 0
-
-
-def test_router_combines_incrementally_at_post_time():
-    """With a combiner the buffer stays bounded by distinct targets."""
-    router = MessageRouter(HashPartitioner(4), combiner=min_combiner())
-    for value in range(1000):
-        router.post([(7, value), (8, value + 1)])
-    # 2000 raw messages posted, but only one combined value per target
-    # is buffered — this is what keeps superstep memory bounded.
-    assert router.raw_message_count == 2000
-    assert router.buffered_message_count() == 2
-    inboxes = router.deliver()
-    delivered = {
-        target: messages
-        for per_vertex in inboxes.values()
-        for target, messages in per_vertex.items()
-    }
-    assert delivered == {7: [0], 8: [1]}
-
-
-def test_router_raw_per_worker_counters_survive_combining():
-    partitioner = HashPartitioner(4)
-    router = MessageRouter(partitioner, combiner=min_combiner())
-    router.post([(7, 5), (7, 3), (7, 9)])
-    worker = partitioner.worker_for(7)
-    assert router.messages_to_worker(worker) == 3
-    assert router.bytes_to_worker(worker) == 24  # three 8-byte ints
-    router.deliver()
-    assert router.messages_to_worker(worker) == 0
-    assert router.bytes_to_worker(worker) == 0
+    combiner = min_combiner()
+    outbox = [(7, 5), (7, 3), (7, 9)]
+    # Combined sender-side: one message per target is all that leaves.
+    batches, _cross = route_outbox(outbox, HashPartitioner(1), combiner)
+    assert batches == {0: [(7, 3)]}
+    assert _deliver([outbox], HashPartitioner(1), combiner) == {0: {7: [3]}}
 
 
 def test_router_post_time_combining_matches_deliver_time_fold():
-    """Same fold order as the old deliver-time combining: post order."""
+    """Each sender folds its own outbox, the receiver folds senders in id order."""
     seen = []
 
     def record_first(left, right):
         seen.append((left, right))
         return min(left, right)
 
-    router = MessageRouter(HashPartitioner(1), combiner=Combiner(record_first))
-    router.post([(1, 5)])
-    router.post([(1, 3), (1, 9)])
-    assert router.deliver() == {0: {1: [3]}}
-    assert seen == [(5, 3), (3, 9)]
-
-
-def test_router_buffered_count_without_combiner_is_raw():
-    router = MessageRouter(HashPartitioner(2))
-    router.post([(1, "a"), (1, "b"), (2, "c")])
-    assert router.buffered_message_count() == 3
+    outboxes = [[(1, 5)], [(1, 3), (1, 9)]]
+    partitioner = HashPartitioner(2)
+    inboxes = _deliver(outboxes, partitioner, Combiner(record_first))
+    assert inboxes == {partitioner.worker_for(1): {1: [3]}}
+    assert seen == [(3, 9), (5, 3)]

@@ -1,8 +1,7 @@
 """Unit tests for the declarative workflow API.
 
 Covers the builder's DAG validation, the four typed stage descriptors,
-runner hooks, per-stage overrides, and the deprecation shim that keeps
-the old imperative ``JobChain`` working.
+runner hooks and per-stage overrides.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ import pytest
 
 from repro.errors import WorkflowError
 from repro.pregel import PregelJob, min_combiner
-from repro.pregel.job import JobChain
 from repro.ppa.hash_min import HashMinVertex
 from repro.workflow import (
     BranchStage,
@@ -19,7 +17,6 @@ from repro.workflow import (
     MapReduceStage,
     PregelStage,
     Stage,
-    StageExecutor,
     Workflow,
     WorkflowHooks,
     WorkflowRunner,
@@ -300,36 +297,3 @@ def test_custom_stage_subclass_runs():
     ctx = WorkflowRunner(num_workers=2).run(workflow)
     assert ctx.state["value"] == 42
     assert "doubler" in workflow.describe()
-
-
-# ----------------------------------------------------------------------
-# the deprecated JobChain shim
-# ----------------------------------------------------------------------
-def test_jobchain_warns_but_still_executes():
-    with pytest.warns(DeprecationWarning, match="JobChain is deprecated"):
-        chain = JobChain(num_workers=2)
-    assert isinstance(chain, StageExecutor)
-    result = chain.run_mapreduce(
-        "compat",
-        records=["x", "y", "x"],
-        map_fn=lambda r: [(r, 1)],
-        reduce_fn=lambda k, ones: [(k, sum(ones))],
-    )
-    assert dict(result.outputs) == {"x": 2, "y": 1}
-    assert chain.pipeline_metrics.jobs[0].job_name == "compat"
-
-
-def test_internal_code_never_constructs_jobchain(recwarn):
-    """The whole assembly+scaffolding path must be JobChain-free."""
-    import warnings
-
-    from repro import AssemblyConfig, PPAAssembler
-    from repro.dna import simulate_paired_dataset
-
-    _genome, pairs = simulate_paired_dataset(4_000, insert_size_mean=300, seed=11)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        result = PPAAssembler(
-            AssemblyConfig(k=15, scaffold=True, num_workers=2)
-        ).assemble_paired(pairs)
-    assert result.num_contigs() > 0
