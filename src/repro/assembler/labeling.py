@@ -189,7 +189,6 @@ class _BidirectionalLRVertex(Vertex):
     # -- odd supersteps ---------------------------------------------------
     def _answer(self, messages: List, ctx: ComputeContext) -> None:
         answered = set()
-        pair = self.value["pair"]
         for kind, sender in messages:
             if kind != _REQUEST or sender in answered:
                 continue

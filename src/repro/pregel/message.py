@@ -28,8 +28,10 @@ path's results *bit for bit*:
 * delivered targets and values are converted back to Python ints.
 
 Outboxes that do not qualify (non-int payloads, custom combiners, tiny
-batches) are routed as scalar ``(target, message)`` lists, and a
-receiver holding both kinds folds them pair by pair in Python.
+batches) are routed as scalar ``(target, message)`` lists — with the
+destination workers still hashed in one array operation when the
+targets are plain integers — and a receiver holding both kinds folds
+them pair by pair in Python.
 """
 
 from __future__ import annotations
@@ -95,33 +97,20 @@ def combiner_vectorizable(combiner: Optional[Combiner]) -> bool:
     return combiner is None or getattr(combiner, "kind", None) in _VECTOR_KINDS
 
 
-def columns_from_pairs(pairs):
-    """Convert ``[(target, message), ...]`` to two uint64 arrays.
+def _uint64_column(items):
+    """``items`` as a uint64 array, or ``None`` unless every one fits the lane.
 
-    Returns ``None`` when any element is not a plain ``int`` (bools and
-    floats would silently coerce and corrupt byte accounting / values)
-    or does not fit an unsigned 64-bit lane.
+    Only plain ``int`` qualifies (bools and floats would silently coerce
+    and corrupt byte accounting / values), and only non-negative ones:
+    on NumPy < 2.0 ``np.array`` silently wraps negative Python ints into
+    the uint64 lane instead of raising OverflowError.
     """
-    if np is None:
+    if set(map(type, items)) != {int} or min(items) < 0:
         return None
-    for target, message in pairs:
-        # The negative check matters on NumPy < 2.0, where np.array
-        # silently wraps negative Python ints into the uint64 lane
-        # instead of raising OverflowError.
-        if (
-            type(target) is not int
-            or type(message) is not int
-            or target < 0
-            or message < 0
-        ):
-            return None
     try:
-        table = np.array(pairs, dtype=np.uint64)
-    except (OverflowError, TypeError, ValueError):
+        return np.array(items, dtype=np.uint64)
+    except OverflowError:
         return None
-    if table.ndim != 2 or table.shape[1] != 2:  # pragma: no cover - defensive
-        return None
-    return np.ascontiguousarray(table[:, 0]), np.ascontiguousarray(table[:, 1])
 
 
 def combine_columns(targets, values, kind: str):
@@ -191,11 +180,11 @@ def is_cols(batch) -> bool:
 
 def route_outbox(
     outbox: List[Tuple[int, Any]],
+    sizes: List[int],
     partitioner,
     combiner: Optional[Combiner],
     columnar: bool = True,
-    sender: Optional[int] = None,
-) -> Tuple[Dict[int, Any], int]:
+) -> Tuple[Dict[int, Any], List[int], List[int]]:
     """Group an outbox into per-destination batches, combining sender-side.
 
     With a combiner, each destination batch carries at most one message
@@ -207,64 +196,90 @@ def route_outbox(
     ``("cols", targets, values)`` — two ndarrays pickle orders of
     magnitude faster than millions of tuples — preserving the scalar
     batches' first-occurrence ordering so receivers fold identically.
+    When only the targets are plain integers the batches stay scalar,
+    but the destination hash is still computed for the whole outbox at
+    once.
 
-    Returns ``(batches, cross)`` where ``cross`` counts the raw
-    (pre-combine) outbox messages routed to a worker other than
-    ``sender`` (0 when ``sender`` is None).
+    Returns ``(batches, routed_messages, routed_bytes)``.  The two lists
+    hold, per destination worker, how many raw (pre-combine) outbox
+    messages were routed to it and the sum of their ``sizes`` (the
+    cost-model size of each outbox entry, as recorded when it was sent).
+    They are what the destination receives next superstep unless a
+    combiner merges messages on the way, and everything routed to a
+    worker other than the sender is the cross-worker traffic.
     """
-    cross = 0
-    if columnar and np is not None and len(outbox) >= COLUMNAR_MIN_BATCH and combiner_vectorizable(combiner):
-        columns = columns_from_pairs(outbox)
-        if columns is not None:
-            targets, values = columns
-            # Cross-worker accounting is charged on the *raw* outbox,
-            # before combining shrinks it.
-            if sender is not None:
-                raw_destinations = partitioner.worker_for_array(targets)
-                cross = int(targets.size) - int(
-                    np.count_nonzero(raw_destinations == sender)
-                )
-            if combiner is not None:
-                combined = combine_columns(targets, values, combiner.kind)
-                if combined is None:
-                    columns = None  # sum could wrap: fall through to scalar
-                else:
-                    targets, values = combined
-            if columns is not None:
-                # Shipping destinations are computed on the (possibly
-                # combined) targets; the raw array is only reusable when
-                # combining removed nothing.
-                if sender is not None and targets.size == raw_destinations.size:
-                    destinations = raw_destinations
-                else:
-                    destinations = partitioner.worker_for_array(targets)
-                batches: Dict[int, Any] = {}
-                for destination in np.unique(destinations).tolist():
-                    selector = destinations == destination
-                    batches[destination] = (COLS, targets[selector], values[selector])
-                return batches, cross
-    cross = 0
+    num_workers = partitioner.num_workers
+    targets = values = None
+    if columnar and np is not None and len(outbox) >= COLUMNAR_MIN_BATCH:
+        target_column, message_column = zip(*outbox)
+        targets = _uint64_column(target_column)
+        if targets is not None and combiner_vectorizable(combiner):
+            values = _uint64_column(message_column)
+
+    if targets is None:
+        worker_for = partitioner.worker_for
+        destinations = [worker_for(target_id) for target_id, _ in outbox]
+        routed_messages = [0] * num_workers
+        routed_bytes = [0] * num_workers
+        for destination, size in zip(destinations, sizes):
+            routed_messages[destination] += 1
+            routed_bytes[destination] += size
+    else:
+        raw_destinations = partitioner.worker_for_array(targets)
+        routed_messages = np.bincount(raw_destinations, minlength=num_workers).tolist()
+        # bincount weighs in float64, which is exact here: one
+        # superstep's bytes stay far below 2**53.
+        routed_bytes = (
+            np.bincount(raw_destinations, weights=sizes, minlength=num_workers)
+            .astype(np.int64)
+            .tolist()
+        )
+        if values is not None:
+            batches = _columnar_batches(targets, values, raw_destinations, partitioner, combiner)
+            if batches is not None:
+                return batches, routed_messages, routed_bytes
+        destinations = raw_destinations.tolist()
+
+    # Scalar batches, keyed in first-routed order.
     if combiner is None:
-        batches: Dict[int, List[Tuple[int, Any]]] = {}
-        for target_id, message in outbox:
-            destination = partitioner.worker_for(target_id)
-            if sender is not None and destination != sender:
-                cross += 1
-            batches.setdefault(destination, []).append((target_id, message))
-        return batches, cross
-    combined: Dict[int, Dict[int, Any]] = {}
-    for target_id, message in outbox:
-        destination = partitioner.worker_for(target_id)
-        if sender is not None and destination != sender:
-            cross += 1
-        slot = combined.setdefault(destination, {})
+        batches = {destination: [] for destination in dict.fromkeys(destinations)}
+        for pair, destination in zip(outbox, destinations):
+            batches[destination].append(pair)
+        return batches, routed_messages, routed_bytes
+    combined: Dict[int, Dict[int, Any]] = {
+        destination: {} for destination in dict.fromkeys(destinations)
+    }
+    for (target_id, message), destination in zip(outbox, destinations):
+        slot = combined[destination]
         if target_id in slot:
             slot[target_id] = combiner.combine(slot[target_id], message)
         else:
             slot[target_id] = message
-    return {
-        destination: list(slot.items()) for destination, slot in combined.items()
-    }, cross
+    batches = {destination: list(slot.items()) for destination, slot in combined.items()}
+    return batches, routed_messages, routed_bytes
+
+
+def _columnar_batches(targets, values, raw_destinations, partitioner, combiner):
+    """Columnar batch per destination worker, combined sender-side.
+
+    ``raw_destinations`` are the workers of the raw ``targets``.
+    Returns ``None`` when a ``sum`` could wrap the uint64 lane (the
+    caller then combines in Python, where ints do not wrap).
+    """
+    destinations = raw_destinations
+    if combiner is not None:
+        combined = combine_columns(targets, values, combiner.kind)
+        if combined is None:
+            return None
+        targets, values = combined
+        # The raw array is only reusable when combining removed nothing.
+        if targets.size != raw_destinations.size:
+            destinations = partitioner.worker_for_array(targets)
+    batches: Dict[int, Any] = {}
+    for destination in np.unique(destinations).tolist():
+        selector = destinations == destination
+        batches[destination] = (COLS, targets[selector], values[selector])
+    return batches
 
 
 def _batch_pairs(batch):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List
 
-from .vertex import ComputeContext
+from .vertex import ComputeContext, _estimate_size
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,6 @@ class Response:
     tag: Any = None
 
     def message_size(self) -> int:
-        from .vertex import _estimate_size
-
         return 9 + _estimate_size(self.payload)
 
 

@@ -35,11 +35,13 @@ class ComputeContext:
 
     Keeping this state out of the :class:`Vertex` instances themselves
     keeps vertices cheap (they are created in the millions) and makes
-    the message accounting used by the cost model exact.
+    the message accounting used by the cost model exact.  Nothing in a
+    context is per-vertex, so a worker builds one per superstep and
+    hands it to every vertex it runs.
     """
 
-    __slots__ = ("superstep", "_outbox", "_aggregators", "_previous_aggregates",
-                 "num_vertices", "messages_sent", "bytes_sent")
+    __slots__ = ("superstep", "_outbox", "sizes", "_aggregators", "_previous_aggregates",
+                 "num_vertices")
 
     def __init__(
         self,
@@ -51,11 +53,21 @@ class ComputeContext:
     ) -> None:
         self.superstep = superstep
         self._outbox = outbox
+        #: Cost-model size of every message sent through this context, in
+        #: send order.  This is the only place a message is sized: routing
+        #: totals these per destination worker.
+        self.sizes: List[int] = []
         self._aggregators = aggregators
         self._previous_aggregates = previous_aggregates
         self.num_vertices = num_vertices
-        self.messages_sent = 0
-        self.bytes_sent = 0
+
+    @property
+    def messages_sent(self) -> int:
+        return len(self.sizes)
+
+    @property
+    def bytes_sent(self) -> int:
+        return sum(self.sizes)
 
     def send(self, target_id: int, message: Any) -> None:
         """Send ``message`` to the vertex identified by ``target_id``.
@@ -67,8 +79,7 @@ class ComputeContext:
         behaviour of Pregel+ with a vertex-factory).
         """
         self._outbox.append((target_id, message))
-        self.messages_sent += 1
-        self.bytes_sent += _estimate_size(message)
+        self.sizes.append(_estimate_size(message))
 
     def aggregate(self, name: str, value: Any) -> None:
         """Contribute ``value`` to the aggregator called ``name``."""
@@ -96,7 +107,28 @@ def _estimate_size(message: Any) -> int:
     their elements plus a small header.  The absolute numbers only need
     to be consistent across algorithms, because the cost model compares
     algorithms against each other rather than against real hardware.
+
+    Almost every message is an int or a flat tuple of ints and strs, so
+    those exact types are answered first, without recursion; the
+    ``isinstance`` chain below gives the same answer for them and
+    decides everything else (subclasses, bools, nested containers).
     """
+    kind = type(message)
+    if kind is int or kind is float:
+        return 8
+    if kind is str:
+        return len(message)
+    if kind is tuple or kind is list:
+        size = 4
+        for item in message:
+            kind = type(item)
+            if kind is int or kind is float:
+                size += 8
+            elif kind is str:
+                size += len(item)
+            else:
+                size += _estimate_size(item)
+        return size
     if message is None:
         return 1
     if isinstance(message, bool):

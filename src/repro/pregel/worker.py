@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import VertexNotFoundError
 from .aggregator import AggregatorRegistry
-from .vertex import ComputeContext, Vertex, VertexFactory, _estimate_size
+from .vertex import ComputeContext, Vertex, VertexFactory
 
 
 class Worker:
@@ -42,56 +42,57 @@ class Worker:
         previous_aggregates: Dict[str, Any],
         num_vertices: int,
         vertex_factory: Optional[VertexFactory],
-    ) -> Tuple[List[Tuple[int, Any]], Dict[str, int]]:
+    ) -> Tuple[List[Tuple[int, Any]], List[int], Dict[str, int]]:
         """Run ``compute`` for every vertex that is active or has messages.
 
-        Returns the worker's outgoing messages and a dictionary of
-        per-worker counters for this superstep.
+        Returns the worker's outgoing messages, the cost-model size of
+        each (same order), and a dictionary of per-worker counters for
+        this superstep.  What the worker *received* is not among them:
+        it is known from what was routed to it (see
+        :func:`~repro.pregel.message.route_outbox`).
         """
         outbox: List[Tuple[int, Any]] = []
-        counters = {
-            "compute_calls": 0,
-            "compute_ops": 0,
-            "messages_sent": 0,
-            "bytes_sent": 0,
-            "messages_received": 0,
-            "bytes_received": 0,
-        }
+        ctx = ComputeContext(
+            superstep=superstep,
+            outbox=outbox,
+            aggregators=aggregator_copies,
+            previous_aggregates=previous_aggregates,
+            num_vertices=num_vertices,
+        )
+        vertices = self.vertices
 
         # Deliver messages: reactivate recipients, auto-create unknown targets
         # if the job provided a factory, otherwise fail loudly.
         for target_id in inbox:
-            if target_id not in self.vertices:
+            if target_id not in vertices:
                 if vertex_factory is None:
                     raise VertexNotFoundError(target_id)
-                self.vertices[target_id] = vertex_factory.create(target_id)
-            self.vertices[target_id].reactivate()
+                vertices[target_id] = vertex_factory.create(target_id)
+            vertices[target_id].reactivate()
 
-        for vertex_id, vertex in self.vertices.items():
-            messages = inbox.get(vertex_id, [])
-            if vertex.halted and not messages:
-                continue
-            ctx = ComputeContext(
-                superstep=superstep,
-                outbox=outbox,
-                aggregators=aggregator_copies,
-                previous_aggregates=previous_aggregates,
-                num_vertices=num_vertices,
-            )
+        compute_calls = degrees = active = 0
+        for vertex_id, vertex in vertices.items():
+            messages = inbox.get(vertex_id)
+            if messages is None:
+                if vertex.halted:
+                    continue
+                messages = []
             vertex.compute(messages, ctx)
-            counters["compute_calls"] += 1
-            # O(d(v)) style charge: one unit for the call plus one per
-            # incoming message, adjacency entry and outgoing message.
-            counters["compute_ops"] += 1 + len(messages) + vertex.degree + ctx.messages_sent
-            counters["messages_sent"] += ctx.messages_sent
-            counters["bytes_sent"] += ctx.bytes_sent
-            counters["messages_received"] += len(messages)
+            compute_calls += 1
+            degrees += vertex.degree
+            if not vertex.halted:
+                active += 1
 
-        counters["bytes_received"] = sum(
-            _messages_size(messages) for messages in inbox.values()
-        )
-        return outbox, counters
-
-
-def _messages_size(messages: List[Any]) -> int:
-    return sum(_estimate_size(message) for message in messages)
+        # Every vertex with messages ran, so the O(d(v)) style charge —
+        # one unit per call, incoming message, adjacency entry and
+        # outgoing message — sums over the whole inbox and outbox.
+        delivered = sum(map(len, inbox.values()))
+        return outbox, ctx.sizes, {
+            "compute_calls": compute_calls,
+            "compute_ops": compute_calls + delivered + degrees + ctx.messages_sent,
+            "messages_sent": ctx.messages_sent,
+            "bytes_sent": ctx.bytes_sent,
+            # A vertex that did not run is halted, so only those that
+            # ran can be active afterwards.
+            "active_vertices": active,
+        }

@@ -33,7 +33,7 @@ from ..pregel.engine import JobResult, PregelJob
 from ..pregel.message import Combiner, route_outbox
 from ..pregel.metrics import JobMetrics, SuperstepMetrics
 from ..pregel.partitioner import ensure_partitioner, make_partitioner
-from ..pregel.vertex import Vertex, VertexFactory
+from ..pregel.vertex import Vertex, VertexFactory, _estimate_size
 from ..pregel.worker import Worker
 from ..telemetry import (
     TraceContext,
@@ -144,7 +144,8 @@ class SuperstepInstruments:
         self._messages.inc(step.messages_sent)
         self._bytes.inc(step.bytes_sent)
         self._cross.inc(step.cross_worker_messages)
-        self._delivered.inc(sum(step.worker_messages_received))
+        delivered = sum(step.worker_messages_received)
+        self._delivered.inc(delivered)
         self._active.set(step.active_vertices)
         self._seconds.observe(elapsed_seconds)
         if self._timeline.enabled:
@@ -159,7 +160,7 @@ class SuperstepInstruments:
                 messages_sent=step.messages_sent,
                 bytes_sent=step.bytes_sent,
                 cross_worker_messages=step.cross_worker_messages,
-                messages_delivered=sum(step.worker_messages_received),
+                messages_delivered=delivered,
                 elapsed_seconds=round(elapsed_seconds, 6),
                 spill_events=spill["spill_events"],
                 spill_bytes=spill["spill_bytes"],
@@ -186,9 +187,9 @@ class WorkerPlan:
 
 
 #: One worker's end-of-superstep report: ``(counters, aggregator
-#: states, active vertex count, worker span dict or None)`` — plain
-#: data, so it crosses a process boundary unchanged.
-WorkerReport = Tuple[Dict[str, Any], Dict[str, tuple], int, Optional[Dict[str, Any]]]
+#: states, worker span dict or None)`` — plain data, so it crosses a
+#: process boundary unchanged.
+WorkerReport = Tuple[Dict[str, Any], Dict[str, tuple], Optional[Dict[str, Any]]]
 
 
 def run_worker_superstep(
@@ -215,7 +216,7 @@ def run_worker_superstep(
         if trace_ctx is not None
         else None
     )
-    outbox, counters = worker.execute_superstep(
+    outbox, sizes, counters = worker.execute_superstep(
         superstep=superstep,
         inbox=inbox,
         aggregator_copies=aggregator_copies,
@@ -232,13 +233,28 @@ def run_worker_superstep(
         else None
     )
     worker_messages.inc(counters["messages_sent"])
-    batches, counters["messages_cross"] = route_outbox(
-        outbox, plan.partitioner, plan.combiner, plan.columnar, sender=worker.worker_id
+    batches, routed_messages, routed_bytes = route_outbox(
+        outbox, sizes, plan.partitioner, plan.combiner, plan.columnar
     )
+    counters["routed_messages"] = routed_messages
+    counters["routed_bytes"] = routed_bytes
+    counters["messages_cross"] = len(outbox) - routed_messages[worker.worker_id]
+    if plan.combiner is not None:
+        # Combining delivers fewer messages than were routed, so what
+        # arrived can only be counted and sized here, on receipt.
+        counters["messages_received"] = sum(map(len, inbox.values()))
+        counters["bytes_received"] = sum(
+            _estimate_size(message) for messages in inbox.values() for message in messages
+        )
     aggregator_states = {
         name: copy.dump_state() for name, copy in aggregator_copies.items()
     }
-    return batches, (counters, aggregator_states, worker.active_count(), span_dict)
+    return batches, (counters, aggregator_states, span_dict)
+
+
+def _column_sums(rows: Iterable[List[int]]) -> List[int]:
+    """Per-destination totals over every sender's per-destination list."""
+    return [sum(column) for column in zip(*rows)]
 
 
 class JobSession(ABC):
@@ -354,6 +370,11 @@ class ExecutionBackend(ABC):
         del workers
         pending = False
         superstep = 0
+        # Without a combiner nothing merges messages between send and
+        # delivery, so what superstep s routed to each worker is exactly
+        # what the worker receives in superstep s + 1.
+        routed_messages = [0] * self.num_workers
+        routed_bytes = [0] * self.num_workers
 
         try:
             session.launch()
@@ -369,7 +390,7 @@ class ExecutionBackend(ABC):
                         superstep, registry.previous_values(), remote_context()
                     )
                     step = SuperstepMetrics(superstep=superstep)
-                    for counters, aggregator_states, active_count, span_dict in reports:
+                    for counters, aggregator_states, span_dict in reports:
                         registry.merge_states(aggregator_states)
                         if span_dict is not None:
                             step_span.add_child(span_dict)
@@ -378,12 +399,27 @@ class ExecutionBackend(ABC):
                         step.messages_sent += counters["messages_sent"]
                         step.bytes_sent += counters["bytes_sent"]
                         step.cross_worker_messages += counters["messages_cross"]
-                        step.active_vertices += active_count
+                        step.active_vertices += counters["active_vertices"]
                         step.worker_compute_ops.append(counters["compute_ops"])
                         step.worker_messages_sent.append(counters["messages_sent"])
                         step.worker_bytes_sent.append(counters["bytes_sent"])
-                        step.worker_messages_received.append(counters["messages_received"])
-                        step.worker_bytes_received.append(counters["bytes_received"])
+                    all_counters = [report[0] for report in reports]
+                    if job.combiner is None:
+                        step.worker_messages_received = routed_messages
+                        step.worker_bytes_received = routed_bytes
+                        routed_messages = _column_sums(
+                            counters["routed_messages"] for counters in all_counters
+                        )
+                        routed_bytes = _column_sums(
+                            counters["routed_bytes"] for counters in all_counters
+                        )
+                    else:
+                        step.worker_messages_received = [
+                            counters["messages_received"] for counters in all_counters
+                        ]
+                        step.worker_bytes_received = [
+                            counters["bytes_received"] for counters in all_counters
+                        ]
                     step_span.set(
                         messages_sent=step.messages_sent,
                         bytes_sent=step.bytes_sent,

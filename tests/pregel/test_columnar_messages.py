@@ -25,7 +25,7 @@ from repro.pregel.message import (
     sum_combiner,
 )
 from repro.pregel.partitioner import HashPartitioner, make_partitioner
-from repro.pregel.vertex import Vertex
+from repro.pregel.vertex import Vertex, _estimate_size
 from repro.ppa.hash_min import run_hash_min
 from repro.ppa.sv import GraphInput
 
@@ -44,17 +44,34 @@ def _dict_fold(outboxes, partitioner, combiner):
 
 
 def _route_and_merge(outboxes, partitioner, combiner, columnar):
-    """One outbox per sender through the pair; also checks the cross counts."""
+    """One outbox per sender through the pair; also checks the routed totals."""
     received = {}
+    workers = range(len(outboxes))
     for sender, outbox in enumerate(outboxes):
-        batches, cross = route_outbox(outbox, partitioner, combiner, columnar, sender=sender)
-        assert cross == sum(partitioner.worker_for(target) != sender for target, _ in outbox)
+        sizes = [_estimate_size(message) for _, message in outbox]
+        batches, routed_messages, routed_bytes = route_outbox(
+            outbox, sizes, partitioner, combiner, columnar
+        )
+        # Raw (pre-combine) totals per destination; everything not routed
+        # to the sender itself is the cross-worker count.
+        destinations = [partitioner.worker_for(target) for target, _ in outbox]
+        assert routed_messages == [destinations.count(worker) for worker in workers]
+        assert routed_bytes == [
+            sum(size for size, destination in zip(sizes, destinations) if destination == worker)
+            for worker in workers
+        ]
         for destination, batch in batches.items():
             received.setdefault(destination, {})[sender] = batch
     return {
         destination: merge_batches(batches, len(outboxes), combiner)
         for destination, batches in received.items()
     }
+
+
+def _route(outbox, partitioner, combiner=None, columnar=True):
+    """The batches of one outbox."""
+    sizes = [_estimate_size(message) for _, message in outbox]
+    return route_outbox(outbox, sizes, partitioner, combiner, columnar)[0]
 
 
 def _assert_matches_fold(outboxes, combiner_factory=None, partitioner_name="hash"):
@@ -123,16 +140,46 @@ def test_mixed_columnar_and_scalar_senders_fold_in_sender_order():
     big = [(index % 50, index) for index in range(COLUMNAR_MIN_BATCH * 2)]
     mixed = [(1, "not-an-int"), (2, 5)]
     partitioner = HashPartitioner(2)
-    assert all(is_cols(batch) for batch in route_outbox(big, partitioner, None)[0].values())
-    assert not any(is_cols(batch) for batch in route_outbox(mixed, partitioner, None)[0].values())
+    assert all(is_cols(batch) for batch in _route(big, partitioner).values())
+    assert not any(is_cols(batch) for batch in _route(mixed, partitioner).values())
     want = _dict_fold([big, mixed], partitioner, None)
     assert _route_and_merge([big, mixed], partitioner, None, columnar=True) == want
     assert want[partitioner.worker_for(1)][1][-1] == "not-an-int"
 
 
+@pytest.mark.parametrize("partitioner_name", ["hash", "prefix_range"])
+def test_int_targets_with_other_payloads_hash_in_one_batch_and_bucket_like_the_scalar_path(
+    partitioner_name,
+):
+    """Tuple payloads keep scalar batches, whichever way destinations are hashed."""
+    rng = random.Random(11)
+    special = 1 << 63  # contig IDs: outside the calibrated plain-ID space
+    outboxes = [
+        [
+            (rng.randrange(2**40) | rng.choice((0, special)), ("resp", rng.randrange(2**62), index))
+            for index in range(size)
+        ]
+        for size in (400, COLUMNAR_MIN_BATCH, 5)
+    ]
+    # Targets outside the uint64 lane are hashed one by one.
+    outboxes.append([(2**64 + index, ("req", index)) for index in range(COLUMNAR_MIN_BATCH)])
+    outboxes.append([(index - 7, ("req", index)) for index in range(COLUMNAR_MIN_BATCH)])
+    targets = [target for outbox in outboxes for target, _ in outbox]
+    partitioner = make_partitioner(partitioner_name, len(outboxes)).for_job(targets)
+    want = _dict_fold(outboxes, partitioner, None)
+    for columnar in (True, False):
+        assert _route_and_merge(outboxes, partitioner, None, columnar) == want
+    for outbox in outboxes:
+        vectorized = _route(outbox, partitioner, columnar=True)
+        scalar = _route(outbox, partitioner, columnar=False)
+        assert vectorized == scalar
+        # First-routed order: the spill ledger ages inboxes in it.
+        assert list(vectorized) == list(scalar)
+
+
 def test_small_batches_stay_scalar():
     partitioner = HashPartitioner(2)
-    batches, _ = route_outbox([(1, 2), (3, 4)], partitioner, None)
+    batches = _route([(1, 2), (3, 4)], partitioner)
     assert batches and not any(is_cols(batch) for batch in batches.values())
     _assert_matches_fold([[(1, 2), (3, 4)], []])
 

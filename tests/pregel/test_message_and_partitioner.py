@@ -13,6 +13,7 @@ from repro.pregel.message import (
     sum_combiner,
 )
 from repro.pregel.partitioner import HashPartitioner
+from repro.pregel.vertex import _estimate_size
 
 
 # ----------------------------------------------------------------------
@@ -69,11 +70,17 @@ def test_custom_combiner():
 # ----------------------------------------------------------------------
 # the routing pair
 # ----------------------------------------------------------------------
+def _route(outbox, partitioner, combiner):
+    """The batches of one outbox."""
+    sizes = [_estimate_size(message) for _, message in outbox]
+    return route_outbox(outbox, sizes, partitioner, combiner)[0]
+
+
 def _deliver(outboxes, partitioner, combiner=None):
     """One outbox per sender through route_outbox, then merge_batches."""
     received = {}
     for sender, outbox in enumerate(outboxes):
-        batches, _cross = route_outbox(outbox, partitioner, combiner, sender=sender)
+        batches = _route(outbox, partitioner, combiner)
         for destination, batch in batches.items():
             received.setdefault(destination, {})[sender] = batch
     return {
@@ -91,7 +98,7 @@ def test_router_with_combiner_collapses_per_vertex():
     combiner = min_combiner()
     outbox = [(7, 5), (7, 3), (7, 9)]
     # Combined sender-side: one message per target is all that leaves.
-    batches, _cross = route_outbox(outbox, HashPartitioner(1), combiner)
+    batches = _route(outbox, HashPartitioner(1), combiner)
     assert batches == {0: [(7, 3)]}
     assert _deliver([outbox], HashPartitioner(1), combiner) == {0: {7: [3]}}
 

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import enum
+from collections import namedtuple
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import AggregatorError
 from repro.pregel.aggregator import AggregatorRegistry, sum_aggregator
@@ -109,3 +114,81 @@ def test_estimate_size_covers_common_types():
             return 123
 
     assert _estimate_size(Sized()) == 123
+
+
+# ----------------------------------------------------------------------
+# one estimator, one answer: the fast prefix must agree with the chain
+# ----------------------------------------------------------------------
+def _reference_size(message):
+    """The estimator as a plain ``isinstance`` chain, with no shortcuts."""
+    if message is None:
+        return 1
+    if isinstance(message, bool):
+        return 1
+    if isinstance(message, int):
+        return 8
+    if isinstance(message, float):
+        return 8
+    if isinstance(message, (str, bytes)):
+        return len(message)
+    if isinstance(message, (tuple, list)):
+        return 4 + sum(_reference_size(item) for item in message)
+    if isinstance(message, dict):
+        return 4 + sum(
+            _reference_size(key) + _reference_size(value) for key, value in message.items()
+        )
+    if hasattr(message, "message_size"):
+        return int(message.message_size())
+    return 16
+
+
+class _Kind(enum.IntEnum):
+    ASK = 1
+    ANSWER = 2
+
+
+class _Sized:
+    def __init__(self, size):
+        self.size = size
+
+    def message_size(self):
+        return self.size
+
+
+_Pair = namedtuple("_Pair", "left right")
+
+_HASHABLE_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from(list(_Kind)),
+    st.floats(allow_nan=False),
+    st.text(max_size=12),
+    st.binary(max_size=12),
+)
+_LEAVES = st.one_of(
+    _HASHABLE_LEAVES,
+    st.integers(0, 2**62).map(np.uint64),
+    st.integers(-(2**31), 2**31).map(np.int64),
+    st.floats(allow_nan=False, width=32).map(np.float32),
+    st.floats(allow_nan=False).map(np.float64),
+    st.booleans().map(np.bool_),
+    st.integers(0, 10**6).map(_Sized),
+    st.builds(object),
+)
+_MESSAGES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.tuples(children, children).map(lambda pair: _Pair(*pair)),
+        st.dictionaries(_HASHABLE_LEAVES, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(message=_MESSAGES)
+def test_estimate_size_equals_the_isinstance_chain(message):
+    assert _estimate_size(message) == _reference_size(message)

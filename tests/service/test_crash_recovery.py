@@ -39,6 +39,12 @@ def _start_server(data_dir):
             sys.executable, "-m", "repro.cli", "serve",
             "--data-dir", str(data_dir), "--port", "0", "--workers", "1",
             "--poll-interval", "0.05",
+            # Short lease, as in scripts/service_smoke.sh: the killed
+            # server's worker process notices it is orphaned at its next
+            # heartbeat tick (lease/3).  With the 15 s default it computes
+            # on for up to 5 s, long enough to finish this job on attempt 1
+            # and leave the restarted server nothing to recover.
+            "--lease-seconds", "2", "--reap-interval", "0.2",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
