@@ -98,7 +98,7 @@ class AssemblyConfig:
     memory_budget_mb:
         Soft cap, in megabytes, on the live bytes the assembly holds in
         memory at once.  ``None`` (default) is unlimited.  When set,
-        DBG construction streams reads in bounded chunks and spills
+        DBG construction takes reads in smaller chunks and spills
         sorted k-mer runs, and the Pregel runtime spills idle worker
         partitions and staged message batches to disk
         (:mod:`repro.store`).  Results are bit-identical at any budget;

@@ -129,9 +129,9 @@ def build_dbg(
     """
     validate_k(config.k)
 
-    # The vectorized path streams the reads in bounded chunks and never
-    # needs the whole dataset at once; only the scalar path (whose
-    # MapReduce harness indexes records) materialises a list.
+    # The vectorized path consumes ``reads`` in bounded chunks, so an
+    # iterator handed to it is never materialised; the scalar path
+    # (whose MapReduce harness indexes records) makes a list.
     if config.use_vectorized and vectorized.numpy_available():
         return _build_dbg_vectorized(reads, config, chain)
     reads = list(reads)
@@ -204,29 +204,32 @@ def _chunk_reads_for_budget(budget_bytes) -> int:
     return max(_MIN_CHUNK_READS, min(_MAX_CHUNK_READS, derived))
 
 
-def _merge_sorted_runs(np, runs):
-    """External merge of per-chunk ``np.unique`` runs.
+def _sum_by_key(np, keys, counts):
+    """``(distinct keys ascending, summed counts)`` of parallel arrays."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    is_start = np.ones(sorted_keys.size, dtype=bool)
+    is_start[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(is_start)
+    summed = np.add.reduceat(counts[order].astype(np.int64, copy=False), starts)
+    return sorted_keys[starts], summed
 
-    Each run is a ``(edges, counts)`` pair with ``edges`` sorted and
-    unique within the run.  Concatenating the runs, stable-sorting, and
-    segment-summing counts at key boundaries reproduces exactly what
-    one global ``np.unique(..., return_counts=True)`` over the full
-    window stream would return.
+
+def _merge_sorted_runs(np, runs):
+    """External merge of the per-chunk ``(edges, counts)`` runs.
+
+    Each run has ``edges`` sorted and unique within the run.
+    Concatenating the runs and summing counts per key reproduces exactly
+    what one global ``np.unique(..., return_counts=True)`` over the full
+    canonical window stream would return.
     """
     if not runs:
         return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
-    if len(runs) == 1:
-        edges, counts = runs[0]
-        return edges, counts.astype(np.int64, copy=False)
-    all_edges = np.concatenate([edges for edges, _ in runs])
-    all_counts = np.concatenate([counts for _, counts in runs]).astype(np.int64)
-    order = np.argsort(all_edges, kind="stable")
-    sorted_edges = all_edges[order]
-    sorted_counts = all_counts[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_edges[1:] != sorted_edges[:-1]))
+    return _sum_by_key(
+        np,
+        np.concatenate([edges for edges, _ in runs]),
+        np.concatenate([counts for _, counts in runs]),
     )
-    return sorted_edges[starts], np.add.reduceat(sorted_counts, starts)
 
 
 def _worker_sums(np, workers, num_workers, weights=None):
@@ -279,10 +282,11 @@ def _build_dbg_vectorized(
     """Operation ① with both phases as batch kernels.
 
     Phase (i) is *streaming*: reads arrive in bounded chunks, each
-    chunk is pre-aggregated with a local ``np.unique``, and the sorted
-    runs are merged at the end — under a memory budget the idle runs
-    spill to disk, so peak memory is bounded by the chunk size plus
-    the distinct-edge working set rather than the raw read volume.
+    chunk is reduced to a sorted run of its distinct canonical edges
+    with their counts, and the runs are merged at the end — under a
+    memory budget the idle runs spill to disk, so peak memory is
+    bounded by the chunk size plus the distinct-edge working set
+    rather than the raw read volume.
     """
     import numpy as np
 
@@ -301,10 +305,12 @@ def _build_dbg_vectorized(
     ledger = MemoryLedger(budget_bytes, name="construction")
     manager = SpillManager(owner="construction")
     try:
-        for chunk in read_chunks(reads, _chunk_reads_for_budget(budget_bytes)):
-            sequences = [read.sequence for read in chunk]
+        # Only the sequences are batched: a streamed Read is released as
+        # soon as its bases have been taken.
+        for sequences in read_chunks(
+            (read.sequence for read in reads), _chunk_reads_for_budget(budget_bytes)
+        ):
             observed, per_read = vectorized.extract_window_ids(sequences, k + 1)
-            canonical, _ = vectorized.canonical_ids(observed, k + 1)
             total_pairs += int(observed.size)
 
             sources = (
@@ -315,10 +321,15 @@ def _build_dbg_vectorized(
             map_ops += _worker_sums(np, sources, num_workers) + _worker_sums(
                 np, sources, num_workers, weights=per_read
             )
-            destinations = partitioner.worker_for_array(canonical)
-            shuffle_counts += _worker_sums(np, destinations, num_workers)
-
-            run = np.unique(canonical, return_counts=True)
+            # A pair's canonical form and destination depend on its key
+            # alone: canonicalise the chunk's distinct windows, hash its
+            # distinct edges, and weight both by their counts.
+            distinct, occurrences = np.unique(observed, return_counts=True)
+            canonical, _ = vectorized.canonical_ids(distinct, k + 1)
+            run = _sum_by_key(np, canonical, occurrences)
+            shuffle_counts += _worker_sums(
+                np, partitioner.worker_for_array(run[0]), num_workers, weights=run[1]
+            )
             run_id = len(runs)
             runs.append(run)
             ledger.track(f"run:{run_id}", estimate_nbytes(run))

@@ -281,7 +281,10 @@ class PPAAssembler:
         runner = self.runner(checkpoint_dir=checkpoint_dir, hooks=hooks)
         state = {
             "config": self.config,
-            "reads": list(reads),
+            # Construction consumes the reads chunk by chunk.  Only a
+            # checkpointed run needs them all at once: the runner
+            # fingerprints, and may pickle, its seed state.
+            "reads": reads if checkpoint_dir is None else list(reads),
             "pairs": list(pairs) if pairs is not None else None,
         }
         ctx = runner.run(workflow, state=state, resume=resume)

@@ -143,10 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="MB",
-        help="bound the assembly's working memory: reads stream in "
-        "bounded chunks and idle graph partitions / message batches "
-        "spill to disk once the budget is exceeded (results stay "
-        "bit-identical; default unlimited)",
+        help="bound the assembly's working memory: DBG construction takes "
+        "the reads (loaded whole by this command) in bounded chunks, and "
+        "idle k-mer runs, graph partitions and message batches spill to "
+        "disk once the budget is exceeded (results stay bit-identical; "
+        "default unlimited)",
     )
     parser.add_argument(
         "--no-vectorized",

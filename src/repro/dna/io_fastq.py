@@ -12,12 +12,14 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, TextIO, Union
+from itertools import islice
+from typing import Iterable, Iterator, List, Optional, TextIO, TypeVar, Union
 
 from ..errors import FastqFormatError
 from .alphabet import VALID_CHARACTERS
 
 PathOrHandle = Union[str, os.PathLike, TextIO]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -77,19 +79,55 @@ def _open_for_writing(target: PathOrHandle) -> tuple[TextIO, bool]:
 # ----------------------------------------------------------------------
 # FASTQ
 # ----------------------------------------------------------------------
+#: ``sequence.translate`` with this table deletes every valid base, so
+#: whatever is left of a sequence line is invalid (one C call per record).
+_DELETE_VALID = str.maketrans("", "", "".join(sorted(VALID_CHARACTERS)))
+
+
+def _rejected_record(
+    sequence: str, separator: str, quality_line: str, line_number: int
+) -> FastqFormatError:
+    """Why the record whose quality line is ``line_number`` was rejected."""
+    if not quality_line:  # readline() hit the end of file inside the record
+        return FastqFormatError(
+            "truncated record: file ends inside the record starting at line "
+            f"{line_number - 3}",
+            line_number - 3,
+        )
+    quality = quality_line.rstrip("\n")
+    if not separator.startswith("+"):
+        return FastqFormatError("missing '+' separator line", line_number - 1)
+    if len(quality) != len(sequence):
+        return FastqFormatError(
+            f"quality length {len(quality)} != sequence length {len(sequence)}",
+            line_number,
+        )
+    position, character = next(
+        (position, character)
+        for position, character in enumerate(sequence)
+        if character not in VALID_CHARACTERS
+    )
+    return FastqFormatError(
+        f"invalid sequence character {character!r} at column {position}",
+        line_number - 2,
+    )
+
+
 def parse_fastq(source: PathOrHandle, validate: bool = True) -> Iterator[Read]:
     """Yield :class:`Read` records from a FASTQ file or handle.
 
     The parser is strict about the four-line record structure but
     tolerant about quality strings (any printable ASCII); sequence
     characters are validated against A/C/G/T/N unless ``validate`` is
-    False.
+    False.  A file that ends inside a record is reported as truncated,
+    with the line its last record starts at.
     """
     handle, owns_handle = _open_for_reading(source)
     try:
+        readline = handle.readline
         line_number = 0
         while True:
-            header = handle.readline()
+            header = readline()
             if not header:
                 return
             line_number += 1
@@ -100,31 +138,24 @@ def parse_fastq(source: PathOrHandle, validate: bool = True) -> Iterator[Read]:
                 raise FastqFormatError(
                     f"expected '@' header, found {header[:20]!r}", line_number
                 )
-            sequence = handle.readline().rstrip("\n").upper()
-            separator = handle.readline().rstrip("\n")
-            quality = handle.readline().rstrip("\n")
+            sequence = readline().rstrip("\n").upper()
+            separator = readline()
+            quality_line = readline()
+            quality = quality_line.rstrip("\n")
             line_number += 3
-            if not separator.startswith("+"):
-                raise FastqFormatError("missing '+' separator line", line_number - 1)
-            if len(quality) != len(sequence):
-                raise FastqFormatError(
-                    f"quality length {len(quality)} != sequence length {len(sequence)}",
-                    line_number,
-                )
-            if validate:
-                for position, character in enumerate(sequence):
-                    if character not in VALID_CHARACTERS:
-                        raise FastqFormatError(
-                            f"invalid sequence character {character!r} at column {position}",
-                            line_number - 2,
-                        )
+            if (
+                not separator.startswith("+")
+                or len(quality) != len(sequence)
+                or (validate and sequence.translate(_DELETE_VALID))
+            ):
+                raise _rejected_record(sequence, separator, quality_line, line_number)
             yield Read(name=header[1:], sequence=sequence, quality=quality)
     finally:
         if owns_handle:
             handle.close()
 
 
-def read_chunks(reads: Iterable[Read], chunk_reads: int) -> Iterator[List[Read]]:
+def read_chunks(reads: Iterable[T], chunk_reads: int) -> Iterator[List[T]]:
     """Yield ``reads`` in bounded batches of at most ``chunk_reads``.
 
     The streaming-ingest entry point: consumers that can process reads
@@ -135,13 +166,8 @@ def read_chunks(reads: Iterable[Read], chunk_reads: int) -> Iterator[List[Read]]
     """
     if chunk_reads <= 0:
         raise ValueError(f"chunk_reads must be positive, got {chunk_reads}")
-    chunk: List[Read] = []
-    for read in reads:
-        chunk.append(read)
-        if len(chunk) >= chunk_reads:
-            yield chunk
-            chunk = []
-    if chunk:
+    iterator = iter(reads)
+    while chunk := list(islice(iterator, chunk_reads)):
         yield chunk
 
 

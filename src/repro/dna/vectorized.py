@@ -5,9 +5,11 @@ Python bytecode loop iteration; at benchmark scale the DBG-construction
 phase spends almost all of its time there.  This module provides the
 same operations as array kernels over whole *batches* of reads: bases
 are mapped to the paper's 2-bit code with a 256-entry lookup table,
-(k+1)-mer windows are packed into ``uint64`` lanes with k shift-or
-passes, and reverse complementation is the classic 2-bit-group reversal
-bit-twiddle — no per-base Python loops anywhere.
+(k+1)-mer windows are packed by doubling (pieces of 1, 2, 4, 8, 16
+bases in ``uint8``/``uint16``/``uint32`` lanes, widened to ``uint64``
+only where the window's length uses them), and reverse complementation
+is the classic 2-bit-group reversal bit-twiddle — no per-base Python
+loops anywhere.
 
 Every kernel is bit-identical to its scalar counterpart (the property
 tests in ``tests/dna/test_vectorized_parity.py`` assert this on random
@@ -42,6 +44,9 @@ _BREAK_CODE = 4
 
 #: LUT slot for characters that are invalid even as separators.
 _INVALID_CODE = 255
+
+#: Narrowest unsigned lane holding a packed piece of that many bases.
+_PIECE_LANES = {2: "uint8", 4: "uint8", 8: "uint16", 16: "uint32", 32: "uint64"}
 
 
 def numpy_available() -> bool:
@@ -114,14 +119,30 @@ def sliding_window_ids(codes, window: int):
     num_windows = codes.size - window + 1
     if num_windows <= 0:
         return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=bool)
-    lanes = (codes & np.uint8(3)).astype(np.uint64)
-    ids = np.zeros(num_windows, dtype=np.uint64)
-    for offset in range(window):
-        ids = (ids << np.uint64(2)) | lanes[offset : offset + num_windows]
-    breaks = np.zeros(codes.size + 1, dtype=np.int64)
-    np.cumsum(codes >= _BREAK_CODE, out=breaks[1:])
-    valid = (breaks[window:] - breaks[:-window]) == 0
-    return ids, valid
+    # Pieces of 1, 2, 4, 8, 16 (32) bases are built by doubling, each in
+    # the narrowest lane that holds it; the window is the pieces named
+    # by the binary decomposition of its length, first bases highest.
+    # Only those pieces are ever widened to 64 bits.  ``broken`` doubles
+    # alongside: does a piece contain a break code?
+    ids = invalid = None
+    piece = codes & np.uint8(3)
+    broken = codes >= _BREAK_CODE
+    span = 1
+    while True:
+        if window & span:
+            # The longer pieces come first in the window, the shorter after.
+            first = window & ~(2 * span - 1)
+            used = slice(first, first + num_windows)
+            lane = np.left_shift(piece[used], 2 * (window & (span - 1)), dtype=np.uint64)
+            ids = lane if ids is None else np.bitwise_or(ids, lane, out=ids)
+            invalid = broken[used] if invalid is None else invalid | broken[used]
+        if 2 * span > window:
+            break
+        wider = np.left_shift(piece[:-span], 2 * span, dtype=_PIECE_LANES[2 * span])
+        piece = np.bitwise_or(wider, piece[span:], out=wider)
+        broken = broken[:-span] | broken[span:]
+        span *= 2
+    return ids, ~invalid
 
 
 def extract_window_ids(sequences: Sequence[str], window: int):

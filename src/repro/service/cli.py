@@ -144,7 +144,7 @@ def build_service_parser() -> argparse.ArgumentParser:
     submit.add_argument("--workers", type=int, default=None, help="Pregel workers for the job")
     submit.add_argument(
         "--memory-budget-mb", type=float, default=None, metavar="MB",
-        help="bound the job's working memory (streaming ingest + disk spill)",
+        help="bound the job's working memory (chunked ingest + disk spill)",
     )
     submit.add_argument("--no-vectorized", action="store_true")
     submit.add_argument("--scaffold", action="store_true", help="run paired-end scaffolding")
