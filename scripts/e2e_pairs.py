@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the end-to-end benchmark.
 
-    python3 scripts/e2e_pairs.py --parent REV --workload W [--pairs 10] [--seconds 20]
+    python3 scripts/e2e_pairs.py --parent REV --workload W [--pairs 10] [--seconds 20] [--layers]
 
 A timing claim needs pairs, not two sets an hour apart (see
 ``benchmarks/e2e/README.md``).  This materialises ``REV`` with
@@ -11,8 +11,11 @@ from the working tree (the change) on the same, previously unused seed;
 which side goes first alternates.  It prints every run as it finishes
 and, per end-to-end metric of ``BENCHMARK.json``, each side's median
 and quartiles and how many pairs the change won (ties count for
-neither side).  It only reads ``benchmarks/e2e``; the temporary
-directory (``TMPDIR`` decides where) is removed on exit.
+neither side).  With ``--layers`` it finishes with one ``--trace 1``
+run per side on the last seed and prints the per-layer rows of
+``BENCHMARK.json`` as a markdown table.  It only reads
+``benchmarks/e2e``; the temporary directory (``TMPDIR`` decides where)
+is removed on exit.
 """
 
 from __future__ import annotations
@@ -44,12 +47,14 @@ def materialise(rev: str, directory: Path) -> None:
         raise SystemExit(f"error: could not archive {rev!r}")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> Dict[str, object]:
+def run_once(
+    tree: Path, workload: str, seed: int, seconds: float, trace: int = 0
+) -> Dict[str, object]:
     """One ``run.py`` invocation in ``tree``; its closing JSON object."""
     environment = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     process = subprocess.Popen(
         [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, env=environment, stdout=subprocess.PIPE, text=True,
     )
     try:
@@ -86,6 +91,10 @@ def main() -> int:
         "--first-seed", type=int, default=max(recorded) + 1,
         help="pair i runs on seed FIRST+i (default: just past the seeds baseline.json records)",
     )
+    parser.add_argument(
+        "--layers", action="store_true",
+        help="finish with one traced run per side on the last seed; print the per-layer table",
+    )
     args = parser.parse_args()
 
     # A terminated run must still remove its checkout of the parent.
@@ -95,6 +104,7 @@ def main() -> int:
         materialise(args.parent, directory)
         trees = {"parent": directory, "change": REPO}
         runs: Dict[str, List[Dict[str, object]]] = {side: [] for side in SIDES}
+        seed = args.first_seed
         for pair in range(args.pairs):
             seed = args.first_seed + pair
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
@@ -107,6 +117,12 @@ def main() -> int:
                     f"failed={report['failed']}/{report['attempted']} {json.dumps(values)}",
                     flush=True,
                 )
+        traced = {}
+        if args.layers:
+            traced = {
+                side: run_once(trees[side], args.workload, seed, args.seconds, trace=1)
+                for side in SIDES
+            }
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 
@@ -128,6 +144,15 @@ def main() -> int:
         ratio = median(change) / median(parent) if median(parent) else float("nan")
         print(f"{name:<22}{quartiles(parent):<34}{quartiles(change):<34}"
               f"{ratio:<15.4f}{won}/{lost}/{len(parent) - won - lost}")
+    if traced:
+        print(f"\n# {args.workload}: per-layer metrics, one traced run per side on seed {seed}")
+        for side in SIDES:
+            print(f"# {side}: correct={traced[side]['correct']}")
+        print("| metric | parent | change | ratio |\n|---|---|---|---|")
+        for entry in contract["per_layer"]:
+            parent, change = (traced[side]["metrics"][entry["name"]]["value"] for side in SIDES)
+            ratio = f"{change / parent:.3f}" if parent else "–"
+            print(f"| `{entry['name']}` | {parent:.6g} | {change:.6g} | {ratio} |")
     return 0
 
 

@@ -91,6 +91,22 @@ class CheckpointError(WorkflowError):
     """
 
 
+class CorruptBlobError(ReproError):
+    """A content-store blob's bytes no longer hash to the key they are stored under.
+
+    The key *is* the sha256 of the content, so a mismatch means the
+    file was damaged after it was published; what it holds must not be
+    unpickled.
+    """
+
+    def __init__(self, key: str) -> None:
+        super().__init__(f"blob {key} does not match its content hash")
+        self.key = key
+
+    def __reduce__(self):
+        return (CorruptBlobError, (self.key,))
+
+
 class ServiceError(ReproError):
     """Base class for errors raised by the assembly job service.
 

@@ -27,8 +27,8 @@ from .sv import GraphInput
 class HashMinVertex(Vertex):
     """``value`` is the smallest component label seen so far."""
 
-    # State is (int label, [int neighbour IDs]): partitions ship as
-    # arrays between multiprocess workers and the master.
+    # State is (int label, [int neighbour IDs]): partitions leave the
+    # process (to the master, to the spill store) as arrays.
     columnar_state = True
 
     def compute(self, messages: List[int], ctx: ComputeContext) -> None:

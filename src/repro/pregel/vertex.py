@@ -168,10 +168,11 @@ class Vertex(Generic[ValueT, MessageT]):
     ``columnar_state`` (class attribute, default False) marks vertex
     classes whose entire state is small non-negative integers —
     ``value`` an int and ``edges`` a plain list of ints.  Partitions of
-    such vertices are shipped between multiprocess workers and the
-    master as a few ndarrays instead of per-object pickles; results are
-    identical, only the transfer is cheaper.  Opting in is a promise
-    that ``cls(vertex_id, value, edges)`` reconstructs the vertex.
+    such vertices leave their process (multiprocess worker to master,
+    serial spill plane to disk) as a few ndarrays instead of per-object
+    pickles — see :mod:`repro.pregel.partition`; results are identical,
+    only the transfer is cheaper.  Opting in is a promise that
+    ``cls(vertex_id, value, edges)`` reconstructs the vertex.
     """
 
     __slots__ = ("vertex_id", "value", "edges", "halted")

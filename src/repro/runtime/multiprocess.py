@@ -50,6 +50,7 @@ from typing import Any, Dict, List, Optional
 
 from ..errors import BackendExecutionError
 from ..pregel.message import COLS, is_cols, merge_batches
+from ..pregel.partition import pack_partition, unpack_partition
 from ..pregel.vertex import Vertex
 from ..pregel.worker import Worker
 from ..telemetry import (
@@ -74,11 +75,6 @@ from .base import (
     worker_messages_counter,
 )
 from .spilling import WorkerBatchSpiller
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-except Exception:  # pragma: no cover - containers without numpy
-    np = None  # type: ignore[assignment]
 
 #: Commands on the master -> worker channel.
 _STEP = "step"
@@ -117,77 +113,6 @@ def _resolve_batch(batch, reader):
         targets, values = reader.read(batch[1], batch[2], batch[3])
         return (COLS, targets, values)
     return batch
-
-
-def _pack_partition(vertices: List[Vertex]):
-    """Pack a finished partition for the result queue.
-
-    Partitions whose vertex class opted into ``columnar_state`` and
-    whose state is uniformly small non-negative integers are shipped as
-    a handful of ndarrays (IDs, values, halted flags, CSR adjacency) —
-    orders of magnitude cheaper to pickle than per-object state.  Any
-    vertex that does not conform drops the whole partition back to the
-    plain object list, so the fast path is purely an optimisation.
-    """
-    if np is None or not vertices:
-        return ("objs", vertices)
-    cls = type(vertices[0])
-    if not getattr(cls, "columnar_state", False):
-        return ("objs", vertices)
-    ids: List[int] = []
-    values: List[int] = []
-    halted: List[bool] = []
-    offsets: List[int] = [0]
-    edge_ids: List[int] = []
-    for vertex in vertices:
-        value = vertex.value
-        edges = vertex.edges
-        if (
-            type(vertex) is not cls
-            or type(vertex.vertex_id) is not int
-            or type(value) is not int
-            or vertex.vertex_id < 0
-            or value < 0
-            or type(edges) is not list
-        ):
-            return ("objs", vertices)
-        for edge in edges:
-            if type(edge) is not int or edge < 0:
-                return ("objs", vertices)
-        ids.append(vertex.vertex_id)
-        values.append(value)
-        halted.append(vertex.halted)
-        edge_ids.extend(edges)
-        offsets.append(len(edge_ids))
-    try:
-        packed = (
-            "vcols",
-            cls,
-            np.array(ids, dtype=np.uint64),
-            np.array(values, dtype=np.uint64),
-            np.array(halted, dtype=bool),
-            np.array(offsets, dtype=np.int64),
-            np.array(edge_ids, dtype=np.uint64),
-        )
-    except (OverflowError, ValueError):
-        return ("objs", vertices)
-    return packed
-
-
-def _unpack_partition(payload) -> List[Vertex]:
-    """Reverse :func:`_pack_partition`, preserving vertex order."""
-    if payload[0] == "objs":
-        return payload[1]
-    _tag, cls, ids, values, halted, offsets, edge_ids = payload
-    edge_list = edge_ids.tolist()
-    bounds = offsets.tolist()
-    halted_list = halted.tolist()
-    vertices: List[Vertex] = []
-    for index, (vertex_id, value) in enumerate(zip(ids.tolist(), values.tolist())):
-        vertex = cls(vertex_id, value, edge_list[bounds[index] : bounds[index + 1]])
-        vertex.halted = halted_list[index]
-        vertices.append(vertex)
-    return vertices
 
 
 def _worker_main(
@@ -249,9 +174,7 @@ def _worker_main(
             command = command_queue.get()
             if command[0] == _STOP:
                 if command[1]:  # collect: ship the final partition back
-                    result_queue.put(
-                        (worker_id, _pack_partition(list(worker.vertices.values())))
-                    )
+                    result_queue.put((worker_id, pack_partition(worker.vertices)))
                 break
             _, superstep, previous_aggregates, trace_ctx, arena_names = command
             if arena_names is not None:
@@ -490,9 +413,7 @@ class _MultiprocessSession(JobSession):
         collected: Dict[int, Dict[int, Vertex]] = {}
         while len(collected) < self._plan.num_workers:
             worker_id, payload = self._get_checked(self._result_queue, collected)
-            collected[worker_id] = {
-                vertex.vertex_id: vertex for vertex in _unpack_partition(payload)
-            }
+            collected[worker_id] = unpack_partition(payload)
         self._collected = True
         return [collected[worker_id] for worker_id in range(self._plan.num_workers)]
 

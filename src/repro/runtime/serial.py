@@ -63,9 +63,8 @@ class _SerialSession(JobSession):
         trace_ctx: Optional[TraceContext],
     ) -> List[WorkerReport]:
         plan, plane, inboxes = self._plan, self._plane, self._inboxes
-        # outgoing[destination][sender] is one routed batch.  Destinations
-        # stay in first-routed order: the spill plane's ledger ages the
-        # inboxes in the order they are stashed.
+        # outgoing[destination][sender] is one routed batch, destinations
+        # keyed in first-routed order.
         outgoing: Dict[int, Dict[int, Any]] = {}
         reports = []
         for worker_id in range(plan.num_workers):
@@ -85,8 +84,9 @@ class _SerialSession(JobSession):
             if plane is not None:
                 # Execution mutated the partition (values, factory-made
                 # vertices): refresh its ledger entry, then shed memory
-                # before the next worker loads.  The just-executed
-                # partition is excluded — it is still on this frame.
+                # before the next worker loads, furthest next turn
+                # first.  The just-executed partition is excluded — it
+                # is still on this frame.
                 plane.reaccount(worker)
                 plane.rebalance(exclude_worker=worker_id)
 

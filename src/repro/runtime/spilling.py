@@ -7,8 +7,9 @@ Two cooperating pieces, one per backend shape:
   partitions of workers that are not currently executing are idle by
   construction (workers run one after another), so any of them may live
   on disk; the plane loads each worker just-in-time, re-accounts it
-  after it executes, and spills least-recently-used entries until the
-  ledger is back under budget.
+  after it executes, and spills the entries whose next turn is furthest
+  away until the ledger is back under budget.  Partitions go to disk as
+  :func:`~repro.pregel.partition.pack_partition` payloads.
 
 * :class:`WorkerBatchSpiller` — used *inside* a multiprocess worker
   process for message batches staged for future supersteps.  Each
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional
 
+from ..pregel.partition import pack_partition, unpack_partition
 from ..pregel.worker import Worker
 from ..store.ledger import MemoryLedger, estimate_nbytes
 from ..store.spill import SpillManager, SpillStats, process_spill_stats
@@ -58,11 +60,12 @@ class SerialSpillPlane:
         """The partition, loaded back from disk if it was spilled."""
         worker = self._workers.get(worker_id)
         if worker is None:
-            worker = self.manager.load(self._partition_key(worker_id))
+            worker = Worker(worker_id)
+            worker.vertices = unpack_partition(
+                self.manager.load(self._partition_key(worker_id))
+            )
             self._workers[worker_id] = worker
             self._account(worker)
-        else:
-            self.ledger.touch(self._partition_key(worker_id))
         return worker
 
     def reaccount(self, worker: Worker) -> None:
@@ -103,37 +106,43 @@ class SerialSpillPlane:
     # budget enforcement
     # ------------------------------------------------------------------
     def rebalance(self, exclude_worker: Optional[int] = None) -> None:
-        """Spill LRU entries until the ledger is back under budget.
+        """Spill the entries needed furthest from now until under budget.
 
-        ``exclude_worker`` pins the partition currently executing (its
+        Workers run in id order every superstep, so what worker ``w``
+        owns (its partition, its delivered inbox) is next needed
+        ``(w - position - 1) mod num_workers`` turns from now, where
+        ``position`` is the worker that just executed, or -1 between
+        supersteps.  Victims go in descending distance, a worker's
+        partition before its inbox: the workers about to run keep their
+        entries from one superstep to the next and only the rest cycle
+        through the store.  (Evicting by last use would reload every
+        partition every superstep — the scan is cyclic.)
+
+        ``exclude_worker`` pins the partition that just executed (its
         object is on the caller's stack; spilling it would just burn a
         serialization without freeing the memory).
         """
-        if not self.ledger.over_budget:
+        ledger = self.ledger
+        if not ledger.over_budget:
             return
-        exclude = set()
-        if exclude_worker is not None:
-            exclude.add(self._partition_key(exclude_worker))
-        for name, _ in self.ledger.victims(exclude):
-            if not self.ledger.over_budget:
-                break
-            if name.startswith("partition:"):
-                worker_id = int(name.split(":", 1)[1])
-                worker = self._workers.get(worker_id)
-                if worker is None:
-                    continue
-                if self.manager.spill(name, worker):
+        num_workers = len(self._workers)
+        position = -1 if exclude_worker is None else exclude_worker
+        for distance in range(num_workers - 1, -1, -1):
+            worker_id = (position + 1 + distance) % num_workers
+            worker = self._workers.get(worker_id)
+            if worker is not None and worker_id != exclude_worker:
+                name = self._partition_key(worker_id)
+                if self.manager.spill(name, pack_partition(worker.vertices)):
                     self._workers[worker_id] = None
-                    self.ledger.release(name)
-            elif name.startswith("inbox:"):
-                worker_id = int(name.split(":", 1)[1])
-                inbox = self._inboxes.get(worker_id)
-                if inbox is None or inbox is _SPILLED:
-                    continue
-                if self.manager.spill(name, inbox):
+                    ledger.release(name)
+            name = self._inbox_key(worker_id)
+            if ledger.over_budget and ledger.tracked(name):
+                if self.manager.spill(name, self._inboxes[worker_id]):
                     self._inboxes[worker_id] = _SPILLED
-                    self.ledger.release(name)
-        process_spill_stats().record_ledger_peak(self.ledger.peak_bytes)
+                    ledger.release(name)
+            if not ledger.over_budget:
+                break
+        process_spill_stats().record_ledger_peak(ledger.peak_bytes)
 
     # ------------------------------------------------------------------
     # teardown

@@ -26,6 +26,7 @@ The budget knob rides :class:`~repro.assembler.config.AssemblyConfig.memory_budg
 ``docs/out_of_core.md``.
 """
 
+from ..errors import CorruptBlobError
 from .atomic import (
     ORPHAN_TMP_AGE_SECONDS,
     atomic_write_bytes,
@@ -42,6 +43,7 @@ __all__ = [
     "atomic_writer",
     "sweep_orphan_tmps",
     "ContentStore",
+    "CorruptBlobError",
     "GCResult",
     "MemoryLedger",
     "budget_mb_to_bytes",

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, List, Optional, Union
 
+from ..errors import CorruptBlobError
 from .atomic import atomic_write_bytes, sweep_orphan_tmps
 
 _KEY_PATTERN = re.compile(r"^[0-9a-f]{64}$")
@@ -89,8 +90,16 @@ class ContentStore:
         return key
 
     def get(self, key: str) -> bytes:
-        """The blob's bytes; raises ``FileNotFoundError`` if absent."""
-        return self.path(key).read_bytes()
+        """The blob's bytes, checked against ``key``.
+
+        Raises ``FileNotFoundError`` if the blob is absent and
+        :class:`~repro.errors.CorruptBlobError` if what is on disk no
+        longer hashes to ``key``.
+        """
+        data = self.path(key).read_bytes()
+        if content_key(data) != key:
+            raise CorruptBlobError(key)
+        return data
 
     def has(self, key: str) -> bool:
         return self.path(key).exists()
@@ -148,13 +157,21 @@ class ContentStore:
         return key
 
     def get_named(self, name: str) -> Optional[bytes]:
-        """The bytes ``name`` points at, or None if unset/dangling."""
+        """The bytes ``name`` points at, or None if unset, dangling or corrupt."""
         key = self.resolve_name(name)
         if key is None:
             return None
         try:
             return self.get(key)
         except OSError:
+            return None
+        except CorruptBlobError:
+            # Drop the damaged file: the caller recomputes and stores the
+            # same content again, and ``put`` skips a blob that exists.
+            try:
+                self.path(key).unlink()
+            except OSError:
+                pass
             return None
 
     def resolve_name(self, name: str) -> Optional[str]:

@@ -1,12 +1,15 @@
-"""Memory accounting: who holds how many live bytes, and who spills next.
+"""Memory accounting: who holds how many live bytes, and when to spill.
 
-:class:`MemoryLedger` is the decision layer of the out-of-core plane.
+:class:`MemoryLedger` is the accounting layer of the out-of-core plane.
 Runtime components register named entries (a worker's partition, a
-staged message batch, a k-mer run) with an estimated byte size; the
-ledger tracks the live total against a budget, remembers the peak, and
-answers the one question the spill machinery asks: *which entries, in
-least-recently-used order, should go to disk to get back under
-budget?*
+delivered inbox, a staged message batch, a k-mer run) with an estimated
+byte size; the ledger tracks the live total against a budget, remembers
+the peak, and says when its owner is over budget.  *Which* entries go
+to disk is the owner's call, because only the owner knows when each is
+needed again: the serial spill plane knows its schedule exactly and
+evicts by next use (:mod:`repro.runtime.spilling`); DBG construction,
+whose sorted runs are not read again before the final merge, walks
+:meth:`MemoryLedger.victims`, oldest registration first.
 
 Sizes come from :func:`estimate_nbytes`, a deterministic heuristic —
 exact for the numpy arrays that dominate the columnar pipeline
@@ -112,8 +115,9 @@ def estimate_nbytes(obj: Any, _depth: int = 0) -> int:
 class MemoryLedger:
     """Tracks live bytes per named entry against an optional budget.
 
-    Entries are kept in access order (:meth:`touch` refreshes), so
-    :meth:`victims` is an LRU walk.  ``budget_bytes=None`` means
+    Entries are kept in the order they were last registered
+    (:meth:`track` refreshes), so :meth:`victims` is an LRU walk.
+    ``budget_bytes=None`` means
     unlimited: the ledger still accounts (the peak gauge is useful on
     its own) but :attr:`over_budget` is always False.
     """
@@ -156,11 +160,6 @@ class MemoryLedger:
             self._peak = self._live
             self._peak_gauge.set(self._peak)
         self._live_gauge.set(self._live)
-
-    def touch(self, name: str) -> None:
-        """Mark an entry recently used (moves it to the MRU end)."""
-        if name in self._entries:
-            self._entries.move_to_end(name)
 
     def release(self, name: str) -> int:
         """Drop an entry (spilled or freed); returns its tracked bytes."""

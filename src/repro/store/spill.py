@@ -199,7 +199,9 @@ class SpillManager:
         ``drop=True`` (the default) releases the blob ref afterwards —
         the object now lives in memory again and may be re-spilled
         later (possibly with different content).  Raises ``KeyError``
-        if ``name`` was never spilled or already dropped.
+        if ``name`` was never spilled or already dropped, and
+        :class:`~repro.errors.CorruptBlobError` — before anything is
+        unpickled — if the spill file was damaged on disk.
         """
         key = self._tickets[name]
         with span("spill:load", entry=name):

@@ -7,6 +7,8 @@ import os
 
 import pytest
 
+from repro import ReproError
+from repro.store import CorruptBlobError
 from repro.store.atomic import ORPHAN_TMP_AGE_SECONDS
 from repro.store.content import ContentStore, content_key
 
@@ -110,3 +112,29 @@ def test_empty_store_gc_and_iteration(store):
     assert list(store.names()) == []
     result = store.gc()
     assert result.blobs_removed == 0 and result.tmp_removed == 0
+
+
+def _flip_one_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def test_get_rejects_a_blob_that_no_longer_matches_its_key(store):
+    key = store.put(b"payload " * 64)
+    _flip_one_byte(store.path(key))
+    with pytest.raises(CorruptBlobError) as caught:
+        store.get(key)
+    assert caught.value.key == key
+    assert isinstance(caught.value, ReproError)
+
+
+def test_corrupt_named_blob_reads_as_a_miss_and_is_healed_by_the_next_put(store):
+    payload = b"cached dataset " * 64
+    key = store.put_named("dataset", payload)
+    _flip_one_byte(store.path(key))
+    # Like a dangling alias: the caller recomputes ...
+    assert store.get_named("dataset") is None
+    # ... and storing the same content again replaces the damaged file.
+    assert store.put_named("dataset", payload) == key
+    assert store.get_named("dataset") == payload

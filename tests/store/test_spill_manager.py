@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import threading
 
+import pytest
+
+from repro.errors import CorruptBlobError
 from repro.store.content import ContentStore
 from repro.store.spill import SpillManager, SpillStats
 
@@ -97,3 +100,16 @@ def test_identical_payloads_share_one_blob(tmp_path):
     assert len(list(store.keys())) == 1
     assert manager.load("inbox-1") == {}
     assert manager.load("inbox-2") == {}
+
+
+def test_a_damaged_spill_file_fails_the_load_instead_of_unpickling_garbage(tmp_path):
+    manager = SpillManager(directory=tmp_path, stats=SpillStats())
+    manager.spill("partition:3", {"vertices": list(range(500))})
+    store = ContentStore(tmp_path)
+    (key,) = store.keys()
+    blob = store.path(key)
+    data = bytearray(blob.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    blob.write_bytes(bytes(data))
+    with pytest.raises(CorruptBlobError):
+        manager.load("partition:3")
