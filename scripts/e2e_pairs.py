@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the end-to-end benchmark.
 
-    python3 scripts/e2e_pairs.py --parent REV --workload W [--pairs 10] [--seconds 20] [--layers]
+    python3 scripts/e2e_pairs.py --parent REV [--workload W]... [--pairs 10] [--seconds 20] [--layers]
 
 A timing claim needs pairs, not two sets an hour apart (see
 ``benchmarks/e2e/README.md``).  This materialises ``REV`` with
@@ -11,11 +11,15 @@ from the working tree (the change) on the same, previously unused seed;
 which side goes first alternates.  It prints every run as it finishes
 and, per end-to-end metric of ``BENCHMARK.json``, each side's median
 and quartiles and how many pairs the change won (ties count for
-neither side).  With ``--layers`` it finishes with one ``--trace 1``
-run per side on the last seed and prints the per-layer rows of
-``BENCHMARK.json`` as a markdown table.  It only reads
-``benchmarks/e2e``; the temporary directory (``TMPDIR`` decides where)
-is removed on exit.
+neither side) — one table per workload, every workload of
+``BENCHMARK.json`` unless ``--workload`` names some.  With ``--layers``
+each workload finishes with one ``--trace 1`` run per side on the last
+seed, printed as a markdown table of the per-layer rows of
+``BENCHMARK.json`` under the ``PROBLEM`` lines the traced runs wrote.
+The exit status is 1 when any run of the change, timed or traced, did
+not end ``"correct": true`` — a share floor tripped by a faster layer
+shows only there.  It only reads ``benchmarks/e2e``; the temporary
+directory (``TMPDIR`` decides where) is removed on exit.
 """
 
 from __future__ import annotations
@@ -50,24 +54,28 @@ def materialise(rev: str, directory: Path) -> None:
 def run_once(
     tree: Path, workload: str, seed: int, seconds: float, trace: int = 0
 ) -> Dict[str, object]:
-    """One ``run.py`` invocation in ``tree``; its closing JSON object."""
+    """One ``run.py`` invocation in ``tree``: its closing JSON object,
+    plus the ``PROBLEM`` lines it wrote to standard error as ``"problems"``."""
     environment = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     process = subprocess.Popen(
         [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, env=environment, stdout=subprocess.PIPE, text=True,
+        cwd=tree, env=environment, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     try:
-        output, _ = process.communicate()
+        output, errors = process.communicate()
     except BaseException:
         # run.py removes its run directory and its children on SIGTERM.
         process.terminate()
         process.wait()
         raise
     lines = output.strip().splitlines()
-    if not lines:
-        raise SystemExit(f"error: run.py printed nothing in {tree} (exit {process.returncode})")
-    return json.loads(lines[-1])
+    if process.returncode != 0 or not lines:
+        sys.stderr.write(errors)
+        raise SystemExit(f"error: run.py exited {process.returncode} in {tree}")
+    report = json.loads(lines[-1])
+    report["problems"] = [line for line in errors.splitlines() if "PROBLEM" in line]
+    return report
 
 
 def quartiles(values: List[float]) -> str:
@@ -77,56 +85,34 @@ def quartiles(values: List[float]) -> str:
     return f"{median(values):.4g} [{low:.4g}, {high:.4g}]"
 
 
-def main() -> int:
-    contract = json.loads((REPO / "BENCHMARK.json").read_text())
-    recorded = json.loads((REPO / "benchmarks/e2e/baseline.json").read_text())["seeds"]
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, metavar="REV")
-    parser.add_argument(
-        "--workload", required=True, choices=[entry["name"] for entry in contract["workloads"]]
-    )
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=contract["run_seconds"])
-    parser.add_argument(
-        "--first-seed", type=int, default=max(recorded) + 1,
-        help="pair i runs on seed FIRST+i (default: just past the seeds baseline.json records)",
-    )
-    parser.add_argument(
-        "--layers", action="store_true",
-        help="finish with one traced run per side on the last seed; print the per-layer table",
-    )
-    args = parser.parse_args()
+def measure_workload(
+    trees: Dict[str, Path], workload: str, args: argparse.Namespace, contract: Dict[str, object]
+) -> bool:
+    """Run the pairs of one workload and print its tables; False when a
+    run of the change, timed or traced, was not correct."""
+    runs: Dict[str, List[Dict[str, object]]] = {side: [] for side in SIDES}
+    seed = args.first_seed
+    for pair in range(args.pairs):
+        seed = args.first_seed + pair
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for side in order:
+            report = run_once(trees[side], workload, seed, args.seconds)
+            runs[side].append(report)
+            values = {name: round(entry["value"], 4) for name, entry in report["metrics"].items()}
+            print(
+                f"{workload} pair {pair} seed {seed} {side:<6} correct={report['correct']} "
+                f"failed={report['failed']}/{report['attempted']} {json.dumps(values)}",
+                flush=True,
+            )
+            for problem in report["problems"]:
+                print(problem, flush=True)
+    traced = {}
+    if args.layers:
+        traced = {
+            side: run_once(trees[side], workload, seed, args.seconds, trace=1) for side in SIDES
+        }
 
-    # A terminated run must still remove its checkout of the parent.
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
-    directory = Path(tempfile.mkdtemp(prefix="e2e-pairs-"))
-    try:
-        materialise(args.parent, directory)
-        trees = {"parent": directory, "change": REPO}
-        runs: Dict[str, List[Dict[str, object]]] = {side: [] for side in SIDES}
-        seed = args.first_seed
-        for pair in range(args.pairs):
-            seed = args.first_seed + pair
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            for side in order:
-                report = run_once(trees[side], args.workload, seed, args.seconds)
-                runs[side].append(report)
-                values = {name: round(entry["value"], 4) for name, entry in report["metrics"].items()}
-                print(
-                    f"pair {pair} seed {seed} {side:<6} correct={report['correct']} "
-                    f"failed={report['failed']}/{report['attempted']} {json.dumps(values)}",
-                    flush=True,
-                )
-        traced = {}
-        if args.layers:
-            traced = {
-                side: run_once(trees[side], args.workload, seed, args.seconds, trace=1)
-                for side in SIDES
-            }
-    finally:
-        shutil.rmtree(directory, ignore_errors=True)
-
-    print(f"\n# {args.workload}: {args.pairs} pairs, parent {args.parent}, {args.seconds:g} s per run")
+    print(f"\n# {workload}: {args.pairs} pairs, parent {args.parent}, {args.seconds:g} s per run")
     for side in SIDES:
         failed = sum(report["failed"] for report in runs[side])
         attempted = sum(report["attempted"] for report in runs[side])
@@ -145,14 +131,59 @@ def main() -> int:
         print(f"{name:<22}{quartiles(parent):<34}{quartiles(change):<34}"
               f"{ratio:<15.4f}{won}/{lost}/{len(parent) - won - lost}")
     if traced:
-        print(f"\n# {args.workload}: per-layer metrics, one traced run per side on seed {seed}")
+        print(f"\n# {workload}: per-layer metrics, one traced run per side on seed {seed}")
         for side in SIDES:
             print(f"# {side}: correct={traced[side]['correct']}")
+            for problem in traced[side]["problems"]:
+                print(f"# {side}: {problem.lstrip('# ')}")
         print("| metric | parent | change | ratio |\n|---|---|---|---|")
         for entry in contract["per_layer"]:
             parent, change = (traced[side]["metrics"][entry["name"]]["value"] for side in SIDES)
             ratio = f"{change / parent:.3f}" if parent else "–"
             print(f"| `{entry['name']}` | {parent:.6g} | {change:.6g} | {ratio} |")
+    print(flush=True)
+    checked = runs["change"] + ([traced["change"]] if traced else [])
+    return all(report["correct"] for report in checked)
+
+
+def main() -> int:
+    contract = json.loads((REPO / "BENCHMARK.json").read_text())
+    recorded = json.loads((REPO / "benchmarks/e2e/baseline.json").read_text())["seeds"]
+    workloads = [entry["name"] for entry in contract["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, metavar="REV")
+    parser.add_argument(
+        "--workload", action="append", choices=workloads,
+        help="may be given more than once (default: every workload, one table each)",
+    )
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=contract["run_seconds"])
+    parser.add_argument(
+        "--first-seed", type=int, default=max(recorded) + 1,
+        help="pair i runs on seed FIRST+i (default: just past the seeds baseline.json records)",
+    )
+    parser.add_argument(
+        "--layers", action="store_true",
+        help="finish each workload with one traced run per side on the last seed; print the "
+        "per-layer table and the traced runs' PROBLEM lines",
+    )
+    args = parser.parse_args()
+
+    # A terminated run must still remove its checkout of the parent.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    directory = Path(tempfile.mkdtemp(prefix="e2e-pairs-"))
+    try:
+        materialise(args.parent, directory)
+        trees = {"parent": directory, "change": REPO}
+        correct = [
+            measure_workload(trees, workload, args, contract)
+            for workload in args.workload or workloads
+        ]
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+    if not all(correct):
+        print("error: a run of the change was not correct (see above)", file=sys.stderr)
+        return 1
     return 0
 
 

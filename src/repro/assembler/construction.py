@@ -30,7 +30,7 @@ from typing import Any, Dict, Iterable, List, Tuple
 
 from ..dbg.bitmap import AdjacencyBitmap
 from ..dbg.graph import DeBruijnGraph
-from ..dbg.kmer_vertex import KmerVertexData
+from ..dbg.kmer_vertex import KmerAdjacency, KmerVertexData
 from ..dna import vectorized
 from ..dna.encoding import canonical_encoded
 from ..dna.io_fastq import Read, read_chunks
@@ -274,28 +274,22 @@ def _mapreduce_metrics(
     return metrics
 
 
-def _build_dbg_vectorized(
-    reads: Iterable[Read],
-    config: AssemblyConfig,
-    chain: StageExecutor,
-) -> ConstructionResult:
-    """Operation ① with both phases as batch kernels.
+def _count_canonical_edges(
+    np, reads: Iterable[Read], config: AssemblyConfig, chain: StageExecutor
+):
+    """Phase (i) of the vectorized path, streamed chunk by chunk.
 
-    Phase (i) is *streaming*: reads arrive in bounded chunks, each
-    chunk is reduced to a sorted run of its distinct canonical edges
-    with their counts, and the runs are merged at the end — under a
-    memory budget the idle runs spill to disk, so peak memory is
-    bounded by the chunk size plus the distinct-edge working set
-    rather than the raw read volume.
+    Returns ``(unique_edges, edge_counts, total_pairs, map_ops,
+    shuffle_counts)``: the distinct canonical (k+1)-mers ascending with
+    their coverage, and what the map side of the phase is charged.  A
+    function of its own so that the last chunk's arrays and the sorted
+    runs are gone before phase (ii) allocates.
     """
-    import numpy as np
-
     k = config.k
     num_workers = chain.num_workers
     partitioner = chain.partitioner
     budget_bytes = config.memory_budget_bytes
 
-    # ---- phase (i): count canonical (k+1)-mers ------------------------
     total_pairs = 0
     read_index = 0
     map_ops = np.zeros(num_workers, dtype=np.int64)
@@ -351,6 +345,84 @@ def _build_dbg_vectorized(
     finally:
         process_spill_stats().record_ledger_peak(ledger.peak_bytes)
         manager.close()
+    return unique_edges, edge_counts, total_pairs, map_ops, shuffle_counts
+
+
+def _vertices_from_slots(np, k: int, slot_keys, slot_positions, slot_coverage):
+    """One k-mer vertex per distinct key of ``slot_keys``, ascending.
+
+    The parallel arrays hold each k-mer's occupied bitmap slots, sorted
+    by (k-mer, slot) with coverage already summed per slot.  Equal to
+    ``KmerVertexData.from_bitmap`` over the same slots, adjacency order
+    included, with neighbours and ports computed for all slots at once.
+    """
+    neighbors, my_ports, neighbor_ports = vectorized.expand_slots(
+        slot_keys, slot_positions, k
+    )
+    # Two slots of one k-mer can name the same (neighbour, ports) —
+    # palindromes and self-loops — and their coverage must be summed.
+    ports = 2 * my_ports + neighbor_ports
+    order = np.lexsort((ports, neighbors, slot_keys))
+    keys, nexts, sides = slot_keys[order], neighbors[order], ports[order]
+    collides = (
+        (keys[1:] == keys[:-1]) & (nexts[1:] == nexts[:-1]) & (sides[1:] == sides[:-1])
+    )
+    collided = set(keys[1:][collides].tolist())
+
+    is_first = np.ones(slot_keys.size, dtype=bool)
+    is_first[1:] = slot_keys[1:] != slot_keys[:-1]
+    bounds = np.flatnonzero(is_first).tolist()
+    bounds.append(int(slot_keys.size))
+    adjacencies = list(
+        map(
+            KmerAdjacency,
+            neighbors.tolist(),
+            my_ports.tolist(),
+            neighbor_ports.tolist(),
+            slot_coverage.tolist(),
+        )
+    )
+    vertices = []
+    for kmer_id, start, end in zip(slot_keys[is_first].tolist(), bounds, bounds[1:]):
+        if kmer_id in collided:
+            vertex = KmerVertexData(kmer_id, k)
+            for adjacency in adjacencies[start:end]:
+                vertex.add_adjacency(
+                    adjacency.neighbor_id,
+                    adjacency.my_port,
+                    adjacency.neighbor_port,
+                    adjacency.coverage,
+                )
+        else:
+            vertex = KmerVertexData(kmer_id, k, adjacencies[start:end])
+        vertices.append(vertex)
+    return vertices
+
+
+def _build_dbg_vectorized(
+    reads: Iterable[Read],
+    config: AssemblyConfig,
+    chain: StageExecutor,
+) -> ConstructionResult:
+    """Operation ① with both phases as batch kernels.
+
+    Phase (i) is *streaming*: reads arrive in bounded chunks, each
+    chunk is reduced to a sorted run of its distinct canonical edges
+    with their counts, and the runs are merged at the end — under a
+    memory budget the idle runs spill to disk, so peak memory is
+    bounded by the chunk size plus the distinct-edge working set
+    rather than the raw read volume.
+    """
+    import numpy as np
+
+    k = config.k
+    num_workers = chain.num_workers
+    partitioner = chain.partitioner
+
+    # ---- phase (i): count canonical (k+1)-mers ------------------------
+    unique_edges, edge_counts, total_pairs, map_ops, shuffle_counts = (
+        _count_canonical_edges(np, reads, config, chain)
+    )
     shuffle_bytes = 8 * shuffle_counts
     unique_destinations = partitioner.worker_for_array(unique_edges)
     survives = edge_counts > config.coverage_threshold
@@ -445,19 +517,12 @@ def _build_dbg_vectorized(
         )
     )
 
-    # Expand each k-mer's slots into a vertex, in the scalar output
-    # order (destination worker, then ascending k-mer ID).
-    key_starts = np.searchsorted(slot_keys, unique_kmers, side="left")
-    key_ends = np.searchsorted(slot_keys, unique_kmers, side="right")
+    # Vertices enter the graph in the scalar output order (destination
+    # worker, then ascending k-mer ID).
+    vertices = _vertices_from_slots(np, k, slot_keys, slot_positions, slot_coverage)
     graph = DeBruijnGraph(k)
-    positions_list = slot_positions.tolist()
-    coverage_list = slot_coverage.tolist()
     for index in np.argsort(kmer_destinations, kind="stable").tolist():
-        start, end = int(key_starts[index]), int(key_ends[index])
-        bitmap = AdjacencyBitmap.from_positions(
-            positions_list[start:end], coverage_list[start:end]
-        )
-        vertex = KmerVertexData.from_bitmap(int(unique_kmers[index]), k, bitmap)
+        vertex = vertices[index]
         graph.kmers[vertex.kmer_id] = vertex
 
     return ConstructionResult(

@@ -123,9 +123,9 @@ class AdjacencyBitmap:
     def from_positions(cls, positions, coverages) -> "AdjacencyBitmap":
         """Build a bitmap from parallel bit-position / coverage sequences.
 
-        ``positions`` must be distinct (pre-aggregated) bit indices;
-        used by the vectorized construction path, whose segment-reduce
-        already summed coverage per position.
+        ``positions`` must be distinct (pre-aggregated) bit indices,
+        as the vectorized construction path's segment-reduce produces
+        them; its parity tests build the oracle's bitmaps with this.
         """
         bitmap = cls()
         bits = 0

@@ -236,3 +236,41 @@ def edge_vertex_fields(edge_ids, k: int):
         "appended_base": (edge_ids & np.uint64(3)).astype(np.int64),
         "prepended_base": ((edge_ids >> np.uint64(2 * k)) & np.uint64(3)).astype(np.int64),
     }
+
+
+def expand_slots(kmer_ids, positions, k: int):
+    """Neighbour and ports of every ``(k-mer, bitmap slot)`` pair.
+
+    Vectorized :func:`~repro.dbg.bitmap.neighbor_kmer_id` plus the port
+    mapping of :meth:`KmerVertexData.from_bitmap
+    <repro.dbg.kmer_vertex.KmerVertexData.from_bitmap>`: ``positions``
+    are bit indices of the Figure 8 bitmap (source label, target label,
+    direction, two base bits, high to low).  Returns ``(neighbor_ids,
+    my_ports, neighbor_ports)`` with ports in the 0 = out / 1 = in
+    coding of :mod:`repro.dbg.polarity`.
+    """
+    _require_numpy()
+    kmer_ids = kmer_ids.astype(np.uint64, copy=False)
+    positions = positions.astype(np.uint64, copy=False)
+    one = np.uint64(1)
+    source_h = (positions >> np.uint64(4)) & one
+    target_h = (positions >> np.uint64(3)) & one
+    outward = ((positions >> np.uint64(2)) & one).astype(bool)
+    base = positions & np.uint64(3)
+    # Our label is the source's on an out-edge, the target's on an in-edge.
+    my_h = np.where(outward, source_h, target_h)
+    neighbor_h = np.where(outward, target_h, source_h)
+
+    observed = np.where(my_h.astype(bool), reverse_complement_ids(kmer_ids, k), kmer_ids)
+    tail_mask = np.uint64((1 << (2 * (k - 1))) - 1)
+    k_mask = np.uint64((1 << (2 * k)) - 1)
+    appended = ((observed & tail_mask) << np.uint64(2)) | base
+    prepended = (base << np.uint64(2 * (k - 1))) | (observed >> np.uint64(2))
+    neighbor_observed = np.where(outward, appended, prepended) & k_mask
+    neighbor_ids = np.where(
+        neighbor_h.astype(bool), reverse_complement_ids(neighbor_observed, k), neighbor_observed
+    )
+    # source_port(label) is the label's H bit, target_port(label) its complement.
+    my_ports = np.where(outward, my_h, my_h ^ one).astype(np.int64)
+    neighbor_ports = np.where(outward, neighbor_h ^ one, neighbor_h).astype(np.int64)
+    return neighbor_ids, my_ports, neighbor_ports

@@ -192,6 +192,12 @@ class Vertex(Generic[ValueT, MessageT]):
         Subclasses must override this.  The default implementation
         raises ``NotImplementedError`` so that forgetting to override
         it fails loudly.
+
+        Automatic cyclic garbage collection is paused while a job runs
+        (see :func:`~repro.runtime.base.collector_paused`): what a
+        ``compute()`` drops is freed at once by reference count, but a
+        reference *cycle* it creates is reclaimed after the job, not
+        during it.
         """
         raise NotImplementedError("Vertex subclasses must implement compute()")
 

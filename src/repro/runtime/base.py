@@ -22,10 +22,13 @@ the CLI) can select one by name without importing its module directly.
 
 from __future__ import annotations
 
+import gc
+import threading
 import time
 from abc import ABC, abstractmethod
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Type, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Type, Union
 
 from ..errors import InvalidJobError, SuperstepLimitExceededError, UnknownBackendError
 from ..pregel.aggregator import Aggregator, AggregatorRegistry
@@ -58,6 +61,48 @@ def ensure_message_plane(name: str) -> str:
             f"unknown message plane {name!r}; choose from {', '.join(MESSAGE_PLANES)}"
         )
     return name
+
+
+# ----------------------------------------------------------------------
+# collector policy
+# ----------------------------------------------------------------------
+# The collector has one switch per process, so the jobs inside
+# :func:`collector_paused` are counted per process: the first one in
+# turns it off, the last one out puts back what the first one found.
+_pause_lock = threading.Lock()
+_pause_depth = 0
+_pause_found_enabled = False
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause CPython's automatic cyclic collection for one Pregel job.
+
+    A message is a young container that survives until the next barrier
+    and is then freed by reference count — the worst case for a
+    generational collector, which promotes every one of them and
+    re-walks all vertex state on each full pass without finding
+    anything to free.  Nothing is collected explicitly, at barriers or
+    at the end: cyclic garbage a vertex program creates is reclaimed by
+    the first automatic pass after the job.
+
+    Nested jobs, concurrent jobs on the service's thread plane, a job
+    that raises and a caller who had the collector off already all end
+    with the state the outermost job found.
+    """
+    global _pause_depth, _pause_found_enabled
+    with _pause_lock:
+        if _pause_depth == 0:
+            _pause_found_enabled = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause_depth -= 1
+            if _pause_depth == 0 and _pause_found_enabled:
+                gc.enable()
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +307,7 @@ class JobSession(ABC):
 
     :meth:`ExecutionBackend.run` constructs the session (which must not
     acquire anything yet), then calls :meth:`launch` and everything
-    after it inside one ``try``/``finally`` that ends in :meth:`close`.
+    after it inside one ``with`` block that ends in :meth:`close`.
     """
 
     @abstractmethod
@@ -376,7 +421,9 @@ class ExecutionBackend(ABC):
         routed_messages = [0] * self.num_workers
         routed_bytes = [0] * self.num_workers
 
-        try:
+        # ``close`` runs on every exit path, and the collector resumes
+        # only once it has returned.
+        with collector_paused(), closing(session):
             session.launch()
             while True:
                 if superstep >= job.max_supersteps:
@@ -442,8 +489,6 @@ class ExecutionBackend(ABC):
             vertices: Dict[int, Vertex] = {}
             for partition in session.collect():
                 vertices.update(partition)
-        finally:
-            session.close()
         return JobResult(
             job_name=job.name,
             vertices=vertices,

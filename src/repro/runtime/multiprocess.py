@@ -41,6 +41,7 @@ without pickling, so jobs may use lambdas and closures.  Under
 from __future__ import annotations
 
 import cProfile
+import gc
 import multiprocessing
 import pickle
 import queue as queue_module
@@ -128,6 +129,11 @@ def _worker_main(
     result_queue,
 ) -> None:
     """Superstep loop of one shared-nothing worker process."""
+    # The master's pause (:func:`~repro.runtime.base.collector_paused`)
+    # reaches a forked child but not a spawned one.  This process lives
+    # for one job, so there is nothing to restore — and the helper's
+    # lock may have been forked while another thread held it.
+    gc.disable()
     worker_id, num_workers = worker.worker_id, plan.num_workers
     arena_writer = None
     arena_reader = None

@@ -10,8 +10,8 @@ against wall-clock time.  Two producers feed it:
   vertices, spill/ledger bytes) and the workflow runner records
   ``stage-start`` / ``stage-end`` pairs;
 * :class:`ResourceSampler` — a daemon thread recording periodic
-  ``sample`` events (resident set size, CPU seconds, thread count) at a
-  fixed low frequency.
+  ``sample`` events (resident set size, CPU seconds, thread count,
+  cyclic-collector passes so far) at a fixed low frequency.
 
 Like the metrics registry, the timeline follows the zero-cost-when-
 disabled contract: :func:`get_timeline` returns a shared inert
@@ -31,6 +31,7 @@ regardless of backend.  :func:`write_timeline` persists it as JSONL
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -207,7 +208,10 @@ class ResourceSampler:
     """Daemon thread appending periodic ``sample`` events to a timeline.
 
     Each sample records ``rss_bytes`` (current resident set),
-    ``peak_rss_bytes``, ``cpu_seconds`` (user+system) and ``threads``.
+    ``peak_rss_bytes``, ``cpu_seconds`` (user+system), ``threads`` and
+    ``gc_collections`` — the cumulative number of cyclic-collector
+    passes of this process, all generations: flat through a Pregel job
+    (the collector is paused there), a staircase elsewhere.
     The default 250 ms interval keeps the series dense enough to plot
     while staying far inside the telemetry plane's <3% overhead budget;
     one final sample is always taken at :meth:`stop` so even sub-interval
@@ -242,6 +246,7 @@ class ResourceSampler:
             peak_rss_bytes=peak_rss_bytes(),
             cpu_seconds=round(process_cpu_seconds(), 6),
             threads=threading.active_count(),
+            gc_collections=sum(stats["collections"] for stats in gc.get_stats()),
         )
 
     def start(self) -> "ResourceSampler":

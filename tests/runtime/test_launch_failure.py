@@ -1,10 +1,11 @@
 """A launch that fails half-way must leave nothing behind.
 
-``ExecutionBackend.run`` wraps launch-to-teardown in one
-``try``/``finally``, so a backend that dies while bringing its workers
-up — the second ``fork`` hitting ``EAGAIN``, a spill failing while the
-serial plane adopts the partitions — still unlinks its shared-memory
-arenas, stops the workers it did start, and closes its spill store.
+``ExecutionBackend.run`` wraps launch-to-teardown in one ``with``
+block that ends in ``close``, so a backend that dies while bringing
+its workers up — the second ``fork`` hitting ``EAGAIN``, a spill
+failing while the serial plane adopts the partitions — still unlinks
+its shared-memory arenas, stops the workers it did start, and closes
+its spill store.
 """
 
 from __future__ import annotations

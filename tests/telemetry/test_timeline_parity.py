@@ -11,6 +11,7 @@ timeline must also carry per-worker samples merged into one recorder.
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from repro.pregel import PregelEngine, PregelJob, Vertex
 from repro.telemetry import (
     NullTimeline,
+    ResourceSampler,
     TimelineRecorder,
     get_timeline,
     read_timeline,
@@ -96,6 +98,38 @@ def test_multiprocess_run_merges_worker_samples():
     assert {"worker-0", "worker-1", "worker-2"} <= sources
     assert all(sample["rss_bytes"] > 0 for sample in samples)
     assert all(sample["pid"] > 0 for sample in samples)
+    # The collector is paused in a worker process: a flat line per worker.
+    for source in ("worker-0", "worker-1", "worker-2"):
+        passes = {s["gc_collections"] for s in samples if s["source"] == source}
+        assert len(passes) == 1
+
+
+_SAMPLER = ResourceSampler(TimelineRecorder(), source="probe")
+
+
+class _SamplingVertex(Vertex):
+    """Allocates containers the collector would count, then samples."""
+
+    def compute(self, messages, ctx):
+        self.value = [[index] for index in range(2000)]
+        _SAMPLER.sample_once()
+        if ctx.superstep == 2:
+            self.vote_to_halt()
+
+
+def test_samples_count_collector_passes_flat_through_a_job():
+    recorder = _SAMPLER.timeline
+    recorder.drain_events()
+    _SAMPLER.sample_once()
+    gc.collect()
+    _SAMPLER.sample_once()
+    PregelEngine(num_workers=2, backend="serial").run(
+        PregelJob(name="sampling", vertices=[_SamplingVertex(i) for i in range(4)])
+    )
+    passes = [event["gc_collections"] for event in recorder.events()]
+    assert len(passes) == 2 + 3 * 4
+    assert passes[1] > passes[0]  # cumulative, every generation counted
+    assert len(set(passes[2:])) == 1  # 24 000 young lists, and not one pass
 
 
 def test_timeline_disabled_records_nothing():
