@@ -55,9 +55,7 @@ from repro.store.spill import process_spill_stats
 
 dataset_name, scale, budget_mb, num_workers = json.loads(sys.argv[1])
 dataset = prepare_dataset(dataset_name, scale=scale)
-config = ppa_config(num_workers=num_workers)
-if budget_mb is not None:
-    config = config.with_memory_budget(budget_mb)
+config = ppa_config(num_workers=num_workers, memory_budget_mb=budget_mb)
 
 before = process_spill_stats().snapshot()
 started = time.perf_counter()

@@ -232,7 +232,6 @@ def test_service_throughput(benchmark):
         scale=bench_scale(1.0),
         k=K,
         burst_size=BURST_SIZE,
-        worker_plane="process",
         cpu_count=os.cpu_count(),
         worker_counts={str(workers): row for workers, row in by_workers.items()},
         worker_kill_recovery=recovery,

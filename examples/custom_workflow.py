@@ -27,6 +27,7 @@ Run with::
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import shutil
 import tempfile
@@ -43,7 +44,7 @@ from repro.dbg.ids import ContigIdAllocator
 from repro.dna import simulate_dataset
 from repro.pregel import CostModel
 from repro.quality import contig_statistics
-from repro.workflow import ConvertStage, Workflow, WorkflowHooks, WorkflowRunner
+from repro.workflow import ConvertStage, Workflow, WorkflowRunner
 
 
 EXAMPLE_SCALE = float(os.environ.get("REPRO_EXAMPLE_SCALE", "1.0"))
@@ -65,7 +66,7 @@ def stage_labeling_comparison(ctx) -> None:
     config = ctx.require("config")
     graph = ctx.require("graph")
     sv_labeling = label_contigs(graph, config, ctx)
-    lr_labeling = label_contigs(graph, config.with_labeling("list_ranking"), ctx)
+    lr_labeling = label_contigs(graph, dataclasses.replace(config, labeling_method="list_ranking"), ctx)
     ctx.state["labeling"] = sv_labeling
     print("\n② labeling comparison on this graph:")
     print(f"   simplified S-V : {sv_labeling.num_supersteps:3d} supersteps, "
@@ -147,15 +148,15 @@ def main() -> None:
     checkpoint_dir = tempfile.mkdtemp(prefix="repro-custom-workflow-")
 
     # ── first attempt: checkpoint every stage, "crash" after stage 4 ──
-    def crash_after_bubbles(stage, index, total, seconds):
-        if stage.name == "bubbles-strict":
-            raise SimulatedCrash(stage.name)
+    def crash_after_bubbles(event):
+        if event.kind == "stage-end" and event.stage.name == "bubbles-strict":
+            raise SimulatedCrash(event.stage.name)
 
     try:
         WorkflowRunner(
             num_workers=config.num_workers,
             checkpoint_dir=checkpoint_dir,
-            hooks=WorkflowHooks(on_stage_end=crash_after_bubbles),
+            subscriber=crash_after_bubbles,
         ).run(workflow, state=state)
         raise AssertionError("the simulated crash did not fire")
     except SimulatedCrash as crash:
@@ -163,15 +164,17 @@ def main() -> None:
               f"(checkpoints in {checkpoint_dir})")
 
     # ── second attempt: resume skips everything already computed ──────
-    resume_hooks = WorkflowHooks(
-        on_stage_skipped=lambda stage, index, total: print(
-            f"   resume skips completed stage {index + 1}/{total} {stage.name}"
-        )
-    )
+    def report_skips(event):
+        if event.kind == "stage-skipped":
+            print(
+                f"   resume skips completed stage "
+                f"{event.index + 1}/{event.total} {event.stage.name}"
+            )
+
     ctx = WorkflowRunner(
         num_workers=config.num_workers,
         checkpoint_dir=checkpoint_dir,
-        hooks=resume_hooks,
+        subscriber=report_skips,
     ).resume(workflow, state=state)
     shutil.rmtree(checkpoint_dir, ignore_errors=True)
 

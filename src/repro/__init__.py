@@ -7,7 +7,7 @@ Pregel" (ICDE 2018).  The package is organised by subsystem:
   combiners, mini-MapReduce, in-memory job chaining, cost model);
 * :mod:`repro.workflow` — declarative workflow graphs: typed stage
   descriptors composed into named DAGs, executed on any backend with
-  metering, lifecycle hooks and checkpoint/resume;
+  metering, lifecycle events and checkpoint/resume;
 * :mod:`repro.runtime` — pluggable execution backends for the
   superstep loop (serial simulation | real multiprocess workers);
 * :mod:`repro.ppa` — the Practical Pregel Algorithms used as building
@@ -47,7 +47,7 @@ from .assembler import (
     build_assembly_workflow,
 )
 from .errors import ReproError
-from .workflow import Workflow, WorkflowHooks, WorkflowRunner
+from .workflow import Workflow, WorkflowEvent, WorkflowRunner
 
 __version__ = "1.9.0"
 
@@ -60,7 +60,7 @@ __all__ = [
     "build_assembly_workflow",
     "ReproError",
     "Workflow",
-    "WorkflowHooks",
+    "WorkflowEvent",
     "WorkflowRunner",
     "__version__",
 ]

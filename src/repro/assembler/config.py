@@ -15,10 +15,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..dna.encoding import MAX_K
-from ..errors import PipelineConfigError, UnknownBackendError
-from ..pregel.partitioner import ensure_partitioner
-from ..runtime import ensure_backend
-from ..runtime.base import ensure_message_plane
+from ..errors import PipelineConfigError, PregelError
+from ..runtime import RuntimeOptions
 
 #: Contig-labeling method names.
 LABELING_LIST_RANKING = "list_ranking"
@@ -152,8 +150,6 @@ class AssemblyConfig:
             raise PipelineConfigError(
                 f"error_correction_rounds must be non-negative, got {self.error_correction_rounds}"
             )
-        if self.num_workers < 1:
-            raise PipelineConfigError(f"num_workers must be positive, got {self.num_workers}")
         if self.scaffold_min_links < 1:
             raise PipelineConfigError(
                 f"scaffold_min_links must be at least 1, got {self.scaffold_min_links}"
@@ -162,19 +158,28 @@ class AssemblyConfig:
             raise PipelineConfigError(
                 f"scaffold_insert_size must be positive, got {self.scaffold_insert_size}"
             )
-        if self.memory_budget_mb is not None and self.memory_budget_mb <= 0:
-            raise PipelineConfigError(
-                f"memory_budget_mb must be positive, got {self.memory_budget_mb}"
-            )
         try:
-            ensure_backend(self.backend)
-        except UnknownBackendError as exc:
+            self.runtime
+        except (PregelError, ValueError) as exc:
             raise PipelineConfigError(str(exc)) from None
-        try:
-            ensure_message_plane(self.message_plane)
-            ensure_partitioner(self.partitioner)
-        except ValueError as exc:
-            raise PipelineConfigError(str(exc)) from None
+
+    @property
+    def runtime(self) -> RuntimeOptions:
+        """The Pregel-runtime knobs of this config as one validated value.
+
+        This is the only place the flat fields become runtime options;
+        :class:`~repro.assembler.pipeline.PPAAssembler` hands the result
+        to its :class:`~repro.workflow.WorkflowRunner` and nothing
+        downstream names a field.
+        """
+        return RuntimeOptions(
+            num_workers=self.num_workers,
+            backend=self.backend,
+            columnar_messages=self.use_vectorized,
+            partitioner=self.partitioner,
+            message_plane=self.message_plane,
+            memory_budget_mb=self.memory_budget_mb,
+        )
 
     def paper_defaults(self) -> "AssemblyConfig":
         """The exact parameter values used in the paper's experiments."""
@@ -184,43 +189,6 @@ class AssemblyConfig:
             bubble_edit_distance=5,
             tip_length_threshold=80,
         )
-
-    def with_workers(self, num_workers: int) -> "AssemblyConfig":
-        """Copy of this config with a different simulated worker count."""
-        return replace(self, num_workers=num_workers)
-
-    def with_labeling(self, labeling_method: str) -> "AssemblyConfig":
-        """Copy of this config with a different contig-labeling method."""
-        return replace(self, labeling_method=labeling_method)
-
-    def with_backend(self, backend: str) -> "AssemblyConfig":
-        """Copy of this config with a different execution backend."""
-        return replace(self, backend=backend)
-
-    def with_message_plane(self, message_plane: str) -> "AssemblyConfig":
-        """Copy of this config with a different multiprocess data plane."""
-        return replace(self, message_plane=message_plane)
-
-    def with_partitioner(self, partitioner: str) -> "AssemblyConfig":
-        """Copy of this config with a different vertex partitioner."""
-        return replace(self, partitioner=partitioner)
-
-    def with_vectorized(self, use_vectorized: bool) -> "AssemblyConfig":
-        """Copy of this config toggling the NumPy batch kernels."""
-        return replace(self, use_vectorized=use_vectorized)
-
-    def with_memory_budget(
-        self, memory_budget_mb: Optional[float]
-    ) -> "AssemblyConfig":
-        """Copy of this config with a different memory budget (MB)."""
-        return replace(self, memory_budget_mb=memory_budget_mb)
-
-    @property
-    def memory_budget_bytes(self) -> Optional[int]:
-        """The budget in bytes, or None when unlimited."""
-        if self.memory_budget_mb is None:
-            return None
-        return int(self.memory_budget_mb * 1024 * 1024)
 
     def with_scaffolding(
         self,

@@ -288,7 +288,7 @@ def _count_canonical_edges(
     k = config.k
     num_workers = chain.num_workers
     partitioner = chain.partitioner
-    budget_bytes = config.memory_budget_bytes
+    budget_bytes = config.runtime.memory_budget_bytes
 
     total_pairs = 0
     read_index = 0

@@ -37,7 +37,6 @@ from ..dna.encoding import flip_id, is_flipped, unflip_id
 from ..pregel import (
     ComputeContext,
     JobMetrics,
-    PregelEngine,
     PregelJob,
     Vertex,
     sum_aggregator,
@@ -339,8 +338,7 @@ def _run_sv_labeling(
     graph_input = _chain_graph_input(chain, restrict_to)
     if not graph_input.adjacency:
         return {}
-    engine = PregelEngine(num_workers=job_chain.num_workers)
-    result = run_simplified_sv(graph_input, engine=engine)
+    result = run_simplified_sv(graph_input, engine=job_chain.engine)
     result.metrics.job_name = f"contig-labeling/simplified-sv{job_suffix}"
     job_chain.pipeline_metrics.add(result.metrics)
     return components_from_result(result)

@@ -9,7 +9,7 @@ workflow as a :class:`~repro.workflow.Workflow` — the five operations
 as named stages, with paired-end scaffolding as a conditional branch —
 and :class:`PPAAssembler` executes it through a
 :class:`~repro.workflow.WorkflowRunner`, which is where backend
-selection, progress hooks, and checkpoint/resume come from.  The
+selection, progress events, and checkpoint/resume come from.  The
 individual operations remain available as functions for users who want
 to compose their own strategy (the toolkit spirit of the paper).
 """
@@ -22,7 +22,7 @@ from typing import Iterable, List, Optional
 from ..dbg.ids import ContigIdAllocator
 from ..dna.io_fastq import Read, ReadPair, reads_from_pairs
 from ..scaffold.scaffolder import scaffold_contigs
-from ..workflow import BranchStage, ConvertStage, Workflow, WorkflowHooks, WorkflowRunner
+from ..workflow import BranchStage, ConvertStage, EventSubscriber, Workflow, WorkflowRunner
 from .bubble import filter_bubbles
 from .config import AssemblyConfig
 from .construction import build_dbg
@@ -244,18 +244,11 @@ class PPAAssembler:
     def runner(
         self,
         checkpoint_dir=None,
-        hooks: Optional[WorkflowHooks] = None,
+        subscriber: Optional[EventSubscriber] = None,
     ) -> WorkflowRunner:
         """A runner configured the way this assembler executes workflows."""
         return WorkflowRunner(
-            num_workers=self.config.num_workers,
-            backend=self.config.backend,
-            columnar_messages=self.config.use_vectorized,
-            partitioner=self.config.partitioner,
-            message_plane=self.config.message_plane,
-            memory_budget_mb=self.config.memory_budget_mb,
-            checkpoint_dir=checkpoint_dir,
-            hooks=hooks,
+            self.config.runtime, checkpoint_dir=checkpoint_dir, subscriber=subscriber
         )
 
     def assemble(
@@ -264,7 +257,7 @@ class PPAAssembler:
         pairs: Optional[List[ReadPair]] = None,
         checkpoint_dir=None,
         resume: bool = False,
-        hooks: Optional[WorkflowHooks] = None,
+        subscriber: Optional[EventSubscriber] = None,
     ) -> AssemblyResult:
         """Assemble ``reads`` into contigs using workflow ①②③④⑤(⑥②③)*.
 
@@ -275,10 +268,11 @@ class PPAAssembler:
         ``checkpoint_dir`` persists the workflow state after every
         stage; ``resume=True`` then continues a previous run from its
         last completed stage (bit-identically), or starts fresh when no
-        checkpoint exists yet.
+        checkpoint exists yet.  ``subscriber`` receives the run's
+        workflow events.
         """
         workflow = build_assembly_workflow(self.config)
-        runner = self.runner(checkpoint_dir=checkpoint_dir, hooks=hooks)
+        runner = self.runner(checkpoint_dir=checkpoint_dir, subscriber=subscriber)
         state = {
             "config": self.config,
             # Construction consumes the reads chunk by chunk.  Only a
@@ -295,7 +289,7 @@ class PPAAssembler:
         pairs: Iterable[ReadPair],
         checkpoint_dir=None,
         resume: bool = False,
-        hooks: Optional[WorkflowHooks] = None,
+        subscriber: Optional[EventSubscriber] = None,
     ) -> AssemblyResult:
         """Assemble a paired-end library.
 
@@ -310,7 +304,7 @@ class PPAAssembler:
             pairs=pair_list,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
-            hooks=hooks,
+            subscriber=subscriber,
         )
 
 

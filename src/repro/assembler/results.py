@@ -120,8 +120,8 @@ class AssemblyResult:
         flag and the job service's result endpoint: contig (and, when
         scaffolding ran, scaffold) contiguity statistics, the per-stage
         summaries, measured per-stage wall-clock seconds when the caller
-        collected them via :class:`~repro.workflow.WorkflowHooks`, and
-        the cost model's simulated cluster seconds.  ``*_ng50`` fields
+        collected them from the runner's ``stage-end`` events, and the
+        cost model's simulated cluster seconds.  ``*_ng50`` fields
         appear only when the reference length is known.
         """
         from dataclasses import asdict

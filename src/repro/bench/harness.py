@@ -209,36 +209,29 @@ def prepare_dataset(name: str, scale: Optional[float] = None) -> PreparedDataset
     return _prepare_cached(name, bench_scale() if scale is None else scale)
 
 
-def ppa_config(
-    num_workers: int = 16,
-    labeling_method: str = "list_ranking",
-    backend: str = "serial",
-    message_plane: str = "shm",
-    partitioner: str = "hash",
-) -> AssemblyConfig:
-    """The PPA-assembler configuration used by every benchmark."""
+def ppa_config(num_workers: int = 16, **config_overrides) -> AssemblyConfig:
+    """The PPA-assembler configuration used by every benchmark.
+
+    ``config_overrides`` are the other :class:`AssemblyConfig` fields
+    (backend, labeling method, message plane, partitioner, memory
+    budget, …).
+    """
     return AssemblyConfig(
         k=BENCH_K,
         coverage_threshold=1,
         tip_length_threshold=80,
         bubble_edit_distance=5,
-        labeling_method=labeling_method,
         num_workers=num_workers,
-        backend=backend,
-        message_plane=message_plane,
-        partitioner=partitioner,
+        **config_overrides,
     )
 
 
 def run_ppa(
     dataset: PreparedDataset,
     num_workers: int = 16,
-    labeling_method: str = "list_ranking",
-    backend: str = "serial",
     checkpoint_dir=None,
     resume: bool = False,
-    message_plane: str = "shm",
-    partitioner: str = "hash",
+    **config_overrides,
 ) -> AssemblyResult:
     """Run PPA-assembler over a prepared dataset.
 
@@ -247,23 +240,17 @@ def run_ppa(
     returned result's :class:`~repro.pregel.metrics.PipelineMetrics`
     prices the whole workflow for the cost model exactly as before.
     ``checkpoint_dir``/``resume`` let long benchmark runs at large
-    scales survive interruption (checkpoints are per-stage pickles).
+    scales survive interruption (checkpoints are per-stage pickles);
+    ``config_overrides`` go to :func:`ppa_config`.
     """
-    config = ppa_config(
-        num_workers, labeling_method, backend, message_plane, partitioner
-    )
+    config = ppa_config(num_workers, **config_overrides)
     return PPAAssembler(config).assemble(
         dataset.reads, checkpoint_dir=checkpoint_dir, resume=resume
     )
 
 
 def run_ppa_timed(
-    dataset: PreparedDataset,
-    num_workers: int = 16,
-    labeling_method: str = "list_ranking",
-    backend: str = "serial",
-    message_plane: str = "shm",
-    partitioner: str = "hash",
+    dataset: PreparedDataset, num_workers: int = 16, **config_overrides
 ) -> Tuple[AssemblyResult, float]:
     """Run PPA-assembler and measure real wall-clock seconds.
 
@@ -274,14 +261,7 @@ def run_ppa_timed(
     (``benchmarks/bench_backend_speedup.py``).
     """
     started = time.perf_counter()
-    result = run_ppa(
-        dataset,
-        num_workers,
-        labeling_method,
-        backend,
-        message_plane=message_plane,
-        partitioner=partitioner,
-    )
+    result = run_ppa(dataset, num_workers, **config_overrides)
     return result, time.perf_counter() - started
 
 

@@ -53,7 +53,7 @@ from .quality.stats import n50_value
 from .pregel.partitioner import PARTITIONER_NAMES
 from .runtime import available_backends
 from .runtime.base import MESSAGE_PLANES
-from .workflow import WorkflowHooks
+from .workflow import WorkflowEvent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,32 +371,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
 
     stage_seconds: Dict[str, float] = {}
-    hooks = None
     verbose_checkpoints = not args.quiet and args.checkpoint_dir
-    if verbose_checkpoints or args.metrics_json:
-        hooks = WorkflowHooks(
-            on_stage_end=lambda stage, index, total, seconds: stage_seconds.update(
-                {stage.name: stage_seconds.get(stage.name, 0.0) + seconds}
-            ),
-            on_stage_skipped=(
-                (
-                    lambda stage, index, total: print(
-                        f"  resume: skipping completed stage {index + 1}/{total} {stage.name}"
-                    )
-                )
-                if verbose_checkpoints
-                else None
-            ),
-            on_checkpoint=(
-                (
-                    lambda stage, path: print(
-                        f"  checkpointed {stage.name} -> {path}"
-                    )
-                )
-                if verbose_checkpoints
-                else None
-            ),
-        )
+
+    def on_event(event: WorkflowEvent) -> None:
+        stage = event.stage
+        if event.kind == "stage-end":
+            stage_seconds[stage.name] = stage_seconds.get(stage.name, 0.0) + event.seconds
+        elif verbose_checkpoints and event.kind == "stage-skipped":
+            print(
+                f"  resume: skipping completed stage "
+                f"{event.index + 1}/{event.total} {stage.name}"
+            )
+        elif verbose_checkpoints and event.kind == "checkpoint":
+            print(f"  checkpointed {stage.name} -> {event.path}")
 
     # --trace-out installs a real tracer for the run and opens a root
     # span; the tree is written even when the assembly fails, so an
@@ -435,7 +422,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         profiler = ProfileCollector()
         trace_stack.enter_context(use_profiler(profiler))
 
-    from .store.spill import process_spill_stats
+    from .store.spill import memory_payload, process_spill_stats
 
     spill_before = process_spill_stats().snapshot()
     started = time.perf_counter()
@@ -445,7 +432,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             pairs=pairs,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
-            hooks=hooks,
+            subscriber=on_event,
         )
     except ReproError as exc:
         print(f"repro-assemble: assembly failed: {exc}", file=sys.stderr)
@@ -509,18 +496,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             wall_seconds=wall_seconds,
             reference_length=reference_length,
         )
-        from .telemetry import peak_rss_bytes
-
-        spill = process_spill_stats().delta_since(spill_before)
-        payload["memory"] = {
-            "memory_budget_mb": config.memory_budget_mb,
-            "spill_events_total": spill["spill_events"],
-            "spill_bytes_total": spill["spill_bytes"],
-            "load_events_total": spill["load_events"],
-            "load_bytes_total": spill["load_bytes"],
-            "ledger_peak_bytes": spill["ledger_peak_bytes"],
-            "peak_rss_bytes": peak_rss_bytes(),
-        }
+        payload["memory"] = memory_payload(config.memory_budget_mb, spill_before)
         if profiler is not None:
             payload["profile"] = profiler.payload()
         with open(args.metrics_json, "w") as handle:

@@ -31,23 +31,19 @@ parallel hardware or inside the calling process with exact counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence
 
-from ..errors import InvalidJobError
 from .aggregator import Aggregator
 from .message import Combiner
 from .metrics import JobMetrics
 from .vertex import Vertex, VertexFactory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..runtime.base import ExecutionBackend
+    from ..runtime.base import ExecutionBackend, RuntimeOptions
 
 #: Safety net: PPAs run in O(log n) supersteps, so any job that needs
 #: more than this many supersteps is considered buggy.
 DEFAULT_MAX_SUPERSTEPS = 10_000
-
-#: Backend used when the caller does not pick one explicitly.
-DEFAULT_BACKEND = "serial"
 
 
 @dataclass
@@ -108,45 +104,23 @@ class JobResult:
 
 
 class PregelEngine:
-    """Runs Pregel jobs on ``num_workers`` workers via an execution backend.
+    """Runs Pregel jobs on an execution backend.
 
-    ``backend`` may be a registered backend name (``"serial"``,
-    ``"multiprocess"``) or an already-constructed
+    Takes :class:`~repro.runtime.base.RuntimeOptions` and/or its fields
+    as keywords (``PregelEngine(num_workers=16, backend="multiprocess")``).
+    ``backend`` may also be an already-constructed
     :class:`~repro.runtime.base.ExecutionBackend` instance, in which
-    case its worker count takes precedence.
+    case that instance's options are the engine's.
     """
 
-    def __init__(
-        self,
-        num_workers: int = 4,
-        backend: Union[str, "ExecutionBackend"] = DEFAULT_BACKEND,
-        columnar_messages: Optional[bool] = None,
-        partitioner: Optional[str] = None,
-        message_plane: Optional[str] = None,
-        memory_budget_mb: Optional[float] = None,
-    ) -> None:
-        if num_workers <= 0:
-            raise InvalidJobError(f"num_workers must be positive, got {num_workers}")
+    def __init__(self, options: Optional["RuntimeOptions"] = None, **overrides: Any) -> None:
         # Deferred import: repro.runtime imports this module for the
         # PregelJob/JobResult dataclasses.
         from ..runtime import create_backend
 
-        # None keeps each backend's own default ("hash" partitioning,
-        # "shm" message plane); explicit names are forwarded so config
-        # layers can pin a strategy by string.
-        backend_kwargs = {}
-        if partitioner is not None:
-            backend_kwargs["partitioner"] = partitioner
-        if message_plane is not None:
-            backend_kwargs["message_plane"] = message_plane
-        if memory_budget_mb is not None:
-            backend_kwargs["memory_budget_mb"] = memory_budget_mb
-        self._backend = create_backend(backend, num_workers=num_workers, **backend_kwargs)
-        if columnar_messages is not None:
-            # None keeps the backend's own setting (columnar by default);
-            # an explicit flag — e.g. AssemblyConfig.use_vectorized —
-            # overrides it for every job this engine runs.
-            self._backend.columnar_messages = bool(columnar_messages)
+        self._backend = create_backend(options, **overrides)
+        #: The runtime options every job of this engine runs under.
+        self.options: "RuntimeOptions" = self._backend.options
         self.num_workers = self._backend.num_workers
         self.partitioner = self._backend.partitioner
 
@@ -179,10 +153,6 @@ class PregelEngine:
             return result
 
 
-def run_single_job(
-    job: PregelJob,
-    num_workers: int = 4,
-    backend: str = DEFAULT_BACKEND,
-) -> JobResult:
+def run_single_job(job: PregelJob, **options: Any) -> JobResult:
     """One-shot helper: create an engine, run ``job``, return the result."""
-    return PregelEngine(num_workers=num_workers, backend=backend).run(job)
+    return PregelEngine(**options).run(job)

@@ -20,6 +20,7 @@ wall-clock parallelism on multi-core hosts.
 
 from .base import (
     ExecutionBackend,
+    RuntimeOptions,
     available_backends,
     create_backend,
     ensure_backend,
@@ -31,6 +32,7 @@ from .serial import SerialBackend
 __all__ = [
     "ExecutionBackend",
     "MultiprocessBackend",
+    "RuntimeOptions",
     "SerialBackend",
     "available_backends",
     "create_backend",

@@ -27,8 +27,8 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from contextlib import closing, contextmanager
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Type, Union
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
 from ..errors import InvalidJobError, SuperstepLimitExceededError, UnknownBackendError
 from ..pregel.aggregator import Aggregator, AggregatorRegistry
@@ -38,6 +38,7 @@ from ..pregel.metrics import JobMetrics, SuperstepMetrics
 from ..pregel.partitioner import ensure_partitioner, make_partitioner
 from ..pregel.vertex import Vertex, VertexFactory, _estimate_size
 from ..pregel.worker import Worker
+from ..store.ledger import budget_mb_to_bytes
 from ..telemetry import (
     TraceContext,
     get_registry,
@@ -49,18 +50,70 @@ from ..telemetry import (
 
 #: Message-plane names accepted by the multiprocess backend ("shm"
 #: falls back to "queue" when shared memory is unusable; the serial
-#: backend has no process boundary, so the flag is accepted for config
-#: uniformity and has no effect there).
+#: backend has no process boundary, so the flag has no effect there).
 MESSAGE_PLANES = ("shm", "queue")
 
 
-def ensure_message_plane(name: str) -> str:
-    """Validate a message-plane name (shared by every config layer)."""
-    if name not in MESSAGE_PLANES:
-        raise ValueError(
-            f"unknown message plane {name!r}; choose from {', '.join(MESSAGE_PLANES)}"
-        )
-    return name
+@dataclass(frozen=True)
+class RuntimeOptions:
+    """Every knob of the Pregel runtime, validated once, here.
+
+    One value of this class travels unchanged from whoever configures a
+    run (:attr:`AssemblyConfig.runtime
+    <repro.assembler.config.AssemblyConfig.runtime>`, a test, a
+    benchmark) through ``WorkflowRunner``, ``StageExecutor``,
+    ``PregelEngine`` and :func:`create_backend` to the
+    :class:`ExecutionBackend` and the :class:`WorkerPlan` of each job.
+    Those constructors all take ``(options=None, **overrides)`` and
+    resolve them with :func:`dataclasses.replace`, so none of them names
+    a knob: a new one is a field here plus whatever reads it.
+
+    Attributes
+    ----------
+    num_workers:
+        Pregel workers (simulated slots on ``"serial"``, processes on
+        ``"multiprocess"``).
+    backend:
+        Name of a registered :class:`ExecutionBackend`.
+    columnar_messages:
+        Whether qualifying integer-message jobs use the columnar batch
+        path of :mod:`repro.pregel.message` (bit-identical results; off
+        pins the scalar reference path).
+    partitioner:
+        Vertex-to-worker strategy, one of
+        :data:`~repro.pregel.partitioner.PARTITIONER_NAMES`.
+    message_plane:
+        Multiprocess superstep exchange, one of :data:`MESSAGE_PLANES`.
+    memory_budget_mb:
+        Soft cap on live megabytes; ``None`` disables the spill plane.
+    """
+
+    num_workers: int = 4
+    backend: str = "serial"
+    columnar_messages: bool = True
+    partitioner: str = "hash"
+    message_plane: str = "shm"
+    memory_budget_mb: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.num_workers <= 0:
+            raise InvalidJobError(f"num_workers must be positive, got {self.num_workers}")
+        ensure_backend(self.backend)
+        ensure_partitioner(self.partitioner)
+        if self.message_plane not in MESSAGE_PLANES:
+            raise ValueError(
+                f"unknown message plane {self.message_plane!r}; "
+                f"choose from {', '.join(MESSAGE_PLANES)}"
+            )
+        if self.memory_budget_mb is not None and self.memory_budget_mb <= 0:
+            raise InvalidJobError(
+                f"memory_budget_mb must be positive, got {self.memory_budget_mb}"
+            )
+
+    @property
+    def memory_budget_bytes(self) -> Optional[int]:
+        """The budget in bytes, or None when unlimited."""
+        return budget_mb_to_bytes(self.memory_budget_mb)
 
 
 # ----------------------------------------------------------------------
@@ -86,7 +139,7 @@ def collector_paused() -> Iterator[None]:
     at the end: cyclic garbage a vertex program creates is reclaimed by
     the first automatic pass after the job.
 
-    Nested jobs, concurrent jobs on the service's thread plane, a job
+    Nested jobs, concurrent jobs on sibling threads, a job
     that raises and a caller who had the collector off already all end
     with the state the outermost job found.
     """
@@ -221,14 +274,18 @@ class WorkerPlan:
     """What every worker knows about its job, fixed for the whole run."""
 
     job_name: str
-    num_workers: int
+    options: RuntimeOptions
     num_vertices: int
+    #: ``options.partitioner`` calibrated to this job's vertex IDs.
     partitioner: Any
     combiner: Optional[Combiner]
     vertex_factory: Optional[VertexFactory]
     #: Empty aggregators, copied afresh by each worker every superstep.
     aggregators: Dict[str, Aggregator]
-    columnar: bool
+
+    @property
+    def num_workers(self) -> int:
+        return self.options.num_workers
 
 
 #: One worker's end-of-superstep report: ``(counters, aggregator
@@ -279,7 +336,7 @@ def run_worker_superstep(
     )
     worker_messages.inc(counters["messages_sent"])
     batches, routed_messages, routed_bytes = route_outbox(
-        outbox, sizes, plan.partitioner, plan.combiner, plan.columnar
+        outbox, sizes, plan.partitioner, plan.combiner, plan.options.columnar_messages
     )
     counters["routed_messages"] = routed_messages
     counters["routed_bytes"] = routed_bytes
@@ -348,35 +405,14 @@ class ExecutionBackend(ABC):
     #: Registry key; subclasses override and register via :func:`register_backend`.
     name: str = "abstract"
 
-    #: Whether qualifying integer-message jobs use the columnar batch
-    #: path of :mod:`repro.pregel.message` (bit-identical results; the
-    #: flag exists so parity tests can pin the scalar reference path).
-    columnar_messages: bool = True
-
     def __init__(
-        self,
-        num_workers: int = 4,
-        columnar_messages: bool = True,
-        partitioner: str = "hash",
-        message_plane: str = "shm",
-        memory_budget_mb: "Union[int, float, None]" = None,
+        self, options: Optional[RuntimeOptions] = None, **overrides: Any
     ) -> None:
-        if num_workers <= 0:
-            raise InvalidJobError(f"num_workers must be positive, got {num_workers}")
-        if memory_budget_mb is not None and memory_budget_mb <= 0:
-            raise InvalidJobError(
-                f"memory_budget_mb must be positive, got {memory_budget_mb}"
-            )
-        self.num_workers = num_workers
-        self.columnar_messages = bool(columnar_messages)
-        self.partitioner_name = ensure_partitioner(partitioner)
-        self.message_plane = ensure_message_plane(message_plane)
-        self.partitioner = make_partitioner(partitioner, num_workers)
-        self.memory_budget_mb = memory_budget_mb
-        #: Soft cap on live bytes; None disables the spill plane entirely.
-        self.memory_budget_bytes = (
-            None if memory_budget_mb is None else int(memory_budget_mb * 1024 * 1024)
+        self.options = replace(
+            options or RuntimeOptions(), **{**overrides, "backend": self.name}
         )
+        self.num_workers = self.options.num_workers
+        self.partitioner = make_partitioner(self.options.partitioner, self.num_workers)
 
     @abstractmethod
     def _session(self, plan: WorkerPlan, workers: List[Worker]) -> JobSession:
@@ -400,13 +436,12 @@ class ExecutionBackend(ABC):
             registry.register(aggregator)
         plan = WorkerPlan(
             job_name=job.name,
-            num_workers=self.num_workers,
+            options=self.options,
             num_vertices=num_vertices,
             partitioner=partitioner,
             combiner=job.combiner,
             vertex_factory=job.vertex_factory,
             aggregators=registry.current_copies(),
-            columnar=self.columnar_messages,
         )
         metrics = JobMetrics(job_name=job.name, num_workers=self.num_workers)
         aggregate_history: List[Dict[str, Any]] = []
@@ -555,19 +590,16 @@ def ensure_backend(name: str) -> str:
 
 
 def create_backend(
-    backend: Union[str, ExecutionBackend],
-    num_workers: int = 4,
-    **kwargs: object,
+    options: Optional[RuntimeOptions] = None, **overrides: Any
 ) -> ExecutionBackend:
-    """Instantiate a backend by name (or pass an instance through).
+    """Instantiate the backend ``options`` (with ``overrides``) names.
 
-    ``kwargs`` are forwarded to the backend constructor (e.g.
-    ``start_method`` for the multiprocess backend).
+    An :class:`ExecutionBackend` instance given as ``backend=`` passes
+    through unchanged — how a caller supplies one built with arguments
+    of its own (``MultiprocessBackend(start_method="spawn")``).
     """
+    backend = overrides.get("backend")
     if isinstance(backend, ExecutionBackend):
         return backend
-    try:
-        backend_class = _REGISTRY[backend]
-    except KeyError:
-        raise UnknownBackendError(str(backend), available_backends()) from None
-    return backend_class(num_workers=num_workers, **kwargs)
+    options = replace(options or RuntimeOptions(), **overrides)
+    return _REGISTRY[options.backend](options)

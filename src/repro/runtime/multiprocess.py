@@ -69,6 +69,7 @@ from . import shm as shm_plane
 from .base import (
     ExecutionBackend,
     JobSession,
+    RuntimeOptions,
     WorkerPlan,
     WorkerReport,
     register_backend,
@@ -122,7 +123,6 @@ def _worker_main(
     metrics_enabled: bool,
     timeline_enabled: bool,
     profile_enabled: bool,
-    budget_bytes: Optional[int],
     command_queue,
     data_queues,
     control_queue,
@@ -135,6 +135,7 @@ def _worker_main(
     # lock may have been forked while another thread held it.
     gc.disable()
     worker_id, num_workers = worker.worker_id, plan.num_workers
+    budget_bytes = plan.options.memory_budget_bytes
     arena_writer = None
     arena_reader = None
     spiller = None
@@ -327,8 +328,8 @@ class _MultiprocessSession(JobSession):
         # anything else degrades to the pickled queue plane, which is
         # bit-identical, just slower.
         if (
-            backend.message_plane == "shm"
-            and plan.columnar
+            plan.options.message_plane == "shm"
+            and plan.options.columnar_messages
             and shm_plane.shm_plane_usable()
         ):
             pool = shm_plane.ArenaPool(plan.num_workers, backend.shm_arena_bytes)
@@ -348,7 +349,6 @@ class _MultiprocessSession(JobSession):
                     get_registry().enabled,
                     get_timeline().enabled,
                     get_profiler().enabled,
-                    backend.memory_budget_bytes,
                     self._command_queues[worker.worker_id],
                     data_queues,
                     self._control_queue,
@@ -493,21 +493,12 @@ class MultiprocessBackend(ExecutionBackend):
 
     def __init__(
         self,
-        num_workers: int = 4,
+        options: Optional[RuntimeOptions] = None,
         start_method: Optional[str] = None,
-        columnar_messages: bool = True,
-        partitioner: str = "hash",
-        message_plane: str = "shm",
         shm_arena_bytes: int = shm_plane.DEFAULT_ARENA_BYTES,
-        memory_budget_mb: Optional[float] = None,
+        **overrides: Any,
     ) -> None:
-        super().__init__(
-            num_workers,
-            columnar_messages=columnar_messages,
-            partitioner=partitioner,
-            message_plane=message_plane,
-            memory_budget_mb=memory_budget_mb,
-        )
+        super().__init__(options, **overrides)
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]

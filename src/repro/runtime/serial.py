@@ -31,12 +31,9 @@ from .spilling import SerialSpillPlane
 class _SerialSession(JobSession):
     """Steps the workers in worker-id order inside this process."""
 
-    def __init__(
-        self, plan: WorkerPlan, workers: List[Worker], budget_bytes: Optional[int]
-    ) -> None:
+    def __init__(self, plan: WorkerPlan, workers: List[Worker]) -> None:
         self._plan = plan
         self._workers: Optional[List[Worker]] = workers
-        self._budget_bytes = budget_bytes
         self._plane: Optional[SerialSpillPlane] = None
         #: worker -> vertex -> messages, delivered by the previous superstep.
         self._inboxes: Dict[int, Dict[int, List[Any]]] = {}
@@ -47,12 +44,13 @@ class _SerialSession(JobSession):
         ]
 
     def launch(self) -> None:
-        if self._budget_bytes is None:
+        budget_bytes = self._plan.options.memory_budget_bytes
+        if budget_bytes is None:
             return
         # With a memory budget, the spill plane takes custody of the
         # partitions: workers are loaded just-in-time and idle ones may
         # live on disk between supersteps.
-        self._plane = SerialSpillPlane(self._budget_bytes, self._plan.job_name)
+        self._plane = SerialSpillPlane(budget_bytes, self._plan.job_name)
         workers, self._workers = self._workers, None
         self._plane.adopt(workers)
 
@@ -113,4 +111,4 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
 
     def _session(self, plan: WorkerPlan, workers: List[Worker]) -> JobSession:
-        return _SerialSession(plan, workers, self.memory_budget_bytes)
+        return _SerialSession(plan, workers)

@@ -557,7 +557,7 @@ def scaffold_contigs(
     insert_size: Optional[float] = None,
     checkpoint_dir=None,
     resume: bool = False,
-    hooks=None,
+    subscriber=None,
 ) -> ScaffoldingResult:
     """Run the full scaffolding workflow over assembled contigs.
 
@@ -585,7 +585,7 @@ def scaffold_contigs(
         median fragment length over pairs whose mates map to the same
         contig, falling back to :data:`DEFAULT_INSERT_SIZE` when no
         such pair exists.
-    checkpoint_dir / resume / hooks:
+    checkpoint_dir / resume / subscriber:
         Passed to the underlying
         :class:`~repro.workflow.WorkflowRunner` for standalone runs;
         leave at their defaults when scaffolding inside the assembly
@@ -593,7 +593,7 @@ def scaffold_contigs(
     """
     workflow = build_scaffolding_workflow()
     runner = WorkflowRunner(
-        executor=executor, checkpoint_dir=checkpoint_dir, hooks=hooks
+        executor=executor, checkpoint_dir=checkpoint_dir, subscriber=subscriber
     )
     state = {
         "contigs": list(contigs),

@@ -23,8 +23,7 @@ not already have.
   :mod:`repro.service.worker`; a crashed or hung worker loses its lease,
   the job is reclaimed and retried (resuming from its checkpoints
   bit-identically) until its attempt budget quarantines it as
-  ``poisoned``.  :class:`~repro.service.scheduler.WorkerPool` is the
-  in-process thread variant of the same claim loop;
+  ``poisoned``;
 * :mod:`repro.service.faults` — deterministic fault injection
   (``REPRO_FAULTS``) used by the chaos tests to prove the above;
 * :class:`~repro.service.app.AssemblyService` — store + pool + REST API
@@ -46,7 +45,6 @@ _EXPORTS = {
     "FaultInjector": ".faults",
     "FaultPlan": ".faults",
     "ProcessWorkerPool": ".scheduler",
-    "WorkerPool": ".scheduler",
     "JobSpec": ".spec",
     "MaterializedInput": ".spec",
     "JobStore": ".store",

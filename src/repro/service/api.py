@@ -320,7 +320,6 @@ class ApiHandler(BaseHTTPRequestHandler):
             self._send_json(200, {"events": [event.to_dict() for event in events]})
         elif verb == "POST" and rest == "/cancel":
             record = store.request_cancel(job_id)
-            service.pool.notify()
             self._send_json(200, {"job": record.to_dict()})
         elif verb == "GET" and rest == "/result":
             self._send_json(200, service.result_payload(job_id))

@@ -40,7 +40,7 @@ from ..telemetry import (
 )
 from ..telemetry.sampler import TIMELINE_FILENAME
 from .api import make_server
-from .scheduler import ProcessWorkerPool, WorkerPool
+from .scheduler import ProcessWorkerPool
 from .spec import JobSpec
 from .store import (
     DEFAULT_MAX_ATTEMPTS,
@@ -50,9 +50,6 @@ from .store import (
     JobRecord,
     JobStore,
 )
-
-#: Worker planes a service may run (see :mod:`repro.service.scheduler`).
-WORKER_PLANES = ("process", "thread")
 
 
 class AssemblyService:
@@ -65,36 +62,23 @@ class AssemblyService:
         host: str = "127.0.0.1",
         port: int = 8642,
         poll_interval: float = 0.2,
-        worker_plane: str = "process",
         lease_seconds: Optional[float] = None,
         reap_interval: float = 1.0,
         drain_timeout: float = 30.0,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ) -> None:
-        if worker_plane not in WORKER_PLANES:
-            raise ValueError(
-                f"worker_plane must be one of {', '.join(WORKER_PLANES)}, "
-                f"got {worker_plane!r}"
-            )
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.logger = logging.getLogger("repro.service")
-        self.worker_plane = worker_plane
         store_kwargs = {"max_attempts": max_attempts}
         if lease_seconds is not None:
             store_kwargs["lease_seconds"] = lease_seconds
         self.store = JobStore(self.data_dir / "jobs.sqlite3", **store_kwargs)
-        if worker_plane == "process":
-            self.pool = ProcessWorkerPool(
-                self.store, self.data_dir, num_workers=num_workers,
-                poll_interval=poll_interval, reap_interval=reap_interval,
-                drain_timeout=drain_timeout,
-            )
-        else:
-            self.pool = WorkerPool(
-                self.store, self.data_dir, num_workers=num_workers,
-                poll_interval=poll_interval, reap_interval=reap_interval,
-            )
+        self.pool = ProcessWorkerPool(
+            self.store, self.data_dir, num_workers=num_workers,
+            poll_interval=poll_interval, reap_interval=reap_interval,
+            drain_timeout=drain_timeout,
+        )
         #: Whether the last stop() shut everything down without
         #: escalation (HTTP thread joined, workers drained).
         self.stopped_cleanly: Optional[bool] = None
@@ -164,10 +148,10 @@ class AssemblyService:
         """Shut down; returns True when everything stopped cleanly.
 
         The verdict (also kept in :attr:`stopped_cleanly`) covers the
-        HTTP thread actually joining and the worker plane draining
-        without escalation — a False from a process pool means at
-        least one worker had to be terminated or killed (its job was
-        reclaimed and will be retried).
+        HTTP thread actually joining and the worker pool draining
+        without escalation — False means at least one worker had to be
+        terminated or killed (its job was reclaimed and will be
+        retried).
         """
         clean = True
         if self._server is not None:
@@ -219,11 +203,9 @@ class AssemblyService:
         priority: int = 0,
         idempotency_key: Optional[str] = None,
     ) -> JobRecord:
-        record = self.store.submit(
+        return self.store.submit(
             spec, priority=priority, idempotency_key=idempotency_key
         )
-        self.pool.notify()
-        return record
 
     def submit_payload(self, body: Any) -> Tuple[JobRecord, bool]:
         """Handle a POST /jobs body; returns ``(record, created)``.
@@ -247,11 +229,9 @@ class AssemblyService:
         idempotency_key = envelope.get("idempotency_key")
         if idempotency_key is not None and not isinstance(idempotency_key, str):
             raise InvalidJobSpecError("idempotency_key must be a string")
-        record, created = self.store.submit_detecting(
+        return self.store.submit_detecting(
             spec, priority=priority, idempotency_key=idempotency_key
         )
-        self.pool.notify()
-        return record, created
 
     # ------------------------------------------------------------------
     # results
@@ -311,7 +291,7 @@ class AssemblyService:
         Worker-process metrics arrive through the spool (each child
         drains its registry to disk after claiming and finishing jobs);
         folding them in at scrape time keeps ``/metrics`` one coherent
-        registry regardless of which plane did the work.
+        registry.
         """
         self.pool.drain_metrics(self.registry)
         return render_prometheus(self.registry)
@@ -388,7 +368,6 @@ class AssemblyService:
             "status": "ok",
             "version": __version__,
             "workers": self.pool.num_workers,
-            "worker_plane": self.worker_plane,
             "worker_pids": self.pool.worker_pids(),
             "lease_seconds": self.store.lease_seconds,
             "counts": self.store.counts(),

@@ -68,13 +68,6 @@ def build_service_parser() -> argparse.ArgumentParser:
         help="idle worker poll interval in seconds (default 0.2)",
     )
     serve.add_argument(
-        "--worker-plane",
-        choices=("process", "thread"),
-        default="process",
-        help="run jobs in supervised child processes (default; survives "
-        "worker crashes) or in in-process threads (lighter, test-friendly)",
-    )
-    serve.add_argument(
         "--lease-seconds",
         type=float,
         default=None,
@@ -218,7 +211,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         poll_interval=args.poll_interval,
-        worker_plane=args.worker_plane,
         lease_seconds=args.lease_seconds,
         reap_interval=args.reap_interval,
         drain_timeout=args.drain_timeout,
@@ -227,7 +219,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service.start()
     print(
         f"assembly service listening on {service.base_url} "
-        f"(data dir {service.data_dir}, {args.workers} {args.worker_plane} workers)",
+        f"(data dir {service.data_dir}, {args.workers} workers)",
         flush=True,
     )
 

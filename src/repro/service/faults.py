@@ -23,8 +23,7 @@ a scenario.
 Injector kinds:
 
 ``kill_worker``
-    SIGKILL the worker process at the matched stage start (the thread
-    plane, which cannot kill itself, raises instead).
+    SIGKILL the worker process at the matched stage start.
 ``stall_heartbeat``
     Stop renewing the job's lease for the matched attempt; the lease
     expires and the reaper fences the worker out mid-run.
@@ -75,7 +74,7 @@ FAULT_KINDS = (
 
 
 class FaultInjected(RuntimeError):
-    """Raised by ``raise_error`` injectors (and kill fallbacks on threads)."""
+    """Raised by ``raise_error`` injectors."""
 
 
 @dataclass
@@ -205,23 +204,14 @@ class FaultPlan:
         stage_name: str,
         index: int,
         attempt: Optional[int],
-        hard_exit: bool,
     ) -> None:
         """Fire stage-start faults: kill, hang, or raise.
 
-        ``hard_exit`` distinguishes a real worker process (which a
-        ``kill_worker`` injector SIGKILLs — exit code -9, exactly what
-        the supervisor must handle) from the thread plane, where killing
-        "the worker" would kill the whole service; there the injector
-        degrades to a raised :class:`FaultInjected`.
+        A ``kill_worker`` injector SIGKILLs the calling worker process —
+        exit code -9, exactly what the supervisor must handle.
         """
-        injector = self._first("kill_worker", attempt, stage_name, index)
-        if injector is not None:
-            if hard_exit:
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise FaultInjected(
-                f"kill_worker fault at stage {stage_name!r} (attempt {attempt})"
-            )
+        if self._first("kill_worker", attempt, stage_name, index) is not None:
+            os.kill(os.getpid(), signal.SIGKILL)
         injector = self._first("hang_stage", attempt, stage_name, index)
         if injector is not None:
             # "Forever" by default: a hang is the absence of progress,

@@ -1,38 +1,28 @@
-"""Worker pools and their supervision: where queued jobs become contigs.
+"""The worker pool and its supervision: where queued jobs become contigs.
 
-Two pools share one execution path
-(:func:`~repro.service.worker.execute_attempt`) and one contract — at
-most ``num_workers`` jobs run concurrently, each under a heartbeat-
-renewed lease — but differ in what a worker *is*:
+At most ``num_workers`` jobs run concurrently, each under a heartbeat-
+renewed lease, each in a worker of :class:`ProcessWorkerPool`: a
+**spawned process** running its own claim loop
+(:func:`~repro.service.worker.worker_main`) against the shared SQLite
+store.  Compute scales with cores, and the fault model is enforceable:
+a supervisor thread watches for worker death (any exit — SIGKILL, a
+deliberate timeout exit, a crash) and immediately reclaims the dead
+incarnation's jobs for retry, then respawns the slot (with a short
+backoff when a worker dies instantly, so a poisoned environment cannot
+spawn-loop).  Spawn, not fork: the service process is heavily
+multi-threaded (HTTP server, supervisor) and forking a threaded process
+inherits locks in undefined states; children are non-daemonic because
+the multiprocess Pregel backend forks its own workers.
 
-:class:`WorkerPool` (``worker_plane="thread"``)
-    Workers are daemon threads inside the service process.  Cheap and
-    simple, but the GIL serialises their compute and a wedged stage
-    cannot be killed, only abandoned at the next stage boundary.
-
-:class:`ProcessWorkerPool` (``worker_plane="process"``, the default)
-    Workers are **spawned processes**, each running its own claim loop
-    against the shared SQLite store.  Compute scales with cores, and
-    the fault model becomes enforceable: a supervisor thread watches
-    for worker death (any exit — SIGKILL, a deliberate timeout exit,
-    a crash) and immediately reclaims the dead incarnation's jobs for
-    retry, then respawns the slot (with a short backoff when a worker
-    dies instantly, so a poisoned environment cannot spawn-loop).
-    Spawn, not fork: the service process is heavily multi-threaded
-    (HTTP server, supervisor, reaper) and forking a threaded process
-    inherits locks in undefined states; children are non-daemonic
-    because the multiprocess Pregel backend forks its own workers.
-
-Both pools also run the **reaper loop**: every ``reap_interval``
-seconds, :meth:`~repro.service.store.JobStore.reap_expired` re-enqueues
-any running job whose lease lapsed.  With one replica this catches
-workers that died without the supervisor noticing; with several
-replicas sharing a store it is what makes *another* replica's death
-survivable — its jobs come back to whoever is still alive, with no
-restart anywhere.  The process pool's reaper additionally kills any of
-its own children that got fenced (their job was reclaimed while they
-kept computing — the stalled-heartbeat case), because a fenced worker
-is doing work nobody will accept.
+The supervisor also **reaps**: every ``reap_interval`` seconds,
+:meth:`~repro.service.store.JobStore.reap_expired` re-enqueues any
+running job whose lease lapsed.  With one replica this catches workers
+that died without the supervisor noticing; with several replicas
+sharing a store it is what makes *another* replica's death survivable —
+its jobs come back to whoever is still alive, with no restart anywhere.
+It additionally kills any of its own children that got fenced (their
+job was reclaimed while they kept computing — the stalled-heartbeat
+case), because a fenced worker is doing work nobody will accept.
 """
 
 from __future__ import annotations
@@ -49,8 +39,6 @@ from .store import JobStore
 from .worker import (
     EXIT_REASONS,
     MetricsSpool,
-    checkpoint_dir,
-    execute_attempt,
     job_dir,
     worker_main,
 )
@@ -73,171 +61,7 @@ def _death_reason(exitcode: Optional[int]) -> str:
     return f"exit-{exitcode}"
 
 
-class _PoolBase:
-    """Shared layout/lifecycle surface of both worker planes."""
-
-    store: JobStore
-    data_dir: Path
-    num_workers: int
-
-    def job_dir(self, job_id: str) -> Path:
-        return job_dir(self.data_dir, job_id)
-
-    def checkpoint_dir(self, job_id: str) -> Path:
-        return checkpoint_dir(self.data_dir, job_id)
-
-    def worker_pids(self) -> List[int]:
-        """PIDs of live worker processes (empty on the thread plane)."""
-        return []
-
-    def drain_metrics(self, registry) -> None:
-        """Fold spooled worker-process metrics into ``registry`` (no-op here)."""
-
-    def _count_reclaims(self, reclaims) -> None:
-        for reclaim in reclaims:
-            logger.warning(
-                "reclaimed job %s from %s (%s, attempt %d)",
-                reclaim.record.id,
-                reclaim.previous_owner,
-                reclaim.outcome,
-                reclaim.record.attempts,
-            )
-
-
-class WorkerPool(_PoolBase):
-    """Bounded pool of worker *threads* draining a :class:`JobStore`."""
-
-    def __init__(
-        self,
-        store: JobStore,
-        data_dir,
-        num_workers: int = 2,
-        poll_interval: float = 0.2,
-        lease_seconds: Optional[float] = None,
-        reap_interval: float = 1.0,
-    ) -> None:
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be positive, got {num_workers}")
-        self.store = store
-        self.data_dir = Path(data_dir)
-        self.num_workers = num_workers
-        self.poll_interval = poll_interval
-        self.lease_seconds = (
-            store.lease_seconds if lease_seconds is None else lease_seconds
-        )
-        self.reap_interval = reap_interval
-        self._threads: List[threading.Thread] = []
-        self._reaper: Optional[threading.Thread] = None
-        self._reaper_stop = threading.Event()
-        self._wakeup = threading.Condition()
-        self._stopping = False
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        try:
-            # Same start-up reclamation as the process plane: a prior
-            # incarnation killed wholesale cannot unlink its own arenas.
-            from ..runtime.shm import sweep_dead_masters
-
-            sweep_dead_masters()
-        except Exception:  # pragma: no cover - sweep must never block start-up
-            pass
-        if self._threads and not self._stopping:
-            return  # already running
-        # Threads left over from a stop(wait=False) still honour the
-        # old stop flag and exit after their current job; join them
-        # before spawning a fresh generation, otherwise old and new
-        # workers together would exceed the num_workers bound.
-        for thread in self._threads:
-            thread.join()
-        self._threads = []
-        self._stopping = False
-        for index in range(self.num_workers):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                args=(f"worker-{index}",),
-                name=f"repro-service-worker-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-        self._reaper_stop.clear()
-        self._reaper = threading.Thread(
-            target=self._reaper_loop, name="repro-service-reaper", daemon=True
-        )
-        self._reaper.start()
-
-    def stop(self, wait: bool = True) -> bool:
-        """Stop claiming new jobs; optionally wait for running ones.
-
-        With ``wait=False`` the handles of still-alive threads are
-        kept, so a later :meth:`start` can wait them out instead of
-        silently doubling the worker count.  Returns True when every
-        worker actually finished (always, when waiting — threads
-        cannot be abandoned with a timeout).
-        """
-        self._stopping = True
-        self._reaper_stop.set()
-        with self._wakeup:
-            self._wakeup.notify_all()
-        if self._reaper is not None:
-            self._reaper.join(timeout=self.reap_interval + 1.0)
-            self._reaper = None
-        if wait:
-            for thread in self._threads:
-                thread.join()
-            self._threads = []
-            return True
-        self._threads = [t for t in self._threads if t.is_alive()]
-        return not self._threads
-
-    def notify(self) -> None:
-        """Wake idle workers (called right after a submission)."""
-        with self._wakeup:
-            self._wakeup.notify_all()
-
-    # ------------------------------------------------------------------
-    # loops
-    # ------------------------------------------------------------------
-    def _worker_loop(self, worker_name: str) -> None:
-        while not self._stopping:
-            record = self.store.claim_next(
-                worker_name, lease_seconds=self.lease_seconds
-            )
-            if record is None:
-                with self._wakeup:
-                    if not self._stopping:
-                        self._wakeup.wait(timeout=self.poll_interval)
-                continue
-            execute_attempt(
-                self.store,
-                self.data_dir,
-                record,
-                token=record.lease_token or "",
-                lease_seconds=self.lease_seconds,
-                hard_exit=False,
-            )
-
-    def _reaper_loop(self) -> None:
-        while not self._reaper_stop.wait(self.reap_interval):
-            try:
-                self._count_reclaims(self.store.reap_expired())
-            except Exception:  # noqa: BLE001 — the reaper must outlive store hiccups
-                pass
-            try:
-                # An orphaned master from a killed prior incarnation may
-                # outlive our start-up sweep (it self-fences only after
-                # noticing orphanhood); reclaim its arenas once it dies.
-                from ..runtime.shm import sweep_dead_masters
-
-                sweep_dead_masters()
-            except Exception:  # noqa: BLE001 — sweep must never break reaping
-                pass
-
-
-class ProcessWorkerPool(_PoolBase):
+class ProcessWorkerPool:
     """Supervised pool of spawned worker *processes*."""
 
     def __init__(
@@ -402,11 +226,21 @@ class ProcessWorkerPool(_PoolBase):
             slot["backoff"] = 0.0
         slot["respawn_after"] = now + slot["backoff"]
 
+    def _count_reclaims(self, reclaims) -> None:
+        for reclaim in reclaims:
+            logger.warning(
+                "reclaimed job %s from %s (%s, attempt %d)",
+                reclaim.record.id,
+                reclaim.previous_owner,
+                reclaim.outcome,
+                reclaim.record.attempts,
+            )
+
     def _reap_once(self) -> None:
         try:
-            # Same late reclamation as the thread plane's reaper: a
-            # prior incarnation's orphaned master often dies only after
-            # our start-up sweep already ran.
+            # An orphaned master from a killed prior incarnation may
+            # outlive our start-up sweep (it self-fences only after
+            # noticing orphanhood); reclaim its arenas once it dies.
             from ..runtime.shm import sweep_dead_masters
 
             sweep_dead_masters()
@@ -484,13 +318,14 @@ class ProcessWorkerPool(_PoolBase):
             self._slots = []
         return clean
 
-    def notify(self) -> None:
-        """No-op: worker processes poll the store at ``poll_interval``."""
-
     # ------------------------------------------------------------------
     # observability plumbing
     # ------------------------------------------------------------------
+    def job_dir(self, job_id: str) -> Path:
+        return job_dir(self.data_dir, job_id)
+
     def worker_pids(self) -> List[int]:
+        """PIDs of live worker processes."""
         with self._lock:
             return [
                 slot["process"].pid
@@ -499,4 +334,5 @@ class ProcessWorkerPool(_PoolBase):
             ]
 
     def drain_metrics(self, registry) -> None:
+        """Fold spooled worker-process metrics into ``registry``."""
         self._spool.drain_into(registry)

@@ -25,7 +25,7 @@ Input modes (mirroring the CLI's source flags):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
 from ..assembler.config import AssemblyConfig
@@ -43,26 +43,10 @@ from ..errors import InvalidJobSpecError, ReproError
 #: Input modes a spec may name.
 INPUT_MODES = ("inline", "fastq", "fastq_pair", "simulate", "dataset")
 
-#: AssemblyConfig fields a spec's ``config`` block may set.  Kept as an
-#: explicit allowlist so a typo ("kmer": 21) fails loudly at submit
-#: time instead of being silently ignored.
-CONFIG_FIELDS = (
-    "k",
-    "coverage_threshold",
-    "tip_length_threshold",
-    "bubble_edit_distance",
-    "labeling_method",
-    "error_correction_rounds",
-    "num_workers",
-    "backend",
-    "message_plane",
-    "partitioner",
-    "use_vectorized",
-    "scaffold",
-    "scaffold_min_links",
-    "scaffold_insert_size",
-    "memory_budget_mb",
-)
+#: AssemblyConfig fields a spec's ``config`` block may set: all of them.
+#: Checked against this list so a typo ("kmer": 21) fails loudly at
+#: submit time instead of being silently ignored.
+CONFIG_FIELDS = tuple(f.name for f in fields(AssemblyConfig))
 
 #: Fields a spec's optional ``retry`` block may set.  They tune the
 #: service's fault handling *for this job*: the attempt budget before

@@ -1,23 +1,19 @@
-"""Job-attempt execution: the code a worker runs, on either plane.
+"""Job-attempt execution: the code a worker process runs.
 
-:func:`execute_attempt` is the single implementation of "run one
-claimed job attempt" shared by the thread-backed pool (workers inside
-the service process) and the process-backed pool (spawned worker
-processes, :func:`worker_main`).  Around the actual assembly it wires
-the fault model:
+:func:`execute_attempt` runs one claimed job attempt inside a spawned
+worker process (:func:`worker_main`).  Around the actual assembly it
+wires the fault model:
 
 * a **heartbeat ticker** renews the job's lease every
   ``lease_seconds / 3``; a failed renewal means the worker has been
-  fenced — the reaper gave the job away — and a worker *process*
+  fenced — the reaper gave the job away — and the worker process
   hard-exits immediately (:data:`EXIT_LEASE_LOST`) so it cannot write
   a fenced job's artifacts;
 * a **watchdog** enforces the spec's per-job and per-stage deadlines;
   on expiry it records the failure (retry accounting included) and
   kills the worker process (:data:`EXIT_STAGE_TIMEOUT` /
   :data:`EXIT_JOB_TIMEOUT`) — the only reliable way to stop a wedged
-  native call.  The thread plane cannot kill a thread, so there a
-  timeout aborts at the next stage boundary (hard kills need the
-  process plane);
+  native call;
 * an **orphan check**: a worker process whose parent died re-parents;
   it exits (:data:`EXIT_ORPHANED`) rather than keep computing for a
   service that no longer exists;
@@ -34,7 +30,7 @@ private :class:`~repro.telemetry.MetricsRegistry` and ships metric
 *deltas* through a :class:`MetricsSpool` (pickle files under
 ``data_dir/metrics-spool/``, written atomically) that the service
 merges into its own registry at ``/metrics`` scrape time; traces are
-written directly to the job directory, same as the thread plane.
+written directly to the job directory.
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ from ..telemetry import (
     Tracer,
     get_registry,
     get_tracer,
-    peak_rss_bytes,
     set_registry,
     set_tracer,
     span,
@@ -67,7 +62,8 @@ from ..telemetry import (
 )
 from ..telemetry.sampler import TIMELINE_FILENAME
 from ..telemetry.trace import Span
-from ..workflow import WorkflowHooks
+from ..store.spill import memory_payload, process_spill_stats
+from ..workflow import WorkflowEvent
 from .faults import FaultPlan
 from .store import (
     STATE_CANCELLED,
@@ -94,14 +90,6 @@ EXIT_REASONS = {
 
 class _JobCancelled(Exception):
     """Internal control-flow signal: a cancel request reached a stage boundary."""
-
-
-class _AttemptAborted(Exception):
-    """Thread-plane control flow: lease lost or timeout hit mid-attempt."""
-
-    def __init__(self, outcome: str) -> None:
-        super().__init__(outcome)
-        self.outcome = outcome
 
 
 def job_dir(data_dir, job_id: str) -> Path:
@@ -178,7 +166,6 @@ def execute_attempt(
     record: JobRecord,
     token: str,
     lease_seconds: float,
-    hard_exit: bool,
     plan: Optional[FaultPlan] = None,
     parent_pid: Optional[int] = None,
 ) -> str:
@@ -186,10 +173,9 @@ def execute_attempt(
 
     Outcomes: ``succeeded``, ``failed``, ``cancelled``, ``requeued``
     (retryable failure, will run again), ``poisoned`` (retry budget
-    exhausted), ``lease-lost`` (fenced; the job's fate belongs to a
-    newer attempt).  ``hard_exit`` is True in a worker process, where
-    fencing and timeouts end the *process*; False on the thread plane,
-    where they abort at the next stage boundary instead.
+    exhausted), ``lease-lost`` (the token-fenced finish lost to a newer
+    attempt).  A lapsed lease noticed by the heartbeat, and a deadline
+    noticed by the watchdog, end the *process* instead of returning.
     """
     plan = FaultPlan.from_env() if plan is None else plan
     job_id = record.id
@@ -199,8 +185,6 @@ def execute_attempt(
     stage_timeout = retry.get("stage_timeout_seconds")
 
     stop_ticker = threading.Event()
-    lease_lost = threading.Event()
-    timed_out: Dict[str, Optional[str]] = {"outcome": None}
     watch = {
         "stage": None,
         "stage_deadline": None,
@@ -219,7 +203,7 @@ def execute_attempt(
     def _heartbeat_loop() -> None:
         interval = max(0.05, lease_seconds / 3.0)
         while not stop_ticker.wait(interval):
-            if hard_exit and parent_pid is not None and os.getppid() != parent_pid:
+            if parent_pid is not None and os.getppid() != parent_pid:
                 os._exit(EXIT_ORPHANED)
             if plan.stall_heartbeat(attempt):
                 continue
@@ -228,14 +212,11 @@ def execute_attempt(
             except Exception:  # noqa: BLE001 — transient store errors: retry next tick
                 continue
             if not renewed:
-                lease_lost.set()
-                if hard_exit:
-                    _die(
-                        EXIT_LEASE_LOST,
-                        "lease-lost",
-                        {"worker": record.worker, "attempt": attempt},
-                    )
-                return
+                _die(
+                    EXIT_LEASE_LOST,
+                    "lease-lost",
+                    {"worker": record.worker, "attempt": attempt},
+                )
 
     def _watchdog_loop() -> None:
         while not stop_ticker.wait(0.05):
@@ -248,7 +229,6 @@ def execute_attempt(
                     f"{stage_timeout}s timeout",
                     EXIT_STAGE_TIMEOUT,
                 )
-                return
             deadline = watch["job_deadline"]
             if deadline is not None and now > deadline:
                 _on_timeout(
@@ -256,12 +236,10 @@ def execute_attempt(
                     f"job exceeded its {job_timeout}s timeout",
                     EXIT_JOB_TIMEOUT,
                 )
-                return
 
     def _on_timeout(scope: str, error: str, exit_code: int) -> None:
         # Record the failure (with retry accounting) *before* killing
-        # the process — the supervisor then only has to respawn, and
-        # the thread plane gets identical bookkeeping for free.
+        # the process — the supervisor then only has to respawn.
         try:
             store.append_event(
                 job_id, "timeout", {"scope": scope, "attempt": attempt, "error": error}
@@ -269,71 +247,40 @@ def execute_attempt(
         except Exception:  # noqa: BLE001
             pass
         try:
-            outcome = store.fail_attempt(job_id, token, error, retryable=True)
+            store.fail_attempt(job_id, token, error, retryable=True)
         except Exception:  # noqa: BLE001
-            outcome = None
-        timed_out["outcome"] = outcome or "lease-lost"
-        if hard_exit:
-            os._exit(exit_code)
-
-    def _abort_if_signalled() -> None:
-        if lease_lost.is_set():
-            raise _AttemptAborted("lease-lost")
-        if timed_out["outcome"] is not None:
-            raise _AttemptAborted(timed_out["outcome"])
+            pass
+        os._exit(exit_code)
 
     stage_seconds: Dict[str, float] = {}
 
-    def on_stage_start(stage, index, total):
-        _abort_if_signalled()
-        # The cooperative cancellation point: checked once per stage,
-        # so a cancel lands between stages, never inside one.
-        if store.cancel_requested(job_id):
-            raise _JobCancelled()
-        watch["stage"] = stage.name
-        if stage_timeout:
-            watch["stage_deadline"] = time.monotonic() + stage_timeout
-        store.append_event(
-            job_id,
-            "stage-start",
-            {"stage": stage.name, "index": index, "total": total, "attempt": attempt},
-        )
-        plan.on_stage_start(stage.name, index, attempt, hard_exit)
-
-    def on_stage_end(stage, index, total, seconds):
-        watch["stage_deadline"] = None
-        stage_seconds[stage.name] = stage_seconds.get(stage.name, 0.0) + seconds
-        store.append_event(
-            job_id,
-            "stage-end",
-            {
-                "stage": stage.name,
-                "index": index,
-                "total": total,
-                "seconds": round(seconds, 6),
-            },
-        )
-
-    def on_stage_skipped(stage, index, total):
-        watch["stage_deadline"] = None
-        store.append_event(
-            job_id,
-            "stage-skipped",
-            {"stage": stage.name, "index": index, "total": total},
-        )
-
-    def on_checkpoint(stage, path):
-        store.append_event(
-            job_id, "checkpoint", {"stage": stage.name, "path": str(path)}
-        )
-        plan.on_checkpoint(path, stage.name, attempt)
-
-    hooks = WorkflowHooks(
-        on_stage_start=on_stage_start,
-        on_stage_end=on_stage_end,
-        on_stage_skipped=on_stage_skipped,
-        on_checkpoint=on_checkpoint,
-    )
+    def on_event(event: WorkflowEvent) -> None:
+        kind, stage = event.kind, event.stage
+        if kind == "progress":
+            return
+        where = {"stage": stage.name, "index": event.index, "total": event.total}
+        if kind == "stage-start":
+            # The cooperative cancellation point: checked once per stage,
+            # so a cancel lands between stages, never inside one.
+            if store.cancel_requested(job_id):
+                raise _JobCancelled()
+            watch["stage"] = stage.name
+            if stage_timeout:
+                watch["stage_deadline"] = time.monotonic() + stage_timeout
+            store.append_event(job_id, kind, {**where, "attempt": attempt})
+            plan.on_stage_start(stage.name, event.index, attempt)
+        elif kind == "stage-end":
+            watch["stage_deadline"] = None
+            stage_seconds[stage.name] = stage_seconds.get(stage.name, 0.0) + event.seconds
+            store.append_event(job_id, kind, {**where, "seconds": round(event.seconds, 6)})
+        elif kind == "stage-skipped":
+            watch["stage_deadline"] = None
+            store.append_event(job_id, kind, where)
+        elif kind == "checkpoint":
+            store.append_event(
+                job_id, kind, {"stage": stage.name, "path": str(event.path)}
+            )
+            plan.on_checkpoint(event.path, stage.name, attempt)
 
     ticker = threading.Thread(
         target=_heartbeat_loop, name=f"repro-heartbeat-{job_id[:8]}", daemon=True
@@ -349,10 +296,7 @@ def execute_attempt(
     # Every attempt records a run timeline (superstep/stage boundary
     # events + periodic resource samples) — like traces, it is part of
     # the service's observability API (GET /jobs/<id>/timeline), so it
-    # is always on.  The slot is thread-local, so concurrent thread
-    # -plane jobs each keep their own.
-    from ..store.spill import process_spill_stats
-
+    # is always on.
     timeline = TimelineRecorder()
     sampler = ResourceSampler(
         timeline, source=record.worker or f"attempt-{attempt}"
@@ -376,27 +320,14 @@ def execute_attempt(
                     pairs=material.pairs,
                     checkpoint_dir=checkpoint_dir(data_dir, job_id),
                     resume=True,
-                    hooks=hooks,
+                    subscriber=on_event,
                 )
-                _abort_if_signalled()
                 wall_seconds = time.perf_counter() - started
-                spill = process_spill_stats().delta_since(spill_base)
-                memory = {
-                    "memory_budget_mb": config.memory_budget_mb,
-                    "spill_events_total": spill["spill_events"],
-                    "spill_bytes_total": spill["spill_bytes"],
-                    "load_events_total": spill["load_events"],
-                    "load_bytes_total": spill["load_bytes"],
-                    "ledger_peak_bytes": spill["ledger_peak_bytes"],
-                    "peak_rss_bytes": peak_rss_bytes(),
-                }
+                memory = memory_payload(config.memory_budget_mb, spill_base)
                 # Stage artifacts in a per-attempt directory and publish
                 # only after the token-fenced finish commits: a fenced
-                # zombie whose lease lapsed after the last
-                # _abort_if_signalled must not overwrite files the retry
-                # attempt is writing (open-ended window on the thread
-                # plane, where a timed-out attempt keeps running until
-                # its next stage boundary).
+                # zombie whose lease lapsed since the last heartbeat
+                # must not overwrite files the retry attempt is writing.
                 result_dir = job_dir(data_dir, job_id)
                 staging = result_dir / (
                     f".staging-attempt{attempt:03d}"
@@ -422,8 +353,6 @@ def execute_attempt(
                     store.finish_attempt, job_id, token, STATE_CANCELLED
                 )
                 outcome = "cancelled" if finished else "lease-lost"
-            except _AttemptAborted as exc:
-                outcome = exc.outcome
             except ReproError as exc:
                 # Permanent by definition: the spec cannot materialise,
                 # the config is invalid, an input file is gone.  A
@@ -612,7 +541,6 @@ def worker_main(
                 record,
                 token=record.lease_token or "",
                 lease_seconds=lease_seconds,
-                hard_exit=True,
                 plan=plan,
                 parent_pid=parent_pid,
             )

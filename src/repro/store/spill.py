@@ -30,7 +30,7 @@ from pathlib import Path
 from shutil import rmtree
 from typing import Any, Dict, Optional, Set, Union
 
-from ..telemetry import span
+from ..telemetry import peak_rss_bytes, span
 from ..telemetry.metrics import get_registry
 from .content import ContentStore
 
@@ -104,6 +104,26 @@ _PROCESS_STATS = SpillStats()
 def process_spill_stats() -> SpillStats:
     """This process's cumulative spill totals (all managers combined)."""
     return _PROCESS_STATS
+
+
+def memory_payload(
+    memory_budget_mb: Optional[float], spill_base: Dict[str, int]
+) -> Dict[str, Any]:
+    """The ``"memory"`` block of a run's metrics JSON.
+
+    The budget the run was given, this process's spill/load growth since
+    the ``spill_base`` snapshot, and its peak RSS.
+    """
+    spill = _PROCESS_STATS.delta_since(spill_base)
+    return {
+        "memory_budget_mb": memory_budget_mb,
+        "spill_events_total": spill["spill_events"],
+        "spill_bytes_total": spill["spill_bytes"],
+        "load_events_total": spill["load_events"],
+        "load_bytes_total": spill["load_bytes"],
+        "ledger_peak_bytes": spill["ledger_peak_bytes"],
+        "peak_rss_bytes": peak_rss_bytes(),
+    }
 
 
 class SpillManager:

@@ -342,7 +342,7 @@ def render_dashboard(
     counts = health.get("counts") or health.get("jobs") or {}
     cards = [
         _card(str(health.get("status", "?")), "service"),
-        _card(str(health.get("workers", "?")), f"workers ({health.get('worker_plane', '?')})"),
+        _card(str(health.get("workers", "?")), "workers"),
         _card(_fmt_count(counts.get("queued", 0)), "queued"),
         _card(_fmt_count(counts.get("running", 0)), "running"),
         _card(_fmt_count(counts.get("succeeded", 0)), "succeeded"),

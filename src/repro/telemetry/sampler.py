@@ -164,13 +164,10 @@ class NullTimeline:
 
 _NULL_TIMELINE = NullTimeline()
 # The active-timeline slot is *thread-local*, unlike the registry and
-# tracer globals: the service's thread worker plane runs concurrent
-# jobs on sibling threads, each installing its own per-job timeline —
-# a process-wide slot would interleave their events.  Every reader
-# (SuperstepInstruments, the workflow runner, the multiprocess barrier
-# loop) runs on the thread that installed the timeline, so thread-local
-# resolution is exact; the sampler thread holds a direct reference and
-# never looks the slot up.
+# tracer globals.  Every reader (SuperstepInstruments, the workflow
+# runner, the multiprocess barrier loop) runs on the thread that
+# installed the timeline, so thread-local resolution is exact; the
+# sampler thread holds a direct reference and never looks the slot up.
 _TIMELINE_SLOT = threading.local()
 
 

@@ -4,14 +4,15 @@ The paper's systems contribution is treating assembly as a *chain of
 Pregel/MapReduce jobs with in-memory handoff* (Section II).  This
 package is the public API for that idea: describe a computation as a
 named DAG of typed stages, then execute it on any execution backend
-with metering, lifecycle hooks, and checkpoint/resume.
+with metering, lifecycle events, and checkpoint/resume.
 
 * :class:`~repro.workflow.builder.Workflow` — the validated DAG;
 * :mod:`~repro.workflow.stage` — typed stage descriptors
   (:class:`PregelStage`, :class:`MapReduceStage`, :class:`ConvertStage`,
   :class:`BranchStage`, or your own :class:`Stage` subclass);
 * :class:`~repro.workflow.runner.WorkflowRunner` — execution with
-  hooks, per-stage backend/worker overrides, and pickle checkpoints;
+  event subscribers, per-stage backend/worker overrides, and pickle
+  checkpoints;
 * :class:`~repro.workflow.executor.StageExecutor` — the shared engine
   + metrics substrate every stage runs on.
 
@@ -28,7 +29,6 @@ from .runner import (
     EventSubscriber,
     WorkflowContext,
     WorkflowEvent,
-    WorkflowHooks,
     WorkflowRunner,
 )
 from .stage import BranchStage, ConvertStage, MapReduceStage, PregelStage, Stage
@@ -44,7 +44,6 @@ __all__ = [
     "StageExecutor",
     "WorkflowContext",
     "WorkflowEvent",
-    "WorkflowHooks",
     "WorkflowRunner",
     "BranchStage",
     "ConvertStage",

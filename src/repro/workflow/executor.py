@@ -19,13 +19,16 @@ Workflows (:mod:`repro.workflow.builder`) declare *which* stages run in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 from ..pregel.engine import JobResult, PregelEngine, PregelJob
 from ..pregel.mapreduce import MapReduceResult, MiniMapReduce
 from ..pregel.metrics import JobMetrics, PipelineMetrics, SuperstepMetrics
 from ..pregel.partitioner import HashPartitioner
 from ..pregel.vertex import Vertex, _estimate_size
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..runtime.base import RuntimeOptions
 
 ConvertFunction = Callable[[Vertex], Iterable[Any]]
 
@@ -41,10 +44,11 @@ class ConversionResult:
 class StageExecutor:
     """Runs Pregel / mini-MapReduce / convert stages and meters them.
 
-    ``backend`` selects the runtime for the Pregel stages (``"serial"``
-    or ``"multiprocess"``); mini-MapReduce and convert stages model the
-    distributed data movement in-process either way, because their cost
-    is charged through the metrics rather than measured.
+    Takes :class:`~repro.runtime.base.RuntimeOptions` and/or its fields
+    as keywords; they configure the one engine the Pregel stages run
+    on.  Mini-MapReduce and convert stages model the distributed data
+    movement in-process on any backend, because their cost is charged
+    through the metrics rather than measured.
 
     ``pipeline_metrics`` may be shared between executors: a
     :class:`~repro.workflow.runner.WorkflowRunner` that honours
@@ -55,33 +59,19 @@ class StageExecutor:
 
     def __init__(
         self,
-        num_workers: int = 4,
-        backend: str = "serial",
-        columnar_messages: Optional[bool] = None,
+        options: Optional["RuntimeOptions"] = None,
         pipeline_metrics: Optional[PipelineMetrics] = None,
-        partitioner: Optional[str] = None,
-        message_plane: Optional[str] = None,
-        memory_budget_mb: Optional[float] = None,
+        **overrides: Any,
     ) -> None:
-        self.num_workers = num_workers
-        self.backend = backend
-        self.columnar_messages = columnar_messages
-        self.partitioner_name = partitioner
-        self.message_plane = message_plane
-        self.memory_budget_mb = memory_budget_mb
-        self.engine = PregelEngine(
-            num_workers=num_workers,
-            backend=backend,
-            columnar_messages=columnar_messages,
-            partitioner=partitioner,
-            message_plane=message_plane,
-            memory_budget_mb=memory_budget_mb,
-        )
+        self.engine = PregelEngine(options, **overrides)
+        self.options = self.engine.options
+        self.num_workers = self.options.num_workers
+        self.backend = self.options.backend
         self.pipeline_metrics = pipeline_metrics or PipelineMetrics()
         # Shuffle keys (mini-MapReduce, conversions) are labels rather
         # than dense k-mer IDs, so the shuffle partitioner stays the
         # hash strategy regardless of the Pregel vertex partitioner.
-        self._partitioner = HashPartitioner(num_workers)
+        self._partitioner = HashPartitioner(self.num_workers)
 
     @property
     def partitioner(self) -> HashPartitioner:

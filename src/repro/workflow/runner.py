@@ -5,9 +5,10 @@
 :class:`~repro.workflow.executor.StageExecutor`.  It adds the three
 operational features the declarative layer exists for:
 
-* **lifecycle hooks** — ``on_stage_start`` / ``on_stage_end`` /
-  ``on_progress`` callables observe the run without touching it (the
-  CLI uses them for progress lines, tests for crash injection);
+* **lifecycle events** — every subscriber receives a
+  :class:`WorkflowEvent` at each stage boundary, checkpoint and resume
+  (the CLI uses them for progress lines, the job service for cancel and
+  deadlines, tests for crash injection);
 * **per-stage overrides** — a stage may pin its own execution backend
   or worker count; the runner keeps one executor per distinct override
   but funnels all metrics into a single
@@ -27,8 +28,8 @@ context is a drop-in replacement wherever an executor is expected.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import CheckpointError, WorkflowError
 from ..pregel.metrics import PipelineMetrics
@@ -37,6 +38,9 @@ from .builder import Workflow
 from .checkpoint import Checkpoint, CheckpointStore, state_fingerprint
 from .executor import StageExecutor
 from .stage import Stage
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..runtime.base import RuntimeOptions
 
 
 @dataclass
@@ -65,57 +69,6 @@ class WorkflowEvent:
 
 #: A workflow-event observer.
 EventSubscriber = Callable[[WorkflowEvent], None]
-
-
-@dataclass
-class WorkflowHooks:
-    """Optional observers of a workflow run (legacy callback surface).
-
-    ``on_stage_start(stage, index, total)`` and
-    ``on_stage_end(stage, index, total, seconds)`` fire around every
-    executed stage (including stages inside a
-    :class:`~repro.workflow.stage.BranchStage`, which reuse the parent's
-    index); ``on_stage_skipped(stage, index, total)`` fires for stages
-    a resume skips; ``on_checkpoint(stage, path)`` after a checkpoint
-    file is written; ``on_progress(message)`` for free-form progress
-    events.  Exceptions raised by hooks abort the run — by design, so
-    tests can inject crashes at exact stage boundaries.
-
-    Since the telemetry plane landed, hooks are implemented as a
-    :class:`WorkflowEvent` subscriber: the runner emits events, and
-    :meth:`handle_event` dispatches each to the matching legacy
-    callback.  Existing hook-based code keeps working unchanged; new
-    observers should subscribe to events directly
-    (:meth:`WorkflowRunner.subscribe`).
-    """
-
-    on_stage_start: Optional[Callable[[Stage, int, int], None]] = None
-    on_stage_end: Optional[Callable[[Stage, int, int, float], None]] = None
-    on_stage_skipped: Optional[Callable[[Stage, int, int], None]] = None
-    on_checkpoint: Optional[Callable[[Stage, Any], None]] = None
-    on_progress: Optional[Callable[[str], None]] = None
-
-    def progress(self, message: str) -> None:
-        if self.on_progress is not None:
-            self.on_progress(message)
-
-    def handle_event(self, event: WorkflowEvent) -> None:
-        """Dispatch one runner event to the matching legacy callback."""
-        if event.kind == "stage-start":
-            if self.on_stage_start is not None:
-                self.on_stage_start(event.stage, event.index, event.total)
-        elif event.kind == "stage-end":
-            if self.on_stage_end is not None:
-                self.on_stage_end(event.stage, event.index, event.total, event.seconds)
-        elif event.kind == "stage-skipped":
-            if self.on_stage_skipped is not None:
-                self.on_stage_skipped(event.stage, event.index, event.total)
-        elif event.kind == "checkpoint":
-            if self.on_checkpoint is not None:
-                self.on_checkpoint(event.stage, event.path)
-        elif event.kind == "progress":
-            if self.on_progress is not None:
-                self.on_progress(event.message)
 
 
 class WorkflowContext:
@@ -171,6 +124,14 @@ class WorkflowContext:
         self.executor.pipeline_metrics = metrics
 
     @property
+    def engine(self):
+        return self.executor.engine
+
+    @property
+    def options(self):
+        return self.executor.options
+
+    @property
     def partitioner(self):
         return self.executor.partitioner
 
@@ -190,38 +151,27 @@ class WorkflowContext:
 
 
 class WorkflowRunner:
-    """Executes workflows on an execution backend, with checkpointing."""
+    """Executes workflows on an execution backend, with checkpointing.
+
+    Takes :class:`~repro.runtime.base.RuntimeOptions` and/or its fields
+    as keywords for the executor it builds (or a ready ``executor``);
+    ``subscriber`` is registered first, as :meth:`subscribe` would.
+    """
 
     def __init__(
         self,
-        num_workers: int = 4,
-        backend: str = "serial",
-        columnar_messages: Optional[bool] = None,
+        options: Optional["RuntimeOptions"] = None,
         checkpoint_dir=None,
-        hooks: Optional[WorkflowHooks] = None,
+        subscriber: Optional[EventSubscriber] = None,
         executor: Optional[StageExecutor] = None,
-        partitioner: Optional[str] = None,
-        message_plane: Optional[str] = None,
-        memory_budget_mb: Optional[float] = None,
+        **overrides: Any,
     ) -> None:
-        if executor is not None:
-            self._executor = executor
-        else:
-            self._executor = StageExecutor(
-                num_workers=num_workers,
-                backend=backend,
-                columnar_messages=columnar_messages,
-                partitioner=partitioner,
-                message_plane=message_plane,
-                memory_budget_mb=memory_budget_mb,
-            )
-        self.hooks = hooks or WorkflowHooks()
-        # The legacy hooks object is simply the first event subscriber;
-        # everything it observes arrives through the same channel as any
-        # other subscriber.
-        self._subscribers: List[EventSubscriber] = [self.hooks.handle_event]
+        self._executor = (
+            executor if executor is not None else StageExecutor(options, **overrides)
+        )
+        self._subscribers: List[EventSubscriber] = [subscriber] if subscriber else []
         self._store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
-        self._override_executors: Dict[Tuple[str, int], StageExecutor] = {}
+        self._override_executors: Dict["RuntimeOptions", StageExecutor] = {}
         self._current_index = 0
         self._total_stages = 0
         # The (backend, num_workers) override of the stage currently
@@ -244,10 +194,10 @@ class WorkflowRunner:
     def subscribe(self, subscriber: EventSubscriber) -> EventSubscriber:
         """Register an observer of :class:`WorkflowEvent` emissions.
 
-        Subscribers run synchronously in registration order (the legacy
-        hooks object is always first); an exception from any subscriber
-        aborts the run.  Returns ``subscriber`` so it can be used as a
-        decorator.
+        Subscribers run synchronously in registration order (the
+        constructor's ``subscriber`` first); an exception from any
+        subscriber aborts the run.  Returns ``subscriber`` so it can be
+        used as a decorator.
         """
         self._subscribers.append(subscriber)
         return subscriber
@@ -479,21 +429,18 @@ class WorkflowRunner:
     ) -> StageExecutor:
         if backend is None and num_workers is None:
             return self._executor
-        backend = backend or self._executor.backend
-        num_workers = num_workers or self._executor.num_workers
-        key = (backend, num_workers)
-        executor = self._override_executors.get(key)
+        base = self._executor.options
+        options = replace(
+            base,
+            backend=backend or base.backend,
+            num_workers=num_workers or base.num_workers,
+        )
+        executor = self._override_executors.get(options)
         if executor is None:
             executor = StageExecutor(
-                num_workers=num_workers,
-                backend=backend,
-                columnar_messages=getattr(self._executor, "columnar_messages", None),
-                pipeline_metrics=self._executor.pipeline_metrics,
-                partitioner=getattr(self._executor, "partitioner_name", None),
-                message_plane=getattr(self._executor, "message_plane", None),
-                memory_budget_mb=getattr(self._executor, "memory_budget_mb", None),
+                options, pipeline_metrics=self._executor.pipeline_metrics
             )
-            self._override_executors[key] = executor
+            self._override_executors[options] = executor
         return executor
 
     def _rebind_metrics(self, metrics: PipelineMetrics) -> None:

@@ -40,7 +40,7 @@ class Stage:
     ----------
     name:
         Unique (within a workflow) stage name; also the label used by
-        progress hooks, checkpoints, and ``--list-stages``.
+        progress events, checkpoints, and ``--list-stages``.
     backend:
         Execution-backend override for this stage only (``None`` = use
         the runner's backend).
@@ -203,7 +203,7 @@ class BranchStage(Stage):
     inner stages then executes in order, sharing the outer context.
     The whole branch is one unit as far as checkpointing is concerned —
     a resume never restarts in the middle of a branch — but inner
-    stages still fire the runner's progress hooks.  The decision is
+    stages still emit the runner's stage events.  The decision is
     recorded under ``state["<name>/taken"]`` so reports and tests can
     see which path ran.
     """

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.assembler import AssemblyConfig, build_dbg
@@ -45,8 +47,8 @@ def test_config_validation():
 
 def test_config_copies():
     config = AssemblyConfig(k=21)
-    assert config.with_workers(8).num_workers == 8
-    assert config.with_labeling(LABELING_SIMPLIFIED_SV).labeling_method == LABELING_SIMPLIFIED_SV
+    assert dataclasses.replace(config, num_workers=8).num_workers == 8
+    assert dataclasses.replace(config, labeling_method=LABELING_SIMPLIFIED_SV).labeling_method == LABELING_SIMPLIFIED_SV
     paper = config.paper_defaults()
     assert paper.k == 31 and paper.tip_length_threshold == 80 and paper.bubble_edit_distance == 5
     # original untouched (frozen dataclass copies)

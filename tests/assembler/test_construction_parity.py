@@ -61,7 +61,7 @@ def _construct(reads, num_workers, partitioner, vectorized):
 @pytest.mark.parametrize("partitioner", ["hash", "prefix_range"])
 @pytest.mark.parametrize("num_workers", [4, 16])
 def test_construction_metrics_match_scalar_field_by_field(reads, num_workers, partitioner):
-    budget_bytes = AssemblyConfig(memory_budget_mb=BUDGET_MB).memory_budget_bytes
+    budget_bytes = AssemblyConfig(memory_budget_mb=BUDGET_MB).runtime.memory_budget_bytes
     assert len(reads) > 4 * _chunk_reads_for_budget(budget_bytes)
 
     fast, fast_jobs = _construct(reads, num_workers, partitioner, vectorized=True)

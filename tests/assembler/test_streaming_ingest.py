@@ -20,7 +20,6 @@ from repro.assembler.construction import _MAX_CHUNK_READS
 from repro.dna.io_fastq import Read, parse_fastq, write_fastq
 from repro.errors import FastqFormatError
 from repro.store.spill import process_spill_stats
-from repro.workflow import WorkflowHooks
 
 NUM_READS = 20_000
 READ_LENGTH = 36
@@ -93,16 +92,16 @@ def test_checkpointed_run_accepts_an_iterator_and_resumes(
     class SimulatedCrash(RuntimeError):
         pass
 
-    def bomb(stage, index, total, seconds):
-        if index == 2:
-            raise SimulatedCrash(stage.name)
+    def bomb(event):
+        if event.kind == "stage-end" and event.index == 2:
+            raise SimulatedCrash(event.stage.name)
 
     checkpoint_dir = tmp_path / "ckpt"
     with pytest.raises(SimulatedCrash):
         PPAAssembler(config).assemble(
             iter(CountingStream(short_reads)),
             checkpoint_dir=checkpoint_dir,
-            hooks=WorkflowHooks(on_stage_end=bomb),
+            subscriber=bomb,
         )
     assert list(checkpoint_dir.glob("checkpoint-*.pkl"))
     # The resuming call streams the same library again: the seed

@@ -8,6 +8,8 @@ and the comparison against the baselines.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import AssemblyConfig, PPAAssembler
@@ -64,7 +66,7 @@ def test_lr_and_sv_workflows_produce_identical_contigs(hc2_tiny):
     _profile, _reference, reads = hc2_tiny
     base = AssemblyConfig(k=21, coverage_threshold=1, tip_length_threshold=80, num_workers=4)
     lr_result = PPAAssembler(base).assemble(reads)
-    sv_result = PPAAssembler(base.with_labeling(LABELING_SIMPLIFIED_SV)).assemble(reads)
+    sv_result = PPAAssembler(dataclasses.replace(base, labeling_method=LABELING_SIMPLIFIED_SV)).assemble(reads)
     assert sorted(lr_result.contigs) == sorted(sv_result.contigs)
     # ... but list ranking gets there with fewer supersteps and messages.
     assert (

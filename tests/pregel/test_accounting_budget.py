@@ -62,7 +62,7 @@ def test_list_ranking_sizes_each_message_once_and_builds_one_context_per_worker_
 
     result = run_list_ranking(
         _shuffled_chain(NUM_NODES, seed=5),
-        engine=PregelEngine(NUM_WORKERS, backend="serial"),
+        engine=PregelEngine(num_workers=NUM_WORKERS, backend="serial"),
     )
 
     messages = result.metrics.total_messages

@@ -222,8 +222,8 @@ def _flood_job():
 
 
 def test_engine_results_identical_with_and_without_columnar():
-    columnar = PregelEngine(4, backend="serial").run(_flood_job())
-    scalar = PregelEngine(4, backend="serial", columnar_messages=False).run(_flood_job())
+    columnar = PregelEngine(num_workers=4, backend="serial").run(_flood_job())
+    scalar = PregelEngine(num_workers=4, backend="serial", columnar_messages=False).run(_flood_job())
     assert columnar.vertex_values() == scalar.vertex_values()
     assert columnar.metrics == scalar.metrics
     assert columnar.aggregates == scalar.aggregates
@@ -244,11 +244,11 @@ def test_hash_min_parity_across_message_planes():
                 adjacency[neighbor] = sorted(set(adjacency[neighbor]) | {index})
     graph = GraphInput(adjacency=adjacency)
 
-    columnar = run_hash_min(graph, engine=PregelEngine(4, backend="serial"))
+    columnar = run_hash_min(graph, engine=PregelEngine(num_workers=4, backend="serial"))
     scalar = run_hash_min(
-        graph, engine=PregelEngine(4, backend="serial", columnar_messages=False)
+        graph, engine=PregelEngine(num_workers=4, backend="serial", columnar_messages=False)
     )
-    multiprocess = run_hash_min(graph, engine=PregelEngine(4, backend="multiprocess"))
+    multiprocess = run_hash_min(graph, engine=PregelEngine(num_workers=4, backend="multiprocess"))
 
     assert columnar.vertex_values() == scalar.vertex_values()
     assert columnar.metrics == scalar.metrics

@@ -26,8 +26,8 @@ WORKER_COUNTS = (1, 3)
 
 def _engines(num_workers):
     return (
-        PregelEngine(num_workers, backend="serial"),
-        PregelEngine(num_workers, backend="multiprocess"),
+        PregelEngine(num_workers=num_workers, backend="serial"),
+        PregelEngine(num_workers=num_workers, backend="multiprocess"),
     )
 
 
@@ -135,7 +135,7 @@ def test_combiner_and_aggregator_parity(num_workers):
         ]
 
     def run(backend):
-        return PregelEngine(num_workers, backend=backend).run(
+        return PregelEngine(num_workers=num_workers, backend=backend).run(
             PregelJob(
                 name="flood",
                 vertices=build(),
@@ -173,7 +173,7 @@ def test_spawn_start_method_parity():
             aggregators=[sum_aggregator("active")],
         )
 
-    serial_result = PregelEngine(2, backend="serial").run(job())
+    serial_result = PregelEngine(num_workers=2, backend="serial").run(job())
     spawn_backend = MultiprocessBackend(num_workers=2, start_method="spawn")
     spawn_result = spawn_backend.run(job())
     _assert_job_parity(serial_result, spawn_result)

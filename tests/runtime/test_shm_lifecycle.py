@@ -144,7 +144,7 @@ def test_shm_alloc_fail_fault_forces_queue_fallback(monkeypatch):
     # /dev/shm: the plane must report itself unusable and the backend
     # must transparently run on the pickled-queue path with identical
     # results — and, obviously, zero segments.
-    oracle = PregelEngine(2, backend="serial").run(_ring_job(ChattyVertex))
+    oracle = PregelEngine(num_workers=2, backend="serial").run(_ring_job(ChattyVertex))
 
     monkeypatch.setenv("REPRO_FAULTS", json.dumps([{"kind": "shm_alloc_fail"}]))
     assert not shm_plane_usable()
@@ -162,7 +162,7 @@ def test_tiny_arena_grows_without_changing_results():
     # overflow to the queue while the grow protocol doubles the idle
     # buffer at each barrier.  Results must be bit-identical to serial
     # and nothing may leak.
-    oracle = PregelEngine(2, backend="serial").run(_ring_job(ChattyVertex))
+    oracle = PregelEngine(num_workers=2, backend="serial").run(_ring_job(ChattyVertex))
     backend = MultiprocessBackend(
         num_workers=2, message_plane="shm", shm_arena_bytes=4096
     )
@@ -177,7 +177,7 @@ def test_queue_plane_never_allocates_segments():
     backend = MultiprocessBackend(num_workers=2, message_plane="queue")
     result = backend.run(_ring_job(ChattyVertex))
     assert _arena_segments() == before
-    oracle = PregelEngine(2, backend="serial").run(_ring_job(ChattyVertex))
+    oracle = PregelEngine(num_workers=2, backend="serial").run(_ring_job(ChattyVertex))
     assert result.vertex_values() == oracle.vertex_values()
 
 

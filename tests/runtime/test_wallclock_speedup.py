@@ -55,7 +55,7 @@ def _job():
 
 
 def _timed(backend, message_plane="shm"):
-    engine = PregelEngine(NUM_WORKERS, backend=backend, message_plane=message_plane)
+    engine = PregelEngine(num_workers=NUM_WORKERS, backend=backend, message_plane=message_plane)
     started = time.perf_counter()
     result = engine.run(_job())
     return result, time.perf_counter() - started

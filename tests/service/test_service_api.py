@@ -34,11 +34,8 @@ def test_health_endpoint(client, service):
     health = client.health()
     assert health["status"] == "ok"
     assert health["workers"] == 2
-    assert health["worker_plane"] == service.worker_plane
     assert health["lease_seconds"] == service.store.lease_seconds
-    assert isinstance(health["worker_pids"], list)
-    if service.worker_plane == "process":
-        assert len(health["worker_pids"]) == 2
+    assert len(health["worker_pids"]) == 2
     assert set(health["counts"]) == {
         "queued", "running", "succeeded", "failed", "cancelled", "poisoned",
     }

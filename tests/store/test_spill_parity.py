@@ -15,7 +15,6 @@ import pytest
 from repro import AssemblyConfig, PPAAssembler
 from repro.dna import simulate_paired_dataset
 from repro.store.spill import process_spill_stats
-from repro.workflow import WorkflowHooks
 
 #: Small enough to force spilling on the test datasets, large enough
 #: that the spill plane still makes progress.
@@ -100,11 +99,11 @@ class SimulatedCrash(RuntimeError):
 
 
 def _crash_after(stage_index):
-    def bomb(stage, index, total, seconds):
-        if index == stage_index:
-            raise SimulatedCrash(stage.name)
+    def bomb(event):
+        if event.kind == "stage-end" and event.index == stage_index:
+            raise SimulatedCrash(event.stage.name)
 
-    return WorkflowHooks(on_stage_end=bomb)
+    return bomb
 
 
 def test_crash_mid_spill_then_resume_is_bit_identical(paired_library, tmp_path):
@@ -123,7 +122,7 @@ def test_crash_mid_spill_then_resume_is_bit_identical(paired_library, tmp_path):
         PPAAssembler(config).assemble_paired(
             paired_library,
             checkpoint_dir=checkpoint_dir,
-            hooks=_crash_after(3),
+            subscriber=_crash_after(3),
         )
     assert list(checkpoint_dir.glob("checkpoint-*.pkl"))
 

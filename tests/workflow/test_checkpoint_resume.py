@@ -20,7 +20,6 @@ from repro.workflow import (
     CheckpointStore,
     ConvertStage,
     Workflow,
-    WorkflowHooks,
     WorkflowRunner,
 )
 
@@ -29,12 +28,12 @@ class SimulatedCrash(RuntimeError):
     pass
 
 
-def _crash_after(stage_index: int) -> WorkflowHooks:
-    def bomb(stage, index, total, seconds):
-        if index == stage_index:
-            raise SimulatedCrash(stage.name)
+def _crash_after(stage_index: int):
+    def bomb(event):
+        if event.kind == "stage-end" and event.index == stage_index:
+            raise SimulatedCrash(event.stage.name)
 
-    return WorkflowHooks(on_stage_end=bomb)
+    return bomb
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +73,7 @@ def test_killed_then_resumed_assembly_is_bit_identical(
         PPAAssembler(config).assemble_paired(
             paired_library,
             checkpoint_dir=checkpoint_dir,
-            hooks=_crash_after(3),
+            subscriber=_crash_after(3),
         )
     assert list(checkpoint_dir.glob("checkpoint-*.pkl"))
 
@@ -95,7 +94,7 @@ def test_resume_works_from_any_stage_boundary(
         PPAAssembler(config).assemble_paired(
             paired_library,
             checkpoint_dir=checkpoint_dir,
-            hooks=_crash_after(crash_index),
+            subscriber=_crash_after(crash_index),
         )
     resumed = PPAAssembler(config).assemble_paired(
         paired_library, checkpoint_dir=checkpoint_dir, resume=True
@@ -111,11 +110,12 @@ def test_resume_of_completed_run_recomputes_nothing(paired_library, tmp_path):
     )
 
     executed = []
-    hooks = WorkflowHooks(
-        on_stage_start=lambda stage, i, n: executed.append(stage.name)
-    )
+    def record_starts(event):
+        if event.kind == "stage-start":
+            executed.append(event.stage.name)
+
     again = PPAAssembler(config).assemble_paired(
-        paired_library, checkpoint_dir=checkpoint_dir, resume=True, hooks=hooks
+        paired_library, checkpoint_dir=checkpoint_dir, resume=True, subscriber=record_starts
     )
     assert executed == []
     _assert_identical(again, first)
@@ -141,7 +141,7 @@ def test_mismatched_workflow_shape_refuses_to_resume(paired_library, tmp_path):
     config = _config("serial")
     with pytest.raises(SimulatedCrash):
         PPAAssembler(config).assemble_paired(
-            paired_library, checkpoint_dir=checkpoint_dir, hooks=_crash_after(2)
+            paired_library, checkpoint_dir=checkpoint_dir, subscriber=_crash_after(2)
         )
     # Same workflow name, different stage schedule (two correction
     # rounds instead of one) — resuming must fail loudly.
@@ -203,7 +203,7 @@ def test_fresh_run_clears_stale_checkpoints_from_previous_run(tmp_path):
     # Run 2: different input, crashes after stage 1.
     with pytest.raises(SimulatedCrash):
         WorkflowRunner(
-            num_workers=2, checkpoint_dir=tmp_path, hooks=_crash_after(0)
+            num_workers=2, checkpoint_dir=tmp_path, subscriber=_crash_after(0)
         ).run(build(), state={"x": 0})
 
     resumed = WorkflowRunner(num_workers=2, checkpoint_dir=tmp_path).run(
@@ -224,7 +224,7 @@ def test_resume_with_different_inputs_is_refused(tmp_path):
     # is written, so crashing any earlier would leave none).
     with pytest.raises(SimulatedCrash):
         WorkflowRunner(
-            num_workers=2, checkpoint_dir=tmp_path, hooks=_crash_after(1)
+            num_workers=2, checkpoint_dir=tmp_path, subscriber=_crash_after(1)
         ).run(workflow, state={"x": 1})
     assert list(tmp_path.glob("checkpoint-*.pkl"))
 
@@ -248,7 +248,7 @@ def test_resume_without_seed_state_uses_the_checkpoints(tmp_path):
 
     with pytest.raises(SimulatedCrash):
         WorkflowRunner(
-            num_workers=2, checkpoint_dir=tmp_path, hooks=_crash_after(1)
+            num_workers=2, checkpoint_dir=tmp_path, subscriber=_crash_after(1)
         ).run(workflow, state={"x": 21})
 
     ctx = WorkflowRunner(num_workers=2, checkpoint_dir=tmp_path).resume(workflow)

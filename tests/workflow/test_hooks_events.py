@@ -1,10 +1,9 @@
-"""Legacy ``WorkflowHooks`` compatibility over the event-subscriber shim.
+"""The runner's :class:`WorkflowEvent` stream, as subscribers see it.
 
-``WorkflowHooks`` used to be called directly by the runner; it is now
-the first subscriber of the runner's :class:`WorkflowEvent` stream.
-These tests pin the compatibility contract: the old callbacks still
-fire, in the old order, with the old arguments — alongside any new
-subscribers.
+Events are the only observer API: progress lines, stage timing, the job
+service's cancellation and deadlines, and test crash injection are all
+subscribers.  These tests pin what each event carries, the order
+subscribers run in, and that a raising subscriber aborts the run.
 """
 
 from __future__ import annotations
@@ -15,96 +14,92 @@ from repro.workflow import (
     ConvertStage,
     Workflow,
     WorkflowEvent,
-    WorkflowHooks,
     WorkflowRunner,
 )
 
 
 def _three_stage_workflow() -> Workflow:
-    workflow = Workflow("hooked")
+    workflow = Workflow("observed")
     workflow.add(ConvertStage("a", lambda ctx: 1, output="a"))
     workflow.add(ConvertStage("b", lambda ctx: 2, output="b"))
     workflow.add(ConvertStage("c", lambda ctx: 3, output="c"))
     return workflow
 
 
-def test_legacy_hook_callbacks_fire_in_order():
-    calls = []
-    hooks = WorkflowHooks(
-        on_stage_start=lambda stage, index, total: calls.append(
-            ("start", stage.name, index, total)
-        ),
-        on_stage_end=lambda stage, index, total, seconds: calls.append(
-            ("end", stage.name, index, total)
-        ),
+def test_stage_events_fire_in_order():
+    events = []
+    WorkflowRunner(num_workers=2, subscriber=events.append).run(
+        _three_stage_workflow()
     )
-    WorkflowRunner(num_workers=2, hooks=hooks).run(_three_stage_workflow())
-    assert calls == [
-        ("start", "a", 0, 3), ("end", "a", 0, 3),
-        ("start", "b", 1, 3), ("end", "b", 1, 3),
-        ("start", "c", 2, 3), ("end", "c", 2, 3),
+    assert [(e.kind, e.stage.name, e.index, e.total) for e in events] == [
+        ("stage-start", "a", 0, 3), ("stage-end", "a", 0, 3),
+        ("stage-start", "b", 1, 3), ("stage-end", "b", 1, 3),
+        ("stage-start", "c", 2, 3), ("stage-end", "c", 2, 3),
     ]
 
 
 def test_stage_end_seconds_argument_still_passed():
-    seconds_seen = []
-    hooks = WorkflowHooks(
-        on_stage_end=lambda stage, index, total, seconds: seconds_seen.append(seconds)
+    events = []
+    WorkflowRunner(num_workers=2, subscriber=events.append).run(
+        _three_stage_workflow()
     )
-    WorkflowRunner(num_workers=2, hooks=hooks).run(_three_stage_workflow())
+    seconds_seen = [e.seconds for e in events if e.kind == "stage-end"]
     assert len(seconds_seen) == 3
     assert all(value >= 0 for value in seconds_seen)
 
 
-def test_checkpoint_and_skip_hooks_fire_through_the_shim(tmp_path):
+def test_checkpoint_and_skip_events_fire(tmp_path):
     checkpoints, skipped = [], []
-    hooks = WorkflowHooks(
-        on_checkpoint=lambda stage, path: checkpoints.append(stage.name),
-        on_stage_skipped=lambda stage, index, total: skipped.append(stage.name),
-    )
-    runner = WorkflowRunner(num_workers=2, hooks=hooks, checkpoint_dir=tmp_path)
+
+    def record(event: WorkflowEvent):
+        if event.kind == "checkpoint":
+            assert event.path.is_file()
+            checkpoints.append(event.stage.name)
+        elif event.kind == "stage-skipped":
+            skipped.append(event.stage.name)
+
+    runner = WorkflowRunner(num_workers=2, subscriber=record, checkpoint_dir=tmp_path)
     runner.run(_three_stage_workflow())
     assert checkpoints == ["a", "b", "c"]
     assert skipped == []
 
     # Resume from a complete checkpoint: every stage arrives as skipped.
-    resumed = WorkflowRunner(num_workers=2, hooks=hooks, checkpoint_dir=tmp_path)
+    resumed = WorkflowRunner(num_workers=2, subscriber=record, checkpoint_dir=tmp_path)
     resumed.run(_three_stage_workflow(), resume=True)
     assert skipped == ["a", "b", "c"]
 
 
-def test_new_subscribers_see_events_after_the_legacy_hooks():
+def test_subscribers_run_in_registration_order():
     order = []
-    hooks = WorkflowHooks(
-        on_stage_start=lambda stage, index, total: order.append(("hook", stage.name))
-    )
-    runner = WorkflowRunner(num_workers=2, hooks=hooks)
+
+    def first(event: WorkflowEvent):
+        if event.kind == "stage-start":
+            order.append(("first", event.stage.name))
+
+    runner = WorkflowRunner(num_workers=2, subscriber=first)
 
     @runner.subscribe
-    def observer(event: WorkflowEvent):
+    def second(event: WorkflowEvent):
         if event.kind == "stage-start":
-            order.append(("subscriber", event.stage.name))
+            order.append(("second", event.stage.name))
 
     runner.run(_three_stage_workflow())
-    # Legacy hooks are the first subscriber: for each event they run
-    # before later-registered observers.
     assert order == [
-        ("hook", "a"), ("subscriber", "a"),
-        ("hook", "b"), ("subscriber", "b"),
-        ("hook", "c"), ("subscriber", "c"),
+        ("first", "a"), ("second", "a"),
+        ("first", "b"), ("second", "b"),
+        ("first", "c"), ("second", "c"),
     ]
 
 
 def test_subscriber_exception_aborts_the_run():
     # The service's cooperative cancellation rides on this: its
-    # on_stage_start hook raises to stop a job at a stage boundary.
+    # subscriber raises on stage-start to stop a job at a stage boundary.
     class Stop(Exception):
         pass
 
-    def bomb(stage, index, total):
-        if stage.name == "b":
+    def bomb(event: WorkflowEvent):
+        if event.kind == "stage-start" and event.stage.name == "b":
             raise Stop()
 
-    hooks = WorkflowHooks(on_stage_start=bomb)
     with pytest.raises(Stop):
-        WorkflowRunner(num_workers=2, hooks=hooks).run(_three_stage_workflow())
+        WorkflowRunner(num_workers=2, subscriber=bomb).run(_three_stage_workflow())

@@ -1,7 +1,7 @@
 """Unit tests for the declarative workflow API.
 
 Covers the builder's DAG validation, the four typed stage descriptors,
-runner hooks and per-stage overrides.
+runner events and per-stage overrides.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.workflow import (
     PregelStage,
     Stage,
     Workflow,
-    WorkflowHooks,
     WorkflowRunner,
 )
 
@@ -203,14 +202,13 @@ def test_branch_stage_rejects_duplicate_inner_names():
 
 
 # ----------------------------------------------------------------------
-# runner: hooks, overrides, custom Stage subclasses
+# runner: events, overrides, custom Stage subclasses
 # ----------------------------------------------------------------------
 def test_hooks_fire_in_order_including_branch_inners():
     events = []
-    hooks = WorkflowHooks(
-        on_stage_start=lambda stage, i, n: events.append(("start", stage.name)),
-        on_stage_end=lambda stage, i, n, s: events.append(("end", stage.name)),
-    )
+    def record(event):
+        events.append((event.kind.removeprefix("stage-"), event.stage.name))
+
     workflow = Workflow("hooked")
     workflow.add(ConvertStage("a", _noop))
     workflow.add(
@@ -220,7 +218,7 @@ def test_hooks_fire_in_order_including_branch_inners():
             then_stages=[ConvertStage("b.inner", _noop)],
         )
     )
-    WorkflowRunner(num_workers=2, hooks=hooks).run(workflow)
+    WorkflowRunner(num_workers=2, subscriber=record).run(workflow)
     assert events == [
         ("start", "a"), ("end", "a"),
         ("start", "b"),
