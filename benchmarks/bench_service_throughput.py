@@ -88,10 +88,11 @@ def _wait_all(service, job_ids, timeout=600.0):
 def _claim_latency(store, record) -> float:
     """The job's queue wait, from its durable ``started`` event.
 
-    Prefers the monotonic ``claim_latency_seconds`` the store captured
-    at enqueue time (the last ``started`` event, i.e. the final
-    attempt); falls back to the wall-clock timestamp difference for
-    records without one.
+    Prefers the ``claim_latency_seconds`` of the last ``started`` event
+    (the final attempt), which the store derives from the row's
+    wall-clock ``created_at`` — or ``next_attempt_at`` for a retry —
+    so every claiming process measures it the same way; falls back to
+    the row's timestamp difference for records without one.
     """
     latency = None
     for event in store.events(record.id):

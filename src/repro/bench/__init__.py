@@ -15,7 +15,6 @@ from .harness import (
     run_baselines,
     run_ppa,
     run_ppa_scaffolded,
-    run_ppa_timed,
 )
 from .reporting import format_comparison, format_scaling_series, format_table
 from .schema import BENCH_SCHEMA_VERSION, bench_report, scaffold_metrics
@@ -35,7 +34,6 @@ __all__ = [
     "run_baselines",
     "run_ppa",
     "run_ppa_scaffolded",
-    "run_ppa_timed",
     "format_comparison",
     "format_scaling_series",
     "format_table",

@@ -17,11 +17,10 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..assembler import AssemblyConfig, PPAAssembler
 from ..assembler.results import AssemblyResult
@@ -247,22 +246,6 @@ def run_ppa(
     return PPAAssembler(config).assemble(
         dataset.reads, checkpoint_dir=checkpoint_dir, resume=resume
     )
-
-
-def run_ppa_timed(
-    dataset: PreparedDataset, num_workers: int = 16, **config_overrides
-) -> Tuple[AssemblyResult, float]:
-    """Run PPA-assembler and measure real wall-clock seconds.
-
-    The cost model estimates what a *simulated* cluster would take;
-    this measures what the chosen execution backend actually took on
-    the current host, so backends — and the multiprocess backend's data
-    planes/partitioners — can be compared side by side
-    (``benchmarks/bench_backend_speedup.py``).
-    """
-    started = time.perf_counter()
-    result = run_ppa(dataset, num_workers, **config_overrides)
-    return result, time.perf_counter() - started
 
 
 @dataclass

@@ -5,8 +5,11 @@ tests/benchmarks embed in-process.  Its start-up order is the crash
 -recovery contract:
 
 1. open (or create) the SQLite store under ``data_dir``;
-2. :meth:`~repro.service.store.JobStore.recover_interrupted` — every
-   job a dead process left ``running`` goes back to ``queued``;
+2. :meth:`~repro.service.store.JobStore.reap_expired` with
+   ``reason="service-restart"`` — every job a dead process left
+   ``running`` (its lease lapsed) goes back to ``queued``, or is
+   poisoned at its attempt limit; a live sibling replica's jobs keep
+   their current leases;
 3. start the worker pool — recovered jobs are claimed like any other
    and, because every run resumes from the job's surviving checkpoint
    directory, continue from their last completed stage bit-identically;
@@ -118,8 +121,8 @@ class AssemblyService:
         """Recover interrupted jobs, start workers, bind the API."""
         self._previous_registry = set_registry(self.registry)
         self._previous_tracer = set_tracer(self.tracer)
-        recovered = self.store.recover_interrupted()
-        for record in recovered:
+        for reclaim in self.store.reap_expired(reason="service-restart"):
+            record = reclaim.record
             if record.state == STATE_QUEUED:
                 self.logger.info(
                     "re-enqueued interrupted job %s (attempt %d, will resume "

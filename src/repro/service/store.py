@@ -19,6 +19,12 @@ States and transitions::
     running ──retryable failure──> queued              (retry, with backoff)
     running ──attempts exhausted──> poisoned            (quarantine)
 
+Every arrow is one call of :meth:`JobStore._transition_locked`, the
+only statement here that updates a job row: it moves the row only if
+it is still in the expected state (and, for a worker's write, still
+holds the caller's lease token), and appends the transition's event
+only when the row moved.
+
 Claims are **leases**, not permanent ownership: ``claim_next`` stamps a
 ``lease_token`` (a fencing token unique per claim) and a
 ``lease_expires_at`` deadline, the worker renews via :meth:`heartbeat`,
@@ -36,7 +42,8 @@ re-enqueues with ``next_attempt_at`` pushed out by exponential backoff
 reproduce), until ``max_attempts`` is reached and the job is
 quarantined in the terminal ``poisoned`` state with its captured
 failure reason.  ``failed`` remains reserved for *permanent* errors
-(invalid input, missing files) where retrying cannot help.
+(invalid input, missing files) where retrying cannot help; the worker
+records those with ``finish_attempt(..., STATE_FAILED, error=...)``.
 
 Idempotency keys make submission retry-safe: re-submitting with a key
 the store has seen returns the existing job instead of enqueueing a
@@ -45,7 +52,7 @@ duplicate — exactly what an HTTP client that lost a response needs.
 Thread-safety: one connection guarded by an ``RLock`` per store
 instance; cross-process safety comes from SQLite's own locking (with a
 ``busy_timeout`` so concurrent replicas queue instead of erroring) plus
-the rowcount-checked guarded UPDATEs on every state transition.
+the rowcount check of that one guarded transition.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import JobNotFoundError, JobStateError
 from ..telemetry import get_registry
@@ -72,18 +79,11 @@ STATE_FAILED = "failed"
 STATE_CANCELLED = "cancelled"
 STATE_POISONED = "poisoned"
 
-#: Every state a job can be in, in lifecycle order.
-JOB_STATES = (
-    STATE_QUEUED,
-    STATE_RUNNING,
-    STATE_SUCCEEDED,
-    STATE_FAILED,
-    STATE_CANCELLED,
-    STATE_POISONED,
-)
-
 #: States a job never leaves.
 TERMINAL_STATES = (STATE_SUCCEEDED, STATE_FAILED, STATE_CANCELLED, STATE_POISONED)
+
+#: Every state a job can be in, in lifecycle order.
+JOB_STATES = (STATE_QUEUED, STATE_RUNNING) + TERMINAL_STATES
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -255,6 +255,16 @@ def retry_backoff(
     return delay * jitter
 
 
+def _spec_json(spec: JobSpec) -> str:
+    """The persisted form of a spec; idempotency keys compare it."""
+    return json.dumps(spec.to_dict(), sort_keys=True)
+
+
+#: ``token`` default of :meth:`JobStore._transition_locked`: the write
+#: does not check the lease (claims and cancels are not lease holders).
+_UNCHECKED = object()
+
+
 class JobStore:
     """Durable queue + archive + event log over one SQLite file."""
 
@@ -273,12 +283,6 @@ class JobStore:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
-        # Monotonic enqueue stamps for queue-latency measurement.  The
-        # row's created_at is wall-clock and can jump (NTP slew, DST on
-        # naive hosts), so latency is derived from time.monotonic()
-        # captured at enqueue whenever this process did the enqueueing;
-        # jobs enqueued by a previous process fall back to wall-clock.
-        self._enqueue_monotonic: Dict[str, float] = {}
         self._event_write_delay = FaultPlan.from_env().store_write_delay()
         self._connection = sqlite3.connect(
             str(self.path), check_same_thread=False
@@ -311,6 +315,39 @@ class JobStore:
     def close(self) -> None:
         with self._lock:
             self._connection.close()
+
+    def _transition_locked(
+        self,
+        job_id: str,
+        from_state: str,
+        token: Any = _UNCHECKED,
+        event: Optional[Tuple[str, Dict[str, Any]]] = None,
+        **columns: Any,
+    ) -> bool:
+        """Write ``columns`` to the job if it is still in ``from_state``.
+
+        The only statement in this module that updates a job row.
+        Callers decide from a SELECT that ran outside the write
+        transaction, so another process sharing the file (a worker, a
+        reaper, a sibling replica) may have moved the row since; the
+        guard re-checks the state — and the lease ``token`` when one is
+        given (``IS``, so a NULL lease from a pre-lease schema still
+        matches) — against the row as it is now.  ``event`` (``(type,
+        payload)``) is appended in the same transaction, only when the
+        row moved.  The caller commits.
+        """
+        columns["updated_at"] = time.time()
+        assignments = ", ".join(f"{name} = ?" for name in columns)
+        sql = f"UPDATE jobs SET {assignments} WHERE id = ? AND state = ?"
+        params = [*columns.values(), job_id, from_state]
+        if token is not _UNCHECKED:
+            sql += " AND lease_token IS ?"
+            params.append(token)
+        if self._connection.execute(sql, params).rowcount != 1:
+            return False
+        if event is not None:
+            self._append_event_locked(job_id, *event)
+        return True
 
     # ------------------------------------------------------------------
     # submission
@@ -349,59 +386,50 @@ class JobStore:
         from inputs they did not submit.
         """
         spec.validate()
-        spec_json = json.dumps(spec.to_dict(), sort_keys=True)
+        spec_json = _spec_json(spec)
         max_attempts = spec.retry.get("max_attempts")
         now = time.time()
         job_id = uuid.uuid4().hex
         with self._lock:
+            existing = None
             if idempotency_key is not None:
-                row = self._connection.execute(
-                    "SELECT * FROM jobs WHERE idempotency_key = ?",
-                    (idempotency_key,),
-                ).fetchone()
-                if row is not None:
-                    if row["spec"] != spec_json:
-                        raise JobStateError(
-                            f"idempotency key {idempotency_key!r} was "
-                            f"already used by job {row['id']} with a "
-                            "different spec; pick a new key or resubmit "
-                            "the original spec"
-                        )
-                    return self._record(row), False
-            try:
-                self._connection.execute(
-                    "INSERT INTO jobs (id, state, priority, idempotency_key,"
-                    " spec, created_at, updated_at, max_attempts)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        job_id,
-                        STATE_QUEUED,
-                        priority,
-                        idempotency_key,
-                        spec_json,
-                        now,
-                        now,
-                        max_attempts,
-                    ),
-                )
-            except sqlite3.IntegrityError:
-                # Another *process* sharing the database file inserted
-                # this key between our SELECT and INSERT (the in-process
-                # lock cannot cover that window); dedup instead of 500.
-                self._connection.rollback()
-                row = self._connection.execute(
-                    "SELECT * FROM jobs WHERE idempotency_key = ?",
-                    (idempotency_key,),
-                ).fetchone()
-                if row is not None and row["spec"] == spec_json:
-                    return self._record(row), False
-                raise JobStateError(
-                    f"idempotency key {idempotency_key!r} was concurrently "
-                    "used with a different spec"
-                ) from None
+                existing = self.find_by_key(idempotency_key)
+            if existing is None:
+                try:
+                    self._connection.execute(
+                        "INSERT INTO jobs (id, state, priority, idempotency_key,"
+                        " spec, created_at, updated_at, max_attempts)"
+                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                        (
+                            job_id,
+                            STATE_QUEUED,
+                            priority,
+                            idempotency_key,
+                            spec_json,
+                            now,
+                            now,
+                            max_attempts,
+                        ),
+                    )
+                except sqlite3.IntegrityError:
+                    # Another *process* sharing the database file inserted
+                    # this key between our lookup and INSERT (the in-process
+                    # lock cannot cover that window); dedup instead of 500.
+                    self._connection.rollback()
+                    existing = self.find_by_key(idempotency_key)
+                    if existing is None:
+                        raise
+            if existing is not None:
+                if _spec_json(existing.spec) != spec_json:
+                    raise JobStateError(
+                        f"idempotency key {idempotency_key!r} was "
+                        f"already used by job {existing.id} with a "
+                        "different spec; pick a new key or resubmit "
+                        "the original spec"
+                    )
+                return existing, False
             self._append_event_locked(job_id, "submitted", {"priority": priority})
             self._connection.commit()
-            self._enqueue_monotonic[job_id] = time.monotonic()
         get_registry().counter(
             "repro_jobs_submitted_total", "Jobs accepted into the queue."
         ).inc()
@@ -442,7 +470,8 @@ class JobStore:
         with self._lock:
             while True:
                 row = self._connection.execute(
-                    "SELECT id FROM jobs WHERE state = ?"
+                    "SELECT id, attempts, created_at, next_attempt_at FROM jobs"
+                    " WHERE state = ?"
                     " AND (next_attempt_at IS NULL OR next_attempt_at <= ?)"
                     " ORDER BY priority DESC, created_at ASC, id ASC LIMIT 1",
                     (STATE_QUEUED, now),
@@ -450,52 +479,37 @@ class JobStore:
                 if row is None:
                     return None
                 job_id = row["id"]
-                cursor = self._connection.execute(
-                    "UPDATE jobs SET state = ?, worker = ?, started_at = ?,"
-                    " updated_at = ?, attempts = attempts + 1,"
-                    " lease_token = ?, lease_expires_at = ?, next_attempt_at = NULL"
-                    " WHERE id = ? AND state = ?",
-                    (
-                        STATE_RUNNING,
-                        worker,
-                        now,
-                        now,
-                        token,
-                        now + lease,
-                        job_id,
-                        STATE_QUEUED,
-                    ),
+                attempt = row["attempts"] + 1
+                # Queue wait counts from when the job became claimable:
+                # its submission, or the end of its retry backoff.  Both
+                # are on the row, so the wait reads the same whichever
+                # process submitted, requeued or now claims the job.
+                claim_latency = max(
+                    0.0, now - (row["next_attempt_at"] or row["created_at"])
                 )
-                if cursor.rowcount != 1:
-                    # Lost the race to a foreign process; try the next
-                    # queued job rather than double-running this one.
-                    self._connection.commit()
-                    continue
-                enqueued = self._enqueue_monotonic.pop(job_id, None)
-                if enqueued is not None:
-                    claim_latency = time.monotonic() - enqueued
-                else:
-                    # Enqueued by another/previous process: wall-clock
-                    # difference is the only measure available.
-                    created = self._connection.execute(
-                        "SELECT created_at FROM jobs WHERE id = ?", (job_id,)
-                    ).fetchone()["created_at"]
-                    claim_latency = max(0.0, now - created)
-                attempt = self._connection.execute(
-                    "SELECT attempts FROM jobs WHERE id = ?", (job_id,)
-                ).fetchone()["attempts"]
-                self._append_event_locked(
+                started = {
+                    "worker": worker,
+                    "attempt": attempt,
+                    "claim_latency_seconds": round(claim_latency, 6),
+                    "lease_expires_at": round(now + lease, 6),
+                }
+                claimed = self._transition_locked(
                     job_id,
-                    "started",
-                    {
-                        "worker": worker,
-                        "attempt": attempt,
-                        "claim_latency_seconds": round(claim_latency, 6),
-                        "lease_expires_at": round(now + lease, 6),
-                    },
+                    STATE_QUEUED,
+                    event=("started", started),
+                    state=STATE_RUNNING,
+                    worker=worker,
+                    started_at=now,
+                    attempts=attempt,
+                    lease_token=token,
+                    lease_expires_at=now + lease,
+                    next_attempt_at=None,
                 )
                 self._connection.commit()
-                break
+                if claimed:
+                    break
+                # Lost the race to a foreign process: try the next
+                # queued job rather than double-running this one.
         get_registry().histogram(
             "repro_claim_latency_seconds",
             "Seconds between a job entering the queue and a worker claiming it.",
@@ -513,15 +527,15 @@ class JobStore:
         rejected by the token guards anyway.
         """
         lease = self.lease_seconds if lease_seconds is None else lease_seconds
-        now = time.time()
         with self._lock:
-            cursor = self._connection.execute(
-                "UPDATE jobs SET lease_expires_at = ?, updated_at = ?"
-                " WHERE id = ? AND state = ? AND lease_token = ?",
-                (now + lease, now, job_id, STATE_RUNNING, token),
+            renewed = self._transition_locked(
+                job_id,
+                STATE_RUNNING,
+                token=token,
+                lease_expires_at=time.time() + lease,
             )
             self._connection.commit()
-            return cursor.rowcount == 1
+        return renewed
 
     def finish_attempt(
         self,
@@ -531,75 +545,44 @@ class JobStore:
         error: Optional[str] = None,
         result_dir: Optional[str] = None,
     ) -> bool:
-        """Token-fenced terminal write for a *successful or cancelled* attempt.
+        """Token-fenced terminal write: ``succeeded``, ``cancelled`` or ``failed``.
 
-        Returns False (writing nothing) when the caller's lease is no
-        longer current — the fenced-zombie case; the reclaimed job's
-        next attempt owns the row now.
+        ``failed`` is for *permanent* errors (bad input, missing files),
+        where a retry would fail identically; retryable failures go
+        through :meth:`fail_attempt`.  Returns False (writing nothing)
+        when the caller's lease is no longer current — the fenced-zombie
+        case; the reclaimed job's next attempt owns the row now.
         """
-        now = time.time()
         with self._lock:
-            cursor = self._connection.execute(
-                "UPDATE jobs SET state = ?, error = ?, result_dir = ?,"
-                " finished_at = ?, updated_at = ?,"
-                " lease_token = NULL, lease_expires_at = NULL"
-                " WHERE id = ? AND state = ? AND lease_token = ?",
-                (state, error, result_dir, now, now, job_id, STATE_RUNNING, token),
+            finished = self._transition_locked(
+                job_id,
+                STATE_RUNNING,
+                token=token,
+                event=(state, {"error": error} if error else {}),
+                state=state,
+                error=error,
+                result_dir=result_dir,
+                finished_at=time.time(),
+                lease_token=None,
+                lease_expires_at=None,
             )
-            if cursor.rowcount != 1:
-                self._connection.commit()
-                return False
-            payload: Dict[str, Any] = {}
-            if error:
-                payload["error"] = error
-            self._append_event_locked(job_id, state, payload)
             self._connection.commit()
-            return True
+        return finished
 
-    def fail_attempt(
-        self,
-        job_id: str,
-        token: str,
-        error: str,
-        retryable: bool = True,
-    ) -> Optional[str]:
-        """Record a failed attempt; returns what happened to the job.
+    def fail_attempt(self, job_id: str, token: str, error: str) -> Optional[str]:
+        """Record a retryable failed attempt; returns what happened to the job.
 
-        ``retryable=False`` (permanent errors — bad input, missing
-        files) goes straight to ``failed``.  Retryable failures requeue
-        with backoff until ``max_attempts``, then quarantine as
-        ``poisoned``.  Returns ``"failed"``, ``"requeued"``,
+        The job requeues with backoff until ``max_attempts``, then
+        quarantines as ``poisoned``.  Returns ``"requeued"``,
         ``"poisoned"``, or None when the token was fenced (another
         attempt owns the job; nothing was written).
         """
-        now = time.time()
         with self._lock:
-            row = self._connection.execute(
-                "SELECT * FROM jobs WHERE id = ?", (job_id,)
-            ).fetchone()
-            if row is None:
-                raise JobNotFoundError(job_id)
-            if row["state"] != STATE_RUNNING or row["lease_token"] != token:
+            record = self.get(job_id)
+            if record.state != STATE_RUNNING or record.lease_token != token:
                 return None
-            if not retryable:
-                # The token guard is repeated on the UPDATE itself: the
-                # SELECT above runs outside the write transaction, so a
-                # cross-process reclaim can commit in between — the
-                # rowcount check is what actually refuses the late write.
-                cursor = self._connection.execute(
-                    "UPDATE jobs SET state = ?, error = ?, finished_at = ?,"
-                    " updated_at = ?, lease_token = NULL, lease_expires_at = NULL"
-                    " WHERE id = ? AND state = ? AND lease_token = ?",
-                    (STATE_FAILED, error, now, now, job_id, STATE_RUNNING, token),
-                )
-                if cursor.rowcount != 1:
-                    self._connection.commit()
-                    return None
-                self._append_event_locked(job_id, STATE_FAILED, {"error": error})
-                self._connection.commit()
-                return "failed"
             outcome = self._retry_or_quarantine_locked(
-                row, error=error, event_type="retry-scheduled", now=now
+                record, error=error, event_type="retry-scheduled", now=time.time()
             )
             self._connection.commit()
         if outcome == "requeued":
@@ -621,43 +604,20 @@ class JobStore:
         just at startup — so a worker that died without a supervisor
         noticing (or a whole dead replica) leaks its jobs for at most
         one lease duration.  Rows with a NULL lease (written by an
-        older service version) count as expired.
+        older service version) count as expired.  At service start-up
+        it runs with ``reason="service-restart"``: jobs leased by a
+        *live* sibling replica keep running untouched, while jobs of the
+        process this service replaces re-enqueue for resume.
         """
         now = time.time() if now is None else now
         with self._lock:
-            rows = self._connection.execute(
-                "SELECT * FROM jobs WHERE state = ?"
-                " AND (lease_expires_at IS NULL OR lease_expires_at < ?)",
-                (STATE_RUNNING, now),
-            ).fetchall()
-            reclaims = []
-            for row in rows:
-                outcome = self._retry_or_quarantine_locked(
-                    row,
-                    error=f"lease expired (held by {row['worker']}): {reason}",
-                    event_type="recovered",
-                    now=now,
-                    reason=reason,
-                )
-                if outcome is None:
-                    # The worker finished (token-fenced) between our
-                    # SELECT and UPDATE; nothing was reclaimed.
-                    continue
-                reclaims.append(
-                    Reclaim(
-                        record=self.get(row["id"]),
-                        previous_owner=row["worker"],
-                        outcome=outcome,
-                    )
-                )
-            self._connection.commit()
-        for reclaim in reclaims:
-            get_registry().counter(
-                "repro_lease_reclaims_total",
-                "Running jobs taken back from expired or dead lease holders.",
-                labelnames=("reason",),
-            ).labels(reason).inc()
-        return reclaims
+            return self._reclaim_locked(
+                "(lease_expires_at IS NULL OR lease_expires_at < ?)",
+                (now,),
+                error="lease expired (held by {worker}): {reason}",
+                reason=reason,
+                now=now,
+            )
 
     def reclaim_worker(
         self, worker: str, reason: str = "worker-died"
@@ -668,44 +628,51 @@ class JobStore:
         process die — no need to wait out the lease when the owner is
         known dead.
         """
-        now = time.time()
         with self._lock:
-            rows = self._connection.execute(
-                "SELECT * FROM jobs WHERE state = ? AND worker = ?",
-                (STATE_RUNNING, worker),
-            ).fetchall()
-            reclaims = []
-            for row in rows:
-                outcome = self._retry_or_quarantine_locked(
-                    row,
-                    error=f"worker {worker} died mid-attempt",
-                    event_type="recovered",
-                    now=now,
-                    reason=reason,
-                )
-                if outcome is None:
-                    # The dying worker's last token-fenced write landed
-                    # first; the job is already terminal. Leave it be.
-                    continue
-                reclaims.append(
-                    Reclaim(
-                        record=self.get(row["id"]),
-                        previous_owner=worker,
-                        outcome=outcome,
-                    )
-                )
-            self._connection.commit()
-        for reclaim in reclaims:
+            return self._reclaim_locked(
+                "worker = ?",
+                (worker,),
+                error="worker {worker} died mid-attempt",
+                reason=reason,
+                now=time.time(),
+            )
+
+    def _reclaim_locked(
+        self, where_sql: str, params: tuple, error: str, reason: str, now: float
+    ) -> List[Reclaim]:
+        """Requeue or poison every running job matching ``where_sql``.
+
+        ``error`` is a template over the row's ``worker`` and the
+        ``reason``.  A job whose owner's token-fenced finish landed
+        between the SELECT and its guarded UPDATE is left alone.
+        """
+        rows = self._connection.execute(
+            f"SELECT * FROM jobs WHERE state = ? AND {where_sql}",
+            (STATE_RUNNING, *params),
+        ).fetchall()
+        reclaims = []
+        for record in map(self._record, rows):
+            outcome = self._retry_or_quarantine_locked(
+                record,
+                error=error.format(worker=record.worker, reason=reason),
+                event_type="recovered",
+                now=now,
+                reason=reason,
+            )
+            if outcome is not None:
+                reclaims.append(Reclaim(self.get(record.id), record.worker, outcome))
+        self._connection.commit()
+        if reclaims:
             get_registry().counter(
                 "repro_lease_reclaims_total",
                 "Running jobs taken back from expired or dead lease holders.",
                 labelnames=("reason",),
-            ).labels(reason).inc()
+            ).labels(reason).inc(len(reclaims))
         return reclaims
 
     def _retry_or_quarantine_locked(
         self,
-        row: sqlite3.Row,
+        record: JobRecord,
         error: str,
         event_type: str,
         now: float,
@@ -716,117 +683,58 @@ class JobStore:
         The shared tail of every non-permanent attempt failure: lease
         expiry, worker death, timeouts, and retryable exceptions all
         converge here.  Returns ``"requeued"``, ``"poisoned"``, or None
-        when the row moved on under us — both UPDATEs are fenced on the
-        (state, lease_token) read by the caller's SELECT, because that
-        SELECT runs outside the write transaction: a worker process can
-        commit its own token-guarded finish in the gap, and flipping a
-        just-succeeded job back to queued would run it twice.  ``IS``
-        (not ``=``) so NULL leases from a pre-lease schema still match.
+        when the row moved on since the caller read ``record``: the
+        transition is fenced on the (state, lease_token) of that read,
+        so a worker process's token-guarded finish committed in the gap
+        is never flipped back to queued and run twice.
         """
-        job_id = row["id"]
-        attempts = row["attempts"]
-        token = row["lease_token"]
-        limit = row["max_attempts"] or self.max_attempts
-        if attempts >= limit:
-            cursor = self._connection.execute(
-                "UPDATE jobs SET state = ?, worker = NULL, error = ?,"
-                " finished_at = ?, updated_at = ?,"
-                " lease_token = NULL, lease_expires_at = NULL"
-                " WHERE id = ? AND state = ? AND lease_token IS ?",
-                (
-                    STATE_POISONED,
-                    f"poisoned after {attempts} attempts; last failure: {error}",
-                    now,
-                    now,
-                    job_id,
-                    STATE_RUNNING,
-                    token,
-                ),
-            )
-            if cursor.rowcount != 1:
-                return None
+        attempts = record.attempts
+        if attempts >= (record.max_attempts or self.max_attempts):
+            outcome = event_type = STATE_POISONED
             payload = {"attempts": attempts, "error": error}
-            if reason:
-                payload["reason"] = reason
-            self._append_event_locked(job_id, STATE_POISONED, payload)
+            columns = dict(
+                state=STATE_POISONED,
+                error=f"poisoned after {attempts} attempts; last failure: {error}",
+                finished_at=now,
+            )
+        else:
+            retry = record.spec.retry
+            backoff = retry_backoff(
+                record.id,
+                attempts,
+                base=retry.get("backoff_seconds", self.backoff_seconds),
+                cap=retry.get("backoff_cap_seconds", self.backoff_cap_seconds),
+            )
+            # The retry's claim latency counts from next_attempt_at, when
+            # the job becomes claimable again — not from the failure instant.
+            next_attempt_at = now + backoff
+            outcome = "requeued"
+            payload = {
+                "attempt": attempts,
+                "error": error,
+                "backoff_seconds": round(backoff, 6),
+                "next_attempt_at": round(next_attempt_at, 6),
+            }
+            columns = dict(state=STATE_QUEUED, next_attempt_at=next_attempt_at)
+        if reason:
+            payload["reason"] = reason
+        if not self._transition_locked(
+            record.id,
+            STATE_RUNNING,
+            token=record.lease_token,
+            event=(event_type, payload),
+            worker=None,
+            lease_token=None,
+            lease_expires_at=None,
+            **columns,
+        ):
+            return None
+        if outcome == STATE_POISONED:
             get_registry().counter(
                 "repro_jobs_poisoned_total",
                 "Jobs quarantined after exhausting their retry budget.",
             ).inc()
-            return "poisoned"
-        retry = {}
-        try:
-            retry = json.loads(row["spec"]).get("retry", {})
-        except (json.JSONDecodeError, AttributeError):
-            pass
-        backoff = retry_backoff(
-            job_id,
-            attempts,
-            base=retry.get("backoff_seconds", self.backoff_seconds),
-            cap=retry.get("backoff_cap_seconds", self.backoff_cap_seconds),
-        )
-        next_attempt_at = now + backoff
-        cursor = self._connection.execute(
-            "UPDATE jobs SET state = ?, worker = NULL, updated_at = ?,"
-            " lease_token = NULL, lease_expires_at = NULL, next_attempt_at = ?"
-            " WHERE id = ? AND state = ? AND lease_token IS ?",
-            (STATE_QUEUED, now, next_attempt_at, job_id, STATE_RUNNING, token),
-        )
-        if cursor.rowcount != 1:
-            return None
-        payload = {
-            "attempt": attempts,
-            "error": error,
-            "backoff_seconds": round(backoff, 6),
-            "next_attempt_at": round(next_attempt_at, 6),
-        }
-        if reason:
-            payload["reason"] = reason
-        self._append_event_locked(job_id, event_type, payload)
-        # Claim latency of the retry counts from when the job becomes
-        # claimable again (after backoff), not from the failure instant.
-        self._enqueue_monotonic[job_id] = time.monotonic() + backoff
-        return "requeued"
-
-    # ------------------------------------------------------------------
-    # unfenced terminal writes (single-owner callers, e.g. tests)
-    # ------------------------------------------------------------------
-    def mark_succeeded(self, job_id: str, result_dir: Optional[str] = None) -> None:
-        self._finish(job_id, STATE_SUCCEEDED, result_dir=result_dir)
-
-    def mark_failed(self, job_id: str, error: str) -> None:
-        self._finish(job_id, STATE_FAILED, error=error)
-
-    def mark_cancelled(self, job_id: str) -> None:
-        self._finish(job_id, STATE_CANCELLED)
-
-    def _finish(
-        self,
-        job_id: str,
-        state: str,
-        error: Optional[str] = None,
-        result_dir: Optional[str] = None,
-    ) -> None:
-        now = time.time()
-        with self._lock:
-            record = self.get(job_id)
-            if record.is_terminal:
-                raise JobStateError(
-                    f"job {job_id} is already terminal ({record.state}); "
-                    f"cannot mark it {state}"
-                )
-            self._connection.execute(
-                "UPDATE jobs SET state = ?, error = ?, result_dir = ?,"
-                " finished_at = ?, updated_at = ?,"
-                " lease_token = NULL, lease_expires_at = NULL"
-                " WHERE id = ?",
-                (state, error, result_dir, now, now, job_id),
-            )
-            payload: Dict[str, Any] = {}
-            if error:
-                payload["error"] = error
-            self._append_event_locked(job_id, state, payload)
-            self._connection.commit()
+        return outcome
 
     # ------------------------------------------------------------------
     # cancellation
@@ -836,31 +744,30 @@ class JobStore:
 
         A running job only sees the request at its next stage boundary
         (the worker's hook checks the flag), which is the documented
-        granularity — stages are atomic units of work.
+        granularity — stages are atomic units of work.  A job claimed
+        since the caller last looked is cancelled cooperatively, never
+        marked terminal under its live lease.
         """
         with self._lock:
-            record = self.get(job_id)
-            if record.state == STATE_QUEUED:
-                now = time.time()
-                self._connection.execute(
-                    "UPDATE jobs SET state = ?, cancel_requested = 1,"
-                    " finished_at = ?, updated_at = ?, next_attempt_at = NULL"
-                    " WHERE id = ?",
-                    (STATE_CANCELLED, now, now, job_id),
+            if not self._transition_locked(
+                job_id,
+                STATE_QUEUED,
+                event=(STATE_CANCELLED, {}),
+                state=STATE_CANCELLED,
+                cancel_requested=1,
+                finished_at=time.time(),
+                next_attempt_at=None,
+            ):
+                self._transition_locked(
+                    job_id,
+                    STATE_RUNNING,
+                    event=("cancel-requested", {}),
+                    cancel_requested=1,
                 )
-                self._append_event_locked(job_id, STATE_CANCELLED, {})
-                self._connection.commit()
-                self._enqueue_monotonic.pop(job_id, None)
-            elif record.state == STATE_RUNNING:
-                self._connection.execute(
-                    "UPDATE jobs SET cancel_requested = 1, updated_at = ?"
-                    " WHERE id = ?",
-                    (time.time(), job_id),
-                )
-                self._append_event_locked(job_id, "cancel-requested", {})
-                self._connection.commit()
-            # Terminal jobs: cancelling is a no-op, not an error — the
-            # client's intent (job should not run further) already holds.
+            # Terminal jobs match neither: cancelling is a no-op, not an
+            # error — the client's intent (job should not run further)
+            # already holds.
+            self._connection.commit()
         return self.get(job_id)
 
     def cancel_requested(self, job_id: str) -> bool:
@@ -871,25 +778,6 @@ class JobStore:
         if row is None:
             raise JobNotFoundError(job_id)
         return bool(row["cancel_requested"])
-
-    # ------------------------------------------------------------------
-    # crash recovery
-    # ------------------------------------------------------------------
-    def recover_interrupted(self) -> List[JobRecord]:
-        """Startup-time sweep: reclaim jobs whose leases have lapsed.
-
-        Called once at service start-up.  Jobs leased by a *live*
-        sibling replica keep running untouched — their leases are
-        current, and force-reclaiming them is exactly the double-run
-        bug leases exist to prevent.  Jobs from the process this
-        service is replacing (or from an older, lease-less schema) have
-        expired or NULL leases and re-enqueue for resume; at the
-        attempt limit they quarantine as ``poisoned``.
-        """
-        return [
-            reclaim.record
-            for reclaim in self.reap_expired(reason="service-restart")
-        ]
 
     # ------------------------------------------------------------------
     # queries
@@ -913,18 +801,12 @@ class JobStore:
             raise JobStateError(
                 f"unknown state filter {state!r}; states: {', '.join(JOB_STATES)}"
             )
+        where, params = ("", ()) if state is None else ("WHERE state = ?", (state,))
         with self._lock:
-            if state is None:
-                rows = self._connection.execute(
-                    "SELECT * FROM jobs ORDER BY created_at DESC, id DESC LIMIT ?",
-                    (limit,),
-                ).fetchall()
-            else:
-                rows = self._connection.execute(
-                    "SELECT * FROM jobs WHERE state = ?"
-                    " ORDER BY created_at DESC, id DESC LIMIT ?",
-                    (state, limit),
-                ).fetchall()
+            rows = self._connection.execute(
+                f"SELECT * FROM jobs {where} ORDER BY created_at DESC, id DESC LIMIT ?",
+                (*params, limit),
+            ).fetchall()
         return [self._record(row) for row in rows]
 
     def counts(self) -> Dict[str, int]:
@@ -933,9 +815,8 @@ class JobStore:
             rows = self._connection.execute(
                 "SELECT state, COUNT(*) AS n FROM jobs GROUP BY state"
             ).fetchall()
-        counts = {state: 0 for state in JOB_STATES}
-        for row in rows:
-            counts[row["state"]] = row["n"]
+        counts = dict.fromkeys(JOB_STATES, 0)
+        counts.update((row["state"], row["n"]) for row in rows)
         return counts
 
     # ------------------------------------------------------------------
@@ -981,13 +862,7 @@ class JobStore:
                 (job_id, after),
             ).fetchall()
         return [
-            JobEvent(
-                job_id=row["job_id"],
-                seq=row["seq"],
-                created_at=row["created_at"],
-                type=row["type"],
-                payload=json.loads(row["payload"]),
-            )
+            JobEvent(**{**dict(row), "payload": json.loads(row["payload"])})
             for row in rows
         ]
 
@@ -996,26 +871,10 @@ class JobStore:
     # ------------------------------------------------------------------
     @staticmethod
     def _record(row: sqlite3.Row) -> JobRecord:
-        return JobRecord(
-            id=row["id"],
-            state=row["state"],
-            priority=row["priority"],
-            idempotency_key=row["idempotency_key"],
-            # Trusted decode: the spec was validated at submit time, and
-            # re-validating on every row read would re-parse large
-            # inline payloads on each status poll.
-            spec=JobSpec.from_dict(json.loads(row["spec"]), validate=False),
-            created_at=row["created_at"],
-            updated_at=row["updated_at"],
-            started_at=row["started_at"],
-            finished_at=row["finished_at"],
-            attempts=row["attempts"],
-            cancel_requested=bool(row["cancel_requested"]),
-            worker=row["worker"],
-            error=row["error"],
-            result_dir=row["result_dir"],
-            lease_token=row["lease_token"],
-            lease_expires_at=row["lease_expires_at"],
-            next_attempt_at=row["next_attempt_at"],
-            max_attempts=row["max_attempts"],
-        )
+        fields = dict(row)
+        # Trusted decode: the spec was validated at submit time, and
+        # re-validating on every row read would re-parse large
+        # inline payloads on each status poll.
+        fields["spec"] = JobSpec.from_dict(json.loads(row["spec"]), validate=False)
+        fields["cancel_requested"] = bool(row["cancel_requested"])
+        return JobRecord(**fields)

@@ -67,6 +67,7 @@ from ..workflow import WorkflowEvent
 from .faults import FaultPlan
 from .store import (
     STATE_CANCELLED,
+    STATE_FAILED,
     STATE_SUCCEEDED,
     JobRecord,
     JobStore,
@@ -247,7 +248,7 @@ def execute_attempt(
         except Exception:  # noqa: BLE001
             pass
         try:
-            store.fail_attempt(job_id, token, error, retryable=True)
+            store.fail_attempt(job_id, token, error)
         except Exception:  # noqa: BLE001
             pass
         os._exit(exit_code)
@@ -358,7 +359,7 @@ def execute_attempt(
                 # the config is invalid, an input file is gone.  A
                 # retry would fail identically; fail the job outright.
                 _finish_quietly(
-                    store.fail_attempt, job_id, token, str(exc), False
+                    store.finish_attempt, job_id, token, STATE_FAILED, str(exc)
                 )
                 outcome = "failed"
             except Exception as exc:  # noqa: BLE001 — a worker must survive any job
@@ -373,7 +374,6 @@ def execute_attempt(
                     job_id,
                     token,
                     f"{type(exc).__name__}: {exc}",
-                    True,
                 )
                 outcome = recorded or "lease-lost"
             job_span.set(outcome=outcome)

@@ -161,5 +161,5 @@ def test_restart_with_idle_store_recovers_nothing(tmp_path):
         first.stop()
 
     second = AssemblyService(data_dir, num_workers=1, port=0, poll_interval=0.05)
-    assert second.store.recover_interrupted() == []
+    assert second.store.reap_expired(reason="service-restart") == []
     second.store.close()

@@ -15,6 +15,7 @@ import pytest
 from repro.errors import JobNotFoundError, JobStateError
 from repro.service import (
     STATE_CANCELLED,
+    STATE_FAILED,
     STATE_POISONED,
     STATE_QUEUED,
     STATE_RUNNING,
@@ -156,14 +157,19 @@ def test_submit_detecting_reports_exactly_one_creation(store):
 
 def test_terminal_transitions(store):
     record = store.submit(make_spec())
-    store.claim_next("w")
-    store.mark_succeeded(record.id, result_dir="/tmp/x")
+    claimed = store.claim_next("w")
+    assert store.finish_attempt(
+        record.id, claimed.lease_token, STATE_SUCCEEDED, result_dir="/tmp/x"
+    )
     final = store.get(record.id)
     assert final.state == STATE_SUCCEEDED
     assert final.result_dir == "/tmp/x"
     assert final.finished_at is not None
-    with pytest.raises(JobStateError):
-        store.mark_failed(record.id, "too late")
+    # Already terminal: a second finish writes nothing.
+    assert store.finish_attempt(
+        record.id, claimed.lease_token, STATE_FAILED, error="too late"
+    ) is False
+    assert store.get(record.id).state == STATE_SUCCEEDED
 
 
 def test_cancel_queued_job_is_immediate(store):
@@ -184,10 +190,88 @@ def test_cancel_running_job_sets_the_cooperative_flag(store):
 
 def test_cancel_terminal_job_is_a_noop(store):
     record = store.submit(make_spec())
-    store.claim_next("w")
-    store.mark_succeeded(record.id)
+    claimed = store.claim_next("w")
+    assert store.finish_attempt(record.id, claimed.lease_token, STATE_SUCCEEDED)
     after = store.request_cancel(record.id)
     assert after.state == STATE_SUCCEEDED
+
+
+class _HookBeforeFirstUpdate:
+    """Connection proxy: runs ``hook`` once, just before the first
+    ``UPDATE jobs`` statement, to interleave another process's commit
+    between a store method's read and its write."""
+
+    def __init__(self, connection, hook):
+        self._connection = connection
+        self._hook = hook
+
+    def execute(self, sql, *args):
+        if self._hook is not None and sql.lstrip().startswith("UPDATE jobs"):
+            hook, self._hook = self._hook, None
+            hook()
+        return self._connection.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+
+def _cancel_with_interleaved(api_store, job_id, hook):
+    real = api_store._connection
+    api_store._connection = _HookBeforeFirstUpdate(real, hook)
+    try:
+        return api_store.request_cancel(job_id)
+    finally:
+        api_store._connection = real
+
+
+def test_cancel_racing_a_claim_leaves_the_new_lease_intact(tmp_path):
+    # Two stores on one file model the API process and a worker
+    # process.  The cancel decides "queued" just before the worker's
+    # claim commits: the job must be cancelled cooperatively, not marked
+    # terminal under the worker's live lease (which would fence the
+    # worker's next heartbeat and make it kill itself).
+    path = tmp_path / "cancel-race.sqlite3"
+    api_store = JobStore(path)
+    worker_store = JobStore(path)
+    try:
+        record = api_store.submit(make_spec())
+        claims = []
+        after = _cancel_with_interleaved(
+            api_store,
+            record.id,
+            lambda: claims.append(worker_store.claim_next("w@1", lease_seconds=60)),
+        )
+        assert claims[0].id == record.id
+        assert after.state == STATE_RUNNING
+        assert after.cancel_requested
+        assert worker_store.heartbeat(record.id, claims[0].lease_token) is True
+        types = [event.type for event in api_store.events(record.id)]
+        assert types == ["submitted", "started", "cancel-requested"]
+    finally:
+        worker_store.close()
+        api_store.close()
+
+
+def test_cancel_racing_a_finish_logs_nothing_after_the_terminal_event(tmp_path):
+    path = tmp_path / "cancel-finish.sqlite3"
+    api_store = JobStore(path)
+    worker_store = JobStore(path)
+    try:
+        record = api_store.submit(make_spec())
+        claimed = worker_store.claim_next("w@1", lease_seconds=60)
+        after = _cancel_with_interleaved(
+            api_store,
+            record.id,
+            lambda: worker_store.finish_attempt(
+                record.id, claimed.lease_token, STATE_SUCCEEDED
+            ),
+        )
+        assert after.state == STATE_SUCCEEDED
+        types = [event.type for event in api_store.events(record.id)]
+        assert types == ["submitted", "started", STATE_SUCCEEDED]
+    finally:
+        worker_store.close()
+        api_store.close()
 
 
 def test_recovery_gives_up_after_the_attempt_limit(tmp_path):
@@ -201,11 +285,12 @@ def test_recovery_gives_up_after_the_attempt_limit(tmp_path):
             claimed = store.claim_next("w", lease_seconds=0.0)
             assert claimed.id == record.id
             time.sleep(0.01)  # let the zero-second lease lapse
-            recovered = store.recover_interrupted()  # simulated crash
+            # simulated crash and restart
+            recovered = store.reap_expired(reason="service-restart")
             if round_index == 0:
-                assert [r.id for r in recovered] == [record.id]
-                assert recovered[0].state == STATE_QUEUED
-        assert [r.id for r in recovered] == [record.id]
+                assert [r.record.id for r in recovered] == [record.id]
+                assert recovered[0].record.state == STATE_QUEUED
+        assert [r.record.id for r in recovered] == [record.id]
         final = store.get(record.id)
         assert final.state == STATE_POISONED
         assert "poisoned after 2 attempts" in final.error
@@ -214,7 +299,7 @@ def test_recovery_gives_up_after_the_attempt_limit(tmp_path):
         store.close()
 
 
-def test_recover_interrupted_requeues_running_jobs(tmp_path):
+def test_restart_reap_requeues_running_jobs(tmp_path):
     store = JobStore(tmp_path / "recover.sqlite3", backoff_seconds=0.0)
     try:
         interrupted = store.submit(make_spec(seed=1))
@@ -222,8 +307,8 @@ def test_recover_interrupted_requeues_running_jobs(tmp_path):
         store.claim_next("w", lease_seconds=0.0)  # interrupted goes running
         time.sleep(0.01)
 
-        recovered = store.recover_interrupted()
-        assert [record.id for record in recovered] == [interrupted.id]
+        recovered = store.reap_expired(reason="service-restart")
+        assert [reclaim.record.id for reclaim in recovered] == [interrupted.id]
         assert store.get(interrupted.id).state == STATE_QUEUED
         assert store.get(untouched.id).state == STATE_QUEUED
         # The recovery is visible in the event log, and the next claim
@@ -235,13 +320,13 @@ def test_recover_interrupted_requeues_running_jobs(tmp_path):
         store.close()
 
 
-def test_recover_interrupted_leaves_live_leases_alone(store):
+def test_restart_reap_leaves_live_leases_alone(store):
     # Startup recovery must be replica-safe: a job leased by a live
     # sibling service keeps running.
     leased = store.submit(make_spec(seed=1))
     claimed = store.claim_next("sibling", lease_seconds=60.0)
     assert claimed.id == leased.id
-    assert store.recover_interrupted() == []
+    assert store.reap_expired(reason="service-restart") == []
     assert store.get(leased.id).state == STATE_RUNNING
 
 
@@ -333,16 +418,13 @@ def test_reaper_requeue_is_fenced_against_a_concurrent_finish(tmp_path):
         record = reaper_store.submit(make_spec())
         claimed = worker_store.claim_next("w@1", lease_seconds=0.0)
         time.sleep(0.01)
-        with reaper_store._lock:
-            stale_row = reaper_store._connection.execute(
-                "SELECT * FROM jobs WHERE id = ?", (record.id,)
-            ).fetchone()
+        stale = reaper_store.get(record.id)
         assert worker_store.finish_attempt(
             record.id, claimed.lease_token, STATE_SUCCEEDED
         )
         with reaper_store._lock:
             outcome = reaper_store._retry_or_quarantine_locked(
-                stale_row,
+                stale,
                 error="lease expired",
                 event_type="recovered",
                 now=time.time(),
@@ -365,16 +447,13 @@ def test_reaper_quarantine_is_fenced_against_a_concurrent_finish(tmp_path):
         record = reaper_store.submit(make_spec())
         claimed = worker_store.claim_next("w@1", lease_seconds=0.0)
         time.sleep(0.01)
-        with reaper_store._lock:
-            stale_row = reaper_store._connection.execute(
-                "SELECT * FROM jobs WHERE id = ?", (record.id,)
-            ).fetchone()
+        stale = reaper_store.get(record.id)
         assert worker_store.finish_attempt(
             record.id, claimed.lease_token, STATE_SUCCEEDED
         )
         with reaper_store._lock:
             outcome = reaper_store._retry_or_quarantine_locked(
-                stale_row,
+                stale,
                 error="lease expired",
                 event_type="recovered",
                 now=time.time(),
@@ -435,13 +514,18 @@ def test_fail_attempt_requeues_then_poisons(tmp_path):
 
 
 def test_fail_attempt_non_retryable_fails_immediately(store):
+    # Permanent errors skip the retry budget: the worker finishes the
+    # attempt as failed.
     record = store.submit(make_spec())
     claimed = store.claim_next("w")
-    outcome = store.fail_attempt(
-        record.id, claimed.lease_token, "bad spec", retryable=False
+    assert store.finish_attempt(
+        record.id, claimed.lease_token, STATE_FAILED, error="bad spec"
     )
-    assert outcome == "failed"
-    assert store.get(record.id).state == "failed"
+    final = store.get(record.id)
+    assert final.state == STATE_FAILED
+    assert final.error == "bad spec"
+    last = store.events(record.id)[-1]
+    assert (last.type, last.payload) == (STATE_FAILED, {"error": "bad spec"})
 
 
 def test_requeued_job_waits_out_its_backoff(tmp_path):
@@ -459,6 +543,31 @@ def test_requeued_job_waits_out_its_backoff(tmp_path):
         assert events["retry-scheduled"]["backoff_seconds"] > 0
     finally:
         store.close()
+
+
+def test_retry_claim_latency_counts_from_the_requeue(tmp_path):
+    # The submitting process (A) is not the claiming one (B): the
+    # retry's queue wait is read from the row, so it starts when the
+    # reclaim made the job claimable again, not at the submit.
+    path = tmp_path / "latency.sqlite3"
+    store_a = JobStore(path, backoff_seconds=0.0)
+    store_b = JobStore(path, backoff_seconds=0.0)
+    try:
+        record = store_a.submit(make_spec())
+        assert store_b.claim_next("w@1", lease_seconds=60).id == record.id
+        time.sleep(0.5)  # the first attempt runs
+        assert [r.outcome for r in store_a.reclaim_worker("w@1")] == ["requeued"]
+        assert store_b.claim_next("w@2", lease_seconds=60).attempts == 2
+        started = [
+            event.payload
+            for event in store_a.events(record.id)
+            if event.type == "started"
+        ]
+        assert len(started) == 2
+        assert started[1]["claim_latency_seconds"] < 0.1
+    finally:
+        store_b.close()
+        store_a.close()
 
 
 def test_spec_retry_budget_overrides_the_store_default(tmp_path):

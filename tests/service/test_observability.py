@@ -61,9 +61,7 @@ def test_metrics_carry_core_series_after_a_job(client, tiny_spec):
     client.wait(job["id"], timeout=120)
     client.status(job["id"])  # one labeled /jobs/<id> request
 
-    text = client.metrics_text()
-    _assert_well_formed(text)
-    for needle in (
+    needles = (
         "# TYPE repro_pregel_messages_total counter",
         'repro_pregel_messages_total{job="',
         'repro_pregel_worker_messages_total{job="',
@@ -76,7 +74,18 @@ def test_metrics_carry_core_series_after_a_job(client, tiny_spec):
         "# TYPE repro_checkpoint_write_seconds histogram",
         'repro_http_requests_total{method="GET",route="/jobs/<id>",status="200"}',
         'repro_http_request_seconds_bucket{method="POST",route="/jobs",le="+Inf"} 1',
-    ):
+    )
+    # The worker process spools its run's metric deltas only after the
+    # job's terminal write commits, so the first scrape after wait()
+    # can precede them; re-scrape until they land.
+    deadline = time.monotonic() + 10.0
+    while True:
+        text = client.metrics_text()
+        if all(needle in text for needle in needles) or time.monotonic() >= deadline:
+            break
+        time.sleep(0.05)
+    _assert_well_formed(text)
+    for needle in needles:
         assert needle in text, f"missing from /metrics: {needle}"
 
 
