@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Job-service smoke: serve → submit → poll → kill -9 mid-assembly →
 # restart → assert the job resumes and its contigs are byte-identical
-# to an uninterrupted one-shot run.  This is the shell replay of
+# to the contigs.fasta of an uninterrupted one-shot run's run directory.  This is the shell replay of
 # tests/service/test_crash_recovery.py, run by CI as a black-box check
 # of the installed entry point.
 #
@@ -51,7 +51,7 @@ job_field() {  # job_field <id> <python expr over doc>
 
 echo "== reference: uninterrupted one-shot run =="
 "${ASSEMBLE[@]}" --simulate "$GENOME" --seed "$SEED" -k "$K" --workers 2 \
-    --quiet --output "$DATA_DIR/reference.fa"
+    --quiet --run-dir "$DATA_DIR/reference"
 
 echo "== start service =="
 start_server
@@ -138,7 +138,7 @@ print(f"recovered; {types.count('"'"'stage-skipped'"'"')} stages skipped on resu
 
 echo "== assert byte-identical contigs =="
 curl -fsS "$URL/jobs/$JOB/contigs.fasta" > "$DATA_DIR/resumed.fa"
-cmp "$DATA_DIR/reference.fa" "$DATA_DIR/resumed.fa"
+cmp "$DATA_DIR/reference/contigs.fasta" "$DATA_DIR/resumed.fa"
 
 echo "== scrape /metrics after success: superstep counters populated =="
 curl -fsS "$URL/metrics" | python -c '
@@ -277,6 +277,6 @@ print(f"/metrics OK after chaos ({deaths.group(1)} worker death(s) counted)")
 
 echo "== assert byte-identical contigs after the worker kill =="
 curl -fsS "$URL/jobs/$CHAOS_JOB/contigs.fasta" > "$DATA_DIR/chaos.fa"
-cmp "$DATA_DIR/reference.fa" "$DATA_DIR/chaos.fa"
+cmp "$DATA_DIR/reference/contigs.fasta" "$DATA_DIR/chaos.fa"
 
 echo "service_smoke: resume-to-identical-result OK (server restart and worker kill)"

@@ -15,11 +15,15 @@ it needs pairing information, so it combines with ``--fastq-pair`` or
 with the simulating modes (which then draw read *pairs* using the
 ``--insert-size``/``--insert-std`` model).
 
-The assembly runs on the execution backend chosen with ``--backend``
-(serial simulation by default, ``multiprocess`` for real parallelism)
-and prints a compact report: per-stage summaries, contig statistics and
-wall-clock / simulated-cluster seconds.  ``--output`` additionally
-writes the contigs as FASTA, ``--scaffold-output`` the scaffolds.
+The flags describe one :class:`~repro.service.spec.JobSpec` — the same
+spec the service's ``submit`` verb sends, built by the same two
+functions (:func:`add_job_arguments`, :func:`spec_from_args`) — and the
+run goes through :func:`~repro.service.spec.run_job`, the function every
+service job attempt runs.  It prints a compact report: per-stage
+summaries, contig statistics and wall-clock / simulated-cluster
+seconds.  ``--run-dir DIR`` keeps what the run produced — contigs,
+scaffolds, metrics, trace, timeline and, with ``--profile``, collapsed
+cProfile stacks — in the layout of a service job directory.
 
 The assembly is a declared workflow (:mod:`repro.workflow`):
 ``--list-stages`` prints its DAG without running anything,
@@ -30,44 +34,43 @@ The assembly is a declared workflow (:mod:`repro.workflow`):
 When the first argument is a service verb (``serve``, ``submit``,
 ``status``, ``result``, ``cancel``, ``jobs``), the CLI instead drives
 the durable assembly job service (:mod:`repro.service`) — see
-:mod:`repro.service.cli`.  ``repro-assemble report`` renders a
-self-contained HTML ops report from a run's telemetry artefacts
-(``trace.json`` / ``timeline.jsonl`` / ``metrics.json``) — see
+:mod:`repro.service.cli`.  ``repro-assemble report RUN_DIR`` renders a
+self-contained HTML ops report from a run directory — see
 :mod:`repro.telemetry.report`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
-from contextlib import ExitStack
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from . import __version__
-from .assembler import AssemblyConfig, PPAAssembler, build_assembly_workflow
+from .assembler import build_assembly_workflow
 from .assembler.config import LABELING_LIST_RANKING, LABELING_SIMPLIFIED_SV
-from .errors import ReproError
-from .quality.stats import n50_value
+from .errors import DnaError, ReproError
 from .pregel.partitioner import PARTITIONER_NAMES
 from .runtime import available_backends
 from .runtime.base import MESSAGE_PLANES
+from .service.spec import CONFIG_FIELDS, JobSpec, run_job
+from .telemetry.report import RUN_FILES
 from .workflow import WorkflowEvent
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-assemble",
-        description="De novo genome assembly with the PPA-assembler reproduction.",
-    )
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"repro-assemble {__version__}",
-        help="print the package version and exit",
-    )
-    source = parser.add_mutually_exclusive_group()
+def add_job_arguments(
+    parser: argparse.ArgumentParser, require_input: bool = False
+) -> None:
+    """Declare the flags that describe one job: input, config, ``--min-contig``.
+
+    The one-shot parser and the service's ``submit`` verb both call
+    this and read the result with :func:`spec_from_args`, so the same
+    flags make the same :class:`~repro.service.spec.JobSpec` on both
+    surfaces.  Every config flag's ``dest`` is its
+    :class:`~repro.assembler.config.AssemblyConfig` field and defaults
+    to None: an unset flag leaves the field out of the spec and the
+    config's own default applies.
+    """
+    source = parser.add_mutually_exclusive_group(required=require_input)
     source.add_argument(
         "--dataset",
         metavar="NAME",
@@ -76,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--fastq",
         metavar="PATH",
-        help="assemble reads from a FASTQ file",
+        help="assemble reads from a FASTQ file (a submitted job reads "
+        "the path on the server)",
     )
     source.add_argument(
         "--fastq-pair",
@@ -99,32 +103,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, default=0, help="random seed for --simulate (default 0)"
     )
-    parser.add_argument("-k", type=int, default=21, help="k-mer size (odd, default 21)")
+    parser.add_argument(
+        "-k", type=int, default=None, help="k-mer size (odd, default 21)"
+    )
     parser.add_argument(
         "--coverage-threshold",
         type=int,
-        default=1,
+        default=None,
         help="drop (k+1)-mers observed at most this many times (default 1)",
     )
     parser.add_argument(
         "--labeling",
+        dest="labeling_method",
         choices=[LABELING_LIST_RANKING, LABELING_SIMPLIFIED_SV],
-        default=LABELING_LIST_RANKING,
+        default=None,
         help="contig-labeling method (default list_ranking)",
     )
     parser.add_argument(
         "--backend",
         choices=available_backends(),
-        default="serial",
+        default=None,
         help="execution backend for the Pregel stages (default serial)",
     )
     parser.add_argument(
-        "--workers", type=int, default=4, help="number of Pregel workers (default 4)"
+        "--workers",
+        dest="num_workers",
+        metavar="N",
+        type=int,
+        default=None,
+        help="number of Pregel workers (default 4)",
     )
     parser.add_argument(
         "--message-plane",
         choices=MESSAGE_PLANES,
-        default="shm",
+        default=None,
         help="multiprocess data plane: 'shm' exchanges message batches "
         "through shared-memory arenas (default; auto-falls back to "
         "'queue' when /dev/shm is unusable), 'queue' always pickles "
@@ -133,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--partitioner",
         choices=PARTITIONER_NAMES,
-        default="hash",
+        default=None,
         help="vertex-to-worker strategy: 'hash' (default) or "
         "'prefix_range' (k-mer-prefix ranges that keep most DBG edges "
         "worker-local, reducing cross-worker messages)",
@@ -144,20 +156,23 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="MB",
         help="bound the assembly's working memory: DBG construction takes "
-        "the reads (loaded whole by this command) in bounded chunks, and "
-        "idle k-mer runs, graph partitions and message batches spill to "
-        "disk once the budget is exceeded (results stay bit-identical; "
+        "the reads (loaded whole first) in bounded chunks, and idle "
+        "k-mer runs, graph partitions and message batches spill to disk "
+        "once the budget is exceeded (results stay bit-identical; "
         "default unlimited)",
     )
     parser.add_argument(
         "--no-vectorized",
-        action="store_true",
+        dest="use_vectorized",
+        action="store_false",
+        default=None,
         help="disable the NumPy batch kernels and run the scalar "
         "reference path (results are bit-identical, just slower)",
     )
     parser.add_argument(
         "--scaffold",
         action="store_true",
+        default=None,
         help="run paired-end scaffolding after assembly (needs --fastq-pair, "
         "or a simulating mode which then draws read pairs)",
     )
@@ -172,20 +187,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--insert-std",
         type=float,
-        default=50.0,
+        default=None,
         help="paired-end insert size standard deviation for simulated "
         "pairs (default 50)",
     )
     parser.add_argument(
         "--min-links",
+        dest="scaffold_min_links",
+        metavar="N",
         type=int,
-        default=2,
+        default=None,
         help="read pairs required to support a scaffold link (default 2)",
-    )
-    parser.add_argument(
-        "--scaffold-output",
-        metavar="FASTA",
-        help="write the scaffolds to this FASTA file (implies --scaffold)",
     )
     parser.add_argument(
         "--min-contig",
@@ -193,17 +205,62 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="only count/report contigs at least this long (default 0)",
     )
-    parser.add_argument(
-        "--output",
-        metavar="FASTA",
-        help="write the assembled contigs to this FASTA file",
+
+
+def spec_from_args(
+    args: argparse.Namespace, input_block: Optional[Dict[str, Any]] = None
+) -> JobSpec:
+    """The (unvalidated) job spec :func:`add_job_arguments`' flags describe.
+
+    ``input_block`` replaces the one the source flags describe (the
+    ``submit --inline`` upload).
+    """
+    config = {
+        name: getattr(args, name)
+        for name in CONFIG_FIELDS
+        if getattr(args, name, None) is not None
+    }
+    if args.insert_size is not None:
+        config["scaffold_insert_size"] = args.insert_size
+    if input_block is None:
+        if args.dataset is not None:
+            input_block = {"mode": "dataset", "name": args.dataset, "scale": args.scale}
+        elif args.fastq is not None:
+            input_block = {"mode": "fastq", "path": args.fastq}
+        elif args.fastq_pair is not None:
+            path1, path2 = args.fastq_pair
+            input_block = {"mode": "fastq_pair", "path1": path1, "path2": path2}
+        else:
+            input_block = {
+                "mode": "simulate",
+                "genome_length": args.simulate,
+                "seed": args.seed,
+            }
+        for key in ("insert_size", "insert_std"):
+            if getattr(args, key) is not None:
+                input_block[key] = getattr(args, key)
+    return JobSpec(input=input_block, config=config, min_contig=args.min_contig)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-assemble",
+        description="De novo genome assembly with the PPA-assembler reproduction.",
     )
     parser.add_argument(
-        "--metrics-json",
-        metavar="PATH",
-        help="write the run's quality summary (contig/scaffold N50, NG50 "
-        "when the reference length is known, per-stage timings) as JSON — "
-        "the same payload the job service's result endpoint returns",
+        "--version",
+        action="version",
+        version=f"repro-assemble {__version__}",
+        help="print the package version and exit",
+    )
+    add_job_arguments(parser)
+    parser.add_argument(
+        "--run-dir",
+        metavar="DIR",
+        help="keep what the run produced in DIR, the layout of a service "
+        f"job directory ({', '.join(RUN_FILES)}; scaffolds only when "
+        "scaffolding ran, the profile only with --profile); "
+        "'repro-assemble report DIR' renders it",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -224,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "exit without assembling anything",
     )
     telemetry = parser.add_argument_group(
-        "telemetry", "structured logging and tracing (see docs/observability.md)"
+        "telemetry", "structured logging and profiling (see docs/observability.md)"
     )
     telemetry.add_argument(
         "--log-level",
@@ -240,50 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
         "trace/span ids when tracing is active)",
     )
     telemetry.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="trace the assembly and write the span tree (workflow -> "
-        "stages -> supersteps -> workers) to this JSON file",
-    )
-    telemetry.add_argument(
-        "--timeline-out",
-        metavar="PATH",
-        help="record a run timeline (periodic RSS/CPU samples plus "
-        "superstep and stage boundary events, merged across worker "
-        "processes) and write it as JSONL to this file",
-    )
-    telemetry.add_argument(
         "--profile",
-        metavar="PATH",
+        action="store_true",
         help="profile the run with cProfile (per stage, and per worker "
-        "process on the multiprocess backend) and write merged "
-        "collapsed stacks (flamegraph.pl / speedscope compatible) to "
-        "this file; --metrics-json additionally gains a hotspot table",
+        "process on the multiprocess backend): the run directory gains "
+        "merged collapsed stacks (flamegraph.pl / speedscope compatible) "
+        "and its metrics a hotspot table; needs --run-dir",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="print only the final statistics line"
     )
     return parser
-
-
-def _load_input(args: argparse.Namespace):
-    """Materialise the input via the job-service spec machinery.
-
-    Returns the :class:`~repro.service.spec.MaterializedInput` —
-    reads, optional pairs, the reference length when the mode knows it,
-    and a printable description.  Building a :class:`JobSpec` from the
-    flags keeps the one-shot CLI and a submitted service job on one
-    materialisation path: the same flags always produce the same reads
-    on both surfaces.
-    """
-    from .service.spec import JobSpec, input_block_from_args
-
-    scaffold = bool(args.scaffold or args.scaffold_output)
-    spec = JobSpec(
-        input=input_block_from_args(args),
-        config={"scaffold": True} if scaffold else {},
-    )
-    return spec.materialize()
 
 
 #: Mirror of :data:`repro.service.cli.SERVICE_VERBS`, duplicated as a
@@ -306,12 +330,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    scaffold = bool(args.scaffold or args.scaffold_output)
-    if scaffold and args.fastq is not None:
-        parser.error(
-            "--scaffold needs pairing information: use --fastq-pair (or a "
-            "simulating mode, which then draws read pairs)"
-        )
     has_source = any(
         value is not None
         for value in (args.dataset, args.fastq, args.fastq_pair, args.simulate)
@@ -323,6 +341,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     if args.resume and not args.checkpoint_dir:
         parser.error("--resume needs --checkpoint-dir")
+    if args.profile and not args.run_dir:
+        parser.error("--profile needs --run-dir")
 
     if args.log_json or args.log_level is not None:
         from .telemetry import configure_logging
@@ -332,218 +352,89 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
 
+    spec = spec_from_args(args)
     try:
-        config = AssemblyConfig(
-            k=args.k,
-            coverage_threshold=args.coverage_threshold,
-            labeling_method=args.labeling,
-            num_workers=args.workers,
-            backend=args.backend,
-            message_plane=args.message_plane,
-            partitioner=args.partitioner,
-            use_vectorized=not args.no_vectorized,
-            scaffold=scaffold,
-            scaffold_min_links=args.min_links,
-            scaffold_insert_size=args.insert_size,
-            memory_budget_mb=args.memory_budget_mb,
-        )
+        if args.list_stages:
+            print(build_assembly_workflow(spec.assembly_config()).describe())
+            return 0
+        spec.validate()
     except ReproError as exc:
         parser.error(str(exc))
-
-    if args.list_stages:
-        print(build_assembly_workflow(config).describe())
-        return 0
-
-    try:
-        material = _load_input(args)
-    except (OSError, ValueError, ReproError) as exc:
-        print(f"repro-assemble: failed to load reads: {exc}", file=sys.stderr)
-        return 1
-    reads, pairs = material.reads, material.pairs
-    reference_length = material.reference_length
+    config = spec.assembly_config()
 
     if not args.quiet:
-        print(f"assembling {len(reads)} reads from {material.description}")
+        print("assembling " + " ".join(f"{k}={v}" for k, v in spec.input.items()))
         print(
             f"  k={config.k} workers={config.num_workers} "
             f"backend={config.backend} labeling={config.labeling_method} "
             f"plane={config.message_plane} partitioner={config.partitioner}"
         )
 
-    stage_seconds: Dict[str, float] = {}
-    verbose_checkpoints = not args.quiet and args.checkpoint_dir
-
     def on_event(event: WorkflowEvent) -> None:
-        stage = event.stage
-        if event.kind == "stage-end":
-            stage_seconds[stage.name] = stage_seconds.get(stage.name, 0.0) + event.seconds
-        elif verbose_checkpoints and event.kind == "stage-skipped":
+        if event.kind == "stage-skipped":
             print(
                 f"  resume: skipping completed stage "
-                f"{event.index + 1}/{event.total} {stage.name}"
+                f"{event.index + 1}/{event.total} {event.stage.name}"
             )
-        elif verbose_checkpoints and event.kind == "checkpoint":
-            print(f"  checkpointed {stage.name} -> {event.path}")
+        elif event.kind == "checkpoint":
+            print(f"  checkpointed {event.stage.name} -> {event.path}")
 
-    # --trace-out installs a real tracer for the run and opens a root
-    # span; the tree is written even when the assembly fails, so an
-    # aborted run can still be profiled.  --timeline-out and --profile
-    # follow the same pattern with the timeline recorder (plus a
-    # background resource sampler) and the cProfile collector.
-    trace_stack = ExitStack()
-    root_span = None
-    timeline = None
-    sampler = None
-    profiler = None
-    if args.trace_out:
-        from .telemetry import Tracer
-        from .telemetry import span as telemetry_span
-        from .telemetry import use_tracer
-
-        trace_stack.enter_context(use_tracer(Tracer()))
-        root_span = trace_stack.enter_context(
-            telemetry_span(
-                "assemble",
-                reads=len(reads),
-                k=config.k,
-                backend=config.backend,
-                workers=config.num_workers,
-            )
-        )
-    if args.timeline_out:
-        from .telemetry import ResourceSampler, TimelineRecorder, use_timeline
-
-        timeline = TimelineRecorder()
-        trace_stack.enter_context(use_timeline(timeline))
-        sampler = ResourceSampler(timeline).start()
-    if args.profile:
-        from .telemetry import ProfileCollector, use_profiler
-
-        profiler = ProfileCollector()
-        trace_stack.enter_context(use_profiler(profiler))
-
-    from .store.spill import memory_payload, process_spill_stats
-
-    spill_before = process_spill_stats().snapshot()
-    started = time.perf_counter()
     try:
-        result = PPAAssembler(config).assemble(
-            reads,
-            pairs=pairs,
+        payload = run_job(
+            spec,
+            args.run_dir,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
-            subscriber=on_event,
+            subscriber=None if args.quiet else on_event,
+            profile=args.profile,
         )
+    except (OSError, DnaError) as exc:
+        print(f"repro-assemble: failed to load reads: {exc}", file=sys.stderr)
+        return 1
     except ReproError as exc:
         print(f"repro-assemble: assembly failed: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if sampler is not None:
-            sampler.stop()
-        trace_stack.close()
-        if root_span is not None:
-            from .telemetry import write_trace
-
-            write_trace(root_span.finish(), args.trace_out)
-            if not args.quiet:
-                print(f"wrote trace to {args.trace_out}")
-        if timeline is not None:
-            from .telemetry import write_timeline
-
-            write_timeline(timeline, args.timeline_out)
-            if not args.quiet:
-                print(f"wrote timeline to {args.timeline_out}")
-        if profiler is not None:
-            profiler.write_folded(args.profile)
-            if not args.quiet:
-                print(f"wrote collapsed profile stacks to {args.profile}")
-    wall_seconds = time.perf_counter() - started
-
-    if scaffold and result.scaffolding is None:
-        print(
-            "repro-assemble: scaffolding skipped: the input contained no read pairs",
-            file=sys.stderr,
-        )
 
     if not args.quiet:
-        for stage in result.stages:
-            detail = " ".join(f"{key}={value}" for key, value in stage.detail.items())
-            print(f"  [{stage.name}] {detail}")
+        for stage in payload["stages"]:
+            detail = " ".join(
+                f"{key}={value}" for key, value in stage.items() if key != "name"
+            )
+            print(f"  [{stage['name']}] {detail}")
 
-    contigs = result.contigs_longer_than(args.min_contig)
-    lengths = [len(contig) for contig in contigs]
+    contigs, scaffolds = payload["contigs"], payload["scaffolds"]
     summary = (
-        f"contigs={len(contigs)} total_bp={sum(lengths)} "
-        f"largest={max(lengths, default=0)} n50={n50_value(lengths)}"
+        f"contigs={contigs['count']} total_bp={contigs['total_bp']} "
+        f"largest={contigs['largest']} n50={contigs['n50']}"
     )
-    if result.scaffolding is not None:
-        scaffold_lengths = [
-            len(sequence) for sequence in result.scaffolds_longer_than(args.min_contig)
-        ]
-        summary += (
-            f" scaffolds={len(scaffold_lengths)}"
-            f" scaffold_n50={n50_value(scaffold_lengths)}"
-        )
+    if scaffolds is not None:
+        summary += f" scaffolds={scaffolds['count']} scaffold_n50={scaffolds['n50']}"
     print(
-        f"{summary} wall_seconds={wall_seconds:.2f} "
-        f"simulated_seconds={result.estimated_seconds():.2f}"
+        f"{summary} wall_seconds={payload['wall_seconds']:.2f} "
+        f"simulated_seconds={payload['estimated_cluster_seconds']:.2f}"
     )
-
-    if args.metrics_json:
-        payload = result.metrics_payload(
-            min_contig=args.min_contig,
-            stage_seconds=stage_seconds,
-            wall_seconds=wall_seconds,
-            reference_length=reference_length,
-        )
-        payload["memory"] = memory_payload(config.memory_budget_mb, spill_before)
-        if profiler is not None:
-            payload["profile"] = profiler.payload()
-        with open(args.metrics_json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        if not args.quiet:
-            print(f"wrote metrics JSON to {args.metrics_json}")
-
-    if args.output:
-        written = result.write_fasta(args.output)
-        if not args.quiet:
-            print(f"wrote {written} contigs to {args.output}")
-    if args.scaffold_output and result.scaffolding is not None:
-        written = result.write_scaffold_fasta(args.scaffold_output)
-        if not args.quiet:
-            print(f"wrote {written} scaffolds to {args.scaffold_output}")
+    if args.run_dir and not args.quiet:
+        print(f"wrote run directory {args.run_dir}")
     return 0
 
 
 def _report_main(argv: List[str]) -> int:
     """``repro-assemble report``: render an HTML ops report offline.
 
-    Reads whatever telemetry artefacts a run left behind — either a
-    directory (a service job dir, or wherever ``--trace-out`` /
-    ``--timeline-out`` / ``--metrics-json`` wrote) or explicit file
-    paths — and writes one self-contained HTML page.
+    Reads whatever telemetry a run directory holds — ``--run-dir`` output
+    or a service job directory — and writes one self-contained HTML page.
     """
     parser = argparse.ArgumentParser(
         prog="repro-assemble report",
         description="Render a self-contained HTML ops report (span "
         "waterfall, RSS/message-rate timelines, hotspot table) from a "
-        "run's telemetry artefacts.",
+        "run directory.",
     )
     parser.add_argument(
         "run_dir",
-        nargs="?",
         metavar="RUN_DIR",
-        help="directory holding trace.json / timeline.jsonl / "
-        "metrics.json (any subset); --trace/--timeline/--metrics "
-        "override individual files",
-    )
-    parser.add_argument("--trace", metavar="PATH", help="span tree JSON (trace.json)")
-    parser.add_argument(
-        "--timeline", metavar="PATH", help="timeline JSONL (timeline.jsonl)"
-    )
-    parser.add_argument(
-        "--metrics", metavar="PATH", help="assembly metrics JSON (metrics.json)"
+        help="a 'repro-assemble --run-dir' directory or a service job "
+        "directory (any subset of its trace, timeline and metrics)",
     )
     parser.add_argument("--title", default=None, help="report heading")
     parser.add_argument(
@@ -555,44 +446,18 @@ def _report_main(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    from .telemetry import load_run_artifacts, read_timeline, render_report
+    from .telemetry import load_run_artifacts, render_report
 
-    artifacts = (
-        load_run_artifacts(args.run_dir)
-        if args.run_dir
-        else {"trace": None, "timeline": [], "metrics": None}
-    )
-    try:
-        if args.trace:
-            with open(args.trace, "r", encoding="utf-8") as handle:
-                artifacts["trace"] = json.load(handle)
-        if args.timeline:
-            artifacts["timeline"] = read_timeline(args.timeline)
-        if args.metrics:
-            with open(args.metrics, "r", encoding="utf-8") as handle:
-                artifacts["metrics"] = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"repro-assemble report: failed to load artefacts: {exc}", file=sys.stderr)
-        return 1
+    artifacts = load_run_artifacts(args.run_dir)
     if (
         artifacts["trace"] is None
         and not artifacts["timeline"]
         and artifacts["metrics"] is None
     ):
         parser.error(
-            "nothing to report on: give a RUN_DIR containing trace.json / "
-            "timeline.jsonl / metrics.json, or --trace/--timeline/--metrics"
+            "nothing to report on: RUN_DIR holds no trace, timeline or metrics"
         )
-
-    title = args.title or (
-        f"assembly run {args.run_dir}" if args.run_dir else "assembly run"
-    )
-    html = render_report(
-        title,
-        trace=artifacts["trace"],
-        timeline=artifacts["timeline"],
-        metrics=artifacts["metrics"],
-    )
+    html = render_report(args.title or f"assembly run {args.run_dir}", **artifacts)
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(html)
     print(f"wrote report to {args.output}")

@@ -41,7 +41,7 @@ from ..telemetry import (
     set_registry,
     set_tracer,
 )
-from ..telemetry.sampler import TIMELINE_FILENAME
+from ..telemetry.report import METRICS_FILE, TIMELINE_FILE, TRACE_FILE
 from .api import make_server
 from .scheduler import ProcessWorkerPool
 from .spec import JobSpec
@@ -269,7 +269,7 @@ class AssemblyService:
     def result_payload(self, job_id: str) -> Dict[str, Any]:
         """The job's quality metrics JSON (written by its worker)."""
         record = self._succeeded(job_id)
-        path = self._artifact_path(record, "metrics.json")
+        path = self._artifact_path(record, METRICS_FILE)
         try:
             return json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -278,7 +278,7 @@ class AssemblyService:
             ) from exc
 
     def artifact_text(self, job_id: str, name: str) -> str:
-        """A FASTA artifact (``contigs.fasta`` / ``scaffolds.fasta``)."""
+        """A FASTA artifact of the job's run directory, by file name."""
         record = self._succeeded(job_id)
         path = self._artifact_path(record, name)
         if not path.is_file():
@@ -306,7 +306,7 @@ class AssemblyService:
         predates tracing) — the same error contract as ``/result``.
         """
         self.store.get(job_id)  # unknown job -> JobNotFoundError -> 404
-        path = self.pool.job_dir(job_id) / "trace.json"
+        path = self.pool.job_dir(job_id) / TRACE_FILE
         try:
             return json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -323,7 +323,7 @@ class AssemblyService:
         other per-attempt artifacts).
         """
         self.store.get(job_id)  # unknown job -> JobNotFoundError -> 404
-        path = self.pool.job_dir(job_id) / TIMELINE_FILENAME
+        path = self.pool.job_dir(job_id) / TIMELINE_FILE
         try:
             events = read_timeline(path)
         except OSError as exc:

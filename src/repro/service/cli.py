@@ -24,8 +24,8 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
+from ..cli import add_job_arguments, spec_from_args
 from ..errors import ReproError
-from ..runtime import available_backends
 from .client import ServiceClient
 from .spec import JobSpec
 
@@ -108,43 +108,13 @@ def build_service_parser() -> argparse.ArgumentParser:
 
     submit = verbs.add_parser("submit", help="submit an assembly job")
     submit.add_argument("--url", default=None, help=f"service URL (default {_DEFAULT_URL})")
-    source = submit.add_mutually_exclusive_group(required=True)
-    source.add_argument("--dataset", metavar="NAME", help="Table I dataset profile to simulate server-side")
-    source.add_argument("--fastq", metavar="PATH", help="FASTQ file (path resolved on the server)")
-    source.add_argument(
-        "--fastq-pair", nargs=2, metavar=("R1", "R2"),
-        help="paired FASTQ files (paths resolved on the server)",
-    )
-    source.add_argument(
-        "--simulate", metavar="LENGTH", type=int,
-        help="simulate reads from a random genome of this length server-side",
-    )
+    add_job_arguments(submit, require_input=True)
     submit.add_argument(
         "--inline",
         action="store_true",
         help="read --fastq/--fastq-pair files locally and embed the reads in "
         "the request (no shared filesystem needed)",
     )
-    submit.add_argument("--scale", type=float, default=0.25, help="dataset scale (default 0.25)")
-    submit.add_argument("--seed", type=int, default=0, help="seed for --simulate (default 0)")
-    submit.add_argument("-k", type=int, default=21, help="k-mer size (odd, default 21)")
-    submit.add_argument("--coverage-threshold", type=int, default=1)
-    submit.add_argument("--labeling", default=None, help="contig-labeling method")
-    submit.add_argument(
-        "--backend", choices=available_backends(), default=None,
-        help="execution backend for the job's Pregel stages",
-    )
-    submit.add_argument("--workers", type=int, default=None, help="Pregel workers for the job")
-    submit.add_argument(
-        "--memory-budget-mb", type=float, default=None, metavar="MB",
-        help="bound the job's working memory (chunked ingest + disk spill)",
-    )
-    submit.add_argument("--no-vectorized", action="store_true")
-    submit.add_argument("--scaffold", action="store_true", help="run paired-end scaffolding")
-    submit.add_argument("--insert-size", type=float, default=None)
-    submit.add_argument("--insert-std", type=float, default=50.0)
-    submit.add_argument("--min-links", type=int, default=None)
-    submit.add_argument("--min-contig", type=int, default=0)
     submit.add_argument(
         "--max-attempts", type=int, default=None,
         help="attempt budget for this job before quarantine (overrides the server default)",
@@ -265,44 +235,17 @@ def _inline_input(args: argparse.Namespace) -> Dict[str, Any]:
 
 
 def _build_spec(args: argparse.Namespace) -> JobSpec:
-    from .spec import input_block_from_args
-
-    if args.inline:
-        if args.fastq is None and args.fastq_pair is None:
-            raise ReproError("--inline needs --fastq or --fastq-pair")
-        input_block = _inline_input(args)
-    else:
-        # Shared with the one-shot CLI: identical flags materialise
-        # identical reads on both surfaces.
-        input_block = input_block_from_args(args)
-
-    config: Dict[str, Any] = {"k": args.k, "coverage_threshold": args.coverage_threshold}
-    if args.labeling is not None:
-        config["labeling_method"] = args.labeling
-    if args.backend is not None:
-        config["backend"] = args.backend
-    if args.workers is not None:
-        config["num_workers"] = args.workers
-    if args.memory_budget_mb is not None:
-        config["memory_budget_mb"] = args.memory_budget_mb
-    if args.no_vectorized:
-        config["use_vectorized"] = False
-    if args.scaffold:
-        config["scaffold"] = True
-        if args.min_links is not None:
-            config["scaffold_min_links"] = args.min_links
-        if args.insert_size is not None:
-            config["scaffold_insert_size"] = args.insert_size
-    retry: Dict[str, Any] = {}
-    if args.max_attempts is not None:
-        retry["max_attempts"] = args.max_attempts
-    if args.job_timeout is not None:
-        retry["job_timeout_seconds"] = args.job_timeout
-    if args.stage_timeout is not None:
-        retry["stage_timeout_seconds"] = args.stage_timeout
-    spec = JobSpec(
-        input=input_block, config=config, min_contig=args.min_contig, retry=retry
-    )
+    if args.inline and args.fastq is None and args.fastq_pair is None:
+        raise ReproError("--inline needs --fastq or --fastq-pair")
+    # Shared with the one-shot CLI: identical flags make identical specs.
+    spec = spec_from_args(args, _inline_input(args) if args.inline else None)
+    for key, value in (
+        ("max_attempts", args.max_attempts),
+        ("job_timeout_seconds", args.job_timeout),
+        ("stage_timeout_seconds", args.stage_timeout),
+    ):
+        if value is not None:
+            spec.retry[key] = value
     spec.validate()
     return spec
 

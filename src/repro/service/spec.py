@@ -21,13 +21,21 @@ Input modes (mirroring the CLI's source flags):
     A seeded random genome; deterministic by construction.
 ``dataset``
     One of the Table I dataset profiles (seeded), scaled.
+
+:func:`run_job` runs a spec and writes its run directory; the one-shot
+``repro-assemble`` and every service job attempt go through it.
 """
 
 from __future__ import annotations
 
+import json
+import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Union
 
+from ..assembler import PPAAssembler
 from ..assembler.config import AssemblyConfig
 from ..dna.datasets import get_profile
 from ..dna.io_fastq import (
@@ -39,6 +47,29 @@ from ..dna.io_fastq import (
 )
 from ..dna.simulator import simulate_dataset, simulate_paired_dataset
 from ..errors import InvalidJobSpecError, ReproError
+from ..store.spill import memory_payload, process_spill_stats
+from ..telemetry import (
+    ProfileCollector,
+    ResourceSampler,
+    TimelineRecorder,
+    Tracer,
+    span,
+    use_profiler,
+    use_timeline,
+    use_tracer,
+    write_timeline,
+    write_trace,
+)
+from ..telemetry.report import (
+    CONTIGS_FILE,
+    METRICS_FILE,
+    PROFILE_FILE,
+    RUN_FILES,
+    SCAFFOLDS_FILE,
+    TIMELINE_FILE,
+    TRACE_FILE,
+)
+from ..workflow import WorkflowEvent
 
 #: Input modes a spec may name.
 INPUT_MODES = ("inline", "fastq", "fastq_pair", "simulate", "dataset")
@@ -120,8 +151,8 @@ class JobSpec:
     ``input`` is the mode-tagged input block, ``config`` the (partial)
     :class:`~repro.assembler.config.AssemblyConfig` keyword set, and
     ``min_contig`` the length cutoff used by the job's reported contig
-    statistics (the service's result payload and the CLI's
-    ``--metrics-json`` share the same shape).
+    statistics (every run directory's metrics, the service's result
+    payload included).
     """
 
     input: Dict[str, Any] = field(default_factory=dict)
@@ -167,8 +198,8 @@ class JobSpec:
                     "input mode 'inline' requires a 'reads' or 'pairs' field"
                 )
         # Scaffolding needs pairing evidence; an input that can never
-        # produce pairs is rejected up front (mirroring the one-shot
-        # CLI) instead of silently succeeding without scaffolds.
+        # produce pairs is rejected up front (on both CLI surfaces and
+        # the REST API) instead of silently succeeding without scaffolds.
         if self.config.get("scaffold"):
             mode = self.input["mode"]
             unpaired = mode == "fastq" or (
@@ -415,39 +446,104 @@ class JobSpec:
         )
 
 
-def input_block_from_args(args: Any) -> Dict[str, Any]:
-    """Build a spec input block from the CLI's source/insert flags.
+def run_job(
+    spec: JobSpec,
+    directory: Optional[Union[str, Path]] = None,
+    *,
+    checkpoint_dir: Optional[Union[str, Path]] = None,
+    resume: bool = False,
+    subscriber: Optional[Callable[[WorkflowEvent], None]] = None,
+    profile: bool = False,
+    job_id: Optional[str] = None,
+) -> Dict[str, Any]:
+    """Run one assembly job; keep what it produced in ``directory``.
 
-    The one-shot CLI (``repro-assemble --simulate …``) and the service
-    submit verb (``repro-assemble submit --simulate …``) expose the
-    same source flags; both funnel through here so identical flags
-    always materialise identical reads on both surfaces — the property
-    checkpoint fingerprints and crash recovery rely on.
+    The one run path behind both ``repro-assemble`` and a service job
+    attempt.  Returns the run's metrics payload
+    (:meth:`~repro.assembler.results.AssemblyResult.metrics_payload`
+    plus its ``memory`` block, ``job_id`` and, with ``profile``, the
+    hotspot table).  ``subscriber`` receives every workflow event.
+
+    With a ``directory`` the run records a trace and a timeline (with
+    its resource sampler), each installed for this run only, and writes
+    the run directory (:data:`~repro.telemetry.report.RUN_FILES`): the
+    FASTA files and metrics when the assembly succeeds, the trace,
+    timeline and (with ``profile``) collapsed profile stacks whatever
+    happens, so a failed run can be diagnosed too.  Layout files an
+    earlier run left there are removed first, so one directory never
+    mixes two runs.  Without a directory only the profile collection is
+    installed (when asked) and nothing is written.  ``job_id`` names
+    the trace's root span ``job:<id>`` instead of ``assemble``.
     """
-    if getattr(args, "dataset", None) is not None:
-        block: Dict[str, Any] = {
-            "mode": "dataset",
-            "name": args.dataset,
-            "scale": args.scale,
-        }
-    elif getattr(args, "fastq", None) is not None:
-        block = {"mode": "fastq", "path": args.fastq}
-    elif getattr(args, "fastq_pair", None) is not None:
-        block = {
-            "mode": "fastq_pair",
-            "path1": args.fastq_pair[0],
-            "path2": args.fastq_pair[1],
-        }
-    else:
-        block = {
-            "mode": "simulate",
-            "genome_length": args.simulate,
-            "seed": args.seed,
-        }
-    if getattr(args, "insert_size", None) is not None:
-        block["insert_size"] = args.insert_size
-    if getattr(args, "insert_std", None) is not None:
-        block["insert_std"] = args.insert_std
-    return block
+    run_dir = None if directory is None else Path(directory)
+    if run_dir is not None:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        for name in RUN_FILES:
+            (run_dir / name).unlink(missing_ok=True)
+    config = spec.assembly_config()
+    stage_seconds: Dict[str, float] = {}
 
+    def on_event(event: WorkflowEvent) -> None:
+        if event.kind == "stage-end":
+            name = event.stage.name
+            stage_seconds[name] = stage_seconds.get(name, 0.0) + event.seconds
+        if subscriber is not None:
+            subscriber(event)
+
+    timeline = TimelineRecorder()
+    profiler = ProfileCollector() if profile else None
+    root = None
+    try:
+        with ExitStack() as instruments:
+            if run_dir is not None:
+                instruments.enter_context(use_tracer(Tracer()))
+                instruments.enter_context(use_timeline(timeline))
+                instruments.enter_context(ResourceSampler(timeline))
+            if profiler is not None:
+                instruments.enter_context(use_profiler(profiler))
+            root = instruments.enter_context(
+                span(
+                    "assemble" if job_id is None else f"job:{job_id}",
+                    k=config.k,
+                    backend=config.backend,
+                    workers=config.num_workers,
+                )
+            )
+            material = spec.materialize()
+            root.set(reads=len(material.reads))
+            spill_before = process_spill_stats().snapshot()
+            started = time.perf_counter()
+            result = PPAAssembler(config).assemble(
+                material.reads,
+                pairs=material.pairs,
+                checkpoint_dir=checkpoint_dir,
+                resume=resume,
+                subscriber=on_event,
+            )
+            payload = result.metrics_payload(
+                min_contig=spec.min_contig,
+                stage_seconds=stage_seconds,
+                wall_seconds=time.perf_counter() - started,
+                reference_length=material.reference_length,
+            )
+            payload["memory"] = memory_payload(config.memory_budget_mb, spill_before)
+            if job_id is not None:
+                payload["job_id"] = job_id
+            if profiler is not None:
+                payload["profile"] = profiler.payload()
+            root.set(outcome="succeeded")
+            if run_dir is not None:
+                result.write_fasta(run_dir / CONTIGS_FILE)
+                if result.scaffolding is not None:
+                    result.write_scaffold_fasta(run_dir / SCAFFOLDS_FILE)
+                (run_dir / METRICS_FILE).write_text(
+                    json.dumps(payload, indent=2, sort_keys=True) + "\n"
+                )
+    finally:
+        if run_dir is not None and root is not None:
+            write_trace(root.finish(), run_dir / TRACE_FILE)
+            write_timeline(timeline, run_dir / TIMELINE_FILE)
+            if profiler is not None:
+                profiler.write_folded(run_dir / PROFILE_FILE)
+    return payload
 

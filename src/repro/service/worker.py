@@ -25,12 +25,17 @@ failure (bad input, missing file — retrying cannot help) and goes
 straight to ``failed``; any other exception is presumed transient and
 goes through the store's retry/quarantine accounting.
 
-Worker processes also carry their telemetry home: each child owns a
+The assembly itself is :func:`~repro.service.spec.run_job` — the same
+function the one-shot CLI runs — writing its whole run directory
+(contigs, metrics, trace, timeline) into a per-attempt staging
+directory that is published into the job directory only once the
+attempt's token-fenced terminal or requeue write commits.
+
+Worker processes also carry their metrics home: each child owns a
 private :class:`~repro.telemetry.MetricsRegistry` and ships metric
 *deltas* through a :class:`MetricsSpool` (pickle files under
 ``data_dir/metrics-spool/``, written atomically) that the service
-merges into its own registry at ``/metrics`` scrape time; traces are
-written directly to the job directory.
+merges into its own registry at ``/metrics`` scrape time.
 """
 
 from __future__ import annotations
@@ -46,25 +51,10 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from ..errors import ReproError
-from ..telemetry import (
-    MetricsRegistry,
-    ResourceSampler,
-    TimelineRecorder,
-    Tracer,
-    get_registry,
-    get_tracer,
-    set_registry,
-    set_tracer,
-    span,
-    use_timeline,
-    write_timeline,
-    write_trace,
-)
-from ..telemetry.sampler import TIMELINE_FILENAME
-from ..telemetry.trace import Span
-from ..store.spill import memory_payload, process_spill_stats
+from ..telemetry import MetricsRegistry, get_registry, set_registry
 from ..workflow import WorkflowEvent
 from .faults import FaultPlan
+from .spec import run_job
 from .store import (
     STATE_CANCELLED,
     STATE_FAILED,
@@ -253,8 +243,6 @@ def execute_attempt(
             pass
         os._exit(exit_code)
 
-    stage_seconds: Dict[str, float] = {}
-
     def on_event(event: WorkflowEvent) -> None:
         kind, stage = event.kind, event.stage
         if kind == "progress":
@@ -272,7 +260,6 @@ def execute_attempt(
             plan.on_stage_start(stage.name, event.index, attempt)
         elif kind == "stage-end":
             watch["stage_deadline"] = None
-            stage_seconds[stage.name] = stage_seconds.get(stage.name, 0.0) + event.seconds
             store.append_event(job_id, kind, {**where, "seconds": round(event.seconds, 6)})
         elif kind == "stage-skipped":
             watch["stage_deadline"] = None
@@ -294,94 +281,61 @@ def execute_attempt(
         )
         watchdog.start()
 
-    # Every attempt records a run timeline (superstep/stage boundary
-    # events + periodic resource samples) — like traces, it is part of
-    # the service's observability API (GET /jobs/<id>/timeline), so it
-    # is always on.
-    timeline = TimelineRecorder()
-    sampler = ResourceSampler(
-        timeline, source=record.worker or f"attempt-{attempt}"
-    ).start()
-    spill_base = process_spill_stats().snapshot()
-    started = time.perf_counter()
-    outcome = "failed"
-    job_span = None
+    # The whole run directory — contigs and metrics, and the trace and
+    # timeline every outcome gets — is staged per attempt and published
+    # only when this attempt's terminal or requeue write committed: a
+    # fenced zombie whose lease lapsed since its last heartbeat must not
+    # overwrite any file of the attempt that now owns the job.
+    result_dir = job_dir(data_dir, job_id)
+    staging = result_dir / (
+        f".staging-attempt{attempt:03d}-{os.getpid()}-{threading.get_ident()}"
+    )
+    outcome = "lease-lost"
     try:
-        with use_timeline(timeline), span(
-            f"job:{job_id}", job_id=job_id, attempt=attempt
-        ) as job_span:
-            try:
-                from ..assembler import PPAAssembler
-
-                spec = record.spec
-                config = spec.assembly_config()
-                material = spec.materialize()
-                result = PPAAssembler(config).assemble(
-                    material.reads,
-                    pairs=material.pairs,
-                    checkpoint_dir=checkpoint_dir(data_dir, job_id),
-                    resume=True,
-                    subscriber=on_event,
-                )
-                wall_seconds = time.perf_counter() - started
-                memory = memory_payload(config.memory_budget_mb, spill_base)
-                # Stage artifacts in a per-attempt directory and publish
-                # only after the token-fenced finish commits: a fenced
-                # zombie whose lease lapsed since the last heartbeat
-                # must not overwrite files the retry attempt is writing.
-                result_dir = job_dir(data_dir, job_id)
-                staging = result_dir / (
-                    f".staging-attempt{attempt:03d}"
-                    f"-{os.getpid()}-{threading.get_ident()}"
-                )
-                _write_artifacts(
-                    staging, job_id, record, result, material,
-                    stage_seconds, wall_seconds, memory,
-                )
-                if store.finish_attempt(
-                    job_id, token, STATE_SUCCEEDED, result_dir=str(result_dir)
-                ):
-                    # The job is terminal and this attempt owns it: no
-                    # concurrent attempt can exist past this point, so
-                    # the per-file renames race with nobody.
-                    _publish_artifacts(staging, result_dir)
-                    outcome = "succeeded"
-                else:
-                    shutil.rmtree(staging, ignore_errors=True)
-                    outcome = "lease-lost"
-            except _JobCancelled:
-                finished = _finish_quietly(
-                    store.finish_attempt, job_id, token, STATE_CANCELLED
-                )
-                outcome = "cancelled" if finished else "lease-lost"
-            except ReproError as exc:
-                # Permanent by definition: the spec cannot materialise,
-                # the config is invalid, an input file is gone.  A
-                # retry would fail identically; fail the job outright.
-                _finish_quietly(
-                    store.finish_attempt, job_id, token, STATE_FAILED, str(exc)
-                )
+        try:
+            run_job(
+                record.spec,
+                staging,
+                checkpoint_dir=checkpoint_dir(data_dir, job_id),
+                resume=True,
+                subscriber=on_event,
+                job_id=job_id,
+            )
+            if store.finish_attempt(
+                job_id, token, STATE_SUCCEEDED, result_dir=str(result_dir)
+            ):
+                outcome = "succeeded"
+        except _JobCancelled:
+            if _finish_quietly(store.finish_attempt, job_id, token, STATE_CANCELLED):
+                outcome = "cancelled"
+        except ReproError as exc:
+            # Permanent by definition: the spec cannot materialise, the
+            # config is invalid, an input file is gone.  A retry would
+            # fail identically; fail the job outright.
+            if _finish_quietly(
+                store.finish_attempt, job_id, token, STATE_FAILED, str(exc)
+            ):
                 outcome = "failed"
-            except Exception as exc:  # noqa: BLE001 — a worker must survive any job
-                _finish_quietly(
-                    store.append_event,
-                    job_id,
-                    "error-detail",
-                    {"traceback": traceback.format_exc(limit=20)},
-                )
-                recorded = _finish_quietly(
-                    store.fail_attempt,
-                    job_id,
-                    token,
-                    f"{type(exc).__name__}: {exc}",
-                )
-                outcome = recorded or "lease-lost"
-            job_span.set(outcome=outcome)
+        except Exception as exc:  # noqa: BLE001 — a worker must survive any job
+            _finish_quietly(
+                store.append_event,
+                job_id,
+                "error-detail",
+                {"traceback": traceback.format_exc(limit=20)},
+            )
+            recorded = _finish_quietly(
+                store.fail_attempt,
+                job_id,
+                token,
+                f"{type(exc).__name__}: {exc}",
+            )
+            outcome = recorded or "lease-lost"
     finally:
         stop_ticker.set()
-        sampler.stop()
-    _write_trace(data_dir, job_id, job_span)
-    _write_timeline_file(data_dir, job_id, timeline)
+    if outcome == "lease-lost":
+        shutil.rmtree(staging, ignore_errors=True)
+    else:
+        _publish_artifacts(staging, result_dir)
     if outcome in ("succeeded", "failed", "cancelled"):
         get_registry().counter(
             "repro_jobs_completed_total",
@@ -402,72 +356,6 @@ def _finish_quietly(operation, *args) -> Any:
         return operation(*args)
     except Exception:  # noqa: BLE001 — best-effort by design
         return None
-
-
-def _write_trace(data_dir, job_id: str, job_span) -> None:
-    """Persist the job's span tree next to its artifacts.
-
-    Only when tracing is enabled (the span is real); written for every
-    outcome, so failed jobs can be profiled too.  Best-effort by design
-    — a trace-write failure must not fail the job.
-    """
-    if not get_tracer().enabled or not isinstance(job_span, Span):
-        return
-    try:
-        directory = job_dir(data_dir, job_id)
-        directory.mkdir(parents=True, exist_ok=True)
-        write_trace(job_span.finish(), directory / "trace.json")
-    except Exception:  # noqa: BLE001 — observability must not break jobs
-        pass
-
-
-def _write_timeline_file(data_dir, job_id: str, timeline) -> None:
-    """Persist the attempt's run timeline next to its artifacts.
-
-    Written for every outcome (like the trace), so failed and timed-out
-    jobs can be diagnosed from their timelines too.  Best-effort by
-    design — a timeline-write failure must not fail the job.
-    """
-    if not len(timeline):
-        return
-    try:
-        directory = job_dir(data_dir, job_id)
-        directory.mkdir(parents=True, exist_ok=True)
-        write_timeline(timeline, directory / TIMELINE_FILENAME)
-    except Exception:  # noqa: BLE001 — observability must not break jobs
-        pass
-
-
-def _write_artifacts(
-    directory: Path,
-    job_id: str,
-    record: JobRecord,
-    result,
-    material,
-    stage_seconds: Dict[str, float],
-    wall_seconds: float,
-    memory: Optional[Dict[str, Any]] = None,
-) -> Path:
-    """Write the job's deliverables into ``directory`` (a staging dir)."""
-    import json
-
-    directory.mkdir(parents=True, exist_ok=True)
-    result.write_fasta(directory / "contigs.fasta")
-    if result.scaffolding is not None:
-        result.write_scaffold_fasta(directory / "scaffolds.fasta")
-    payload = result.metrics_payload(
-        min_contig=record.spec.min_contig,
-        stage_seconds=stage_seconds,
-        wall_seconds=wall_seconds,
-        reference_length=material.reference_length,
-    )
-    payload["job_id"] = job_id
-    if memory is not None:
-        payload["memory"] = memory
-    (directory / "metrics.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
-    return directory
 
 
 def _publish_artifacts(staging: Path, directory: Path) -> None:
@@ -494,9 +382,10 @@ def worker_main(
     """Run a persistent claim loop in a spawned worker process.
 
     The child owns everything it needs: its own SQLite connection
-    (SQLite coordinates cross-process via the file), its own telemetry
-    registry/tracer (spooled home through :class:`MetricsSpool`), and
-    its own fault plan re-read from the inherited environment.  Its
+    (SQLite coordinates cross-process via the file), its own metrics
+    registry (spooled home through :class:`MetricsSpool`; each run
+    scopes its own tracer), and its own fault plan re-read from the
+    inherited environment.  Its
     identity — ``worker-N@pid`` — is what it writes into each claim's
     ``worker`` column, which is what lets the supervisor reclaim
     exactly this incarnation's jobs the moment it dies.
@@ -506,7 +395,6 @@ def worker_main(
     # every interactive shutdown into a fault-injection run.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     set_registry(MetricsRegistry())
-    set_tracer(Tracer())
     plan = FaultPlan.from_env()
     lease_seconds = float(options.get("lease_seconds", 15.0))
     poll_interval = float(options.get("poll_interval", 0.2))

@@ -3,8 +3,9 @@
 The repo's instrument panel (ISSUE 6).  Stdlib-only, and **off by
 default**: the module-level :func:`get_tracer` / :func:`get_registry`
 hand back no-op implementations until something installs real ones —
-the service does on start-up, the CLI does when asked (``--log-json``,
-``--trace-out``), tests do with the ``use_*`` context managers.
+the service does on start-up, every run with a run directory does for
+its own duration (``repro.service.spec.run_job``), tests do with the
+``use_*`` context managers.
 
 Layout:
 
@@ -15,11 +16,12 @@ Layout:
 * :mod:`repro.telemetry.export` — Prometheus text format, JSON-lines
   logging with trace correlation, trace-file writing;
 * :mod:`repro.telemetry.sampler` — resource sampling and structured
-  run timelines (``timeline.jsonl``), mergeable across processes;
+  run timelines, mergeable across processes;
 * :mod:`repro.telemetry.profiling` — cProfile collection merged across
   worker processes, hotspot tables and collapsed-stack output;
-* :mod:`repro.telemetry.report` — self-contained HTML ops reports and
-  the service dashboard (inline SVG, zero dependencies).
+* :mod:`repro.telemetry.report` — the run-directory layout, and
+  self-contained HTML ops reports and the service dashboard rendered
+  from it (inline SVG, zero dependencies).
 """
 
 from .export import (

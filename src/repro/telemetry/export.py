@@ -10,7 +10,7 @@ Three ways telemetry leaves the process:
   with ``trace_id``/``span_id`` of the active span attached so logs
   and traces correlate.
 * :func:`write_trace` — a finished span tree as an indented JSON file
-  (the ``--trace-out`` flag and the per-job ``trace.json`` artifact).
+  (the trace file of every run directory).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ The collector renders two artefacts:
   into ``metrics_payload()`` under a ``"profile"`` key;
 * :meth:`ProfileCollector.folded` — collapsed call stacks
   (``stage;caller;callee <microseconds>``), the input format of
-  ``flamegraph.pl`` and speedscope, written as ``profile.folded``.
+  ``flamegraph.pl`` and speedscope, written into the run directory.
 
 Zero-cost contract: :func:`get_profiler` returns a shared inert
 :class:`NullProfileCollector` until ``--profile`` (or
@@ -33,9 +33,6 @@ import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
-
-#: Canonical collapsed-stack file name (next to ``trace.json``).
-FOLDED_FILENAME = "profile.folded"
 
 #: Stage label under which Pregel worker-process profiles are merged.
 WORKER_STAGE = "pregel-workers"

@@ -1,9 +1,9 @@
 """Self-contained HTML ops reports rendered from telemetry artefacts.
 
-Turns the three per-run artefacts — ``trace.json`` (span tree),
-``timeline.jsonl`` (samples + superstep/stage events) and
-``metrics.json`` (the assembly metrics payload, optionally with a
-``"profile"`` hotspot block) — into one human-readable page: a span
+Turns three files of a run directory (:data:`RUN_FILES`, the one
+place the layout is named) — the span tree, the run timeline (samples +
+superstep/stage events) and the assembly metrics payload, optionally
+with a ``"profile"`` hotspot block — into one human-readable page: a span
 waterfall, RSS and message-rate timelines, the hotspot table, and the
 memory/contiguity summaries.  Everything is inline (hand-rolled SVG +
 a ``<style>`` block, no external assets, no JavaScript, no third-party
@@ -24,7 +24,7 @@ from html import escape
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from .sampler import TIMELINE_FILENAME, read_timeline
+from .sampler import read_timeline
 
 _STYLE = """
 body { font-family: -apple-system, 'Segoe UI', Helvetica, Arial, sans-serif;
@@ -383,6 +383,25 @@ def render_dashboard(
 # ----------------------------------------------------------------------
 # loading per-run artefacts
 # ----------------------------------------------------------------------
+#: The run directory: every file one assembly run leaves behind, named
+#: once.  ``repro-assemble --run-dir DIR`` and each service job
+#: directory hold the same set (see ``docs/observability.md``).
+CONTIGS_FILE = "contigs.fasta"
+SCAFFOLDS_FILE = "scaffolds.fasta"
+METRICS_FILE = "metrics.json"
+TRACE_FILE = "trace.json"
+TIMELINE_FILE = "timeline.jsonl"
+PROFILE_FILE = "profile.folded"
+RUN_FILES = (
+    CONTIGS_FILE,
+    SCAFFOLDS_FILE,
+    METRICS_FILE,
+    TRACE_FILE,
+    TIMELINE_FILE,
+    PROFILE_FILE,
+)
+
+
 def load_run_artifacts(directory: Union[str, Path]) -> Dict[str, Any]:
     """Collect whatever report inputs exist in a run/job directory.
 
@@ -392,19 +411,19 @@ def load_run_artifacts(directory: Union[str, Path]) -> Dict[str, Any]:
     """
     directory = Path(directory)
     out: Dict[str, Any] = {"trace": None, "timeline": [], "metrics": None}
-    trace_path = directory / "trace.json"
+    trace_path = directory / TRACE_FILE
     if trace_path.exists():
         try:
             out["trace"] = json.loads(trace_path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
             pass
-    timeline_path = directory / TIMELINE_FILENAME
+    timeline_path = directory / TIMELINE_FILE
     if timeline_path.exists():
         try:
             out["timeline"] = read_timeline(timeline_path)
         except OSError:
             pass
-    metrics_path = directory / "metrics.json"
+    metrics_path = directory / METRICS_FILE
     if metrics_path.exists():
         try:
             out["metrics"] = json.loads(metrics_path.read_text(encoding="utf-8"))

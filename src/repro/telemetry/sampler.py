@@ -13,10 +13,12 @@ against wall-clock time.  Two producers feed it:
   ``sample`` events (resident set size, CPU seconds, thread count,
   cyclic-collector passes so far) at a fixed low frequency.
 
-Like the metrics registry, the timeline follows the zero-cost-when-
-disabled contract: :func:`get_timeline` returns a shared inert
-:class:`NullTimeline` until something installs a real
-:class:`TimelineRecorder` (``--timeline-out``, the job service, or the
+Like the tracer, the metrics registry and the profile collector, the
+timeline lives in one process-wide slot and follows the
+zero-cost-when-disabled contract: :func:`get_timeline` returns a shared
+inert :class:`NullTimeline` until something installs a real
+:class:`TimelineRecorder` (a run with a run directory —
+``repro-assemble --run-dir`` and every service job attempt — or the
 ``use_timeline`` context manager), so an uninstrumented run pays one
 attribute lookup per would-be event.
 
@@ -25,8 +27,8 @@ record into a local recorder and :meth:`TimelineRecorder.drain_events`
 ships the per-superstep delta over the barrier counter channel (both
 message planes), where the master folds it back in with
 :meth:`TimelineRecorder.merge_events` — one coherent timeline per run
-regardless of backend.  :func:`write_timeline` persists it as JSONL
-(``timeline.jsonl``), one event object per line, ordered by timestamp.
+regardless of backend.  :func:`write_timeline` persists it as JSONL,
+one event object per line, ordered by timestamp.
 """
 
 from __future__ import annotations
@@ -41,9 +43,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
-#: Canonical per-run timeline file name (written next to ``trace.json``).
-TIMELINE_FILENAME = "timeline.jsonl"
-
 
 # ----------------------------------------------------------------------
 # process memory helpers
@@ -52,8 +51,8 @@ def peak_rss_bytes() -> int:
     """This process's peak resident set size in **bytes** (0 if unknown).
 
     ``getrusage(...).ru_maxrss`` is kibibytes on Linux but bytes on
-    macOS; normalising here keeps ``--metrics-json`` comparable across
-    platforms.
+    macOS; normalising here keeps the metrics' ``memory`` block
+    comparable across platforms.
     """
     try:
         import resource
@@ -163,26 +162,22 @@ class NullTimeline:
 
 
 _NULL_TIMELINE = NullTimeline()
-# The active-timeline slot is *thread-local*, unlike the registry and
-# tracer globals.  Every reader (SuperstepInstruments, the workflow
-# runner, the multiprocess barrier loop) runs on the thread that
-# installed the timeline, so thread-local resolution is exact; the
-# sampler thread holds a direct reference and never looks the slot up.
-_TIMELINE_SLOT = threading.local()
+_TIMELINE: Union[TimelineRecorder, NullTimeline] = _NULL_TIMELINE
 
 
 def get_timeline() -> Union[TimelineRecorder, NullTimeline]:
-    """The calling thread's active timeline (the null timeline by default)."""
-    return getattr(_TIMELINE_SLOT, "timeline", _NULL_TIMELINE)
+    """The process-wide active timeline (the null timeline by default)."""
+    return _TIMELINE
 
 
 def set_timeline(timeline: Optional[Union[TimelineRecorder, NullTimeline]]):
-    """Install ``timeline`` for this thread (None restores the null default).
+    """Install ``timeline`` globally (None restores the null default).
 
     Returns the previously installed timeline so callers can restore it.
     """
-    previous = get_timeline()
-    _TIMELINE_SLOT.timeline = timeline if timeline is not None else _NULL_TIMELINE
+    global _TIMELINE
+    previous = _TIMELINE
+    _TIMELINE = timeline if timeline is not None else _NULL_TIMELINE
     return previous
 
 

@@ -247,3 +247,44 @@ def test_dashboard_lists_recent_jobs(client, tiny_spec):
     assert job["id"][:12] in html
     assert f'href="/jobs/{job["id"]}/report"' in html
     assert "succeeded" in html
+
+
+def test_cli_run_dir_and_service_job_dir_hold_the_same_files(
+    service, client, tmp_path, capsys
+):
+    # The one-shot CLI and a service worker run one function into one
+    # layout: same file names, byte-identical contigs, metrics with the
+    # same keys (the service adds the job id), and the offline report
+    # renders from the CLI's directory as it does from a job's.
+    import json
+
+    from repro.cli import build_parser, main, spec_from_args
+
+    argv = ["--simulate", "1500", "-k", "15", "--workers", "2"]
+    run_dir = tmp_path / "run"
+    assert main([*argv, "--quiet", "--run-dir", str(run_dir)]) == 0
+    job = client.submit(spec_from_args(build_parser().parse_args(argv)))
+    assert client.wait(job["id"], timeout=120)["job"]["state"] == "succeeded"
+    job_dir = service.pool.job_dir(job["id"])
+
+    def files(directory):
+        return sorted(path.name for path in directory.iterdir() if path.is_file())
+
+    assert files(run_dir) == files(job_dir) == [
+        "contigs.fasta", "metrics.json", "timeline.jsonl", "trace.json",
+    ]
+    assert (run_dir / "contigs.fasta").read_bytes() == (
+        job_dir / "contigs.fasta"
+    ).read_bytes()
+    cli_metrics = json.loads((run_dir / "metrics.json").read_text())
+    job_metrics = json.loads((job_dir / "metrics.json").read_text())
+    assert set(job_metrics) - set(cli_metrics) == {"job_id"}
+    assert set(cli_metrics) <= set(job_metrics)
+
+    output = tmp_path / "report.html"
+    capsys.readouterr()
+    assert main(["report", str(run_dir), "-o", str(output)]) == 0
+    html = output.read_text()
+    ET.fromstring(html)
+    assert "Span waterfall" in html
+    assert "Resident set size" in html

@@ -206,3 +206,43 @@ def test_metrics_spool_concurrent_drains_never_double_merge(tmp_path):
     assert total == 100
     # Every file was consumed, claim files included.
     assert list(spool.directory.iterdir()) == []
+
+
+def test_fenced_attempt_does_not_overwrite_the_live_attempts_files(tmp_path):
+    # A zombie attempt — its lease reclaimed and the job claimed again
+    # under a new token — must publish nothing into the job directory:
+    # not contigs, and not its trace or timeline either.
+    from repro.service.store import JobStore
+    from repro.service.worker import execute_attempt, job_dir
+    from repro.telemetry import Tracer, use_tracer
+
+    store = JobStore(
+        tmp_path / "jobs.sqlite", backoff_seconds=0.01, backoff_cap_seconds=0.01
+    )
+    try:
+        job = store.submit(make_spec())
+        stale = store.claim_next("zombie", lease_seconds=60.0)
+        store.reclaim_worker("zombie")
+        deadline = time.monotonic() + 10.0
+        live = None
+        while live is None and time.monotonic() < deadline:
+            live = store.claim_next("owner", lease_seconds=60.0)
+        assert live is not None and live.lease_token != stale.lease_token
+
+        directory = job_dir(tmp_path, job.id)
+        directory.mkdir(parents=True)
+        sentinel = directory / "trace.json"
+        sentinel.write_text("the live attempt's trace\n")
+        # A 60 s lease: no heartbeat fires (and fences the process)
+        # before the stale token's finish is refused.
+        with use_tracer(Tracer()):
+            outcome = execute_attempt(
+                store, tmp_path, stale, token=stale.lease_token, lease_seconds=60.0
+            )
+        assert outcome == "lease-lost"
+        assert sentinel.read_text() == "the live attempt's trace\n"
+        leftovers = {path.name for path in directory.iterdir()}
+        assert leftovers <= {"trace.json", "checkpoints"}, leftovers
+        assert store.get(job.id).lease_token == live.lease_token
+    finally:
+        store.close()

@@ -64,11 +64,16 @@ def test_cli_multiprocess_backend(capsys):
 
 
 def test_cli_writes_fasta(tmp_path, capsys):
-    output = tmp_path / "contigs.fa"
-    assert main(["--simulate", "1500", "-k", "15", "--output", str(output)]) == 0
-    text = output.read_text()
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    # A reused run directory never mixes two runs: this run scaffolds
+    # nothing, so an earlier run's scaffolds must not survive it.
+    (run_dir / "scaffolds.fasta").write_text(">stale\nACGT\n")
+    assert main(["--simulate", "1500", "-k", "15", "--run-dir", str(run_dir)]) == 0
+    text = (run_dir / "contigs.fasta").read_text()
     assert text.startswith(">contig_0")
-    assert str(output) in capsys.readouterr().out
+    assert not (run_dir / "scaffolds.fasta").exists()
+    assert str(run_dir) in capsys.readouterr().out
 
 
 def test_cli_missing_fastq_reports_error(tmp_path, capsys):
@@ -89,7 +94,7 @@ def test_cli_scaffold_requires_pairing(tmp_path, capsys):
 
 
 def test_cli_scaffolds_simulated_pairs(tmp_path, capsys):
-    scaffolds = tmp_path / "scaffolds.fa"
+    run_dir = tmp_path / "run"
     assert (
         main(
             [
@@ -102,8 +107,8 @@ def test_cli_scaffolds_simulated_pairs(tmp_path, capsys):
                 "400",
                 "--workers",
                 "2",
-                "--scaffold-output",
-                str(scaffolds),
+                "--run-dir",
+                str(run_dir),
             ]
         )
         == 0
@@ -111,7 +116,7 @@ def test_cli_scaffolds_simulated_pairs(tmp_path, capsys):
     output = capsys.readouterr().out
     assert "[scaffolding]" in output
     assert "scaffold_n50=" in output
-    assert scaffolds.read_text().startswith(">scaffold_0")
+    assert (run_dir / "scaffolds.fasta").read_text().startswith(">scaffold_0")
 
 
 def test_cli_list_stages_needs_no_input(capsys):
@@ -153,18 +158,18 @@ def test_cli_checkpoint_then_resume_matches(tmp_path, capsys):
     assert strip(resumed) == strip(first)
 
 
-def test_cli_metrics_json_writes_the_service_result_payload(tmp_path, capsys):
+def test_cli_run_dir_metrics_are_the_service_result_payload(tmp_path, capsys):
     import json
 
-    path = tmp_path / "metrics.json"
+    run_dir = tmp_path / "run"
     assert (
         main(
             ["--simulate", "1500", "-k", "15", "--workers", "2", "--quiet",
-             "--metrics-json", str(path)]
+             "--run-dir", str(run_dir)]
         )
         == 0
     )
-    payload = json.loads(path.read_text())
+    payload = json.loads((run_dir / "metrics.json").read_text())
     assert payload["schema_version"] == 1
     assert payload["contigs"]["count"] >= 1
     assert payload["contigs"]["n50"] >= 1
@@ -179,35 +184,48 @@ def test_cli_metrics_json_writes_the_service_result_payload(tmp_path, capsys):
     assert payload["scaffolds"] is None
 
 
-def test_cli_metrics_json_covers_scaffolds(tmp_path):
+def test_cli_run_dir_metrics_cover_scaffolds(tmp_path):
     import json
 
-    path = tmp_path / "metrics.json"
+    run_dir = tmp_path / "run"
     assert (
         main(
             ["--simulate", "6000", "-k", "17", "--scaffold", "--insert-size",
-             "400", "--workers", "2", "--quiet", "--metrics-json", str(path)]
+             "400", "--workers", "2", "--quiet", "--run-dir", str(run_dir)]
         )
         == 0
     )
-    payload = json.loads(path.read_text())
+    payload = json.loads((run_dir / "metrics.json").read_text())
     assert payload["scaffolds"] is not None
     assert payload["scaffolds"]["count"] >= 1
     assert payload["scaffolds"]["n50"] >= 1
 
 
 def test_submit_verb_and_one_shot_cli_build_the_same_input_block():
-    # Identical source flags must materialise identical reads on both
-    # surfaces (regression: --insert-std used to be dropped by `submit`
-    # unless --insert-size was also given).
+    # The same flags must make the same JobSpec on both surfaces — the
+    # input block (regression: --insert-std used to be dropped by
+    # `submit` unless --insert-size was also given), every config field
+    # (regression: `submit` lacked --partitioner/--message-plane) and
+    # the contig cutoff.
+    from repro.cli import spec_from_args
     from repro.service.cli import _build_spec, build_service_parser
 
-    args = build_service_parser().parse_args(
-        ["submit", "--simulate", "2000", "--scaffold", "--insert-std", "80"]
-    )
-    spec = _build_spec(args)
-    assert spec.input["insert_std"] == 80.0
-    assert spec.input["mode"] == "simulate"
+    argv = [
+        "--simulate", "2000", "--scaffold", "--insert-std", "80",
+        "--labeling", "sv", "--partitioner", "prefix_range",
+        "--message-plane", "queue", "--memory-budget-mb", "2",
+        "--min-links", "3", "--min-contig", "50",
+    ]
+    submitted = _build_spec(build_service_parser().parse_args(["submit", *argv]))
+    one_shot = spec_from_args(build_parser().parse_args(argv))
+    one_shot.validate()
+    assert submitted == one_shot
+    assert submitted.input["insert_std"] == 80.0
+    assert submitted.input["mode"] == "simulate"
+    config = submitted.assembly_config()
+    assert (config.partitioner, config.message_plane) == ("prefix_range", "queue")
+    assert (config.labeling_method, config.scaffold_min_links) == ("sv", 3)
+    assert submitted.min_contig == 50
 
 
 def test_service_verb_tables_stay_in_sync():
@@ -223,11 +241,13 @@ def test_one_shot_cli_does_not_import_the_serving_stack():
     import subprocess
     import sys
 
-    # http.server must not be loaded by a plain one-shot run.
+    # A plain one-shot run loads none of the serving stack, although
+    # its run function lives beside the service code.
     code = (
         "import sys; from repro.cli import main;"
         " main(['--simulate', '1500', '-k', '15', '--quiet']);"
-        " sys.exit(1 if 'http.server' in sys.modules else 0)"
+        " loaded = {'http.server', 'sqlite3', 'urllib.request'} & set(sys.modules);"
+        " sys.exit(sorted(loaded) or 0)"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True
@@ -275,21 +295,22 @@ def test_cli_assembles_fastq_pair(tmp_path, capsys):
     assert "scaffolds=" in capsys.readouterr().out
 
 
-def test_cli_trace_out_writes_span_tree(tmp_path, capsys):
+def test_cli_run_dir_writes_span_tree(tmp_path, capsys):
     from repro.telemetry import NoopTracer, get_tracer
 
-    trace_path = tmp_path / "trace.json"
+    run_dir = tmp_path / "run"
+    trace_path = run_dir / "trace.json"
     assert (
         main(
             [
                 "--simulate", "1500", "-k", "15", "--workers", "2",
-                "--trace-out", str(trace_path),
+                "--run-dir", str(run_dir),
             ]
         )
         == 0
     )
-    assert "wrote trace to" in capsys.readouterr().out
-    # The flag's tracer is scoped to the run: the process default stays no-op.
+    assert "wrote run directory" in capsys.readouterr().out
+    # The run's tracer is scoped to the run: the process default stays no-op.
     assert isinstance(get_tracer(), NoopTracer)
 
     import json
@@ -343,19 +364,20 @@ def test_cli_version_flag(capsys):
     assert capsys.readouterr().out.strip() == f"repro-assemble {__version__}"
 
 
-def test_cli_timeline_out_writes_jsonl_and_stays_scoped(tmp_path, capsys):
+def test_cli_run_dir_writes_timeline_and_stays_scoped(tmp_path, capsys):
     from repro.telemetry import NullTimeline, get_timeline, read_timeline
 
-    path = tmp_path / "timeline.jsonl"
+    run_dir = tmp_path / "run"
+    path = run_dir / "timeline.jsonl"
     assert (
         main(
             ["--simulate", "1500", "-k", "15", "--workers", "2",
-             "--timeline-out", str(path)]
+             "--run-dir", str(run_dir)]
         )
         == 0
     )
-    assert "wrote timeline to" in capsys.readouterr().out
-    # The flag's recorder is scoped to the run: the default stays inert.
+    assert "wrote run directory" in capsys.readouterr().out
+    # The run's recorder is scoped to the run: the default stays inert.
     assert isinstance(get_timeline(), NullTimeline)
 
     events = read_timeline(path)
@@ -368,16 +390,17 @@ def test_cli_timeline_out_writes_jsonl_and_stays_scoped(tmp_path, capsys):
 def test_cli_profile_writes_folded_stacks_and_hotspots(tmp_path, capsys):
     import json
 
-    folded = tmp_path / "profile.folded"
-    metrics = tmp_path / "metrics.json"
+    run_dir = tmp_path / "run"
+    folded = run_dir / "profile.folded"
+    metrics = run_dir / "metrics.json"
     assert (
         main(
             ["--simulate", "1500", "-k", "15", "--workers", "2",
-             "--profile", str(folded), "--metrics-json", str(metrics)]
+             "--profile", "--run-dir", str(run_dir)]
         )
         == 0
     )
-    assert "wrote collapsed profile stacks to" in capsys.readouterr().out
+    assert "wrote run directory" in capsys.readouterr().out
     lines = folded.read_text().splitlines()
     assert lines and all(line.rpartition(" ")[2].isdigit() for line in lines)
     assert any(line.startswith("stage:dbg-construction;") for line in lines)
@@ -392,13 +415,10 @@ def test_cli_report_verb_renders_run_directory(tmp_path, capsys):
     import xml.etree.ElementTree as ET
 
     run_dir = tmp_path / "run"
-    run_dir.mkdir()
     assert (
         main(
             ["--simulate", "1500", "-k", "15", "--workers", "2", "--quiet",
-             "--trace-out", str(run_dir / "trace.json"),
-             "--timeline-out", str(run_dir / "timeline.jsonl"),
-             "--metrics-json", str(run_dir / "metrics.json")]
+             "--run-dir", str(run_dir)]
         )
         == 0
     )
