@@ -53,7 +53,7 @@ EXAMPLE_SCALE = float(os.environ.get("REPRO_EXAMPLE_SCALE", "1.0"))
 # ── stage bodies: plain functions over the workflow context ──────────────
 def stage_construction(ctx) -> None:
     config = ctx.require("config")
-    construction = build_dbg(ctx.require("reads"), config, ctx)
+    construction = build_dbg(ctx.require("reads"), config, ctx.executor)
     ctx.state["graph"] = construction.graph
     # Created here, not in the seed state: checkpoints tie a resume to
     # the run's *initial* inputs, so seed values must stay immutable.
@@ -65,8 +65,8 @@ def stage_construction(ctx) -> None:
 def stage_labeling_comparison(ctx) -> None:
     config = ctx.require("config")
     graph = ctx.require("graph")
-    sv_labeling = label_contigs(graph, config, ctx)
-    lr_labeling = label_contigs(graph, dataclasses.replace(config, labeling_method="list_ranking"), ctx)
+    sv_labeling = label_contigs(graph, config, ctx.executor)
+    lr_labeling = label_contigs(graph, dataclasses.replace(config, labeling_method="list_ranking"), ctx.executor)
     ctx.state["labeling"] = sv_labeling
     print("\n② labeling comparison on this graph:")
     print(f"   simplified S-V : {sv_labeling.num_supersteps:3d} supersteps, "
@@ -78,21 +78,21 @@ def stage_labeling_comparison(ctx) -> None:
 def stage_first_merge(ctx) -> None:
     merging = merge_contigs(
         ctx.require("graph"), ctx.require("labeling"),
-        ctx.require("config"), ctx, ctx.require("allocator"),
+        ctx.require("config"), ctx.executor, ctx.require("allocator"),
     )
     print(f"\n③ merged {len(merging.contigs_created)} contigs "
           f"({merging.tips_dropped} short dangling paths dropped)")
 
 
 def stage_bubbles_strict(ctx) -> None:
-    strict = filter_bubbles(ctx.require("graph"), ctx.require("config"), ctx)
+    strict = filter_bubbles(ctx.require("graph"), ctx.require("config"), ctx.executor)
     ctx.state["strict_pruned"] = strict.num_pruned
 
 
 def stage_bubbles_relaxed(ctx) -> None:
     from dataclasses import replace
     relaxed_config = replace(ctx.require("config"), bubble_edit_distance=8)
-    relaxed = filter_bubbles(ctx.require("graph"), relaxed_config, ctx)
+    relaxed = filter_bubbles(ctx.require("graph"), relaxed_config, ctx.executor)
     print(f"④ bubble filtering: {ctx.require('strict_pruned')} pruned at "
           f"distance<3, {relaxed.num_pruned} more at distance<8")
 
@@ -100,8 +100,8 @@ def stage_bubbles_relaxed(ctx) -> None:
 def stage_regrow(ctx) -> None:
     config = ctx.require("config")
     graph = ctx.require("graph")
-    relabeling = label_contigs(graph, config, ctx, include_contigs=True)
-    final_merge = merge_contigs(graph, relabeling, config, ctx, ctx.require("allocator"))
+    relabeling = label_contigs(graph, config, ctx.executor, include_contigs=True)
+    final_merge = merge_contigs(graph, relabeling, config, ctx.executor, ctx.require("allocator"))
     print(f"⑥②③ regrown into {len(final_merge.contigs_created)} contigs")
 
 
@@ -186,9 +186,9 @@ def main() -> None:
     for key, value in stats.as_dict().items():
         print(f"  {key:20s} {value}")
 
-    seconds = CostModel().pipeline_seconds(ctx.pipeline_metrics)
+    seconds = CostModel().pipeline_seconds(ctx.executor.pipeline_metrics)
     print(f"\nsimulated cluster time for the whole custom workflow: {seconds:.1f} s")
-    print(f"jobs executed: {[job.job_name for job in ctx.pipeline_metrics.jobs]}")
+    print(f"jobs executed: {[job.job_name for job in ctx.executor.pipeline_metrics.jobs]}")
 
 
 if __name__ == "__main__":

@@ -5,9 +5,9 @@ Pregel" (ICDE 2018).  The package is organised by subsystem:
 
 * :mod:`repro.pregel` — the Pregel+ substrate (BSP engine, aggregators,
   combiners, mini-MapReduce, in-memory job chaining, cost model);
-* :mod:`repro.workflow` — declarative workflow graphs: typed stage
-  descriptors composed into named DAGs, executed on any backend with
-  metering, lifecycle events and checkpoint/resume;
+* :mod:`repro.workflow` — declarative workflows: typed stage
+  descriptors composed into named, ordered lists, executed on one
+  executor with metering, lifecycle events and checkpoint/resume;
 * :mod:`repro.runtime` — pluggable execution backends for the
   superstep loop (serial simulation | real multiprocess workers);
 * :mod:`repro.ppa` — the Practical Pregel Algorithms used as building

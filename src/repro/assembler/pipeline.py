@@ -40,20 +40,21 @@ ASSEMBLY_WORKFLOW_NAME = "ppa-assembly"
 #
 # Every function reads and writes the workflow context: inputs and
 # intermediate products live in ``ctx.state`` (which is what gets
-# checkpointed), metered sub-jobs run through the context's executor
-# services, and the growing AssemblyResult carries the user-facing
-# stage summaries.
+# checkpointed), metered sub-jobs run on the context's executor, and
+# the growing AssemblyResult carries the user-facing stage summaries.
 # ----------------------------------------------------------------------
 def _stage_construction(ctx) -> None:
     """① DBG construction; also seeds the result and the id allocator."""
     config: AssemblyConfig = ctx.require("config")
-    construction = build_dbg(ctx.require("reads"), config, ctx)
+    construction = build_dbg(ctx.require("reads"), config, ctx.executor)
     # No later stage reads the raw reads (scaffolding uses ``pairs``),
     # so drop them: keeps peak memory at pre-workflow levels and keeps
     # every per-stage checkpoint from re-pickling the whole library.
     ctx.state.pop("reads", None)
     graph = construction.graph
-    result = AssemblyResult(config=config, graph=graph, metrics=ctx.pipeline_metrics)
+    result = AssemblyResult(
+        config=config, graph=graph, metrics=ctx.executor.pipeline_metrics
+    )
     ctx.state["result"] = result
     ctx.state["allocator"] = ContigIdAllocator()
     result.add_stage(
@@ -68,7 +69,7 @@ def _stage_label_kmers(ctx) -> None:
     """② contig labeling over the k-mer chains (first round)."""
     config: AssemblyConfig = ctx.require("config")
     result: AssemblyResult = ctx.require("result")
-    labeling = label_contigs(result.graph, config, ctx, include_contigs=False)
+    labeling = label_contigs(result.graph, config, ctx.executor, include_contigs=False)
     ctx.state["labeling"] = labeling
     result.labeling_metrics["kmers"] = labeling.metrics
     result.add_stage(
@@ -86,7 +87,11 @@ def _stage_merge_first(ctx) -> None:
     config: AssemblyConfig = ctx.require("config")
     result: AssemblyResult = ctx.require("result")
     merging = merge_contigs(
-        result.graph, ctx.require("labeling"), config, ctx, ctx.require("allocator")
+        result.graph,
+        ctx.require("labeling"),
+        config,
+        ctx.executor,
+        ctx.require("allocator"),
     )
     result.add_stage(
         "contig-merging/first-round",
@@ -100,14 +105,14 @@ def _stage_bubbles(ctx) -> None:
     """④ bubble filtering (the summary is emitted with ⑤'s numbers)."""
     config: AssemblyConfig = ctx.require("config")
     result: AssemblyResult = ctx.require("result")
-    ctx.state["bubbles"] = filter_bubbles(result.graph, config, ctx)
+    ctx.state["bubbles"] = filter_bubbles(result.graph, config, ctx.executor)
 
 
 def _stage_tips(ctx, round_index: int) -> None:
     """⑤ tip removing; emits the round's combined error-correction summary."""
     config: AssemblyConfig = ctx.require("config")
     result: AssemblyResult = ctx.require("result")
-    tips = remove_tips(result.graph, config, ctx)
+    tips = remove_tips(result.graph, config, ctx.executor)
     bubbles = ctx.state.pop("bubbles")
     result.add_stage(
         f"error-correction/round-{round_index}",
@@ -121,7 +126,7 @@ def _stage_relabel(ctx, round_index: int) -> None:
     """⑥② contig labeling with existing contigs participating."""
     config: AssemblyConfig = ctx.require("config")
     result: AssemblyResult = ctx.require("result")
-    relabeling = label_contigs(result.graph, config, ctx, include_contigs=True)
+    relabeling = label_contigs(result.graph, config, ctx.executor, include_contigs=True)
     ctx.state["labeling"] = relabeling
     if round_index == 1:
         result.labeling_metrics["contigs"] = relabeling.metrics
@@ -140,7 +145,11 @@ def _stage_remerge(ctx, round_index: int) -> None:
     config: AssemblyConfig = ctx.require("config")
     result: AssemblyResult = ctx.require("result")
     remerging = merge_contigs(
-        result.graph, ctx.require("labeling"), config, ctx, ctx.require("allocator")
+        result.graph,
+        ctx.require("labeling"),
+        config,
+        ctx.executor,
+        ctx.require("allocator"),
     )
     result.add_stage(
         f"contig-merging/round-{round_index + 1}",
@@ -162,7 +171,7 @@ def _stage_scaffold(ctx) -> None:
     scaffolding = scaffold_contigs(
         result.contigs,
         ctx.require("pairs"),
-        ctx,
+        ctx.executor,
         seed_k=config.k,
         min_links=config.scaffold_min_links,
         insert_size=config.scaffold_insert_size,
@@ -182,7 +191,7 @@ def _stage_scaffold(ctx) -> None:
 def build_assembly_workflow(config: AssemblyConfig) -> Workflow:
     """Declare the paper's default workflow ①②③(④⑤⑥②③)* for ``config``.
 
-    The returned DAG is linear — exactly Figure 10's arrows — with one
+    The returned stage list is exactly Figure 10's arrows, with one
     group of four stages per error-correction round, plus a
     :class:`~repro.workflow.BranchStage` for scaffolding when
     ``config.scaffold`` is set (taken only when read pairs are

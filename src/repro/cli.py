@@ -26,7 +26,7 @@ scaffolds, metrics, trace, timeline and, with ``--profile``, collapsed
 cProfile stacks — in the layout of a service job directory.
 
 The assembly is a declared workflow (:mod:`repro.workflow`):
-``--list-stages`` prints its DAG without running anything,
+``--list-stages`` prints its ordered stages without running anything,
 ``--checkpoint-dir`` persists the workflow state after every stage, and
 ``--resume`` continues a checkpointed run from its last completed stage
 (bit-identical to an uninterrupted run).
@@ -277,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-stages",
         action="store_true",
-        help="print the assembly workflow DAG for this configuration and "
-        "exit without assembling anything",
+        help="print the assembly workflow's stages, in run order, for this "
+        "configuration and exit without assembling anything",
     )
     telemetry = parser.add_argument_group(
         "telemetry", "structured logging and profiling (see docs/observability.md)"

@@ -74,11 +74,11 @@ class BackendExecutionError(PregelError):
 
 
 class WorkflowError(ReproError):
-    """A workflow graph is invalid or a stage failed to execute.
+    """A workflow is invalid or a stage failed to execute.
 
     Raised by :mod:`repro.workflow` for structural problems (duplicate
-    stage names, unknown dependencies, cycles, missing state keys) and
-    as the base class of checkpoint failures.
+    stage names, empty workflows, missing state keys) and as the base
+    class of checkpoint failures.
     """
 
 

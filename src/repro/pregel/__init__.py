@@ -15,7 +15,7 @@ Pregel-like system:
 * exact per-superstep metrics and a BSP cost model used to estimate
   cluster execution time (Figure 12 of the paper).
 
-Multi-job computations are declared as workflow DAGs in
+Multi-job computations are declared as ordered workflows in
 :mod:`repro.workflow` and executed by its ``WorkflowRunner``.
 """
 
@@ -30,7 +30,7 @@ from .aggregator import (
     sum_aggregator,
 )
 from .cost_model import ClusterProfile, CostModel, estimate_seconds
-from .engine import DEFAULT_MAX_SUPERSTEPS, JobResult, PregelEngine, PregelJob, run_single_job
+from .engine import DEFAULT_MAX_SUPERSTEPS, JobResult, PregelEngine, PregelJob
 from .mapreduce import MapReduceResult, MiniMapReduce
 from .message import Combiner, min_combiner, sum_combiner
 from .metrics import JobMetrics, PipelineMetrics, SuperstepMetrics
@@ -59,7 +59,6 @@ __all__ = [
     "JobResult",
     "PregelEngine",
     "PregelJob",
-    "run_single_job",
     "ConversionResult",
     "MapReduceResult",
     "MiniMapReduce",

@@ -151,8 +151,3 @@ class PregelEngine:
                 messages=result.metrics.total_messages,
             )
             return result
-
-
-def run_single_job(job: PregelJob, **options: Any) -> JobResult:
-    """One-shot helper: create an engine, run ``job``, return the result."""
-    return PregelEngine(**options).run(job)

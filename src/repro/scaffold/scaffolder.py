@@ -290,7 +290,7 @@ def _far_endpoint(
 #
 # Stage bodies read and write the workflow context's state; the two
 # Pregel jobs are declared as PregelStage descriptors so the metered
-# job boundary is visible in the DAG itself.
+# job boundary is visible in the workflow itself.
 # ----------------------------------------------------------------------
 def _stage_map_pairs(ctx) -> None:
     """Map both mates of every pair; calibrate the insert size."""
@@ -479,7 +479,7 @@ def _stage_emit_singletons(ctx) -> ScaffoldingResult:
 
 
 def build_scaffolding_workflow() -> Workflow:
-    """Declare the scaffolding stage as a workflow DAG.
+    """Declare the scaffolding stage as an ordered workflow.
 
     The two decision points of the stage — "any cross-contig evidence?"
     and "any links that survived filtering?" — are
@@ -569,11 +569,10 @@ def scaffold_contigs(
     pairs:
         The paired-end reads the contigs were assembled from.
     executor:
-        The :class:`~repro.workflow.executor.StageExecutor` (or
-        :class:`~repro.workflow.runner.WorkflowContext`) the Pregel /
-        mini-MapReduce stages run on — sharing the assembly's executor
-        makes the stage show up in the same pipeline metrics and run on
-        the same execution backend.
+        The :class:`~repro.workflow.executor.StageExecutor` the Pregel /
+        mini-MapReduce stages run on — passing the assembly's
+        ``ctx.executor`` makes the stage show up in the same pipeline
+        metrics and run on the same execution backend.
     seed_k:
         Seed length for read-to-contig mapping (the assembly k is a
         natural choice).

@@ -1,18 +1,17 @@
-"""Declarative workflow graphs over the Pregel+ substrate.
+"""Declarative workflows over the Pregel+ substrate.
 
 The paper's systems contribution is treating assembly as a *chain of
 Pregel/MapReduce jobs with in-memory handoff* (Section II).  This
 package is the public API for that idea: describe a computation as a
-named DAG of typed stages, then execute it on any execution backend
+named, ordered list of typed stages, then execute it on one executor
 with metering, lifecycle events, and checkpoint/resume.
 
-* :class:`~repro.workflow.builder.Workflow` — the validated DAG;
+* :class:`~repro.workflow.builder.Workflow` — the ordered stage list;
 * :mod:`~repro.workflow.stage` — typed stage descriptors
   (:class:`PregelStage`, :class:`MapReduceStage`, :class:`ConvertStage`,
   :class:`BranchStage`, or your own :class:`Stage` subclass);
 * :class:`~repro.workflow.runner.WorkflowRunner` — execution with
-  event subscribers, per-stage backend/worker overrides, and pickle
-  checkpoints;
+  event subscribers and pickle checkpoints;
 * :class:`~repro.workflow.executor.StageExecutor` — the shared engine
   + metrics substrate every stage runs on.
 

@@ -1,165 +1,74 @@
-"""The declarative workflow builder: a named, validated DAG of stages.
+"""The workflow builder: a named, ordered list of stages.
 
 A :class:`Workflow` is the introspectable description of a multi-job
 computation — the five assembly operations of the paper's Figure 10,
 the scaffolding pipeline, or any user-composed strategy.  It says
-*what* runs after *what*; the
+*what* runs in *which order*; the
 :class:`~repro.workflow.runner.WorkflowRunner` decides *how* (backend,
 workers, checkpointing).
 
-Stages are added with :meth:`Workflow.add`; by default each stage
-depends on the previously added one, so a plain sequence of ``add``
-calls builds the linear chains that dominate assembly practice, while
-``after=[...]`` expresses real fan-in/fan-out.  :meth:`validate`
-rejects duplicate names, unknown dependencies, and cycles;
-:meth:`execution_order` is the deterministic topological order every
-run (and therefore every checkpoint sequence) uses.
+Stages run in the order :meth:`Workflow.add` received them: the
+paper's job chains are linear, and their run-time decisions are
+:class:`~repro.workflow.stage.BranchStage` sub-paths.  That order is
+part of the workflow's contract, because checkpoints record their
+position in it.  A stage name, branch inner stages included, is used
+once per workflow: names key checkpoints, stage timings, events and
+fault injection.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import List
 
 from ..errors import WorkflowError
 from .stage import Stage
 
-StageRef = Union[str, Stage]
-
-
-def _ref_name(ref: StageRef) -> str:
-    return ref.name if isinstance(ref, Stage) else ref
-
 
 class Workflow:
-    """A named DAG of :class:`~repro.workflow.stage.Stage` descriptors."""
+    """A named, ordered list of :class:`~repro.workflow.stage.Stage` descriptors."""
 
     def __init__(self, name: str, description: str = "") -> None:
         if not name:
             raise WorkflowError("a workflow needs a non-empty name")
         self.name = name
         self.description = description
-        self._stages: Dict[str, Stage] = {}
-        self._deps: Dict[str, List[str]] = {}
-        self._last_added: Optional[str] = None
+        self._stages: List[Stage] = []
 
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    def add(
-        self,
-        stage: Stage,
-        after: Optional[Union[StageRef, Sequence[StageRef]]] = None,
-    ) -> Stage:
-        """Add a stage; returns it so calls can be chained into locals.
-
-        ``after`` lists the stages this one depends on (names or stage
-        objects).  When omitted, the stage depends on the most recently
-        added one — so sequential ``add`` calls build a linear chain.
-        Pass ``after=()`` to make a stage an independent root.
-        """
-        if stage.name in self._stages:
-            raise WorkflowError(
-                f"workflow {self.name!r} already has a stage named {stage.name!r}"
-            )
-        if after is None:
-            deps = [self._last_added] if self._last_added is not None else []
-        elif isinstance(after, (str, Stage)):
-            deps = [_ref_name(after)]
-        else:
-            deps = [_ref_name(ref) for ref in after]
-        self._stages[stage.name] = stage
-        self._deps[stage.name] = deps
-        self._last_added = stage.name
+    def add(self, stage: Stage) -> Stage:
+        """Append a stage; returns it so calls can be chained into locals."""
+        used = {name for existing in self._stages for name in existing.names()}
+        for name in stage.names():
+            if name in used:
+                raise WorkflowError(
+                    f"workflow {self.name!r} already has a stage named {name!r}"
+                )
+        self._stages.append(stage)
         return stage
 
-    def extend(self, stages: Iterable[Stage]) -> None:
-        """Add stages as a linear chain continuing from the last one."""
-        for stage in stages:
-            self.add(stage)
+    def stages(self) -> List[Stage]:
+        """The stages in execution order."""
+        return list(self._stages)
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
     def stage(self, name: str) -> Stage:
-        try:
-            return self._stages[name]
-        except KeyError:
-            raise WorkflowError(
-                f"workflow {self.name!r} has no stage named {name!r}"
-            ) from None
+        for stage in self._stages:
+            if stage.name == name:
+                return stage
+        raise WorkflowError(f"workflow {self.name!r} has no stage named {name!r}")
 
     def stage_names(self) -> List[str]:
         """Stage names in execution order."""
-        return [stage.name for stage in self.execution_order()]
+        return [stage.name for stage in self._stages]
 
-    def dependencies(self, name: str) -> List[str]:
-        self.stage(name)  # raises on unknown names
-        return list(self._deps[name])
-
-    def __len__(self) -> int:
-        return len(self._stages)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._stages
-
-    # ------------------------------------------------------------------
-    # validation + ordering
-    # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Raise :class:`~repro.errors.WorkflowError` on a malformed DAG."""
+        """Raise :class:`~repro.errors.WorkflowError` on an empty workflow."""
         if not self._stages:
             raise WorkflowError(f"workflow {self.name!r} has no stages")
-        for name, deps in self._deps.items():
-            for dep in deps:
-                if dep not in self._stages:
-                    raise WorkflowError(
-                        f"stage {name!r} depends on unknown stage {dep!r}"
-                    )
-                if dep == name:
-                    raise WorkflowError(f"stage {name!r} depends on itself")
-        self.execution_order()  # raises on cycles
 
-    def execution_order(self) -> List[Stage]:
-        """Deterministic topological order (Kahn; insertion order breaks ties).
-
-        This order is part of the workflow's contract: checkpoints
-        record their position in it, so it must not depend on dict
-        iteration accidents — insertion order is the tiebreak, making
-        the schedule reproducible across processes and versions.
-        """
-        insertion = {name: index for index, name in enumerate(self._stages)}
-        pending = {
-            name: {dep for dep in deps if dep in self._stages}
-            for name, deps in self._deps.items()
-        }
-        ordered: List[Stage] = []
-        while pending:
-            ready = sorted(
-                (name for name, deps in pending.items() if not deps),
-                key=insertion.__getitem__,
-            )
-            if not ready:
-                cycle = ", ".join(sorted(pending))
-                raise WorkflowError(
-                    f"workflow {self.name!r} has a dependency cycle among: {cycle}"
-                )
-            for name in ready:
-                ordered.append(self._stages[name])
-                del pending[name]
-            for deps in pending.values():
-                deps.difference_update(ready)
-        return ordered
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
     def describe(self) -> str:
-        """Multi-line listing of the DAG (what ``--list-stages`` prints)."""
+        """Multi-line listing of the stages (what ``--list-stages`` prints)."""
         lines = [f"workflow {self.name} ({len(self._stages)} stages)"]
         if self.description:
             lines.append(f"  {self.description}")
-        for index, stage in enumerate(self.execution_order()):
-            deps = self._deps[stage.name]
-            arrow = f"  after {', '.join(deps)}" if deps else ""
-            lines.append(f"  {index + 1:2d}. {stage.name} [{stage.describe()}]{arrow}")
+        for index, stage in enumerate(self._stages, start=1):
+            lines.append(f"  {index:2d}. {stage.name} [{stage.describe()}]")
         return "\n".join(lines)

@@ -49,25 +49,16 @@ class StageExecutor:
     on.  Mini-MapReduce and convert stages model the distributed data
     movement in-process on any backend, because their cost is charged
     through the metrics rather than measured.
-
-    ``pipeline_metrics`` may be shared between executors: a
-    :class:`~repro.workflow.runner.WorkflowRunner` that honours
-    per-stage backend/worker overrides creates one executor per
-    distinct override but funnels every stage's metrics into the same
-    pipeline account.
     """
 
     def __init__(
-        self,
-        options: Optional["RuntimeOptions"] = None,
-        pipeline_metrics: Optional[PipelineMetrics] = None,
-        **overrides: Any,
+        self, options: Optional["RuntimeOptions"] = None, **overrides: Any
     ) -> None:
         self.engine = PregelEngine(options, **overrides)
         self.options = self.engine.options
         self.num_workers = self.options.num_workers
         self.backend = self.options.backend
-        self.pipeline_metrics = pipeline_metrics or PipelineMetrics()
+        self.pipeline_metrics = PipelineMetrics()
         # Shuffle keys (mini-MapReduce, conversions) are labels rather
         # than dense k-mer IDs, so the shuffle partitioner stays the
         # hash strategy regardless of the Pregel vertex partitioner.
@@ -156,9 +147,3 @@ class StageExecutor:
         per-worker counters the scalar runner would have produced.
         """
         self.pipeline_metrics.add(metrics)
-
-    def metrics(self) -> PipelineMetrics:
-        return self.pipeline_metrics
-
-    def reset_metrics(self) -> None:
-        self.pipeline_metrics = PipelineMetrics()

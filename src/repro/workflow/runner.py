@@ -1,38 +1,31 @@
-"""Workflow execution: one runner, any backend, optional checkpoints.
+"""Workflow execution: one runner, one executor, optional checkpoints.
 
 :class:`WorkflowRunner` executes a validated
-:class:`~repro.workflow.builder.Workflow` stage by stage on a
-:class:`~repro.workflow.executor.StageExecutor`.  It adds the three
+:class:`~repro.workflow.builder.Workflow` stage by stage, in order, on
+one :class:`~repro.workflow.executor.StageExecutor`.  It adds the two
 operational features the declarative layer exists for:
 
 * **lifecycle events** — every subscriber receives a
   :class:`WorkflowEvent` at each stage boundary, checkpoint and resume
   (the CLI uses them for progress lines, the job service for cancel and
   deadlines, tests for crash injection);
-* **per-stage overrides** — a stage may pin its own execution backend
-  or worker count; the runner keeps one executor per distinct override
-  but funnels all metrics into a single
-  :class:`~repro.pregel.metrics.PipelineMetrics`, so the cost model
-  still prices the workflow as a whole;
 * **checkpoint/resume** — with a ``checkpoint_dir``, the whole workflow
   state is pickled after every stage;
   :meth:`WorkflowRunner.resume` (or ``run(..., resume=True)``) skips
   the completed prefix and continues bit-identically.
 
 The :class:`WorkflowContext` passed to every stage carries the shared
-``state`` dictionary plus the executor services
-(``run_pregel``/``run_mapreduce``/``convert``/``add_metrics``), so a
-context is a drop-in replacement wherever an executor is expected.
+``state`` dictionary and the runner's ``executor``, which stage bodies
+hand to the operations they launch.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..errors import CheckpointError, WorkflowError
-from ..pregel.metrics import PipelineMetrics
 from ..telemetry import get_profiler, get_registry, get_timeline, span
 from .builder import Workflow
 from .checkpoint import Checkpoint, CheckpointStore, state_fingerprint
@@ -72,16 +65,13 @@ EventSubscriber = Callable[[WorkflowEvent], None]
 
 
 class WorkflowContext:
-    """What a stage sees while it runs: shared state + executor services."""
+    """What a stage sees while it runs: the shared state and the executor."""
 
     def __init__(
-        self,
-        runner: "WorkflowRunner",
-        executor: StageExecutor,
-        state: Optional[Dict[str, Any]] = None,
+        self, runner: "WorkflowRunner", state: Optional[Dict[str, Any]] = None
     ) -> None:
         self._runner = runner
-        self.executor = executor
+        self.executor: StageExecutor = runner.executor
         self.state: Dict[str, Any] = state if state is not None else {}
 
     # ------------------------------------------------------------------
@@ -96,52 +86,6 @@ class WorkflowContext:
                 f"workflow state has no value for {key!r} — did an upstream "
                 "stage that provides it run?"
             ) from None
-
-    # ------------------------------------------------------------------
-    # executor services (a context duck-types as an executor)
-    # ------------------------------------------------------------------
-    def run_pregel(self, job):
-        return self.executor.run_pregel(job)
-
-    def run_mapreduce(self, name, records, map_fn, reduce_fn):
-        return self.executor.run_mapreduce(name, records, map_fn, reduce_fn)
-
-    def convert(self, name, vertices, convert_fn):
-        return self.executor.convert(name, vertices, convert_fn)
-
-    def add_metrics(self, metrics) -> None:
-        self.executor.add_metrics(metrics)
-
-    @property
-    def pipeline_metrics(self) -> PipelineMetrics:
-        return self.executor.pipeline_metrics
-
-    @pipeline_metrics.setter
-    def pipeline_metrics(self, metrics: PipelineMetrics) -> None:
-        # A context duck-types as an executor, and executors must allow
-        # metrics rebinding (a nested runner resuming from a checkpoint
-        # calls _rebind_metrics on whatever executor it was given).
-        self.executor.pipeline_metrics = metrics
-
-    @property
-    def engine(self):
-        return self.executor.engine
-
-    @property
-    def options(self):
-        return self.executor.options
-
-    @property
-    def partitioner(self):
-        return self.executor.partitioner
-
-    @property
-    def num_workers(self) -> int:
-        return self.executor.num_workers
-
-    @property
-    def backend(self) -> str:
-        return self.executor.backend
 
     # ------------------------------------------------------------------
     # sub-stage execution (BranchStage bodies)
@@ -171,17 +115,12 @@ class WorkflowRunner:
         )
         self._subscribers: List[EventSubscriber] = [subscriber] if subscriber else []
         self._store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
-        self._override_executors: Dict["RuntimeOptions", StageExecutor] = {}
         self._current_index = 0
         self._total_stages = 0
-        # The (backend, num_workers) override of the stage currently
-        # executing, if any — inner stages of a BranchStage inherit it
-        # unless they carry their own.
-        self._active_override: Tuple[Optional[str], Optional[int]] = (None, None)
 
     @property
     def executor(self) -> StageExecutor:
-        """The default executor (stages without overrides run on it)."""
+        """The executor every stage runs on."""
         return self._executor
 
     @property
@@ -251,9 +190,9 @@ class WorkflowRunner:
         require_checkpoint: bool,
     ) -> WorkflowContext:
         workflow.validate()
-        order = workflow.execution_order()
+        order = workflow.stages()
         names = [stage.name for stage in order]
-        ctx = WorkflowContext(self, self._executor, dict(state or {}))
+        ctx = WorkflowContext(self, dict(state or {}))
         self._total_stages = len(order)
         registry = get_registry()
         checkpoint_seconds = registry.histogram(
@@ -285,7 +224,7 @@ class WorkflowRunner:
                     # the original run's fingerprint, whatever seed state
                     # this call was (or was not) given.
                     fingerprint = restored.seed_fingerprint
-                    self._rebind_metrics(restored.metrics)
+                    self._executor.pipeline_metrics = restored.metrics
                     for index in range(completed):
                         self._emit(
                             WorkflowEvent(
@@ -380,31 +319,17 @@ class WorkflowRunner:
     def _execute(self, stage: Stage, ctx: WorkflowContext) -> None:
         index, total = self._current_index, self._total_stages
         self._emit(WorkflowEvent("stage-start", stage=stage, index=index, total=total))
-        # A stage's own override wins; otherwise the enclosing stage's
-        # (a BranchStage pinned to a backend pins its whole sub-path).
-        inherited_backend, inherited_workers = self._active_override
-        backend = stage.backend or inherited_backend
-        num_workers = stage.num_workers or inherited_workers
-        executor = self._executor_for(backend, num_workers)
-        previous_executor = ctx.executor
-        previous_override = self._active_override
-        ctx.executor = executor
-        self._active_override = (backend, num_workers)
         timeline = get_timeline()
         timeline.record("stage-start", stage=stage.name, index=index, total=total)
         started = time.perf_counter()
-        try:
-            # Stage-level profiling covers the master process; Pregel
-            # worker processes profile their own compute and ship it
-            # back through the barrier channel.  profile_block is
-            # re-entrant safe, so BranchStage sub-stages simply ride
-            # their parent's profile.
-            with get_profiler().profile_block(f"stage:{stage.name}"):
-                with span(f"stage:{stage.name}", index=index):
-                    stage.run(ctx)
-        finally:
-            ctx.executor = previous_executor
-            self._active_override = previous_override
+        # Stage-level profiling covers the master process; Pregel
+        # worker processes profile their own compute and ship it back
+        # through the barrier channel.  profile_block is re-entrant
+        # safe, so BranchStage sub-stages simply ride their parent's
+        # profile.
+        with get_profiler().profile_block(f"stage:{stage.name}"):
+            with span(f"stage:{stage.name}", index=index):
+                stage.run(ctx)
         elapsed = time.perf_counter() - started
         timeline.record(
             "stage-end",
@@ -423,28 +348,3 @@ class WorkflowRunner:
                 "stage-end", stage=stage, index=index, total=total, seconds=elapsed
             )
         )
-
-    def _executor_for(
-        self, backend: Optional[str], num_workers: Optional[int]
-    ) -> StageExecutor:
-        if backend is None and num_workers is None:
-            return self._executor
-        base = self._executor.options
-        options = replace(
-            base,
-            backend=backend or base.backend,
-            num_workers=num_workers or base.num_workers,
-        )
-        executor = self._override_executors.get(options)
-        if executor is None:
-            executor = StageExecutor(
-                options, pipeline_metrics=self._executor.pipeline_metrics
-            )
-            self._override_executors[options] = executor
-        return executor
-
-    def _rebind_metrics(self, metrics: PipelineMetrics) -> None:
-        """Point every executor at the metrics restored from a checkpoint."""
-        self._executor.pipeline_metrics = metrics
-        for executor in self._override_executors.values():
-            executor.pipeline_metrics = metrics

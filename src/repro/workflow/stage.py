@@ -1,8 +1,7 @@
 """Typed stage descriptors: the vocabulary workflows are declared in.
 
 A :class:`Stage` is a *description* of one step of a workflow — it
-carries a name, optional per-stage backend/worker overrides, and the
-logic to execute against a
+carries a name and the logic to execute against a
 :class:`~repro.workflow.runner.WorkflowContext`.  Stages do not hold
 data: everything they read and write lives in the context's ``state``
 dictionary, which is what makes a workflow checkpointable (the state is
@@ -15,7 +14,7 @@ Four built-in kinds mirror the paper's job taxonomy:
 * :class:`ConvertStage` — arbitrary in-memory computation between jobs
   (the generalisation of the paper's ``convert(v)`` handoff: anything
   from a pure vertex conversion to a composite assembly operation that
-  itself launches several jobs through the context);
+  itself launches several jobs on the context's executor);
 * :class:`BranchStage` — a conditional sub-path, e.g. the contig
   labeling cycle fallback or the "any links found?" decision in
   scaffolding.
@@ -39,42 +38,30 @@ class Stage:
     Parameters
     ----------
     name:
-        Unique (within a workflow) stage name; also the label used by
-        progress events, checkpoints, and ``--list-stages``.
-    backend:
-        Execution-backend override for this stage only (``None`` = use
-        the runner's backend).
-    num_workers:
-        Worker-count override for this stage only.
+        Unique (within a workflow, branch inner stages included) stage
+        name; also the label used by progress events, checkpoints, and
+        ``--list-stages``.
     """
 
     #: Short type tag shown by :meth:`describe` / ``--list-stages``.
     kind = "stage"
 
-    def __init__(
-        self,
-        name: str,
-        backend: Optional[str] = None,
-        num_workers: Optional[int] = None,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         if not name:
             raise WorkflowError("a stage needs a non-empty name")
         self.name = name
-        self.backend = backend
-        self.num_workers = num_workers
 
     def run(self, ctx: "WorkflowContext") -> None:  # noqa: F821
         """Execute the stage against the workflow context."""
         raise NotImplementedError
 
+    def names(self) -> List[str]:
+        """This stage's name and those of any stages nested inside it."""
+        return [self.name]
+
     def describe(self) -> str:
-        """One-line human description (stage type + overrides)."""
-        parts = [self.kind]
-        if self.backend is not None:
-            parts.append(f"backend={self.backend}")
-        if self.num_workers is not None:
-            parts.append(f"workers={self.num_workers}")
-        return " ".join(parts)
+        """One-line human description (the stage type)."""
+        return self.kind
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
@@ -90,7 +77,7 @@ class ConvertStage(Stage):
 
     ``fn(ctx)`` runs with full access to the context: it can read and
     write ``ctx.state``, and launch metered sub-jobs through
-    ``ctx.run_pregel`` / ``ctx.run_mapreduce`` / ``ctx.convert`` — that
+    ``ctx.executor`` (``run_pregel`` / ``run_mapreduce`` / ``convert``) — that
     is how composite operations (e.g. contig labeling, which runs end
     recognition plus list ranking plus an optional fallback) appear as
     a single named stage.  When ``output`` is given, the return value
@@ -104,10 +91,8 @@ class ConvertStage(Stage):
         name: str,
         fn: Callable[["WorkflowContext"], Any],  # noqa: F821
         output: Optional[str] = None,
-        backend: Optional[str] = None,
-        num_workers: Optional[int] = None,
     ) -> None:
-        super().__init__(name, backend=backend, num_workers=num_workers)
+        super().__init__(name)
         self.fn = fn
         self.output = output
 
@@ -133,10 +118,8 @@ class PregelStage(Stage):
         job_factory: Callable[["WorkflowContext"], PregelJob],  # noqa: F821
         collect: Optional[Callable[["WorkflowContext", JobResult], Any]] = None,  # noqa: F821
         output: Optional[str] = None,
-        backend: Optional[str] = None,
-        num_workers: Optional[int] = None,
     ) -> None:
-        super().__init__(name, backend=backend, num_workers=num_workers)
+        super().__init__(name)
         self.job_factory = job_factory
         self.collect = collect
         self.output = output
@@ -148,7 +131,7 @@ class PregelStage(Stage):
                 f"stage {self.name!r}: job_factory must return a PregelJob, "
                 f"got {type(job).__name__}"
             )
-        result = ctx.run_pregel(job)
+        result = ctx.executor.run_pregel(job)
         value: Any = result
         if self.collect is not None:
             value = self.collect(ctx, result)
@@ -174,10 +157,8 @@ class MapReduceStage(Stage):
         reduce_fn: Callable[..., Any],
         collect: Optional[Callable[["WorkflowContext", MapReduceResult], Any]] = None,  # noqa: F821
         output: Optional[str] = None,
-        backend: Optional[str] = None,
-        num_workers: Optional[int] = None,
     ) -> None:
-        super().__init__(name, backend=backend, num_workers=num_workers)
+        super().__init__(name)
         self.records = records
         self.map_fn = map_fn
         self.reduce_fn = reduce_fn
@@ -189,7 +170,9 @@ class MapReduceStage(Stage):
             records = self.records(ctx)
         else:
             records = ctx.require(self.records)
-        result = ctx.run_mapreduce(self.name, records, self.map_fn, self.reduce_fn)
+        result = ctx.executor.run_mapreduce(
+            self.name, records, self.map_fn, self.reduce_fn
+        )
         value: Any = result
         if self.collect is not None:
             value = self.collect(ctx, result)
@@ -216,20 +199,18 @@ class BranchStage(Stage):
         condition: Callable[["WorkflowContext"], bool],  # noqa: F821
         then_stages: Sequence[Stage] = (),
         else_stages: Sequence[Stage] = (),
-        backend: Optional[str] = None,
-        num_workers: Optional[int] = None,
     ) -> None:
-        super().__init__(name, backend=backend, num_workers=num_workers)
+        super().__init__(name)
         self.condition = condition
         self.then_stages: List[Stage] = list(then_stages)
         self.else_stages: List[Stage] = list(else_stages)
         seen = set()
-        for stage in self.then_stages + self.else_stages:
-            if stage.name in seen:
+        for stage_name in self.names():
+            if stage_name in seen:
                 raise WorkflowError(
-                    f"branch {name!r} contains duplicate inner stage {stage.name!r}"
+                    f"branch {name!r} contains duplicate inner stage {stage_name!r}"
                 )
-            seen.add(stage.name)
+            seen.add(stage_name)
 
     def run(self, ctx) -> None:
         taken = bool(self.condition(ctx))
@@ -237,8 +218,11 @@ class BranchStage(Stage):
         for stage in self.then_stages if taken else self.else_stages:
             ctx.run_substage(stage)
 
+    def names(self) -> List[str]:
+        inner = self.then_stages + self.else_stages
+        return [self.name] + [name for stage in inner for name in stage.names()]
+
     def describe(self) -> str:
         then_names = ", ".join(stage.name for stage in self.then_stages) or "—"
         else_names = ", ".join(stage.name for stage in self.else_stages) or "—"
-        base = super().describe()
-        return f"{base} then [{then_names}] else [{else_names}]"
+        return f"{self.kind} then [{then_names}] else [{else_names}]"

@@ -83,10 +83,10 @@ def test_bubble_filtering_noop_without_bubbles():
 
 def test_bubble_filtering_records_metrics():
     graph, config, chain = _prepare_merged_graph(_bubble_reads(), k=5)
-    before = len(chain.metrics().jobs)
+    before = len(chain.pipeline_metrics.jobs)
     filter_bubbles(graph, config, chain)
-    assert len(chain.metrics().jobs) == before + 1
-    assert "bubble" in chain.metrics().jobs[-1].job_name
+    assert len(chain.pipeline_metrics.jobs) == before + 1
+    assert "bubble" in chain.pipeline_metrics.jobs[-1].job_name
 
 
 # ----------------------------------------------------------------------
@@ -136,10 +136,10 @@ def test_tip_removal_keeps_long_dangling_paths():
 
 def test_tip_removal_metrics_recorded():
     graph, config, chain = _prepare_merged_graph(_tip_reads(), k=5, tip=0)
-    before = len(chain.metrics().jobs)
+    before = len(chain.pipeline_metrics.jobs)
     remove_tips(graph, config, chain)
-    assert len(chain.metrics().jobs) >= before + 1
-    assert any("tip-removing" in job.job_name for job in chain.metrics().jobs[before:])
+    assert len(chain.pipeline_metrics.jobs) >= before + 1
+    assert any("tip-removing" in job.job_name for job in chain.pipeline_metrics.jobs[before:])
 
 
 # ----------------------------------------------------------------------

@@ -124,12 +124,12 @@ def test_reads_with_n_are_split():
 def test_construction_metrics_recorded():
     reads = reads_from_strings(["GCTAAAGACA"] * 5)
     result, chain = _build(reads, k=5)
-    names = [job.job_name for job in chain.metrics().jobs]
+    names = [job.job_name for job in chain.pipeline_metrics.jobs]
     assert names == [
         "dbg-construction/phase1-count-kplus1mers",
         "dbg-construction/phase2-build-vertices",
     ]
-    assert chain.metrics().jobs[0].loading_ops > 0
+    assert chain.pipeline_metrics.jobs[0].loading_ops > 0
 
 
 def test_construction_deterministic_across_worker_counts(clean_dataset):

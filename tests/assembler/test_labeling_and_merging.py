@@ -211,4 +211,4 @@ def test_contig_coverage_is_minimum_edge_coverage():
 def test_merging_metrics_recorded():
     reads = reads_from_strings(["GCTAAAGACA"])
     _graph, _labeling, _merging, _config, chain = _assemble_first_round(reads)
-    assert any("contig-merging" in job.job_name for job in chain.metrics().jobs)
+    assert any("contig-merging" in job.job_name for job in chain.pipeline_metrics.jobs)

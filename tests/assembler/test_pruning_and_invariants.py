@@ -87,10 +87,10 @@ def test_pruning_on_empty_graph():
 
 def test_pruning_records_metrics():
     graph, config, chain = _merged_graph(_mixed_coverage_reads(), k=5)
-    before = len(chain.metrics().jobs)
+    before = len(chain.pipeline_metrics.jobs)
     prune_low_coverage_contigs(graph, config, chain, absolute_threshold=3)
-    assert len(chain.metrics().jobs) == before + 1
-    assert "coverage-pruning" in chain.metrics().jobs[-1].job_name
+    assert len(chain.pipeline_metrics.jobs) == before + 1
+    assert "coverage-pruning" in chain.pipeline_metrics.jobs[-1].job_name
 
 
 # ----------------------------------------------------------------------

@@ -89,8 +89,8 @@ def test_job_chain_accumulates_metrics():
         reduce_fn=lambda key, values: values,
     )
     chain.run_pregel(PregelJob(name="stage-2", vertices=[NoopVertex(1), NoopVertex(2)]))
-    assert [job.job_name for job in chain.metrics().jobs] == ["stage-1", "stage-2"]
-    assert chain.metrics().total_supersteps >= 3
+    assert [job.job_name for job in chain.pipeline_metrics.jobs] == ["stage-1", "stage-2"]
+    assert chain.pipeline_metrics.total_supersteps >= 3
 
 
 def test_job_chain_convert_shuffles_outputs():
@@ -103,14 +103,7 @@ def test_job_chain_convert_shuffles_outputs():
     )
     assert len(conversion.outputs) == 20
     assert conversion.metrics.job_name == "convert"
-    assert chain.metrics().jobs[-1] is conversion.metrics
-
-
-def test_job_chain_reset_metrics():
-    chain = StageExecutor(num_workers=2)
-    chain.run_pregel(PregelJob(name="only", vertices=[NoopVertex(1)]))
-    chain.reset_metrics()
-    assert chain.metrics().jobs == []
+    assert chain.pipeline_metrics.jobs[-1] is conversion.metrics
 
 
 # ----------------------------------------------------------------------

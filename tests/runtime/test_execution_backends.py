@@ -17,7 +17,7 @@ from repro.errors import (
     UnknownBackendError,
     VertexNotFoundError,
 )
-from repro.pregel import PregelEngine, PregelJob, Vertex, run_single_job
+from repro.pregel import PregelEngine, PregelJob, Vertex
 from repro.telemetry import Tracer, use_tracer
 from repro.workflow import StageExecutor
 from repro.runtime import (
@@ -104,15 +104,6 @@ def test_engine_accepts_backend_name_and_instance():
 def test_engine_rejects_unknown_backend():
     with pytest.raises(UnknownBackendError):
         PregelEngine(num_workers=2, backend="bogus")
-
-
-def test_run_single_job_accepts_backend():
-    result = run_single_job(
-        PregelJob(name="countdown", vertices=[CountdownVertex(1, value=2)]),
-        num_workers=1,
-        backend="serial",
-    )
-    assert result.num_supersteps == 2
 
 
 # ----------------------------------------------------------------------

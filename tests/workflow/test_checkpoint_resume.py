@@ -312,23 +312,20 @@ def test_assembly_checkpoints_do_not_repickle_reads(paired_library, tmp_path):
     assert latest.state["pairs"]  # scaffolding's input is still there
 
 
-def test_scaffold_contigs_resumes_through_a_workflow_context(tmp_path):
-    """scaffold_contigs accepts a WorkflowContext as its executor, and a
-    checkpointed resume must rebind metrics through it without crashing."""
+def test_scaffold_contigs_resumes_on_a_shared_executor(tmp_path):
+    """scaffold_contigs runs on the executor it is handed (the assembly
+    passes its ``ctx.executor``), and a checkpointed resume must rebind
+    that executor's metrics without crashing."""
     from repro.scaffold import scaffold_contigs
     from repro.workflow import StageExecutor
-    from repro.workflow.runner import WorkflowContext
-
-    def context():
-        executor = StageExecutor(num_workers=2)
-        return WorkflowContext(WorkflowRunner(executor=executor), executor)
 
     contigs = ["ACGTACGTACGTACGTACGTAAAA", "TTTTCCCCGGGGAAAATTTTCCCC"]
     first = scaffold_contigs(
-        contigs, [], context(), seed_k=11, checkpoint_dir=tmp_path
+        contigs, [], StageExecutor(num_workers=2), seed_k=11, checkpoint_dir=tmp_path
     )
+    executor = StageExecutor(num_workers=2)
     resumed = scaffold_contigs(
-        contigs, [], context(), seed_k=11, checkpoint_dir=tmp_path, resume=True
+        contigs, [], executor, seed_k=11, checkpoint_dir=tmp_path, resume=True
     )
     assert resumed == first
     assert [scaffold.sequence for scaffold in resumed.scaffolds] == sorted(

@@ -1,16 +1,19 @@
 """Unit tests for the declarative workflow API.
 
-Covers the builder's DAG validation, the four typed stage descriptors,
-runner events and per-stage overrides.
+Covers the builder's ordering and validation, the four typed stage
+descriptors, runner events and the in-tree workflows' stage lists.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.assembler import AssemblyConfig
+from repro.assembler.pipeline import build_assembly_workflow
 from repro.errors import WorkflowError
 from repro.pregel import PregelJob, min_combiner
 from repro.ppa.hash_min import HashMinVertex
+from repro.scaffold.scaffolder import build_scaffolding_workflow
 from repro.workflow import (
     BranchStage,
     ConvertStage,
@@ -37,42 +40,55 @@ def test_empty_workflow_is_invalid():
 def test_duplicate_stage_names_rejected():
     workflow = Workflow("dup")
     workflow.add(ConvertStage("a", _noop))
-    with pytest.raises(WorkflowError, match="already has a stage"):
-        workflow.add(ConvertStage("a", _noop))
+    workflow.add(
+        BranchStage("fork", lambda ctx: True, [ConvertStage("inner", _noop)])
+    )
+    clashes = [
+        ("a", ConvertStage("a", _noop)),
+        # A branch inner stage shares the name space of the whole workflow.
+        ("a", BranchStage("other", lambda ctx: True, [ConvertStage("a", _noop)])),
+        ("fork", ConvertStage("fork", _noop)),
+        ("inner", ConvertStage("inner", _noop)),
+    ]
+    for taken, clash in clashes:
+        with pytest.raises(WorkflowError, match=f"already has a stage named '{taken}'"):
+            workflow.add(clash)
+    assert workflow.stage_names() == ["a", "fork"]
 
 
-def test_unknown_dependency_rejected():
-    workflow = Workflow("dangling")
-    workflow.add(ConvertStage("a", _noop), after=["ghost"])
-    with pytest.raises(WorkflowError, match="unknown stage 'ghost'"):
-        workflow.validate()
+def test_stages_list_and_run_in_insertion_order():
+    ran = []
+    workflow = Workflow("ordered")
+    for name in ["c", "a", "b"]:
+        workflow.add(ConvertStage(name, lambda ctx, name=name: ran.append(name)))
+    assert workflow.stage_names() == ["c", "a", "b"]
+    assert [stage.name for stage in workflow.stages()] == ["c", "a", "b"]
+    assert "after" not in workflow.describe()
+    WorkflowRunner(num_workers=2).run(workflow)
+    assert ran == ["c", "a", "b"]
 
 
-def test_self_dependency_rejected():
-    workflow = Workflow("selfie")
-    workflow.add(ConvertStage("a", _noop), after=["a"])
-    with pytest.raises(WorkflowError, match="depends on itself"):
-        workflow.validate()
-
-
-def test_cycle_rejected():
-    workflow = Workflow("cyclic")
-    workflow.add(ConvertStage("a", _noop), after=["b"])
-    workflow.add(ConvertStage("b", _noop), after=["a"])
-    with pytest.raises(WorkflowError, match="dependency cycle"):
-        workflow.validate()
-
-
-def test_linear_chain_by_default_and_explicit_fanin():
-    workflow = Workflow("dag")
-    a = workflow.add(ConvertStage("a", _noop), after=())
-    b = workflow.add(ConvertStage("b", _noop), after=())
-    workflow.add(ConvertStage("join", _noop), after=[a, b])
-    workflow.add(ConvertStage("tail", _noop))  # implicitly after join
-    workflow.validate()
-    assert workflow.stage_names() == ["a", "b", "join", "tail"]
-    assert workflow.dependencies("tail") == ["join"]
-    assert set(workflow.dependencies("join")) == {"a", "b"}
+def test_in_tree_workflows_keep_their_stage_lists():
+    # Checkpoints record these names in this order; a change would stop
+    # existing checkpoints from resuming.
+    assembly = [
+        "dbg-construction",
+        "contig-labeling/kmers",
+        "contig-merging/first-round",
+        "bubble-filtering/round-1",
+        "tip-removing/round-1",
+        "contig-labeling/contigs-round-1",
+        "contig-merging/round-2",
+    ]
+    config = AssemblyConfig(k=15)
+    assert build_assembly_workflow(config).stage_names() == assembly
+    scaffolded = build_assembly_workflow(AssemblyConfig(k=15, scaffold=True))
+    assert scaffolded.stage_names() == assembly + ["scaffolding"]
+    assert build_scaffolding_workflow().stage_names() == [
+        "scaffolding/map-pairs",
+        "scaffolding/bundle",
+        "scaffolding/layout",
+    ]
 
 
 def test_describe_lists_stages_in_order():
@@ -134,7 +150,7 @@ def test_convert_and_mapreduce_and_pregel_stages_run_and_meter():
     assert ctx.state["counts"] == {"a": 2, "b": 1}
     assert ctx.state["labels"] == {1: 1, 2: 1, 3: 3}
     # Both jobs were metered into the runner's single pipeline account.
-    job_names = [job.job_name for job in ctx.pipeline_metrics.jobs]
+    job_names = [job.job_name for job in ctx.executor.pipeline_metrics.jobs]
     assert job_names == ["count-words", "components"]
 
 
@@ -202,7 +218,7 @@ def test_branch_stage_rejects_duplicate_inner_names():
 
 
 # ----------------------------------------------------------------------
-# runner: events, overrides, custom Stage subclasses
+# runner: events, custom Stage subclasses
 # ----------------------------------------------------------------------
 def test_hooks_fire_in_order_including_branch_inners():
     events = []
@@ -225,61 +241,6 @@ def test_hooks_fire_in_order_including_branch_inners():
         ("start", "b.inner"), ("end", "b.inner"),
         ("end", "b"),
     ]
-
-
-def test_per_stage_worker_override_shares_one_metrics_account():
-    workflow = Workflow("override")
-    workflow.add(
-        MapReduceStage(
-            "narrow",
-            records=lambda ctx: [1, 2, 3],
-            map_fn=lambda n: [(n % 2, n)],
-            reduce_fn=lambda k, values: [sum(values)],
-        )
-    )
-    workflow.add(
-        MapReduceStage(
-            "wide",
-            records=lambda ctx: [1, 2, 3],
-            map_fn=lambda n: [(n % 2, n)],
-            reduce_fn=lambda k, values: [sum(values)],
-            num_workers=7,
-        )
-    )
-    runner = WorkflowRunner(num_workers=2)
-    ctx = runner.run(workflow)
-    narrow, wide = ctx.pipeline_metrics.jobs
-    assert narrow.num_workers == 2
-    assert wide.num_workers == 7
-    # The override executor funnels into the same pipeline metrics.
-    assert runner.executor.pipeline_metrics is ctx.pipeline_metrics
-
-
-def test_branch_override_is_inherited_by_inner_stages():
-    def mapreduce(name, num_workers=None):
-        return MapReduceStage(
-            name,
-            records=lambda ctx: [1, 2],
-            map_fn=lambda n: [(n, 1)],
-            reduce_fn=lambda k, ones: [sum(ones)],
-            num_workers=num_workers,
-        )
-
-    workflow = Workflow("branch-override")
-    workflow.add(
-        BranchStage(
-            "fork",
-            condition=lambda ctx: True,
-            then_stages=[mapreduce("inherits"), mapreduce("own", num_workers=3)],
-            num_workers=5,
-        )
-    )
-    workflow.add(mapreduce("outside"))
-    ctx = WorkflowRunner(num_workers=2).run(workflow)
-    by_name = {job.job_name: job.num_workers for job in ctx.pipeline_metrics.jobs}
-    # Inner stages inherit the branch's override unless they carry
-    # their own; the override must not leak past the branch.
-    assert by_name == {"inherits": 5, "own": 3, "outside": 2}
 
 
 def test_custom_stage_subclass_runs():
