@@ -298,12 +298,13 @@ def _count_canonical_edges(
     spilled_runs: Dict[int, None] = {}
     ledger = MemoryLedger(budget_bytes, name="construction")
     manager = SpillManager(owner="construction")
+    chunk_reads = _chunk_reads_for_budget(budget_bytes)
+    if hasattr(reads, "sequence_chunks"):  # a FASTQ reader: no Read is ever built
+        chunks = reads.sequence_chunks(chunk_reads)
+    else:  # only the sequences are batched; a streamed Read is released early
+        chunks = read_chunks((read.sequence for read in reads), chunk_reads)
     try:
-        # Only the sequences are batched: a streamed Read is released as
-        # soon as its bases have been taken.
-        for sequences in read_chunks(
-            (read.sequence for read in reads), _chunk_reads_for_budget(budget_bytes)
-        ):
+        for sequences in chunks:
             observed, per_read = vectorized.extract_window_ids(sequences, k + 1)
             total_pairs += int(observed.size)
 

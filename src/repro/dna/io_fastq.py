@@ -5,15 +5,21 @@ format, which includes the sequence of each DNA read").  The read
 simulator writes FASTQ so the full pipeline — file on disk, parse,
 assemble — matches what a user of the original toolkit would do;
 assembled contigs are written as FASTA, which is what QUAST consumes.
+
+FASTQ is parsed a block of text at a time: a block's whole records are
+checked with a few C-level string calls, and the record-by-record
+parser runs only where a block holds blank lines or a bad record, so
+errors and their line numbers are those of a plain line-by-line parse.
+DBG construction takes bare sequence strings from the reader
+(:meth:`FastqReads.sequence_chunks`), never a :class:`Read` per record.
 """
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterable, Iterator, List, Optional, TextIO, TypeVar, Union
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, TypeVar, Union
 
 from ..errors import FastqFormatError
 from .alphabet import VALID_CHARACTERS
@@ -79,22 +85,32 @@ def _open_for_writing(target: PathOrHandle) -> tuple[TextIO, bool]:
 # ----------------------------------------------------------------------
 # FASTQ
 # ----------------------------------------------------------------------
+#: Characters read from the handle per block.  Each block is split into
+#: lines once; a record the block boundary cuts waits for the next one.
+_BLOCK_CHARS = 1 << 20
+
+_VALID_BASES = "".join(sorted(VALID_CHARACTERS))
 #: ``sequence.translate`` with this table deletes every valid base, so
 #: whatever is left of a sequence line is invalid (one C call per record).
-_DELETE_VALID = str.maketrans("", "", "".join(sorted(VALID_CHARACTERS)))
+_DELETE_VALID = str.maketrans("", "", _VALID_BASES)
+#: The same for a block's sequence lines joined with newlines.
+_DELETE_VALID_LINES = str.maketrans("", "", _VALID_BASES + "\n")
+
+#: Parallel header lines (``@`` included), upper-cased sequences and
+#: qualities of consecutive records.
+_Batch = Tuple[List[str], List[str], List[str]]
 
 
 def _rejected_record(
-    sequence: str, separator: str, quality_line: str, line_number: int
+    sequence: str, separator: str, quality: str, truncated: bool, line_number: int
 ) -> FastqFormatError:
     """Why the record whose quality line is ``line_number`` was rejected."""
-    if not quality_line:  # readline() hit the end of file inside the record
+    if truncated:  # the file ends inside the record
         return FastqFormatError(
             "truncated record: file ends inside the record starting at line "
             f"{line_number - 3}",
             line_number - 3,
         )
-    quality = quality_line.rstrip("\n")
     if not separator.startswith("+"):
         return FastqFormatError("missing '+' separator line", line_number - 1)
     if len(quality) != len(sequence):
@@ -113,46 +129,193 @@ def _rejected_record(
     )
 
 
-def parse_fastq(source: PathOrHandle, validate: bool = True) -> Iterator[Read]:
-    """Yield :class:`Read` records from a FASTQ file or handle.
+def _read_block(handle: TextIO, first: bool) -> str:
+    """The next block of text; a byte the encoding rejects fails typed."""
+    try:
+        return handle.read(_BLOCK_CHARS)
+    except UnicodeDecodeError as error:
+        if first and error.object[:2] == b"\x1f\x8b":
+            message = (
+                "input is gzip-compressed (starts with bytes 1f 8b); decompress it first"
+            )
+        else:
+            message = f"non-ASCII byte 0x{error.object[error.start]:02x} in FASTQ input"
+        raise FastqFormatError(message) from None
+
+
+def _checked_records(lines: List[str], whole: int, validate: bool) -> Optional[_Batch]:
+    """The records of ``lines[:whole]``, or None if any is irregular.
+
+    A handful of C-level passes over the block: every header starts
+    with ``@``, every separator with ``+``, one ``upper`` and one
+    ``translate`` over all sequences, and the length lists compare
+    equal.  Blank lines, damage and truncation all return None.
+    """
+    headers = lines[0:whole:4]
+    joined = "\n".join(lines[1:whole:4]).upper()
+    if not (
+        all(map(str.startswith, headers, repeat("@")))
+        and all(map(str.startswith, lines[2:whole:4], repeat("+")))
+        and not (validate and joined.translate(_DELETE_VALID_LINES))
+    ):
+        return None
+    sequences = joined.split("\n") if whole else []
+    qualities = lines[3:whole:4]
+    if list(map(len, sequences)) != list(map(len, qualities)):
+        return None
+    return headers, sequences, qualities
+
+
+def _parse_records(
+    lines: List[str],
+    index: int,
+    line_number: int,
+    validate: bool,
+    at_eof: bool,
+    batch: _Batch,
+) -> Tuple[int, int]:
+    """Parse ``lines[index:]`` record by record into ``batch``.
+
+    The error path of the block parser, and the reference it must agree
+    with: blank lines between records are skipped, and the first bad
+    record raises with its line number.  Returns ``(index,
+    line_number)`` of the first line left unparsed: before the end of
+    the file, a record whose four lines are not all in ``lines`` waits
+    for the next block.  At the end of the file a missing line reads as
+    ``""``, as ``readline`` returns there.
+    """
+    headers, sequences, qualities = batch
+    end = len(lines)
+
+    def line(position: int) -> str:
+        return lines[position] if position < end else ""
+
+    while index < end:
+        header = lines[index]
+        if header and not at_eof and end - index < 4:
+            break
+        index += 1
+        line_number += 1
+        if not header:
+            continue
+        if not header.startswith("@"):
+            raise FastqFormatError(
+                f"expected '@' header, found {header[:20]!r}", line_number
+            )
+        sequence = line(index).upper()
+        separator = line(index + 1)
+        quality = line(index + 2)
+        truncated = index + 2 >= end
+        index += 3
+        line_number += 3
+        if (
+            not separator.startswith("+")
+            or len(quality) != len(sequence)
+            or (validate and sequence.translate(_DELETE_VALID))
+        ):
+            raise _rejected_record(sequence, separator, quality, truncated, line_number)
+        headers.append(header)
+        sequences.append(sequence)
+        qualities.append(quality)
+    return index, line_number
+
+
+def _fastq_batches(source: PathOrHandle, validate: bool) -> Iterator[_Batch]:
+    """Parse a FASTQ source a block at a time, one batch per block.
+
+    The block's whole records go through :func:`_checked_records`; the
+    few lines after them, and every line of a block that fails a check,
+    go through :func:`_parse_records`, so the records yielded before an
+    error and the error itself are those of a record-by-record parse.
+    """
+    handle, owns_handle = _open_for_reading(source)
+    try:
+        line_number = 0
+        carry = ""  # the unparsed text the previous block ended with
+        at_eof = False
+        while not at_eof:
+            block = _read_block(handle, first=line_number == 0 and not carry)
+            at_eof = not block
+            lines = (carry + block).split("\n")
+            carry = lines.pop()  # a line the block cut ("" after a newline)
+            if at_eof and carry:
+                lines.append(carry)  # the last line has no newline
+            whole = 0 if at_eof else len(lines) - len(lines) % 4
+            batch = _checked_records(lines, whole, validate)
+            index = whole
+            if batch is None:
+                batch, index = ([], [], []), 0
+            else:
+                line_number += whole
+            try:
+                index, line_number = _parse_records(
+                    lines, index, line_number, validate, at_eof, batch
+                )
+            except FastqFormatError:
+                if batch[0]:
+                    yield batch
+                raise
+            if batch[0]:
+                yield batch
+            carry = "\n".join(lines[index:] + [carry])
+    finally:
+        if owns_handle:
+            handle.close()
+
+
+def _batch_reads(batches: Iterator[_Batch]) -> Iterator[Read]:
+    for headers, sequences, qualities in batches:
+        yield from map(Read, [header[1:] for header in headers], sequences, qualities)
+
+
+class FastqReads:
+    """The records of one FASTQ file, parsed a block at a time.
+
+    A single-pass iterator of :class:`Read`.  :meth:`sequence_chunks`
+    hands out the same records as bare sequence strings instead, and
+    builds no ``Read`` at all; both draw from one pass over the file, so
+    use one or the other.  Nothing is opened until the first record is
+    asked for, and a handle passed in is never closed.
+    """
+
+    def __init__(self, source: PathOrHandle, validate: bool = True) -> None:
+        self._batches = _fastq_batches(source, validate)
+        self._reads = _batch_reads(self._batches)
+
+    def __iter__(self) -> FastqReads:
+        return self
+
+    def __next__(self) -> Read:
+        return next(self._reads)
+
+    def sequence_chunks(self, chunk_reads: int) -> Iterator[List[str]]:
+        """Yield the upper-cased sequences in lists of at most ``chunk_reads``.
+
+        Chunks are cut exactly as :func:`read_chunks` cuts the reads.
+        """
+        return read_chunks(
+            chain.from_iterable(sequences for _, sequences, _ in self._batches),
+            chunk_reads,
+        )
+
+
+def parse_fastq(source: PathOrHandle, validate: bool = True) -> FastqReads:
+    """The :class:`Read` records of a FASTQ file or handle, lazily.
 
     The parser is strict about the four-line record structure but
     tolerant about quality strings (any printable ASCII); sequence
     characters are validated against A/C/G/T/N unless ``validate`` is
     False.  A file that ends inside a record is reported as truncated,
-    with the line its last record starts at.
+    with the line its last record starts at; a byte that is not ASCII
+    (a gzip-compressed file, say) fails as :class:`FastqFormatError`.
+
+    The file is read in blocks of about a megabyte, and a block of
+    well-formed records is checked with a few whole-block string calls.
+    The returned :class:`FastqReads` can also hand out sequences
+    without building a ``Read`` per record, which is how DBG
+    construction takes them.
     """
-    handle, owns_handle = _open_for_reading(source)
-    try:
-        readline = handle.readline
-        line_number = 0
-        while True:
-            header = readline()
-            if not header:
-                return
-            line_number += 1
-            header = header.rstrip("\n")
-            if not header:
-                continue
-            if not header.startswith("@"):
-                raise FastqFormatError(
-                    f"expected '@' header, found {header[:20]!r}", line_number
-                )
-            sequence = readline().rstrip("\n").upper()
-            separator = readline()
-            quality_line = readline()
-            quality = quality_line.rstrip("\n")
-            line_number += 3
-            if (
-                not separator.startswith("+")
-                or len(quality) != len(sequence)
-                or (validate and sequence.translate(_DELETE_VALID))
-            ):
-                raise _rejected_record(sequence, separator, quality_line, line_number)
-            yield Read(name=header[1:], sequence=sequence, quality=quality)
-    finally:
-        if owns_handle:
-            handle.close()
+    return FastqReads(source, validate)
 
 
 def read_chunks(reads: Iterable[T], chunk_reads: int) -> Iterator[List[T]]:
@@ -169,20 +332,6 @@ def read_chunks(reads: Iterable[T], chunk_reads: int) -> Iterator[List[T]]:
     iterator = iter(reads)
     while chunk := list(islice(iterator, chunk_reads)):
         yield chunk
-
-
-def parse_fastq_chunks(
-    source: PathOrHandle,
-    chunk_reads: int,
-    validate: bool = True,
-) -> Iterator[List[Read]]:
-    """Parse a FASTQ file in bounded batches of at most ``chunk_reads``.
-
-    Equivalent to ``read_chunks(parse_fastq(source), chunk_reads)`` —
-    the file is read incrementally, never holding more than one chunk
-    of records in memory.
-    """
-    return read_chunks(parse_fastq(source, validate=validate), chunk_reads)
 
 
 def write_fastq(reads: Iterable[Read], target: PathOrHandle) -> int:

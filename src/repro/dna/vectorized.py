@@ -96,9 +96,7 @@ def encode_batch(sequences: Sequence[str]):
     if codes.size and codes.max() == _INVALID_CODE:
         bad = joined[int(np.argmax(codes == _INVALID_CODE))]
         raise InvalidKmerError(f"invalid base {bad!r} in read batch")
-    lengths = np.fromiter(
-        (len(sequence) for sequence in sequences), dtype=np.int64, count=len(sequences)
-    )
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
     starts = np.zeros(len(sequences) + 1, dtype=np.int64)
     if len(sequences):
         np.cumsum(lengths + 1, out=starts[1:])
@@ -158,15 +156,15 @@ def extract_window_ids(sequences: Sequence[str], window: int):
     _require_numpy()
     codes, starts, lengths = encode_batch(sequences)
     ids, valid = sliding_window_ids(codes, window)
-    num_windows = ids.size
-    emitted = ids[valid]
-    prefix = np.zeros(num_windows + 1, dtype=np.int64)
-    if num_windows:
-        np.cumsum(valid, out=prefix[1:])
-    low = np.minimum(starts, num_windows)
-    high = np.minimum(starts + lengths, num_windows)
-    counts = prefix[high] - prefix[low]
-    return emitted, counts
+    # Read i owns the windows starting in [starts[i], starts[i] + windows[i]);
+    # the broken ones among them are counted by bisecting the sorted
+    # positions of the broken windows, not by a cumsum over every window.
+    windows = np.maximum(lengths - (window - 1), 0)
+    broken = np.flatnonzero(~valid)
+    counts = windows - (
+        np.searchsorted(broken, starts + windows) - np.searchsorted(broken, starts)
+    )
+    return ids[valid], counts
 
 
 def reverse_complement_ids(ids, k: int):

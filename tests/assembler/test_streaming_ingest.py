@@ -17,6 +17,7 @@ import pytest
 
 from repro import AssemblyConfig, PPAAssembler
 from repro.assembler.construction import _MAX_CHUNK_READS
+from repro.dna import io_fastq
 from repro.dna.io_fastq import Read, parse_fastq, write_fastq
 from repro.errors import FastqFormatError
 from repro.store.spill import process_spill_stats
@@ -132,3 +133,23 @@ def test_malformed_last_record_surfaces_typed_and_cleans_up(
     assert caught.value.line_number == 4 * count + 2
     assert process_spill_stats().delta_since(before)["spill_events"] > 0
     assert list(spill_root.iterdir()) == []
+
+
+def test_fastq_reader_builds_no_read_objects(
+    short_reads, config, baseline, tmp_path, monkeypatch
+):
+    path = tmp_path / "reads.fastq"
+    write_fastq(short_reads, path)
+    built = []
+
+    class CountingRead(Read):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(io_fastq, "Read", CountingRead)
+    result = PPAAssembler(config).assemble(parse_fastq(path))
+    assert built == []
+    _assert_identical(result, baseline)
+    # The counter does count: iterating the reader builds one per record.
+    assert sum(1 for _ in parse_fastq(path)) == len(built) == NUM_READS

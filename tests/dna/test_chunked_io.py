@@ -8,7 +8,6 @@ import pytest
 
 from repro.dna.io_fastq import (
     parse_fastq,
-    parse_fastq_chunks,
     read_chunks,
     reads_from_strings,
     write_fastq,
@@ -58,13 +57,12 @@ def test_read_chunks_drains_generators_lazily():
     assert len(pulled) == 4
 
 
-def test_parse_fastq_chunks_matches_parse_fastq():
+def test_sequence_chunks_match_parse_fastq():
     reads = reads_from_strings(["ACGTACGT", "TTTTCCCC", "GGGGAAAA"])
     text = _fastq_text(reads)
     whole = list(parse_fastq(io.StringIO(text)))
-    chunked = [
-        read
-        for chunk in parse_fastq_chunks(io.StringIO(text), chunk_reads=2)
-        for read in chunk
+    chunks = list(parse_fastq(io.StringIO(text)).sequence_chunks(2))
+    assert [len(chunk) for chunk in chunks] == [2, 1]
+    assert [sequence for chunk in chunks for sequence in chunk] == [
+        read.sequence for read in whole
     ]
-    assert chunked == whole

@@ -437,3 +437,21 @@ def test_cli_report_verb_with_nothing_to_report_fails(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["report", str(tmp_path), "-o", str(tmp_path / "r.html")])
     assert "nothing to report on" in capsys.readouterr().err
+
+
+def test_cli_gzipped_fastq_fails_typed(tmp_path, capsys):
+    import gzip
+
+    path = tmp_path / "reads.fq.gz"
+    with gzip.open(path, "wt", encoding="ascii") as handle:
+        handle.write("@r\nACGT\n+\nIIII\n")
+    assert main(["--fastq", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "failed to load reads: input is gzip-compressed" in err
+
+
+def test_cli_non_ascii_fastq_fails_typed(tmp_path, capsys):
+    path = tmp_path / "reads.fastq"
+    path.write_bytes("@r\nACGT\n+\nIIII\n@ré\nACGT\n+\nIIII\n".encode("utf-8"))
+    assert main(["--fastq", str(path), "--quiet"]) == 1
+    assert "failed to load reads: non-ASCII byte 0xc3" in capsys.readouterr().err
