@@ -42,7 +42,6 @@ from .assembler import (
     AssemblyConfig,
     AssemblyResult,
     PPAAssembler,
-    assemble_paired_reads,
     assemble_reads,
     build_assembly_workflow,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "AssemblyConfig",
     "AssemblyResult",
     "PPAAssembler",
-    "assemble_paired_reads",
     "assemble_reads",
     "build_assembly_workflow",
     "ReproError",

@@ -21,7 +21,6 @@ from .labeling import LabelingResult, label_contigs
 from .merging import MergingResult, merge_contigs
 from .pipeline import (
     PPAAssembler,
-    assemble_paired_reads,
     assemble_reads,
     build_assembly_workflow,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "MergingResult",
     "merge_contigs",
     "PPAAssembler",
-    "assemble_paired_reads",
     "assemble_reads",
     "build_assembly_workflow",
     "PruningResult",

@@ -97,9 +97,11 @@ class AssemblyConfig:
         Soft cap, in megabytes, on the live bytes the assembly holds in
         memory at once.  ``None`` (default) is unlimited.  When set,
         DBG construction takes reads in smaller chunks and spills
-        sorted k-mer runs, and the Pregel runtime spills idle worker
-        partitions and staged message batches to disk
-        (:mod:`repro.store`).  Results are bit-identical at any budget;
+        sorted k-mer runs, and the serial backend spills idle worker
+        partitions and delivered inboxes to disk (:mod:`repro.store`);
+        multiprocess workers keep their partitions and message batches
+        in memory, so on that backend the budget bounds construction
+        only.  Results are bit-identical at any budget;
         only peak memory and wall-clock change.  A float so tests can
         force heavy spilling on tiny datasets (e.g. ``0.05``).
     """
@@ -160,7 +162,7 @@ class AssemblyConfig:
             )
         try:
             self.runtime
-        except (PregelError, ValueError) as exc:
+        except PregelError as exc:
             raise PipelineConfigError(str(exc)) from None
 
     @property

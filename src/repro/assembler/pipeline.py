@@ -323,11 +323,3 @@ def assemble_reads(
 ) -> AssemblyResult:
     """One-call convenience wrapper around :class:`PPAAssembler`."""
     return PPAAssembler(config).assemble(reads)
-
-
-def assemble_paired_reads(
-    pairs: Iterable[ReadPair],
-    config: Optional[AssemblyConfig] = None,
-) -> AssemblyResult:
-    """One-call convenience wrapper for paired-end libraries."""
-    return PPAAssembler(config).assemble_paired(pairs)

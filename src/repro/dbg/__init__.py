@@ -13,7 +13,6 @@ from .bitmap import (
     AdjacencyBitmap,
     bit_position,
     decode_item,
-    describe_entry,
     encode_item,
     expand_bitmap,
     is_null_item,
@@ -54,7 +53,6 @@ __all__ = [
     "AdjacencyBitmap",
     "bit_position",
     "decode_item",
-    "describe_entry",
     "encode_item",
     "expand_bitmap",
     "is_null_item",

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
-from ..dna.alphabet import BITS_TO_BASE
 from ..dna.encoding import reverse_complement_encoded
 from .polarity import LABEL_H, LABEL_L
 
@@ -111,7 +110,7 @@ class AdjacencyBitmap:
             position += 1
 
     def coverage_list(self) -> List[int]:
-        """Coverage counts in bit order (matches the varint list on disk)."""
+        """Coverage counts in bit order (the paper stores them as varints)."""
         return [self._coverage.get(position, 0) for position in sorted(self._coverage)]
 
     def copy(self) -> "AdjacencyBitmap":
@@ -212,9 +211,3 @@ def decode_item(item: int) -> Tuple[int, str, str]:
 def is_null_item(item: int) -> bool:
     """True for the dead-end marker item."""
     return item == NULL_ITEM
-
-
-def describe_entry(polarity: str, direction: str, base_bits: int) -> str:
-    """Human-readable description of one bitmap entry (debugging aid)."""
-    base = BITS_TO_BASE[base_bits]
-    return f"{direction}-neighbour via base {base} with polarity ⟨{polarity[0]}:{polarity[1]}⟩"

@@ -166,60 +166,3 @@ def unflip_id(vertex_id: int) -> int:
 def is_flipped(vertex_id: int) -> bool:
     """True if the contig-end marker bit is set."""
     return bool(vertex_id & FLIP_BIT)
-
-
-# ----------------------------------------------------------------------
-# variable-length integers (edge coverage counts, Section IV-A)
-# ----------------------------------------------------------------------
-def encode_varint(value: int) -> bytes:
-    """LEB128-style varint used for coverage counts ("often just one byte")."""
-    if value < 0:
-        raise ValueError(f"varints encode non-negative integers, got {value}")
-    output = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            output.append(byte | 0x80)
-        else:
-            output.append(byte)
-            return bytes(output)
-
-
-def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
-    """Decode one varint from ``data`` starting at ``offset``.
-
-    Returns ``(value, next_offset)``.
-    """
-    result = 0
-    shift = 0
-    position = offset
-    while True:
-        if position >= len(data):
-            raise ValueError("truncated varint")
-        byte = data[position]
-        position += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, position
-        shift += 7
-
-
-def encode_varint_list(values: List[int]) -> bytes:
-    """Concatenated varints (the per-edge coverage list of a k-mer vertex)."""
-    output = bytearray()
-    for value in values:
-        output.extend(encode_varint(value))
-    return bytes(output)
-
-
-def decode_varint_list(data: bytes, count: int) -> List[int]:
-    """Decode exactly ``count`` varints from ``data``."""
-    values: List[int] = []
-    offset = 0
-    for _ in range(count):
-        value, offset = decode_varint(data, offset)
-        values.append(value)
-    if offset != len(data):
-        raise ValueError("trailing bytes after decoding varint list")
-    return values

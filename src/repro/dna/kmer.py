@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, List
 
 from ..errors import InvalidKmerError
-from .encoding import MAX_K, canonical_encoded, decode_kmer, iter_encoded_kmers
+from .encoding import MAX_K, canonical_encoded, iter_encoded_kmers
 from .sequence import split_on_ambiguous
 
 
@@ -97,8 +97,3 @@ def extract_canonical_kmer_ids(read_sequence: str, k: int) -> List[int]:
             canonical_id, _ = canonical_encoded(encoded, k)
             ids.append(canonical_id)
     return ids
-
-
-def kmer_id_to_string(kmer_id: int, k: int) -> str:
-    """Readable form of a packed canonical k-mer (delegates to decode)."""
-    return decode_kmer(kmer_id, k)

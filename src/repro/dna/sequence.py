@@ -8,10 +8,10 @@ by IO, the read simulator and quality assessment.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 from ..errors import InvalidNucleotideError
-from .alphabet import AMBIGUOUS, complement_translation_table, validate_sequence
+from .alphabet import AMBIGUOUS, complement_translation_table
 
 _COMPLEMENT_TABLE = complement_translation_table()
 
@@ -95,13 +95,6 @@ def hamming_distance(left: str, right: str) -> int:
     return sum(1 for a, b in zip(left, right) if a != b)
 
 
-def count_mismatches(left: str, right: str) -> Tuple[int, int]:
-    """(mismatches over the common prefix length, length difference)."""
-    common = min(len(left), len(right))
-    mismatches = sum(1 for a, b in zip(left[:common], right[:common]) if a != b)
-    return mismatches, abs(len(left) - len(right))
-
-
 def edit_distance(left: str, right: str, upper_bound: int | None = None) -> int:
     """Levenshtein distance between two sequences.
 
@@ -134,9 +127,3 @@ def edit_distance(left: str, right: str, upper_bound: int | None = None) -> int:
             return upper_bound + 1
         previous = current
     return previous[-1]
-
-
-def ensure_valid(sequence: str, allow_ambiguous: bool = True) -> str:
-    """Validate and return ``sequence`` (fluent helper for constructors)."""
-    validate_sequence(sequence, allow_ambiguous=allow_ambiguous)
-    return sequence

@@ -92,11 +92,11 @@ class CheckpointError(WorkflowError):
 
 
 class CorruptBlobError(ReproError):
-    """A content-store blob's bytes no longer hash to the key they are stored under.
+    """A stored blob's bytes no longer hash to the sha256 recorded for them.
 
-    The key *is* the sha256 of the content, so a mismatch means the
-    file was damaged after it was published; what it holds must not be
-    unpickled.
+    Content-store keys and spill tickets both carry the sha256 of what
+    was written, so a mismatch means the file was damaged after it was
+    written; what it holds must not be unpickled.
     """
 
     def __init__(self, key: str) -> None:

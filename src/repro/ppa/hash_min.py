@@ -28,7 +28,7 @@ class HashMinVertex(Vertex):
     """``value`` is the smallest component label seen so far."""
 
     # State is (int label, [int neighbour IDs]): partitions leave the
-    # process (to the master, to the spill store) as arrays.
+    # process (to the master, to spill files) as arrays.
     columnar_state = True
 
     def compute(self, messages: List[int], ctx: ComputeContext) -> None:

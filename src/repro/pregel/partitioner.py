@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Optional
 
+from ..errors import InvalidJobError
+
 
 class HashPartitioner:
     """Assigns vertex IDs (or shuffle keys) to workers by hashing.
@@ -195,7 +197,7 @@ PARTITIONER_NAMES = ("hash", "prefix_range")
 def ensure_partitioner(name: str) -> str:
     """Validate a partitioner name (shared by every config layer)."""
     if name not in PARTITIONER_NAMES:
-        raise ValueError(
+        raise InvalidJobError(
             f"unknown partitioner {name!r}; choose from {', '.join(PARTITIONER_NAMES)}"
         )
     return name

@@ -23,6 +23,7 @@ the CLI) can select one by name without importing its module directly.
 from __future__ import annotations
 
 import gc
+import math
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -85,7 +86,10 @@ class RuntimeOptions:
     message_plane:
         Multiprocess superstep exchange, one of :data:`MESSAGE_PLANES`.
     memory_budget_mb:
-        Soft cap on live megabytes; ``None`` disables the spill plane.
+        Soft cap on live megabytes, finite and positive; ``None``
+        disables spilling.  DBG construction and the serial backend's
+        spill plane honour it; multiprocess workers keep their
+        partitions and batches resident.
     """
 
     num_workers: int = 4
@@ -101,14 +105,15 @@ class RuntimeOptions:
         ensure_backend(self.backend)
         ensure_partitioner(self.partitioner)
         if self.message_plane not in MESSAGE_PLANES:
-            raise ValueError(
+            raise InvalidJobError(
                 f"unknown message plane {self.message_plane!r}; "
                 f"choose from {', '.join(MESSAGE_PLANES)}"
             )
-        if self.memory_budget_mb is not None and self.memory_budget_mb <= 0:
-            raise InvalidJobError(
-                f"memory_budget_mb must be positive, got {self.memory_budget_mb}"
-            )
+        budget = self.memory_budget_mb
+        if budget is not None and not math.isfinite(budget):
+            raise InvalidJobError(f"memory_budget_mb must be finite, got {budget}")
+        if budget is not None and budget <= 0:
+            raise InvalidJobError(f"memory_budget_mb must be positive, got {budget}")
 
     @property
     def memory_budget_bytes(self) -> Optional[int]:

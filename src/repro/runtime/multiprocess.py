@@ -64,7 +64,6 @@ from ..telemetry import (
 )
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.profiling import stats_state
-from ..store.spill import process_spill_stats
 from . import shm as shm_plane
 from .base import (
     ExecutionBackend,
@@ -76,7 +75,6 @@ from .base import (
     run_worker_superstep,
     worker_messages_counter,
 )
-from .spilling import WorkerBatchSpiller
 
 #: Commands on the master -> worker channel.
 _STEP = "step"
@@ -135,10 +133,8 @@ def _worker_main(
     # lock may have been forked while another thread held it.
     gc.disable()
     worker_id, num_workers = worker.worker_id, plan.num_workers
-    budget_bytes = plan.options.memory_budget_bytes
     arena_writer = None
     arena_reader = None
-    spiller = None
     sampler = None
     try:
         own_queue = data_queues[worker_id]
@@ -164,18 +160,6 @@ def _worker_main(
             sampler = ResourceSampler(
                 local_timeline, source=f"worker-{worker_id}"
             ).start()
-        if budget_bytes is not None:
-            # Each worker polices an equal share of the job budget;
-            # staged future-superstep batches spill once the share is
-            # exceeded.  Spill totals ride the counter dict to the
-            # master at each barrier.
-            spiller = WorkerBatchSpiller(
-                max(1, budget_bytes // num_workers),
-                worker_id,
-                plan.job_name,
-                registry=local_registry,
-            )
-            spiller.account_partition(worker.vertices)
 
         while True:
             command = command_queue.get()
@@ -207,17 +191,12 @@ def _worker_main(
                 arrived = staged.setdefault(superstep, {})
                 while set(arrived) != expected:
                     for_superstep, sender, batch = own_queue.get()
-                    if spiller is not None and for_superstep > superstep:
-                        batch = spiller.stash(for_superstep, sender, batch)
                     staged.setdefault(for_superstep, {})[sender] = batch
                     arrived = staged.setdefault(superstep, {})
                 batches = staged.pop(superstep)
                 batches[worker_id] = local_batches.pop(superstep, [])
                 for sender in list(batches):
-                    batch = batches[sender]
-                    if spiller is not None:
-                        batch = spiller.resolve(superstep, sender, batch)
-                    batches[sender] = _resolve_batch(batch, arena_reader)
+                    batches[sender] = _resolve_batch(batches[sender], arena_reader)
                 inbox = merge_batches(batches, num_workers, plan.combiner)
 
             batches, report = run_worker_superstep(
@@ -227,8 +206,6 @@ def _worker_main(
             for destination in range(num_workers):
                 batch = batches.get(destination, [])
                 if destination == worker_id:
-                    if spiller is not None:
-                        batch = spiller.stash(superstep + 1, worker_id, batch)
                     local_batches[superstep + 1] = batch
                 else:
                     if arena_writer is not None and is_cols(batch):
@@ -248,10 +225,6 @@ def _worker_main(
                 counters["timeline"] = local_timeline.drain_events()
             if arena_writer is not None:
                 counters["arena_wanted"] = arena_writer.wanted_bytes
-            if spiller is not None:
-                # The factory may have grown the partition this superstep.
-                spiller.account_partition(worker.vertices)
-                counters["spill_stats"] = spiller.drain_stats()
             if local_registry is not None:
                 counters["metrics"] = local_registry.drain_state()
             control_queue.put((_OK, worker_id, report))
@@ -278,8 +251,6 @@ def _worker_main(
             arena_reader.close()
         # Undelivered final-superstep batches are intentionally discarded;
         # don't let their feeder threads block process exit.
-        if spiller is not None:
-            spiller.close()
         for data_queue in data_queues:
             data_queue.cancel_join_thread()
 
@@ -400,9 +371,6 @@ class _MultiprocessSession(JobSession):
                 metrics_registry.merge_state(metrics_state)
             timeline.merge_events(counters.pop("timeline", None))
             profiler.merge_state(counters.pop("profile", None))
-            spill_delta = counters.get("spill_stats")
-            if spill_delta is not None:
-                process_spill_stats().merge(spill_delta)
             if pool is not None:
                 pool.request(worker_id, counters.get("arena_wanted", 0))
         if pool is not None:

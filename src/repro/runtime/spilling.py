@@ -1,23 +1,17 @@
-"""Spill planes: how the execution backends shed memory under a budget.
+"""The serial spill plane: how the serial backend sheds memory under a budget.
 
-Two cooperating pieces, one per backend shape:
+:class:`SerialSpillPlane` owns the serial backend's worker partitions
+and delivered inboxes for one job.  Between supersteps the partitions
+of workers that are not currently executing are idle by construction
+(workers run one after another), so any of them may live on disk; the
+plane loads each worker just-in-time, re-accounts it after it executes,
+and spills the entries whose next turn is furthest away until the
+ledger is back under budget.  Partitions go to disk as
+:func:`~repro.pregel.partition.pack_partition` payloads.
 
-* :class:`SerialSpillPlane` — owns the serial backend's worker
-  partitions and delivered inboxes for one job.  Between supersteps the
-  partitions of workers that are not currently executing are idle by
-  construction (workers run one after another), so any of them may live
-  on disk; the plane loads each worker just-in-time, re-accounts it
-  after it executes, and spills the entries whose next turn is furthest
-  away until the ledger is back under budget.  Partitions go to disk as
-  :func:`~repro.pregel.partition.pack_partition` payloads.
-
-* :class:`WorkerBatchSpiller` — used *inside* a multiprocess worker
-  process for message batches staged for future supersteps.  Each
-  worker gets an equal share of the job budget; staged batches beyond
-  the share spill to a private store and are resolved when their
-  superstep arrives.  Spill totals are drained per superstep and ride
-  the existing counter dict to the master, which folds them into the
-  process-wide :class:`~repro.store.spill.SpillStats`.
+The multiprocess backend has no counterpart: its worker processes keep
+their partitions and in-flight batches resident, so there the budget
+bounds DBG construction only.
 
 Spilling is transparent to results: the parity suite pins contigs,
 scaffolds, metrics and aggregate histories bit-identical at any budget.
@@ -30,7 +24,7 @@ from typing import Any, Dict, Iterable, List, Optional
 from ..pregel.partition import pack_partition, unpack_partition
 from ..pregel.worker import Worker
 from ..store.ledger import MemoryLedger, estimate_nbytes
-from ..store.spill import SpillManager, SpillStats, process_spill_stats
+from ..store.spill import SpillManager, process_spill_stats
 
 
 #: Stands in, in the inbox mapping, for an inbox that lives on disk.
@@ -170,95 +164,3 @@ class SerialSpillPlane:
     @staticmethod
     def _inbox_key(worker_id: int) -> str:
         return f"inbox:{worker_id}"
-
-
-#: Tag of a spilled staged batch's disk token on the worker side.
-SPILLED_BATCH = "spilled-batch"
-
-
-def _is_spilled_token(batch: Any) -> bool:
-    return isinstance(batch, tuple) and len(batch) == 2 and batch[0] == SPILLED_BATCH
-
-
-def _is_shm_descriptor(batch: Any) -> bool:
-    # ("shmb", name, offset, count) — the payload lives in a shared
-    # memory arena, not this worker's heap, so it is never accounted
-    # or spilled (the tag literal is duplicated here to avoid importing
-    # the shm plane into the store layer).
-    return isinstance(batch, tuple) and len(batch) == 4 and batch[0] == "shmb"
-
-
-class WorkerBatchSpiller:
-    """Budgeted custody of a multiprocess worker's staged batches.
-
-    Lives inside one worker process.  Batches staged for a *future*
-    superstep are the coldest memory the worker holds (its resident
-    partition is in use every superstep), so they are what spills:
-    :meth:`stash` accounts each arriving batch and returns either the
-    batch or a disk token; :meth:`resolve` materialises it when its
-    superstep arrives.  Shared-memory descriptors pass through
-    untouched — their payload is not on this worker's heap.
-
-    Spill totals accumulate in a *private* :class:`SpillStats` (the
-    process-wide one would be polluted by fork-inherited parent counts)
-    and are drained per superstep into the counter dict the worker
-    already ships at every barrier; the master folds the deltas into
-    its own process-wide totals.
-    """
-
-    def __init__(
-        self,
-        budget_bytes: int,
-        worker_id: int,
-        job_name: str = "job",
-        registry=None,
-    ) -> None:
-        stats = SpillStats()
-        self.ledger = MemoryLedger(
-            budget_bytes, name=f"mp:{job_name}:w{worker_id}", registry=registry
-        )
-        self.manager = SpillManager(
-            owner=f"mp:{job_name}:w{worker_id}", stats=stats, registry=registry
-        )
-        self._last_snapshot: Dict[str, int] = {}
-
-    def account_partition(self, vertices: Dict[int, Any]) -> None:
-        """Track the resident partition so staged batches feel the squeeze."""
-        self.ledger.track("partition", estimate_nbytes(vertices))
-
-    def stash(self, for_superstep: int, sender: int, batch: Any) -> Any:
-        """Account a staged batch; spill it if the worker is over budget."""
-        if _is_shm_descriptor(batch) or _is_spilled_token(batch):
-            return batch
-        name = f"batch:{for_superstep}:{sender}"
-        self.ledger.track(name, estimate_nbytes(batch))
-        if not self.ledger.over_budget:
-            return batch
-        if self.manager.spill(name, batch):
-            self.ledger.release(name)
-            return (SPILLED_BATCH, name)
-        return batch
-
-    def resolve(self, for_superstep: int, sender: int, batch: Any) -> Any:
-        """Materialise a staged batch whose superstep has arrived."""
-        if _is_spilled_token(batch):
-            return self.manager.load(batch[1])
-        self.ledger.release(f"batch:{for_superstep}:{sender}")
-        return batch
-
-    def drain_stats(self) -> Dict[str, int]:
-        """Spill/load growth since the previous drain (peak is absolute)."""
-        snapshot = self.manager.stats.snapshot()
-        previous = self._last_snapshot
-        delta = {
-            "spill_events": snapshot["spill_events"] - previous.get("spill_events", 0),
-            "spill_bytes": snapshot["spill_bytes"] - previous.get("spill_bytes", 0),
-            "load_events": snapshot["load_events"] - previous.get("load_events", 0),
-            "load_bytes": snapshot["load_bytes"] - previous.get("load_bytes", 0),
-            "ledger_peak_bytes": self.ledger.peak_bytes,
-        }
-        self._last_snapshot = snapshot
-        return delta
-
-    def close(self) -> None:
-        self.manager.close()

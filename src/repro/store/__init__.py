@@ -3,19 +3,17 @@
 The out-of-core machinery lives here, one concern per module:
 
 * :mod:`repro.store.atomic` — the temp-file + ``os.replace`` publication
-  discipline every on-disk artifact of this repo uses (workflow
-  checkpoints, spill files, blobs), extracted so there is exactly one
+  discipline every durable artifact of this repo uses (workflow
+  checkpoints, content-store blobs), extracted so there is exactly one
   copy of the ``.tmp``-sweep logic;
 * :mod:`repro.store.content` — :class:`ContentStore`, a sha256-keyed
-  content-addressed blob store with atomic publish, named aliases and
-  ref-count GC.  It backs the spill files and the bench harness's
-  dataset cache, and gives the job service dedup-ready artifact
-  storage;
+  content-addressed blob store with atomic publish and named aliases
+  as GC roots.  It backs the bench harness's dataset cache;
 * :mod:`repro.store.ledger` — :class:`MemoryLedger`, the accounting
   layer that tracks live columnar-array bytes against a budget and
   decides eviction order;
-* :mod:`repro.store.spill` — :class:`SpillManager`, which serializes
-  evicted objects into a :class:`ContentStore` and loads them back,
+* :mod:`repro.store.spill` — :class:`SpillManager`, which pickles
+  evicted objects into private, hash-checked files and loads them back,
   with spill activity observable through telemetry counters
   (``repro_spill_bytes_total`` / ``repro_spill_events_total``) and a
   process-wide :class:`SpillStats` snapshot the CLI's

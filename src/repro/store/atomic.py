@@ -1,10 +1,12 @@
 """Atomic file publication: temp file + ``os.replace``, one copy.
 
-Every durable artifact this repo writes — workflow checkpoints, spill
-files, content-store blobs, benchmark caches — follows the same
-discipline: write into a uniquely-named temp file in the *target
-directory* (same filesystem, so the final rename is atomic), then
-``os.replace`` it into place, unlinking the temp file on any failure.
+Every durable artifact this repo writes — workflow checkpoints,
+content-store blobs, benchmark caches — follows the same discipline:
+write into a uniquely-named temp file in the *target directory* (same
+filesystem, so the final rename is atomic), then ``os.replace`` it
+into place, unlinking the temp file on any failure.  Spill files are
+not durable: they live and die inside one process
+(:mod:`repro.store.spill`) and are written in place.
 A crash mid-write leaves the previous version intact and at worst
 orphans one temp file.
 

@@ -1,25 +1,21 @@
-"""Content-addressed blob store: sha256 keys, atomic publish, refcount GC.
+"""Content-addressed blob store: sha256 keys, atomic publish, named roots.
 
 Layout under the store root::
 
     objects/<aa>/<sha256-hex>     the blobs themselves (aa = first two
                                   hex chars, keeps directories shallow)
-    refs/<sha256-hex>/<owner>     one empty file per (blob, owner) pin
     names/<slug>                  mutable aliases; the file's content is
                                   the sha256 key it currently points at
 
-Identical payloads share one blob regardless of who stored them — the
-key *is* the content hash — which is what makes the store suitable for
-spill files (many partitions spill identical empty batches), the bench
-dataset cache, and dedup-ready service artifacts.
+The key *is* the content hash, so identical payloads share one blob and
+a read can check what it got.  The bench harness's dataset cache keeps
+each dataset here under a name derived from its profile.
 
 Publication is atomic (:mod:`repro.store.atomic`): a blob either exists
 completely or not at all, and a crash mid-``put`` at worst orphans a
 temp file that :meth:`ContentStore.gc` sweeps later.  Deletion is by
-garbage collection only: :meth:`~ContentStore.gc` removes blobs that
-have no refs and no name pointing at them.  Refs are per-owner files so
-two independent components (say, two spill managers sharing a store)
-can pin the same blob without coordinating.
+garbage collection only: :meth:`~ContentStore.gc` removes blobs that no
+name points at.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ _TMP_PREFIX = ".blob-"
 
 
 def _slug(name: str) -> str:
-    """Filesystem-safe form of a name or owner string."""
+    """Filesystem-safe form of a name."""
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", name).strip("-") or "item"
 
 
@@ -65,7 +61,6 @@ class ContentStore:
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self._objects = self.root / "objects"
-        self._refs = self.root / "refs"
         self._names = self.root / "names"
 
     # ------------------------------------------------------------------
@@ -118,32 +113,6 @@ class ContentStore:
             for entry in sorted(shard.iterdir()):
                 if _KEY_PATTERN.match(entry.name):
                     yield entry.name
-
-    # ------------------------------------------------------------------
-    # refs
-    # ------------------------------------------------------------------
-    def add_ref(self, key: str, owner: str) -> None:
-        """Pin ``key`` on behalf of ``owner`` (idempotent per owner)."""
-        ref_dir = self._refs / key
-        ref_dir.mkdir(parents=True, exist_ok=True)
-        (ref_dir / _slug(owner)).touch()
-
-    def drop_ref(self, key: str, owner: str) -> None:
-        """Release ``owner``'s pin on ``key`` (missing pins are fine)."""
-        try:
-            (self._refs / key / _slug(owner)).unlink()
-        except OSError:
-            pass
-        try:
-            (self._refs / key).rmdir()  # only succeeds once empty
-        except OSError:
-            pass
-
-    def ref_count(self, key: str) -> int:
-        ref_dir = self._refs / key
-        if not ref_dir.is_dir():
-            return 0
-        return sum(1 for _ in ref_dir.iterdir())
 
     # ------------------------------------------------------------------
     # names (mutable aliases)
@@ -199,12 +168,7 @@ class ContentStore:
     # garbage collection
     # ------------------------------------------------------------------
     def gc(self) -> GCResult:
-        """Remove blobs with no refs and no name, plus stale temp files.
-
-        Names act as roots: a blob an alias points at survives even
-        with zero refs (the bench dataset cache relies on this — cached
-        datasets are named, not pinned).
-        """
+        """Remove blobs no name points at, plus stale temp files."""
         result = GCResult()
         named = {
             key
@@ -212,7 +176,7 @@ class ContentStore:
             if key is not None
         }
         for key in list(self.keys()):
-            if key in named or self.ref_count(key) > 0:
+            if key in named:
                 continue
             blob = self.path(key)
             try:
@@ -223,10 +187,6 @@ class ContentStore:
             result.blobs_removed += 1
             result.bytes_reclaimed += size
             result.removed_keys.append(key)
-            try:  # drop the now-empty ref dir, if one lingered
-                (self._refs / key).rmdir()
-            except OSError:
-                pass
         for directory in self._tmp_dirs():
             result.tmp_removed += sweep_orphan_tmps(directory, _TMP_PREFIX)
         return result

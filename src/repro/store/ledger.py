@@ -2,11 +2,11 @@
 
 :class:`MemoryLedger` is the accounting layer of the out-of-core plane.
 Runtime components register named entries (a worker's partition, a
-delivered inbox, a staged message batch, a k-mer run) with an estimated
-byte size; the ledger tracks the live total against a budget, remembers
-the peak, and says when its owner is over budget.  *Which* entries go
-to disk is the owner's call, because only the owner knows when each is
-needed again: the serial spill plane knows its schedule exactly and
+delivered inbox, a sorted k-mer run) with an estimated byte size; the
+ledger tracks the live total against a budget, remembers the peak,
+and says when its owner is over budget.  *Which* entries go to disk is
+the owner's call, because only the owner knows when each is needed
+again: the serial spill plane knows its schedule exactly and
 evicts by next use (:mod:`repro.runtime.spilling`); DBG construction,
 whose sorted runs are not read again before the final merge, walks
 :meth:`MemoryLedger.victims`, oldest registration first.
@@ -122,21 +122,13 @@ class MemoryLedger:
     its own) but :attr:`over_budget` is always False.
     """
 
-    def __init__(
-        self,
-        budget_bytes: Optional[int] = None,
-        name: str = "ledger",
-        registry=None,
-    ) -> None:
+    def __init__(self, budget_bytes: Optional[int] = None, name: str = "ledger") -> None:
         self.budget_bytes = budget_bytes
         self.name = name
         self._entries: "OrderedDict[str, int]" = OrderedDict()
         self._live = 0
         self._peak = 0
-        # Worker processes pass their local registry so the master can
-        # merge shipped deltas; None means the process-wide one.
-        if registry is None:
-            registry = get_registry()
+        registry = get_registry()
         self._live_gauge = registry.gauge(
             "repro_memory_ledger_bytes",
             "Live bytes currently tracked by a memory ledger.",

@@ -1,12 +1,11 @@
-"""Spilling objects to a content store, and counting every byte of it.
+"""Spilling objects to private files, and counting every byte of it.
 
 :class:`SpillManager` is the mechanism half of the out-of-core plane
 (the policy half is :class:`~repro.store.ledger.MemoryLedger`): given a
-name and a picklable object it serializes the object into a
-:class:`~repro.store.content.ContentStore` blob, pins it, and hands
-back the memory; :meth:`~SpillManager.load` reverses the trip.  The
-content addressing means identical spilled payloads — empty inboxes,
-repeated batches — share one file.
+name and a picklable object it pickles the object into a file of its
+own and hands back the memory; :meth:`~SpillManager.load` reverses the
+trip and deletes the file.  One process writes, reads back and deletes
+its own files, so there is nothing to share, pin or collect.
 
 Observability is double-booked on purpose:
 
@@ -16,23 +15,24 @@ Observability is double-booked on purpose:
   consumers when a real registry is installed;
 * a process-wide :class:`SpillStats` (:func:`process_spill_stats`)
   that counts unconditionally, so the CLI's ``--metrics-json`` can
-  report spill activity without enabling the telemetry plane, and the
-  multiprocess master can fold worker-side deltas into one total.
+  report spill activity without enabling the telemetry plane.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import pickle
 import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from shutil import rmtree
-from typing import Any, Dict, Optional, Set, Union
+from typing import Any, Dict, Optional, Set, Tuple, Union
 
+from ..errors import CorruptBlobError
 from ..telemetry import peak_rss_bytes, span
 from ..telemetry.metrics import get_registry
-from .content import ContentStore
 
 
 @dataclass
@@ -62,17 +62,6 @@ class SpillStats:
         with self._lock:
             if nbytes > self.ledger_peak_bytes:
                 self.ledger_peak_bytes = nbytes
-
-    def merge(self, delta: Dict[str, int]) -> None:
-        """Fold another process's counter deltas into these totals."""
-        with self._lock:
-            self.spill_events += int(delta.get("spill_events", 0))
-            self.spill_bytes += int(delta.get("spill_bytes", 0))
-            self.load_events += int(delta.get("load_events", 0))
-            self.load_bytes += int(delta.get("load_bytes", 0))
-            peak = int(delta.get("ledger_peak_bytes", 0))
-            if peak > self.ledger_peak_bytes:
-                self.ledger_peak_bytes = peak
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
@@ -127,13 +116,14 @@ def memory_payload(
 
 
 class SpillManager:
-    """Moves named objects between memory and a content store.
+    """Moves named objects between memory and private spill files.
 
-    Pass an existing ``store`` to share blobs with other components, or
-    a ``directory`` to root a private store there; with neither, a
-    temporary directory is created lazily on first spill and removed by
-    :meth:`close`.  Blobs are pinned under this manager's ``owner``
-    slug so :meth:`close` can release exactly its own refs and GC.
+    Each spilled entry is one file, named by a per-manager counter, in
+    ``directory`` — or, without one, in a temporary directory created
+    on the first spill and removed by :meth:`close`.  The manager keeps
+    each file's sha256 and checks it on load, so a file damaged on disk
+    raises :class:`~repro.errors.CorruptBlobError` instead of
+    unpickling garbage.  ``owner`` names the component that spills.
 
     An object that fails to pickle is *pinned in memory*: the failure
     is remembered and the entry silently skipped on future spill
@@ -143,46 +133,36 @@ class SpillManager:
     def __init__(
         self,
         directory: Optional[Union[str, Path]] = None,
-        store: Optional[ContentStore] = None,
         owner: str = "spill",
         stats: Optional[SpillStats] = None,
-        protocol: int = pickle.HIGHEST_PROTOCOL,
-        registry=None,
     ) -> None:
         self.owner = owner
         self.stats = stats if stats is not None else process_spill_stats()
-        self.protocol = protocol
-        self._store = store
         self._directory = Path(directory) if directory is not None else None
         self._owns_tempdir = False
-        self._tickets: Dict[str, str] = {}  # name -> content key
+        self._tickets: Dict[str, Tuple[Path, str]] = {}  # name -> (file, sha256)
+        self._file_ids = itertools.count()
         self._unpicklable: Set[str] = set()
-        # Worker processes pass their local registry so the master can
-        # merge shipped deltas; None means the process-wide one.
-        if registry is None:
-            registry = get_registry()
+        registry = get_registry()
         self._events = registry.counter(
             "repro_spill_events_total",
-            "Objects moved between memory and the spill store.",
+            "Objects moved between memory and spill files.",
             labelnames=("direction",),
         )
         self._bytes = registry.counter(
             "repro_spill_bytes_total",
-            "Serialized bytes moved between memory and the spill store.",
+            "Serialized bytes moved between memory and spill files.",
             labelnames=("direction",),
         )
 
-    # ------------------------------------------------------------------
-    # lazy store
-    # ------------------------------------------------------------------
-    @property
-    def store(self) -> ContentStore:
-        if self._store is None:
-            if self._directory is None:
-                self._directory = Path(tempfile.mkdtemp(prefix="repro-spill-"))
-                self._owns_tempdir = True
-            self._store = ContentStore(self._directory)
-        return self._store
+    def _new_file(self) -> Path:
+        """A path no spill of this manager has used yet."""
+        if self._directory is None:
+            self._directory = Path(tempfile.mkdtemp(prefix="repro-spill-"))
+            self._owns_tempdir = True
+        else:
+            self._directory.mkdir(parents=True, exist_ok=True)
+        return self._directory / f"{next(self._file_ids)}.spill"
 
     # ------------------------------------------------------------------
     # spill / load
@@ -192,22 +172,23 @@ class SpillManager:
 
         False means the object could not be pickled; the entry is then
         pinned (future spills of the same name are skipped cheaply) and
-        the caller must keep the object in memory.
+        the caller must keep the object in memory.  Re-spilling a name
+        deletes the file it superseded.
         """
         if name in self._unpicklable:
             return False
         try:
-            payload = pickle.dumps(obj, protocol=self.protocol)
+            payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             self._unpicklable.add(name)
             return False
         with span("spill:write", entry=name, nbytes=len(payload)):
-            key = self.store.put(payload)
-            self.store.add_ref(key, self._ref_owner(name))
+            path = self._new_file()
+            path.write_bytes(payload)
         previous = self._tickets.get(name)
-        self._tickets[name] = key
-        if previous is not None and previous != key:
-            self.store.drop_ref(previous, self._ref_owner(name))
+        self._tickets[name] = (path, hashlib.sha256(payload).hexdigest())
+        if previous is not None:
+            previous[0].unlink()
         self._events.labels("spill").inc()
         self._bytes.labels("spill").inc(len(payload))
         self.stats.record_spill(len(payload))
@@ -216,23 +197,25 @@ class SpillManager:
     def load(self, name: str, drop: bool = True) -> Any:
         """Deserialize ``name``'s spilled object back into memory.
 
-        ``drop=True`` (the default) releases the blob ref afterwards —
-        the object now lives in memory again and may be re-spilled
-        later (possibly with different content).  Raises ``KeyError``
-        if ``name`` was never spilled or already dropped, and
+        ``drop=True`` (the default) deletes the file afterwards — the
+        object now lives in memory again and may be re-spilled later
+        (possibly with different content).  Raises ``KeyError`` if
+        ``name`` was never spilled or already dropped, and
         :class:`~repro.errors.CorruptBlobError` — before anything is
         unpickled — if the spill file was damaged on disk.
         """
-        key = self._tickets[name]
+        path, digest = self._tickets[name]
         with span("spill:load", entry=name):
-            payload = self.store.get(key)
+            payload = path.read_bytes()
+            if hashlib.sha256(payload).hexdigest() != digest:
+                raise CorruptBlobError(digest)
             obj = pickle.loads(payload)
         self._events.labels("load").inc()
         self._bytes.labels("load").inc(len(payload))
         self.stats.record_load(len(payload))
         if drop:
             del self._tickets[name]
-            self.store.drop_ref(key, self._ref_owner(name))
+            path.unlink()
         return obj
 
     def has(self, name: str) -> bool:
@@ -242,24 +225,18 @@ class SpillManager:
     def spilled_names(self) -> Set[str]:
         return set(self._tickets)
 
-    def _ref_owner(self, name: str) -> str:
-        return f"{self.owner}:{name}"
-
     # ------------------------------------------------------------------
     # teardown
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drop this manager's refs, GC, and remove an owned tempdir."""
-        if self._store is not None:
-            for name, key in list(self._tickets.items()):
-                self._store.drop_ref(key, self._ref_owner(name))
-            self._tickets.clear()
+        """Delete every remaining spill file, and an owned tempdir."""
+        for path, _ in self._tickets.values():
             try:
-                self._store.gc()
+                path.unlink()
             except OSError:
                 pass
-        if self._owns_tempdir and self._directory is not None:
+        self._tickets.clear()
+        if self._owns_tempdir:
             rmtree(self._directory, ignore_errors=True)
             self._owns_tempdir = False
-            self._store = None
             self._directory = None

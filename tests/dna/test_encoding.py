@@ -11,11 +11,7 @@ from repro.dna.encoding import (
     NULL_ID,
     canonical_encoded,
     decode_kmer,
-    decode_varint,
-    decode_varint_list,
     encode_kmer,
-    encode_varint,
-    encode_varint_list,
     flip_id,
     is_contig_id,
     is_flipped,
@@ -149,42 +145,3 @@ def test_kmer_ids_distinct_from_contig_ids():
     contig_id = make_contig_id(0, 1)
     assert is_kmer_id(kmer_id) and not is_kmer_id(contig_id)
     assert is_contig_id(contig_id) and not is_contig_id(kmer_id)
-
-
-# ----------------------------------------------------------------------
-# varints
-# ----------------------------------------------------------------------
-@given(st.integers(min_value=0, max_value=2**40))
-def test_property_varint_round_trip(value):
-    encoded = encode_varint(value)
-    decoded, offset = decode_varint(encoded)
-    assert decoded == value
-    assert offset == len(encoded)
-
-
-def test_small_varints_are_one_byte():
-    for value in range(128):
-        assert len(encode_varint(value)) == 1
-
-
-def test_varint_rejects_negative():
-    with pytest.raises(ValueError):
-        encode_varint(-1)
-
-
-def test_varint_truncated_raises():
-    encoded = encode_varint(300)
-    with pytest.raises(ValueError):
-        decode_varint(encoded[:1], 0) if len(encoded) > 1 else (_ for _ in ()).throw(ValueError())
-
-
-def test_varint_list_round_trip():
-    values = [0, 1, 127, 128, 300, 2**20]
-    data = encode_varint_list(values)
-    assert decode_varint_list(data, len(values)) == values
-
-
-def test_varint_list_trailing_bytes_detected():
-    data = encode_varint_list([1, 2]) + b"\x00"
-    with pytest.raises(ValueError):
-        decode_varint_list(data, 2)

@@ -210,8 +210,12 @@ def test_assembly_config_accepts_and_validates_backend():
         ({"partitioner": "round_robin"}, "unknown partitioner 'round_robin'"),
         ({"message_plane": "tcp"}, "unknown message plane 'tcp'"),
         ({"memory_budget_mb": 0}, "memory_budget_mb must be positive, got 0"),
+        ({"memory_budget_mb": float("nan")}, "memory_budget_mb must be finite, got nan"),
+        ({"memory_budget_mb": float("inf")}, "memory_budget_mb must be finite, got inf"),
     ]:
-        with pytest.raises((PregelError, ValueError)) as from_options:
+        # Every rejection is a ReproError, so the CLI and the service
+        # report it as an invalid job instead of crashing on it later.
+        with pytest.raises(PregelError) as from_options:
             RuntimeOptions(**bad)
         with pytest.raises(PipelineConfigError) as from_config:
             AssemblyConfig(k=15, **bad)

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.errors import JobNotFoundError, JobStateError
+from repro.errors import InvalidJobSpecError, JobNotFoundError, JobStateError
 from repro.service import (
     STATE_CANCELLED,
     STATE_FAILED,
@@ -581,6 +581,14 @@ def test_spec_retry_budget_overrides_the_store_default(tmp_path):
         assert store.get(record.id).state == STATE_POISONED
     finally:
         store.close()
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+def test_spec_with_a_non_finite_memory_budget_is_invalid(budget):
+    # Refused up front; a run would fail deep in DBG construction and
+    # be retried as a transient error.
+    with pytest.raises(InvalidJobSpecError, match="must be finite"):
+        make_spec(memory_budget_mb=budget).validate()
 
 
 def test_store_survives_reopen(tmp_path):

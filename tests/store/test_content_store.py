@@ -1,4 +1,4 @@
-"""ContentStore semantics: addressing, refs, names, and GC roots."""
+"""ContentStore semantics: addressing, names, and GC roots."""
 
 from __future__ import annotations
 
@@ -41,32 +41,6 @@ def test_invalid_key_is_rejected(store):
         store.path("../../etc/passwd")
 
 
-def test_refs_pin_blobs_across_gc(store):
-    key = store.put(b"pinned")
-    store.add_ref(key, "owner-a")
-    store.add_ref(key, "owner-a")  # idempotent per owner
-    store.add_ref(key, "owner-b")
-    assert store.ref_count(key) == 2
-
-    assert store.gc().blobs_removed == 0
-    store.drop_ref(key, "owner-a")
-    assert store.ref_count(key) == 1
-    assert store.gc().blobs_removed == 0
-
-    store.drop_ref(key, "owner-b")
-    result = store.gc()
-    assert result.blobs_removed == 1
-    assert result.removed_keys == [key]
-    assert result.bytes_reclaimed == len(b"pinned")
-    assert not store.has(key)
-
-
-def test_dropping_a_missing_ref_is_harmless(store):
-    key = store.put(b"data")
-    store.drop_ref(key, "never-added")
-    assert store.has(key)
-
-
 def test_names_are_mutable_aliases_and_gc_roots(store):
     first = store.put_named("dataset", b"v1")
     assert store.get_named("dataset") == b"v1"
@@ -93,8 +67,7 @@ def test_names_listing(store):
 
 
 def test_gc_sweeps_stale_tmp_files(store, tmp_path):
-    key = store.put(b"anchor")
-    store.add_ref(key, "keep")
+    key = store.put_named("anchor", b"anchor")
     shard = store.path(key).parent
     orphan = shard / ".blob-orphan.tmp"
     orphan.write_bytes(b"half a blob")

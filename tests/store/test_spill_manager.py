@@ -7,8 +7,11 @@ import threading
 import pytest
 
 from repro.errors import CorruptBlobError
-from repro.store.content import ContentStore
 from repro.store.spill import SpillManager, SpillStats
+
+
+def _spill_files(directory):
+    return sorted(directory.glob("*.spill"))
 
 
 def test_spill_load_round_trip(tmp_path):
@@ -23,6 +26,14 @@ def test_spill_load_round_trip(tmp_path):
     assert not manager.has("p3")  # drop=True releases the ticket
 
 
+def test_load_deletes_the_spill_file(tmp_path):
+    manager = SpillManager(directory=tmp_path, stats=SpillStats())
+    manager.spill("run:0", list(range(100)))
+    assert len(_spill_files(tmp_path)) == 1
+    manager.load("run:0")
+    assert _spill_files(tmp_path) == []
+
+
 def test_load_without_drop_keeps_ticket(tmp_path):
     manager = SpillManager(directory=tmp_path, stats=SpillStats())
     manager.spill("x", [1, 2, 3])
@@ -32,15 +43,15 @@ def test_load_without_drop_keeps_ticket(tmp_path):
 
 
 def test_respill_with_new_content_drops_old_ref(tmp_path):
-    stats = SpillStats()
-    manager = SpillManager(directory=tmp_path, stats=stats)
+    manager = SpillManager(directory=tmp_path, stats=SpillStats())
     manager.spill("entry", "version-1")
     manager.spill("entry", "version-2")
-    assert manager.load("entry") == "version-2"
+    # The version-1 file is gone as soon as version-2 replaces it.
+    assert len(_spill_files(tmp_path)) == 1
+    assert manager.load("entry", drop=False) == "version-2"
+    manager.spill("other", "kept until close")
     manager.close()
-    # After close + gc, no blobs survive: the superseded version-1
-    # blob lost its only ref at re-spill time.
-    assert list(ContentStore(tmp_path).keys()) == []
+    assert _spill_files(tmp_path) == []
 
 
 def test_unpicklable_objects_are_pinned_in_memory(tmp_path):
@@ -62,7 +73,7 @@ def test_stats_count_both_directions(tmp_path):
     assert snapshot["spill_bytes"] == snapshot["load_bytes"] > 0
 
 
-def test_stats_merge_and_delta():
+def test_stats_delta_since():
     stats = SpillStats()
     stats.record_spill(100)
     before = stats.snapshot()
@@ -75,13 +86,6 @@ def test_stats_merge_and_delta():
     assert delta["load_events"] == 1
     assert delta["ledger_peak_bytes"] == 900
 
-    other = SpillStats()
-    other.merge(delta)
-    assert other.spill_events == 1
-    assert other.ledger_peak_bytes == 900
-    other.merge({"ledger_peak_bytes": 10})  # peak merges as max
-    assert other.ledger_peak_bytes == 900
-
 
 def test_close_releases_refs_and_tempdir():
     manager = SpillManager(stats=SpillStats())
@@ -92,24 +96,12 @@ def test_close_releases_refs_and_tempdir():
     assert not directory.exists()
 
 
-def test_identical_payloads_share_one_blob(tmp_path):
-    manager = SpillManager(directory=tmp_path, stats=SpillStats())
-    manager.spill("inbox-1", {})
-    manager.spill("inbox-2", {})
-    store = ContentStore(tmp_path)
-    assert len(list(store.keys())) == 1
-    assert manager.load("inbox-1") == {}
-    assert manager.load("inbox-2") == {}
-
-
 def test_a_damaged_spill_file_fails_the_load_instead_of_unpickling_garbage(tmp_path):
     manager = SpillManager(directory=tmp_path, stats=SpillStats())
     manager.spill("partition:3", {"vertices": list(range(500))})
-    store = ContentStore(tmp_path)
-    (key,) = store.keys()
-    blob = store.path(key)
-    data = bytearray(blob.read_bytes())
+    (spill_file,) = _spill_files(tmp_path)
+    data = bytearray(spill_file.read_bytes())
     data[len(data) // 2] ^= 0x01
-    blob.write_bytes(bytes(data))
+    spill_file.write_bytes(bytes(data))
     with pytest.raises(CorruptBlobError):
         manager.load("partition:3")

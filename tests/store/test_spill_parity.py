@@ -1,8 +1,7 @@
 """Out-of-core acceptance: a memory budget never changes the answer.
 
 The budget knob moves work to disk — streamed ingest runs, idle serial
-partitions, delivered inboxes, multiprocess staged batches — but every
-observable output (contigs, scaffolds, per-stage summaries, bit-exact
+partitions, delivered inboxes — but every observable output (contigs, scaffolds, per-stage summaries, bit-exact
 metrics) must match the unlimited run, on every backend and message
 plane.  A tiny budget on a non-trivial dataset forces heavy spilling,
 so these tests exercise the whole plane, not just the accounting.
@@ -13,8 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro import AssemblyConfig, PPAAssembler
-from repro.dna import simulate_paired_dataset
+from repro.assembler.construction import build_dbg
+from repro.dna import reads_from_pairs, simulate_paired_dataset
 from repro.store.spill import process_spill_stats
+from repro.workflow import StageExecutor
 
 #: Small enough to force spilling on the test datasets, large enough
 #: that the spill plane still makes progress.
@@ -69,19 +70,21 @@ def test_multiprocess_budgeted_run_is_bit_identical(paired_library, message_plan
     baseline = PPAAssembler(
         _config(backend="multiprocess", message_plane=message_plane)
     ).assemble_paired(paired_library)
+    config = _config(
+        backend="multiprocess", message_plane=message_plane, budget=TINY_BUDGET_MB
+    )
     before = process_spill_stats().snapshot()
-    budgeted = PPAAssembler(
-        _config(
-            backend="multiprocess",
-            message_plane=message_plane,
-            budget=TINY_BUDGET_MB,
-        )
-    ).assemble_paired(paired_library)
+    budgeted = PPAAssembler(config).assemble_paired(paired_library)
     delta = process_spill_stats().delta_since(before)
     _assert_identical(budgeted, baseline)
-    # Worker-side spill deltas ride the superstep counters back to the
-    # master; the process-wide totals must have grown.
+    # Workers keep their partitions and batches in memory: DBG
+    # construction, in the master, is the only thing that spills.
+    before = process_spill_stats().snapshot()
+    build_dbg(reads_from_pairs(paired_library), config, StageExecutor(config.runtime))
+    construction = process_spill_stats().delta_since(before)
+    counts = ("spill_events", "spill_bytes", "load_events", "load_bytes")
     assert delta["spill_events"] > 0
+    assert [delta[name] for name in counts] == [construction[name] for name in counts]
 
 
 def test_budget_equals_unlimited_across_budgets(paired_library):

@@ -27,6 +27,23 @@ def test_cli_rejects_even_k(capsys):
     assert "odd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_cli_rejects_a_non_finite_memory_budget_without_a_traceback(budget):
+    import subprocess
+    import sys
+
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "--simulate", "2000", "-k", "15",
+         "--quiet", "--memory-budget-mb", budget],
+        capture_output=True,
+        text=True,
+    )
+    # A usage error, like every other invalid config value.
+    assert result.returncode == 2
+    assert "memory_budget_mb must be finite" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_cli_assembles_simulated_reads(capsys):
     assert main(["--simulate", "1500", "-k", "15", "--workers", "2"]) == 0
     output = capsys.readouterr().out
