@@ -99,10 +99,6 @@ class ChainNode:
                 ports.append(port)
         return ports
 
-    def is_path_end(self) -> bool:
-        """True if at least one side is a boundary: the node ends a path."""
-        return bool(self.boundary_ports())
-
 
 class ChainGraph:
     """Container for chain nodes with a few convenience queries."""

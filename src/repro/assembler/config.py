@@ -96,12 +96,11 @@ class AssemblyConfig:
     memory_budget_mb:
         Soft cap, in megabytes, on the live bytes the assembly holds in
         memory at once.  ``None`` (default) is unlimited.  When set,
-        DBG construction takes reads in smaller chunks and spills
-        sorted k-mer runs, and the serial backend spills idle worker
-        partitions and delivered inboxes to disk (:mod:`repro.store`);
+        DBG construction takes reads in smaller chunks (it never
+        spills), and the serial backend spills idle worker partitions
+        and delivered inboxes to disk (:mod:`repro.store`);
         multiprocess workers keep their partitions and message batches
-        in memory, so on that backend the budget bounds construction
-        only.  Results are bit-identical at any budget;
+        in memory, so on that backend nothing spills.  Results are bit-identical at any budget;
         only peak memory and wall-clock change.  A float so tests can
         force heavy spilling on tiny datasets (e.g. ``0.05``).
     """

@@ -26,7 +26,7 @@ canonical writing, which keeps them consistent with Property 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Iterable, List, Tuple
 
 from ..dbg.bitmap import AdjacencyBitmap
 from ..dbg.graph import DeBruijnGraph
@@ -35,8 +35,6 @@ from ..dna import vectorized
 from ..dna.encoding import canonical_encoded
 from ..dna.io_fastq import Read, read_chunks
 from ..dna.kmer import extract_kplus1mers, validate_k
-from ..store.ledger import MemoryLedger, estimate_nbytes
-from ..store.spill import SpillManager, process_spill_stats
 from ..workflow.executor import StageExecutor
 from ..pregel.metrics import JobMetrics, SuperstepMetrics
 from .config import AssemblyConfig
@@ -216,7 +214,7 @@ def _sum_by_key(np, keys, counts):
 
 
 def _merge_sorted_runs(np, runs):
-    """External merge of the per-chunk ``(edges, counts)`` runs.
+    """Merge of sorted ``(edges, counts)`` runs into one such run.
 
     Each run has ``edges`` sorted and unique within the run.
     Concatenating the runs and summing counts per key reproduces exactly
@@ -288,64 +286,49 @@ def _count_canonical_edges(
     k = config.k
     num_workers = chain.num_workers
     partitioner = chain.partitioner
-    budget_bytes = config.runtime.memory_budget_bytes
 
     total_pairs = 0
     read_index = 0
     map_ops = np.zeros(num_workers, dtype=np.int64)
     shuffle_counts = np.zeros(num_workers, dtype=np.int64)
     runs: List[Tuple[Any, Any]] = []
-    spilled_runs: Dict[int, None] = {}
-    ledger = MemoryLedger(budget_bytes, name="construction")
-    manager = SpillManager(owner="construction")
-    chunk_reads = _chunk_reads_for_budget(budget_bytes)
+    chunk_reads = _chunk_reads_for_budget(config.runtime.memory_budget_bytes)
     if hasattr(reads, "sequence_chunks"):  # a FASTQ reader: no Read is ever built
         chunks = reads.sequence_chunks(chunk_reads)
     else:  # only the sequences are batched; a streamed Read is released early
         chunks = read_chunks((read.sequence for read in reads), chunk_reads)
-    try:
-        for sequences in chunks:
-            observed, per_read = vectorized.extract_window_ids(sequences, k + 1)
-            total_pairs += int(observed.size)
+    for sequences in chunks:
+        observed, per_read = vectorized.extract_window_ids(sequences, k + 1)
+        total_pairs += int(observed.size)
 
-            sources = (
-                np.arange(read_index, read_index + len(sequences), dtype=np.int64)
-                % num_workers
-            )
-            read_index += len(sequences)
-            map_ops += _worker_sums(np, sources, num_workers) + _worker_sums(
-                np, sources, num_workers, weights=per_read
-            )
-            # A pair's canonical form and destination depend on its key
-            # alone: canonicalise the chunk's distinct windows, hash its
-            # distinct edges, and weight both by their counts.
-            distinct, occurrences = np.unique(observed, return_counts=True)
-            canonical, _ = vectorized.canonical_ids(distinct, k + 1)
-            run = _sum_by_key(np, canonical, occurrences)
-            shuffle_counts += _worker_sums(
-                np, partitioner.worker_for_array(run[0]), num_workers, weights=run[1]
-            )
-            run_id = len(runs)
-            runs.append(run)
-            ledger.track(f"run:{run_id}", estimate_nbytes(run))
-            # Spill older runs (LRU) until back under budget; the run
-            # just built stays resident — it is the merge frontier.
-            if ledger.over_budget:
-                for name, _ in ledger.victims({f"run:{run_id}"}):
-                    if not ledger.over_budget:
-                        break
-                    victim = int(name.split(":", 1)[1])
-                    if manager.spill(name, runs[victim]):
-                        runs[victim] = None
-                        spilled_runs[victim] = None
-                        ledger.release(name)
+        sources = (
+            np.arange(read_index, read_index + len(sequences), dtype=np.int64)
+            % num_workers
+        )
+        read_index += len(sequences)
+        map_ops += _worker_sums(np, sources, num_workers) + _worker_sums(
+            np, sources, num_workers, weights=per_read
+        )
+        # A pair's canonical form and destination depend on its key
+        # alone: canonicalise the chunk's distinct windows, hash its
+        # distinct edges, and weight both by their counts.
+        distinct, occurrences = np.unique(observed, return_counts=True)
+        canonical, _ = vectorized.canonical_ids(distinct, k + 1)
+        run = _sum_by_key(np, canonical, occurrences)
+        shuffle_counts += _worker_sums(
+            np, partitioner.worker_for_array(run[0]), num_workers, weights=run[1]
+        )
+        runs.append(run)
+        # Timsort's run-stack rule: merging while the lower run is at
+        # most twice the upper keeps the stack logarithmic in the number
+        # of chunks and the total merge work O(N log N).  Merging every
+        # chunk into one accumulator instead would cost O(chunks x
+        # distinct edges), quadratic when read errors keep adding edges.
+        while len(runs) > 1 and runs[-2][0].size <= 2 * runs[-1][0].size:
+            upper = runs.pop()
+            runs[-1] = _merge_sorted_runs(np, [runs[-1], upper])
 
-        for victim in spilled_runs:
-            runs[victim] = manager.load(f"run:{victim}")
-        unique_edges, edge_counts = _merge_sorted_runs(np, runs)
-    finally:
-        process_spill_stats().record_ledger_peak(ledger.peak_bytes)
-        manager.close()
+    unique_edges, edge_counts = _merge_sorted_runs(np, runs)
     return unique_edges, edge_counts, total_pairs, map_ops, shuffle_counts
 
 
@@ -409,10 +392,10 @@ def _build_dbg_vectorized(
 
     Phase (i) is *streaming*: reads arrive in bounded chunks, each
     chunk is reduced to a sorted run of its distinct canonical edges
-    with their counts, and the runs are merged at the end — under a
-    memory budget the idle runs spill to disk, so peak memory is
-    bounded by the chunk size plus the distinct-edge working set
-    rather than the raw read volume.
+    with their counts, and the runs are merged on a stack as they
+    arrive, so peak memory is bounded by the chunk size (which a
+    memory budget shrinks) plus the distinct-edge working set rather
+    than the raw read volume.
     """
     import numpy as np
 

@@ -156,11 +156,10 @@ def add_job_arguments(
         default=None,
         metavar="MB",
         help="bound the assembly's working memory: DBG construction takes "
-        "the reads (loaded whole first) in bounded chunks and spills idle "
-        "k-mer runs once the budget is exceeded; the serial backend also "
-        "spills idle graph partitions and delivered inboxes, while "
-        "multiprocess workers keep theirs in memory (results stay "
-        "bit-identical; default unlimited)",
+        "the reads (loaded whole first) in smaller chunks; the serial "
+        "backend spills idle graph partitions and delivered inboxes once "
+        "the budget is exceeded, while multiprocess workers keep theirs in "
+        "memory (results stay bit-identical; default unlimited)",
     )
     parser.add_argument(
         "--no-vectorized",

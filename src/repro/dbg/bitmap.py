@@ -109,10 +109,6 @@ class AdjacencyBitmap:
             bits >>= 1
             position += 1
 
-    def coverage_list(self) -> List[int]:
-        """Coverage counts in bit order (the paper stores them as varints)."""
-        return [self._coverage.get(position, 0) for position in sorted(self._coverage)]
-
     def copy(self) -> "AdjacencyBitmap":
         clone = AdjacencyBitmap(bits=self.bits)
         clone._coverage = dict(self._coverage)

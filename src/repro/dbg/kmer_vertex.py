@@ -18,7 +18,7 @@ the edge connecting the two ambiguous k-mers", Section IV-A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..dna.encoding import NULL_ID, decode_kmer, is_null
@@ -69,9 +69,6 @@ class KmerAdjacency:
 
     def is_dead_end(self) -> bool:
         return is_null(self.neighbor_id)
-
-    def with_coverage(self, coverage: int) -> "KmerAdjacency":
-        return replace(self, coverage=coverage)
 
 
 @dataclass

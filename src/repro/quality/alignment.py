@@ -44,10 +44,6 @@ class AlignedBlock:
     def contig_span(self) -> int:
         return self.contig_end - self.contig_start
 
-    @property
-    def reference_span(self) -> int:
-        return self.reference_end - self.reference_start
-
 
 @dataclass
 class ContigAlignment:

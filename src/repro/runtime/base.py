@@ -87,9 +87,10 @@ class RuntimeOptions:
         Multiprocess superstep exchange, one of :data:`MESSAGE_PLANES`.
     memory_budget_mb:
         Soft cap on live megabytes, finite and positive; ``None``
-        disables spilling.  DBG construction and the serial backend's
-        spill plane honour it; multiprocess workers keep their
-        partitions and batches resident.
+        disables spilling.  DBG construction shrinks its ingest chunks
+        to it and the serial backend's spill plane spills to stay under
+        it; multiprocess workers keep their partitions and batches
+        resident.
     """
 
     num_workers: int = 4

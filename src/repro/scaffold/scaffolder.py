@@ -117,9 +117,6 @@ class ScaffoldingResult:
             (scaffold.sequence for scaffold in self.scaffolds), key=len, reverse=True
         )
 
-    def sequences_longer_than(self, min_length: int) -> List[str]:
-        return [sequence for sequence in self.sequences if len(sequence) >= min_length]
-
     def num_joined(self) -> int:
         """Scaffolds made of more than one contig."""
         return sum(1 for scaffold in self.scaffolds if len(scaffold.members) > 1)

@@ -10,8 +10,8 @@ The out-of-core machinery lives here, one concern per module:
   content-addressed blob store with atomic publish and named aliases
   as GC roots.  It backs the bench harness's dataset cache;
 * :mod:`repro.store.ledger` — :class:`MemoryLedger`, the accounting
-  layer that tracks live columnar-array bytes against a budget and
-  decides eviction order;
+  layer that tracks the serial spill plane's live bytes against a
+  budget and says when it is over;
 * :mod:`repro.store.spill` — :class:`SpillManager`, which pickles
   evicted objects into private, hash-checked files and loads them back,
   with spill activity observable through telemetry counters

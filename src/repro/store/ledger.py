@@ -1,15 +1,13 @@
 """Memory accounting: who holds how many live bytes, and when to spill.
 
 :class:`MemoryLedger` is the accounting layer of the out-of-core plane.
-Runtime components register named entries (a worker's partition, a
-delivered inbox, a sorted k-mer run) with an estimated byte size; the
-ledger tracks the live total against a budget, remembers the peak,
-and says when its owner is over budget.  *Which* entries go to disk is
-the owner's call, because only the owner knows when each is needed
-again: the serial spill plane knows its schedule exactly and
-evicts by next use (:mod:`repro.runtime.spilling`); DBG construction,
-whose sorted runs are not read again before the final merge, walks
-:meth:`MemoryLedger.victims`, oldest registration first.
+The serial spill plane (:mod:`repro.runtime.spilling`) registers named
+entries (a worker's partition, a delivered inbox) with an estimated
+byte size; the ledger tracks the live total against a budget,
+remembers the peak, and says when its owner is over budget.  *Which*
+entries go to disk is the owner's call, because only the owner knows
+when each is needed again: the plane knows its schedule exactly and
+evicts by next use.
 
 Sizes come from :func:`estimate_nbytes`, a deterministic heuristic —
 exact for the numpy arrays that dominate the columnar pipeline
@@ -23,8 +21,7 @@ decisions on every run.
 from __future__ import annotations
 
 import sys
-from collections import OrderedDict
-from typing import Any, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional
 
 from ..telemetry.metrics import get_registry
 
@@ -115,17 +112,15 @@ def estimate_nbytes(obj: Any, _depth: int = 0) -> int:
 class MemoryLedger:
     """Tracks live bytes per named entry against an optional budget.
 
-    Entries are kept in the order they were last registered
-    (:meth:`track` refreshes), so :meth:`victims` is an LRU walk.
-    ``budget_bytes=None`` means
-    unlimited: the ledger still accounts (the peak gauge is useful on
-    its own) but :attr:`over_budget` is always False.
+    ``budget_bytes=None`` means unlimited: the ledger still accounts
+    (the peak gauge is useful on its own) but :attr:`over_budget` is
+    always False.
     """
 
     def __init__(self, budget_bytes: Optional[int] = None, name: str = "ledger") -> None:
         self.budget_bytes = budget_bytes
         self.name = name
-        self._entries: "OrderedDict[str, int]" = OrderedDict()
+        self._entries: Dict[str, int] = {}
         self._live = 0
         self._peak = 0
         registry = get_registry()
@@ -144,10 +139,9 @@ class MemoryLedger:
     # accounting
     # ------------------------------------------------------------------
     def track(self, name: str, nbytes: int) -> None:
-        """Register (or re-register) an entry as live, marking it fresh."""
-        self._live -= self._entries.pop(name, 0)
+        """Register (or re-register) an entry as live."""
+        self._live += nbytes - self._entries.get(name, 0)
         self._entries[name] = nbytes
-        self._live += nbytes
         if self._live > self._peak:
             self._peak = self._live
             self._peak_gauge.set(self._peak)
@@ -163,9 +157,6 @@ class MemoryLedger:
     def tracked(self, name: str) -> bool:
         return name in self._entries
 
-    def nbytes(self, name: str) -> int:
-        return self._entries.get(name, 0)
-
     # ------------------------------------------------------------------
     # state
     # ------------------------------------------------------------------
@@ -180,22 +171,3 @@ class MemoryLedger:
     @property
     def over_budget(self) -> bool:
         return self.budget_bytes is not None and self._live > self.budget_bytes
-
-    def headroom(self) -> Optional[int]:
-        """Bytes left under budget (negative when over), None if unlimited."""
-        if self.budget_bytes is None:
-            return None
-        return self.budget_bytes - self._live
-
-    def victims(self, exclude: Optional[Set[str]] = None) -> Iterator[Tuple[str, int]]:
-        """Entries in least-recently-used order, skipping ``exclude``.
-
-        The caller releases each victim (via :meth:`release`) as it
-        spills and stops once :attr:`over_budget` clears; iterating
-        over a snapshot keeps that mutation safe.
-        """
-        skip = exclude or set()
-        snapshot: List[Tuple[str, int]] = list(self._entries.items())
-        for name, nbytes in snapshot:
-            if name not in skip:
-                yield name, nbytes

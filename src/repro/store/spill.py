@@ -28,7 +28,7 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 from shutil import rmtree
-from typing import Any, Dict, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import CorruptBlobError
 from ..telemetry import peak_rss_bytes, span
@@ -37,7 +37,12 @@ from ..telemetry.metrics import get_registry
 
 @dataclass
 class SpillStats:
-    """Monotonic spill/load totals, safe to update from any thread."""
+    """Monotonic spill/load totals, safe to update from any thread.
+
+    ``ledger_peak_bytes`` is the largest ledger peak ever recorded; a
+    :meth:`delta_since` reports the largest one recorded after its
+    snapshot, so a run does not inherit an earlier run's peak.
+    """
 
     spill_events: int = 0
     spill_bytes: int = 0
@@ -47,6 +52,12 @@ class SpillStats:
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
+        self._ledger_records = 0
+        # (record number, bytes) with bytes strictly decreasing: a
+        # record hides every earlier one no larger than itself, so the
+        # largest peak recorded after record ``n`` is the first entry
+        # numbered above ``n``.
+        self._later_peaks: List[Tuple[int, int]] = []
 
     def record_spill(self, nbytes: int) -> None:
         with self._lock:
@@ -62,6 +73,10 @@ class SpillStats:
         with self._lock:
             if nbytes > self.ledger_peak_bytes:
                 self.ledger_peak_bytes = nbytes
+            self._ledger_records += 1
+            while self._later_peaks and self._later_peaks[-1][1] <= nbytes:
+                self._later_peaks.pop()
+            self._later_peaks.append((self._ledger_records, nbytes))
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
@@ -71,19 +86,24 @@ class SpillStats:
                 "load_events": self.load_events,
                 "load_bytes": self.load_bytes,
                 "ledger_peak_bytes": self.ledger_peak_bytes,
+                "ledger_records": self._ledger_records,
             }
 
     def delta_since(self, earlier: Dict[str, int]) -> Dict[str, int]:
-        """Counter growth since an earlier :meth:`snapshot` (peak is max)."""
+        """Counter growth since an earlier :meth:`snapshot`, and the
+        largest ledger peak recorded since it."""
         now = self.snapshot()
+        since = earlier.get("ledger_records", 0)
+        with self._lock:
+            peak = next(
+                (nbytes for record, nbytes in self._later_peaks if record > since), 0
+            )
         return {
             "spill_events": now["spill_events"] - earlier.get("spill_events", 0),
             "spill_bytes": now["spill_bytes"] - earlier.get("spill_bytes", 0),
             "load_events": now["load_events"] - earlier.get("load_events", 0),
             "load_bytes": now["load_bytes"] - earlier.get("load_bytes", 0),
-            "ledger_peak_bytes": max(
-                now["ledger_peak_bytes"], earlier.get("ledger_peak_bytes", 0)
-            ),
+            "ledger_peak_bytes": peak,
         }
 
 
@@ -221,9 +241,6 @@ class SpillManager:
     def has(self, name: str) -> bool:
         """Whether ``name`` currently lives on disk."""
         return name in self._tickets
-
-    def spilled_names(self) -> Set[str]:
-        return set(self._tickets)
 
     # ------------------------------------------------------------------
     # teardown

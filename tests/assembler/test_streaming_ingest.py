@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import random
 import tempfile
+import tracemalloc
 import weakref
 
 import pytest
 
 from repro import AssemblyConfig, PPAAssembler
-from repro.assembler.construction import _MAX_CHUNK_READS
-from repro.dna import io_fastq
+from repro.assembler.construction import _MAX_CHUNK_READS, _count_canonical_edges
+from repro.dna import io_fastq, simulate_dataset
 from repro.dna.io_fastq import Read, parse_fastq, write_fastq
 from repro.errors import FastqFormatError
 from repro.store.spill import process_spill_stats
+from repro.workflow import StageExecutor
 
 NUM_READS = 20_000
 READ_LENGTH = 36
@@ -123,15 +125,15 @@ def test_malformed_last_record_surfaces_typed_and_cleans_up(
     count = write_fastq(short_reads, path)
     with open(path, "a", encoding="ascii") as handle:
         handle.write("@last\nACGTXACGT\n+\nIIIIIIIII\n")
-    # A budget this small cuts the file into many chunks and spills
-    # their runs, so there is a spill directory to leave behind.
+    # A budget this small cuts the file into many chunks; construction
+    # merges their runs in memory and leaves nothing on disk.
     config = AssemblyConfig(k=15, num_workers=4, memory_budget_mb=0.05)
     before = process_spill_stats().snapshot()
     with pytest.raises(FastqFormatError) as caught:
         PPAAssembler(config).assemble(parse_fastq(path))
     assert caught.value.message == "invalid sequence character 'X' at column 4"
     assert caught.value.line_number == 4 * count + 2
-    assert process_spill_stats().delta_since(before)["spill_events"] > 0
+    assert process_spill_stats().delta_since(before)["spill_events"] == 0
     assert list(spill_root.iterdir()) == []
 
 
@@ -153,3 +155,24 @@ def test_fastq_reader_builds_no_read_objects(
     _assert_identical(result, baseline)
     # The counter does count: iterating the reader builds one per record.
     assert sum(1 for _ in parse_fastq(path)) == len(built) == NUM_READS
+
+
+def test_a_smaller_budget_never_raises_the_edge_count_peak():
+    """The budget only shrinks the ingest chunks of construction's
+    phase (i); no run is held back for a final merge, so a smaller
+    budget cannot cost memory.  (Phase (ii) builds the same vertices
+    under any budget.)"""
+    np = pytest.importorskip("numpy")
+    _genome, reads = simulate_dataset(3_000, coverage=1_000.0, error_rate=0.0, seed=11)
+
+    def traced_peak(budget_mb):
+        config = AssemblyConfig(k=15, num_workers=2, memory_budget_mb=budget_mb)
+        chain = StageExecutor(config.runtime)
+        tracemalloc.start()
+        try:
+            _count_canonical_edges(np, reads, config, chain)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(0.05) <= traced_peak(2.0)

@@ -19,7 +19,6 @@ def test_spill_load_round_trip(tmp_path):
     payload = {"vertices": list(range(100)), "label": "partition-3"}
     assert manager.spill("p3", payload)
     assert manager.has("p3")
-    assert manager.spilled_names() == {"p3"}
 
     loaded = manager.load("p3")
     assert loaded == payload
@@ -85,6 +84,22 @@ def test_stats_delta_since():
     assert delta["spill_bytes"] == 50
     assert delta["load_events"] == 1
     assert delta["ledger_peak_bytes"] == 900
+
+
+def test_delta_reports_the_largest_ledger_recorded_inside_the_interval():
+    stats = SpillStats()
+    stats.record_ledger_peak(900)
+    before = stats.snapshot()
+    assert stats.delta_since(before)["ledger_peak_bytes"] == 0
+    stats.record_ledger_peak(300)
+    stats.record_ledger_peak(500)
+    stats.record_ledger_peak(400)
+    assert stats.delta_since(before)["ledger_peak_bytes"] == 500
+    middle = stats.snapshot()
+    stats.record_ledger_peak(200)
+    assert stats.delta_since(middle)["ledger_peak_bytes"] == 200
+    assert stats.delta_since(before)["ledger_peak_bytes"] == 500
+    assert stats.snapshot()["ledger_peak_bytes"] == 900  # the all-time peak
 
 
 def test_close_releases_refs_and_tempdir():

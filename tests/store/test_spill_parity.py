@@ -1,9 +1,9 @@
 """Out-of-core acceptance: a memory budget never changes the answer.
 
-The budget knob moves work to disk — streamed ingest runs, idle serial
-partitions, delivered inboxes — but every observable output (contigs, scaffolds, per-stage summaries, bit-exact
-metrics) must match the unlimited run, on every backend and message
-plane.  A tiny budget on a non-trivial dataset forces heavy spilling,
+The budget knob shrinks DBG construction's ingest chunks and moves idle
+serial partitions and delivered inboxes to disk, but every observable
+output (contigs, scaffolds, per-stage summaries, bit-exact metrics)
+must match the unlimited run, on every backend and message plane.  A tiny budget on a non-trivial dataset forces heavy spilling,
 so these tests exercise the whole plane, not just the accounting.
 """
 
@@ -12,10 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro import AssemblyConfig, PPAAssembler
-from repro.assembler.construction import build_dbg
-from repro.dna import reads_from_pairs, simulate_paired_dataset
-from repro.store.spill import process_spill_stats
-from repro.workflow import StageExecutor
+from repro.dna import simulate_dataset, simulate_paired_dataset
+from repro.store.spill import memory_payload, process_spill_stats
 
 #: Small enough to force spilling on the test datasets, large enough
 #: that the spill plane still makes progress.
@@ -77,14 +75,10 @@ def test_multiprocess_budgeted_run_is_bit_identical(paired_library, message_plan
     budgeted = PPAAssembler(config).assemble_paired(paired_library)
     delta = process_spill_stats().delta_since(before)
     _assert_identical(budgeted, baseline)
-    # Workers keep their partitions and batches in memory: DBG
-    # construction, in the master, is the only thing that spills.
-    before = process_spill_stats().snapshot()
-    build_dbg(reads_from_pairs(paired_library), config, StageExecutor(config.runtime))
-    construction = process_spill_stats().delta_since(before)
+    # Workers keep their partitions and batches in memory, and DBG
+    # construction merges its runs in memory: nothing spills.
     counts = ("spill_events", "spill_bytes", "load_events", "load_bytes")
-    assert delta["spill_events"] > 0
-    assert [delta[name] for name in counts] == [construction[name] for name in counts]
+    assert [delta[name] for name in counts] == [0, 0, 0, 0]
 
 
 def test_budget_equals_unlimited_across_budgets(paired_library):
@@ -95,6 +89,21 @@ def test_budget_equals_unlimited_across_budgets(paired_library):
     ]
     for other in results[1:]:
         _assert_identical(other, results[0])
+
+
+def test_each_run_reports_its_own_ledger_peak():
+    """A process that runs many jobs (a service worker) reports, for
+    each, the largest ledger that job reached, not an earlier job's."""
+    config = AssemblyConfig(k=15, num_workers=2, memory_budget_mb=TINY_BUDGET_MB)
+
+    def ledger_peak(genome_length):
+        _genome, reads = simulate_dataset(genome_length, seed=4)
+        before = process_spill_stats().snapshot()
+        PPAAssembler(config).assemble(reads)
+        return memory_payload(TINY_BUDGET_MB, before)["ledger_peak_bytes"]
+
+    small, large, small_again = ledger_peak(1_000), ledger_peak(6_000), ledger_peak(1_000)
+    assert 0 < small == small_again < large
 
 
 class SimulatedCrash(RuntimeError):
