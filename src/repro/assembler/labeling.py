@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from ..dbg.graph import DeBruijnGraph
 from ..dbg.kmer_vertex import TYPE_AMBIGUOUS
 from ..dbg.polarity import PORT_IN, PORT_OUT
-from ..dna.encoding import flip_id, is_flipped, unflip_id
+from ..dna.encoding import FLIP_BIT, flip_id, is_flipped, unflip_id
 from ..pregel import (
     ComputeContext,
     JobMetrics,
@@ -41,6 +41,7 @@ from ..pregel import (
     Vertex,
     sum_aggregator,
 )
+from ..pregel.vertex import _estimate_size
 from ..workflow.executor import StageExecutor
 from ..ppa.sv import GraphInput, components_from_result, run_simplified_sv
 from .chain import ChainGraph, build_chain_graph
@@ -52,6 +53,10 @@ from .config import (
 
 _REQUEST = "req"
 _RESPONSE = "resp"
+#: Cost-model sizes of the two LR messages.  Every ID is a plain int,
+#: so every request and every response has the size of these.
+_REQUEST_SIZE = _estimate_size((_REQUEST, 0))
+_RESPONSE_SIZE = _estimate_size((_RESPONSE, 0, 0))
 
 
 @dataclass
@@ -176,73 +181,82 @@ class _BidirectionalLRVertex(Vertex):
     "answer" superstep in which each vertex answers every request with
     the pair element that is *not* the requester (tagged with its own
     ID so the requester knows which slot to update).
+
+    The job has no other vertex class, so each worker runs its whole
+    partition through :meth:`compute_partition` in one loop per
+    superstep; there is no per-vertex ``compute``.
     """
 
-    def compute(self, messages: List, ctx: ComputeContext) -> None:
+    @classmethod
+    def compute_partition(cls, vertices, inbox, ctx):
+        get = inbox.get
+        outgoing = []
+        compute_calls = degrees = asking = 0
         if ctx.superstep % 2 == 1:
-            self._answer(messages, ctx)
-            self.vote_to_halt()
-            return
-        self._apply_and_ask(messages, ctx)
+            # Answer: every vertex that ran votes to halt.
+            for vertex_id, vertex in vertices.items():
+                messages = get(vertex_id)
+                if messages is None:
+                    if vertex.halted:
+                        continue
+                    messages = ()
+                compute_calls += 1
+                degrees += len(vertex.edges)
+                vertex.halted = True
+                first, second = vertex.value["pair"]
+                answered = set()
+                for kind, sender in messages:
+                    if kind != _REQUEST or sender in answered:
+                        continue
+                    answered.add(sender)
+                    # The element away from the requester.  When both
+                    # elements are the requester (only on a cycle), or
+                    # neither is (a cycle whose vertices advance at
+                    # different speeds), the first element keeps the
+                    # cycle spinning until the S-V fallback labels it.
+                    away = second if first == sender and second != sender else first
+                    outgoing.append((sender, (_RESPONSE, vertex_id, away)))
+            ctx.send_batch(outgoing, _RESPONSE_SIZE)
+            return compute_calls, degrees, 0
 
-    # -- odd supersteps ---------------------------------------------------
-    def _answer(self, messages: List, ctx: ComputeContext) -> None:
-        answered = set()
-        for kind, sender in messages:
-            if kind != _REQUEST or sender in answered:
+        # Apply the responses, then ask again for every unfinished slot.
+        # A slot is done exactly when its element is flipped, so ``done``
+        # only changes where a response moves the element.
+        for vertex_id, vertex in vertices.items():
+            messages = get(vertex_id)
+            if messages is None:
+                if vertex.halted:
+                    continue
+                messages = ()
+            compute_calls += 1
+            degrees += len(vertex.edges)
+            value = vertex.value
+            pair = value["pair"]
+            done = value["done"]
+            for message in messages:
+                if message[0] != _RESPONSE:
+                    continue
+                _, responder, away = message
+                if not done[0] and pair[0] == responder:
+                    pair[0] = away
+                    done[0] = (away & FLIP_BIT) != 0
+                elif not done[1] and pair[1] == responder:
+                    pair[1] = away
+                    done[1] = (away & FLIP_BIT) != 0
+            if done[0] and done[1]:
+                vertex.halted = True
                 continue
-            answered.add(sender)
-            away = self._element_away_from(sender)
-            ctx.send(sender, (_RESPONSE, self.vertex_id, away))
-
-    def _element_away_from(self, sender: int) -> int:
-        pair = self.value["pair"]
-        if pair[0] == sender and pair[1] == sender:
-            # Both directions lead back to the requester: only possible
-            # on a cycle; answering either element keeps the cycle
-            # spinning until the fallback kicks in.
-            return pair[0]
-        if pair[0] == sender:
-            return pair[1]
-        if pair[1] == sender:
-            return pair[0]
-        # The requester is not (or no longer) one of our pair elements.
-        # This only happens on cycles whose vertices advance at
-        # different speeds; reply with the first element — correctness
-        # for cycles is restored by the S-V fallback.
-        return pair[0]
-
-    # -- even supersteps ---------------------------------------------------
-    def _apply_and_ask(self, messages: List, ctx: ComputeContext) -> None:
-        pair = list(self.value["pair"])
-        done = list(self.value["done"])
-
-        for message in messages:
-            if message[0] != _RESPONSE:
-                continue
-            _, responder, away = message
-            for slot in (0, 1):
-                if not done[slot] and pair[slot] == responder:
-                    pair[slot] = away
-                    if is_flipped(away):
-                        done[slot] = True
-                    break
-
-        for slot in (0, 1):
-            if not done[slot] and is_flipped(pair[slot]):
-                done[slot] = True
-
-        self.value["pair"] = pair
-        self.value["done"] = done
-
-        if done[0] and done[1]:
-            self.vote_to_halt()
-            return
-
-        ctx.aggregate("active", 1)
-        for slot in (0, 1):
-            if not done[slot]:
-                ctx.send(pair[slot], (_REQUEST, self.vertex_id))
+            asking += 1
+            # One request object per send: a shared one would pickle as a
+            # back-reference wherever both land in one batch or inbox.
+            if not done[0]:
+                outgoing.append((pair[0], (_REQUEST, vertex_id)))
+            if not done[1]:
+                outgoing.append((pair[1], (_REQUEST, vertex_id)))
+        if asking:
+            ctx.aggregate("active", asking)
+        ctx.send_batch(outgoing, _REQUEST_SIZE)
+        return compute_calls, degrees, asking
 
 
 class _RoundLimit:
@@ -347,6 +361,25 @@ def _run_sv_labeling(
 # ----------------------------------------------------------------------
 # the operation
 # ----------------------------------------------------------------------
+def _label_by_list_ranking(
+    pairs: Dict[int, Tuple[int, int]],
+    chain: ChainGraph,
+    job_chain: StageExecutor,
+) -> Tuple[Dict[int, int], bool]:
+    """Label paths by list ranking and cycles by S-V; returns (labels, used fallback)."""
+    labels, unfinished = _run_bidirectional_list_ranking(pairs, job_chain)
+    if not unfinished:
+        return labels, False
+    # Cycles of ⟨1-1⟩ vertices: label them with simplified S-V
+    # restricted to the still-active vertices.
+    labels.update(
+        _run_sv_labeling(
+            chain, job_chain, restrict_to=set(unfinished), job_suffix="-cycle-fallback"
+        )
+    )
+    return labels, True
+
+
 def label_contigs(
     graph: DeBruijnGraph,
     config: AssemblyConfig,
@@ -370,15 +403,7 @@ def label_contigs(
     pairs = _run_end_recognition(graph, chain, job_chain)
 
     if config.labeling_method == LABELING_LIST_RANKING:
-        labels, unfinished = _run_bidirectional_list_ranking(pairs, job_chain)
-        if unfinished:
-            # Cycles of ⟨1-1⟩ vertices: label them with simplified S-V
-            # restricted to the still-active vertices.
-            used_fallback = True
-            cycle_labels = _run_sv_labeling(
-                chain, job_chain, restrict_to=set(unfinished), job_suffix="-cycle-fallback"
-            )
-            labels.update(cycle_labels)
+        labels, used_fallback = _label_by_list_ranking(pairs, chain, job_chain)
     elif config.labeling_method == LABELING_SIMPLIFIED_SV:
         labels = _run_sv_labeling(chain, job_chain)
     else:  # pragma: no cover - config validation prevents this

@@ -1,13 +1,15 @@
 """The BSP master facade: drives a Pregel job to termination.
 
-Usage sketch::
+Usage sketch (list ranking over a three-element list)::
 
+    from repro.ppa.list_ranking import ListNode, build_vertices
+
+    nodes = [ListNode(1, 1.0, None), ListNode(2, 1.0, 1), ListNode(3, 1.0, 2)]
     engine = PregelEngine(num_workers=16)
     result = engine.run(
         PregelJob(
             name="list-ranking",
-            vertex_class=ListRankingVertex,
-            vertices=initial_vertices,
+            vertices=build_vertices(nodes),  # ListRankingVertex instances
             aggregators=[or_aggregator("changed")],
         )
     )

@@ -22,7 +22,7 @@ are:
     the plain object list otherwise.
 
 Every shape round-trips to what pickling the vertices would give, in
-the original dict order: ``execute_superstep`` iterates
+the original dict order: ``compute_partition`` iterates
 ``vertices.items()``, so order is part of bit-identity.
 """
 

@@ -16,7 +16,7 @@ current superstep number and aggregators through a per-superstep
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generic, Iterable, List, Optional, TypeVar
+from typing import Any, Dict, Generic, Iterable, List, Optional, Tuple, TypeVar
 
 MessageT = TypeVar("MessageT")
 ValueT = TypeVar("ValueT")
@@ -29,7 +29,8 @@ class ComputeContext:
     the vertex controlled access to:
 
     * the current superstep number (``superstep``),
-    * message sending (``send``),
+    * message sending (``send``, or ``send_batch`` from a partition
+      kernel),
     * aggregators (``aggregate`` / ``aggregated_value``),
     * global graph statistics (``num_vertices``).
 
@@ -80,6 +81,18 @@ class ComputeContext:
         """
         self._outbox.append((target_id, message))
         self.sizes.append(_estimate_size(message))
+
+    def send_batch(self, messages: List[Tuple[int, Any]], size: int) -> None:
+        """Send ``(target_id, message)`` pairs whose messages all have cost-model size ``size``.
+
+        The bulk form of :meth:`send` for a partition kernel (see
+        :meth:`Vertex.compute_partition`): the caller sizes one
+        representative message with :func:`_estimate_size` and vouches
+        that every message in the batch has that size, so the counters
+        are the ones ``send`` would have produced.
+        """
+        self._outbox.extend(messages)
+        self.sizes.extend([size] * len(messages))
 
     def aggregate(self, name: str, value: Any) -> None:
         """Contribute ``value`` to the aggregator called ``name``."""
@@ -153,7 +166,8 @@ def _estimate_size(message: Any) -> int:
 class Vertex(Generic[ValueT, MessageT]):
     """Base class for user-defined Pregel vertices.
 
-    Subclasses implement :meth:`compute`.  A vertex owns
+    Subclasses implement :meth:`compute` (or, see below,
+    :meth:`compute_partition`).  A vertex owns
 
     * ``vertex_id`` — the unique 64-bit integer identifier used for
       message routing and hash partitioning,
@@ -173,6 +187,15 @@ class Vertex(Generic[ValueT, MessageT]):
     pickles — see :mod:`repro.pregel.partition`; results are identical,
     only the transfer is cheaper.  Opting in is a promise that
     ``cls(vertex_id, value, edges)`` reconstructs the vertex.
+
+    A worker runs its whole partition for a superstep through one
+    :meth:`compute_partition` call on the job's vertex class — the one
+    class every initial vertex has (and the vertex factory builds), or
+    ``Vertex`` when there is none.  The default calls :meth:`compute`
+    for each vertex that is active or has messages; a class may
+    override it with a partition-level kernel that runs the same
+    program in one loop, without a method call per vertex or a size
+    estimate per message (see :meth:`ComputeContext.send_batch`).
     """
 
     __slots__ = ("vertex_id", "value", "edges", "halted")
@@ -200,6 +223,38 @@ class Vertex(Generic[ValueT, MessageT]):
         during it.
         """
         raise NotImplementedError("Vertex subclasses must implement compute()")
+
+    @classmethod
+    def compute_partition(
+        cls,
+        vertices: Dict[int, "Vertex"],
+        inbox: Dict[int, List[MessageT]],
+        ctx: ComputeContext,
+    ) -> Tuple[int, int, int]:
+        """Run one superstep over a worker's partition.
+
+        ``vertices`` is the partition (``vertex_id -> vertex``, recipients
+        of ``inbox`` already reactivated) and ``inbox`` the messages
+        delivered to it.  Every vertex that has messages or is still
+        active runs once, in partition order.  Returns ``(compute_calls,
+        degrees, active)``: how many vertices ran, the sum of their
+        :attr:`degree`, and how many of them did not vote to halt — the
+        counters the cost model charges, so an override must return
+        exactly what this loop would.
+        """
+        compute_calls = degrees = active = 0
+        for vertex_id, vertex in vertices.items():
+            messages = inbox.get(vertex_id)
+            if messages is None:
+                if vertex.halted:
+                    continue
+                messages = []
+            vertex.compute(messages, ctx)
+            compute_calls += 1
+            degrees += vertex.degree
+            if not vertex.halted:
+                active += 1
+        return compute_calls, degrees, active
 
     def vote_to_halt(self) -> None:
         """Deactivate this vertex until a message reactivates it."""
@@ -232,13 +287,14 @@ class VertexFactory:
     """
 
     def __init__(self, vertex_class, default_value=None, default_edges=None) -> None:
-        self._vertex_class = vertex_class
+        #: The class of every vertex this factory creates.
+        self.vertex_class = vertex_class
         self._default_value = default_value
         self._default_edges = default_edges
 
     def create(self, vertex_id: int) -> Vertex:
         edges = list(self._default_edges) if self._default_edges is not None else None
-        return self._vertex_class(vertex_id, self._default_value, edges)
+        return self.vertex_class(vertex_id, self._default_value, edges)
 
 
 def vertices_from_pairs(

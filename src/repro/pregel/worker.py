@@ -2,16 +2,16 @@
 
 Each worker owns the partition of vertices that the
 :class:`~repro.pregel.partitioner.HashPartitioner` assigns to it and
-executes ``compute`` for its active vertices in every superstep.  The
-engine keeps one :class:`Worker` per simulated machine slot so that
-per-worker load (compute operations, messages, bytes) is tracked
-exactly — the cost model turns the *maximum* per-worker load into the
-superstep time of the simulated cluster.
+runs its active vertices in every superstep.  The engine keeps one
+:class:`Worker` per simulated machine slot so that per-worker load
+(compute operations, messages, bytes) is tracked exactly — the cost
+model turns the *maximum* per-worker load into the superstep time of
+the simulated cluster.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 from ..errors import VertexNotFoundError
 from .aggregator import AggregatorRegistry
@@ -19,7 +19,7 @@ from .vertex import ComputeContext, Vertex, VertexFactory
 
 
 class Worker:
-    """Holds one partition of vertices and runs their ``compute`` calls."""
+    """Holds one partition of vertices and runs it superstep by superstep."""
 
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
@@ -42,8 +42,12 @@ class Worker:
         previous_aggregates: Dict[str, Any],
         num_vertices: int,
         vertex_factory: Optional[VertexFactory],
+        vertex_class: Type[Vertex],
     ) -> Tuple[List[Tuple[int, Any]], List[int], Dict[str, int]]:
-        """Run ``compute`` for every vertex that is active or has messages.
+        """Run the partition for one superstep through ``vertex_class.compute_partition``.
+
+        ``vertex_class`` is the job's vertex class (see
+        :meth:`Vertex.compute_partition`).
 
         Returns the worker's outgoing messages, the cost-model size of
         each (same order), and a dictionary of per-worker counters for
@@ -70,18 +74,7 @@ class Worker:
                 vertices[target_id] = vertex_factory.create(target_id)
             vertices[target_id].reactivate()
 
-        compute_calls = degrees = active = 0
-        for vertex_id, vertex in vertices.items():
-            messages = inbox.get(vertex_id)
-            if messages is None:
-                if vertex.halted:
-                    continue
-                messages = []
-            vertex.compute(messages, ctx)
-            compute_calls += 1
-            degrees += vertex.degree
-            if not vertex.halted:
-                active += 1
+        compute_calls, degrees, active = vertex_class.compute_partition(vertices, inbox, ctx)
 
         # Every vertex with messages ran, so the O(d(v)) style charge —
         # one unit per call, incoming message, adjacency entry and

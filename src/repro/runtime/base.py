@@ -286,6 +286,9 @@ class WorkerPlan:
     partitioner: Any
     combiner: Optional[Combiner]
     vertex_factory: Optional[VertexFactory]
+    #: Whose :meth:`~repro.pregel.vertex.Vertex.compute_partition` runs
+    #: each partition (see :func:`job_vertex_class`).
+    vertex_class: Type[Vertex]
     #: Empty aggregators, copied afresh by each worker every superstep.
     aggregators: Dict[str, Aggregator]
 
@@ -331,6 +334,7 @@ def run_worker_superstep(
         previous_aggregates=previous_aggregates,
         num_vertices=plan.num_vertices,
         vertex_factory=plan.vertex_factory,
+        vertex_class=plan.vertex_class,
     )
     span_dict = (
         worker_span.finish(
@@ -358,6 +362,24 @@ def run_worker_superstep(
         name: copy.dump_state() for name, copy in aggregator_copies.items()
     }
     return batches, (counters, aggregator_states, span_dict)
+
+
+def job_vertex_class(
+    vertices: Iterable[Vertex], vertex_factory: Optional[VertexFactory]
+) -> Type[Vertex]:
+    """The class that runs a job's partitions.
+
+    That is the one class of every initial vertex when the job's vertex
+    factory (if any) builds that class too; otherwise the job mixes
+    classes and :class:`Vertex`'s per-vertex loop runs each vertex's own
+    ``compute``.
+    """
+    classes = set(map(type, vertices))
+    if len(classes) == 1:
+        (cls,) = classes
+        if vertex_factory is None or vertex_factory.vertex_class is cls:
+            return cls
+    return Vertex
 
 
 def _column_sums(rows: Iterable[List[int]]) -> List[int]:
@@ -427,6 +449,7 @@ class ExecutionBackend(ABC):
     def run(self, job: PregelJob) -> JobResult:
         """Execute ``job`` until global termination and return the result."""
         initial_vertices = list(job.vertices)
+        vertex_class = job_vertex_class(initial_vertices, job.vertex_factory)
         partitioner = self.job_partitioner(initial_vertices)
         workers = self.partition_into_workers(initial_vertices, partitioner)
         # The flat list would otherwise pin every vertex in memory
@@ -447,6 +470,7 @@ class ExecutionBackend(ABC):
             partitioner=partitioner,
             combiner=job.combiner,
             vertex_factory=job.vertex_factory,
+            vertex_class=vertex_class,
             aggregators=registry.current_copies(),
         )
         metrics = JobMetrics(job_name=job.name, num_workers=self.num_workers)

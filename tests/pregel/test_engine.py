@@ -206,3 +206,26 @@ def test_deterministic_results_across_worker_counts():
         return result.vertex_values()
 
     assert run(1) == run(3) == run(8)
+
+
+def test_module_usage_sketch_runs():
+    import textwrap
+
+    from repro.pregel import engine as engine_module
+
+    doc = engine_module.__doc__
+    lines = doc[doc.index("::\n") + 3 :].splitlines()
+    end = next(i for i, line in enumerate(lines) if line and not line.startswith(" "))
+    block = "\n".join(lines[:end])
+    namespace = {
+        "PregelEngine": PregelEngine,
+        "PregelJob": PregelJob,
+        "or_aggregator": or_aggregator,
+    }
+    exec(textwrap.dedent(block), namespace)
+    result = namespace["result"]
+    assert {vertex_id: vertex.value["sum"] for vertex_id, vertex in result.vertices.items()} == {
+        1: 1.0,
+        2: 2.0,
+        3: 3.0,
+    }
