@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.pregel import PregelEngine, PregelJob, Vertex, VertexFactory
-from repro.runtime.base import job_vertex_class
 
 #: ``(superstep, partition size)`` of every ``_Countdown.compute_partition`` call.
 _PARTITION_CALLS = []
@@ -94,10 +93,3 @@ def test_mixed_class_job_runs_each_vertex_compute():
     assert result.vertex_values() == {i: "ran" for i in range(8)}
     assert result.metrics.supersteps[0].compute_calls == 8
 
-
-def test_job_vertex_class():
-    plain = [_Plain(1), _Plain(2)]
-    assert job_vertex_class(plain, None) is _Plain
-    assert job_vertex_class(plain, VertexFactory(_Plain)) is _Plain
-    assert job_vertex_class(plain, VertexFactory(_NeverAsPartition)) is Vertex
-    assert job_vertex_class(plain + [_NeverAsPartition(3)], None) is Vertex
