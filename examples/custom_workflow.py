@@ -44,7 +44,7 @@ from repro.dbg.ids import ContigIdAllocator
 from repro.dna import simulate_dataset
 from repro.pregel import CostModel
 from repro.quality import contig_statistics
-from repro.workflow import ConvertStage, Workflow, WorkflowRunner
+from repro.workflow import Stage, Workflow, WorkflowRunner
 
 
 EXAMPLE_SCALE = float(os.environ.get("REPRO_EXAMPLE_SCALE", "1.0"))
@@ -110,12 +110,12 @@ def build_custom_workflow() -> Workflow:
         "custom-sv-strategy",
         description="strict-θ construction, S-V labeling, double bubble pass, no tip removal",
     )
-    workflow.add(ConvertStage("construction", stage_construction))
-    workflow.add(ConvertStage("labeling-comparison", stage_labeling_comparison))
-    workflow.add(ConvertStage("first-merge", stage_first_merge))
-    workflow.add(ConvertStage("bubbles-strict", stage_bubbles_strict))
-    workflow.add(ConvertStage("bubbles-relaxed", stage_bubbles_relaxed))
-    workflow.add(ConvertStage("regrow", stage_regrow))
+    workflow.add(Stage("construction", stage_construction))
+    workflow.add(Stage("labeling-comparison", stage_labeling_comparison))
+    workflow.add(Stage("first-merge", stage_first_merge))
+    workflow.add(Stage("bubbles-strict", stage_bubbles_strict))
+    workflow.add(Stage("bubbles-relaxed", stage_bubbles_relaxed))
+    workflow.add(Stage("regrow", stage_regrow))
     return workflow
 
 

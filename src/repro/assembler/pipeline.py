@@ -6,8 +6,8 @@ build the de Bruijn graph, label and merge contigs, correct errors
 more so that contigs grow across junctions that error correction
 resolved.  :func:`build_assembly_workflow` declares exactly that
 workflow as a :class:`~repro.workflow.Workflow` — the five operations
-as named stages, with paired-end scaffolding as a conditional branch —
-and :class:`PPAAssembler` executes it through a
+as named stages, with paired-end scaffolding as an optional last stage
+— and :class:`PPAAssembler` executes it through a
 :class:`~repro.workflow.WorkflowRunner`, which is where backend
 selection, progress events, and checkpoint/resume come from.  The
 individual operations remain available as functions for users who want
@@ -22,7 +22,7 @@ from typing import Iterable, List, Optional
 from ..dbg.ids import ContigIdAllocator
 from ..dna.io_fastq import Read, ReadPair, reads_from_pairs
 from ..scaffold.scaffolder import scaffold_contigs
-from ..workflow import BranchStage, ConvertStage, EventSubscriber, Workflow, WorkflowRunner
+from ..workflow import EventSubscriber, Stage, Workflow, WorkflowRunner
 from .bubble import filter_bubbles
 from .config import AssemblyConfig
 from .construction import build_dbg
@@ -159,13 +159,10 @@ def _stage_remerge(ctx, round_index: int) -> None:
     )
 
 
-def _has_pairs(ctx) -> bool:
-    """Scaffolding branch condition: did the caller supply read pairs?"""
-    return bool(ctx.state.get("pairs"))
-
-
 def _stage_scaffold(ctx) -> None:
-    """Paired-end scaffolding over the final contigs."""
+    """Paired-end scaffolding over the final contigs, when pairs were given."""
+    if not ctx.state.get("pairs"):
+        return
     config: AssemblyConfig = ctx.require("config")
     result: AssemblyResult = ctx.require("result")
     scaffolding = scaffold_contigs(
@@ -193,9 +190,9 @@ def build_assembly_workflow(config: AssemblyConfig) -> Workflow:
 
     The returned stage list is exactly Figure 10's arrows, with one
     group of four stages per error-correction round, plus a
-    :class:`~repro.workflow.BranchStage` for scaffolding when
-    ``config.scaffold`` is set (taken only when read pairs are
-    present).  The workflow is data-free: execute it with a
+    ``scaffolding`` stage when ``config.scaffold`` is set (it does
+    nothing unless read pairs are present).  The workflow is
+    data-free: execute it with a
     :class:`~repro.workflow.WorkflowRunner` and a state holding
     ``reads`` (and optionally ``pairs``), or just inspect/print it
     (``repro-assemble --list-stages``).
@@ -204,39 +201,31 @@ def build_assembly_workflow(config: AssemblyConfig) -> Workflow:
         ASSEMBLY_WORKFLOW_NAME,
         description="PPA-assembler default workflow ①②③(④⑤⑥②③)* of Figure 10",
     )
-    workflow.add(ConvertStage("dbg-construction", _stage_construction))
-    workflow.add(ConvertStage("contig-labeling/kmers", _stage_label_kmers))
-    workflow.add(ConvertStage("contig-merging/first-round", _stage_merge_first))
+    workflow.add(Stage("dbg-construction", _stage_construction))
+    workflow.add(Stage("contig-labeling/kmers", _stage_label_kmers))
+    workflow.add(Stage("contig-merging/first-round", _stage_merge_first))
     for round_index in range(1, config.error_correction_rounds + 1):
+        workflow.add(Stage(f"bubble-filtering/round-{round_index}", _stage_bubbles))
         workflow.add(
-            ConvertStage(f"bubble-filtering/round-{round_index}", _stage_bubbles)
-        )
-        workflow.add(
-            ConvertStage(
+            Stage(
                 f"tip-removing/round-{round_index}",
                 partial(_stage_tips, round_index=round_index),
             )
         )
         workflow.add(
-            ConvertStage(
+            Stage(
                 f"contig-labeling/contigs-round-{round_index}",
                 partial(_stage_relabel, round_index=round_index),
             )
         )
         workflow.add(
-            ConvertStage(
+            Stage(
                 f"contig-merging/round-{round_index + 1}",
                 partial(_stage_remerge, round_index=round_index),
             )
         )
     if config.scaffold:
-        workflow.add(
-            BranchStage(
-                "scaffolding",
-                condition=_has_pairs,
-                then_stages=[ConvertStage("scaffolding/paired-end", _stage_scaffold)],
-            )
-        )
+        workflow.add(Stage("scaffolding", _stage_scaffold))
     return workflow
 
 
@@ -272,7 +261,7 @@ class PPAAssembler:
 
         When ``config.scaffold`` is set and ``pairs`` carries the reads'
         pairing (normally supplied via :meth:`assemble_paired`), the
-        paired-end scaffolding branch runs after the final merge.
+        paired-end scaffolding stage runs after the final merge.
 
         ``checkpoint_dir`` persists the workflow state after every
         stage; ``resume=True`` then continues a previous run from its
@@ -304,7 +293,7 @@ class PPAAssembler:
 
         Both mates feed the de Bruijn graph exactly as unpaired reads
         would (the paper's workflow is pairing-agnostic); the pairing
-        itself is kept aside and consumed by the scaffolding branch
+        itself is kept aside and consumed by the scaffolding stage
         when ``config.scaffold`` is enabled.
         """
         pair_list = list(pairs)

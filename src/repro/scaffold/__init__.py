@@ -13,8 +13,9 @@ relative orientation.  This package adds that stage as a PPA workload:
 * :mod:`repro.scaffold.links` — turns mapped pairs into contig-link
   evidence (which contig *ends* face each other, estimated gap) and
   bundles/filters it into a contig-link graph;
-* :mod:`repro.scaffold.scaffolder` — runs the link graph through the
-  PPA toolkit as a Pregel job chain: Hash-Min connected components
+* :mod:`repro.scaffold.scaffolder` — the assembly workflow's
+  ``scaffolding`` stage: runs the link graph through the PPA toolkit as
+  a Pregel job chain: Hash-Min connected components
   (:mod:`repro.ppa.hash_min`) finds the scaffold membership, list
   ranking (:mod:`repro.ppa.list_ranking`) orders the contigs inside
   each scaffold path, and the stitcher emits gap-padded (``N``-run)
@@ -50,7 +51,6 @@ from .scaffolder import (
     Scaffold,
     ScaffoldMember,
     ScaffoldingResult,
-    build_scaffolding_workflow,
     scaffold_contigs,
 )
 
@@ -67,6 +67,5 @@ __all__ = [
     "Scaffold",
     "ScaffoldMember",
     "ScaffoldingResult",
-    "build_scaffolding_workflow",
     "scaffold_contigs",
 ]

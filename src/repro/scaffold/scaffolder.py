@@ -1,11 +1,9 @@
 """The scaffolding stage: contig-link graph → ordered, gap-padded scaffolds.
 
-:func:`build_scaffolding_workflow` declares the stage as a
-:class:`~repro.workflow.Workflow` — the library's second in-tree
-workflow after the assembly itself — and :func:`scaffold_contigs` is
-the one-call driver that executes it.  Either way every sub-stage runs
-through a :class:`~repro.workflow.executor.StageExecutor`, so it is
-metered by the same cost model as the assembly operations:
+:func:`scaffold_contigs` is the body of the assembly workflow's
+``scaffolding`` stage: straight-line code whose jobs all run on the
+:class:`~repro.workflow.executor.StageExecutor` it is handed, so they
+are metered by the same cost model as the assembly operations:
 
 1. **map pairs** — both mates of every pair are placed on the contigs
    (:class:`~repro.scaffold.mapping.ContigSeedIndex`); same-contig
@@ -14,7 +12,8 @@ metered by the same cost model as the assembly operations:
 2. **bundle links** — a mini-MapReduce keyed by contig-end pair
    aggregates observations into :class:`~repro.scaffold.links.LinkBundle`
    records, then :func:`~repro.scaffold.links.select_links` keeps at
-   most one well-supported link per contig end;
+   most one well-supported link per contig end (no link left: every
+   contig becomes its own scaffold, and steps 3–5 are skipped);
 3. **scaffold components** — a Pregel job reusing
    :class:`~repro.ppa.hash_min.HashMinVertex` floods component labels
    over the link graph: every contig learns which scaffold it belongs
@@ -35,21 +34,13 @@ O(log n) superstep bound even for very long scaffold paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..dna.io_fastq import FastaRecord, ReadPair, write_fasta
 from ..dna.sequence import reverse_complement
 from ..pregel import PregelJob, min_combiner
 from ..ppa.hash_min import HashMinVertex
-from ..workflow import (
-    BranchStage,
-    ConvertStage,
-    MapReduceStage,
-    PregelStage,
-    Workflow,
-    WorkflowRunner,
-)
 from ..ppa.list_ranking import ListNode, build_vertices, ranks_from_result
 from .links import (
     END_HEAD,
@@ -283,66 +274,24 @@ def _far_endpoint(
 
 
 # ----------------------------------------------------------------------
-# the workflow stages
+# the stage body
 #
-# Stage bodies read and write the workflow context's state; the two
-# Pregel jobs are declared as PregelStage descriptors so the metered
-# job boundary is visible in the workflow itself.
+# Each step is a plain call; the three metered jobs run on the executor
+# the caller hands in, so they land in the caller's pipeline metrics.
 # ----------------------------------------------------------------------
-def _stage_map_pairs(ctx) -> None:
-    """Map both mates of every pair; calibrate the insert size."""
-    ordered = sorted(
-        ctx.require("contigs"), key=lambda sequence: (-len(sequence), sequence)
-    )
-    pair_list = ctx.require("pairs")
-    insert_size = ctx.require("insert_size")
-    contig_lengths = [len(sequence) for sequence in ordered]
-
-    mapped: List[Tuple[ReadMapping, ReadMapping, int, int]] = []
-    if ordered:
-        index = ContigSeedIndex(ordered, seed_k=ctx.require("seed_k"))
-        mapped = _map_pairs(pair_list, index)
-
-    if insert_size is None:
-        estimates = []
-        for mapping1, mapping2, length1, length2 in mapped:
-            observed = observed_insert_size(mapping1, mapping2, length1, length2)
-            if observed is not None:
-                estimates.append(observed)
-        insert_size = estimate_insert_size(estimates) or DEFAULT_INSERT_SIZE
-
-    observations: List[PairLinkObservation] = []
+def _calibrate_insert_size(
+    mapped: List[Tuple[ReadMapping, ReadMapping, int, int]],
+) -> float:
+    """Median fragment length of same-contig pairs, or the default."""
+    estimates = []
     for mapping1, mapping2, length1, length2 in mapped:
-        observation = observe_pair(
-            mapping1, mapping2, length1, length2, contig_lengths, insert_size
-        )
-        if observation is not None:
-            observations.append(observation)
-
-    ctx.state.update(
-        ordered=ordered,
-        num_pairs_mapped=len(mapped),
-        insert_size=insert_size,
-        observations=observations,
-        links=[],
-    )
+        observed = observed_insert_size(mapping1, mapping2, length1, length2)
+        if observed is not None:
+            estimates.append(observed)
+    return estimate_insert_size(estimates) or DEFAULT_INSERT_SIZE
 
 
-def _has_observations(ctx) -> bool:
-    return bool(ctx.state.get("observations"))
-
-
-def _stage_select_links(ctx) -> List[LinkBundle]:
-    """Keep at most one well-supported link per contig end."""
-    bundles = list(ctx.require("bundles").outputs)
-    return select_links(bundles, min_support=ctx.require("min_links"))
-
-
-def _has_links(ctx) -> bool:
-    return bool(ctx.state.get("links"))
-
-
-def _components_job(ctx) -> PregelJob:
+def _components(executor, num_contigs: int, links: List[LinkBundle]) -> Dict[int, int]:
     """Scaffold membership via Hash-Min over the contig-link graph.
 
     The link graph's diameter is the longest scaffold path, so the
@@ -350,8 +299,6 @@ def _components_job(ctx) -> PregelJob:
     Bruijn graph, whose paths are millions of vertices long — the
     reason operation ② never uses it).
     """
-    links: List[LinkBundle] = ctx.require("links")
-    num_contigs = len(ctx.require("ordered"))
     adjacency: Dict[int, List[int]] = {contig: [] for contig in range(num_contigs)}
     for bundle in links:
         adjacency[bundle.contig_a].append(bundle.contig_b)
@@ -360,32 +307,17 @@ def _components_job(ctx) -> PregelJob:
         HashMinVertex(contig, value=contig, edges=sorted(set(neighbors)))
         for contig, neighbors in adjacency.items()
     ]
-    return PregelJob(
-        name="scaffolding/components-hash-min",
-        vertices=vertices,
-        combiner=min_combiner(),
+    result = executor.run_pregel(
+        PregelJob(
+            name="scaffolding/components-hash-min",
+            vertices=vertices,
+            combiner=min_combiner(),
+        )
     )
-
-
-def _collect_components(ctx, result) -> Dict[int, int]:
     return {contig: vertex.value for contig, vertex in result.vertices.items()}
 
 
-def _stage_orient(ctx) -> None:
-    """Fix every contig's orientation and predecessor pointer."""
-    predecessor, forward, gap_before, links_used, used_cycle_break = _orient_paths(
-        len(ctx.require("ordered")), ctx.require("links")
-    )
-    ctx.state.update(
-        predecessor=predecessor,
-        forward=forward,
-        gap_before=gap_before,
-        num_links_used=links_used,
-        used_cycle_break=used_cycle_break,
-    )
-
-
-def _ordering_job(ctx) -> PregelJob:
+def _ranks(executor, predecessor: Dict[int, Optional[int]]) -> Dict[int, int]:
     """Position of every contig in its scaffold path via list ranking.
 
     Each contig's value is 1 and its predecessor pointer is its left
@@ -394,27 +326,25 @@ def _ordering_job(ctx) -> PregelJob:
     scaffolds spanning a whole chromosome arm.
     """
     nodes = [
-        ListNode(node_id=contig, value=1.0, predecessor=predecessor)
-        for contig, predecessor in ctx.require("predecessor").items()
+        ListNode(node_id=contig, value=1.0, predecessor=pred)
+        for contig, pred in predecessor.items()
     ]
-    return PregelJob(
-        name="scaffolding/ordering-list-ranking", vertices=build_vertices(nodes)
+    result = executor.run_pregel(
+        PregelJob(
+            name="scaffolding/ordering-list-ranking", vertices=build_vertices(nodes)
+        )
     )
-
-
-def _collect_ranks(ctx, result) -> Dict[int, int]:
     return {contig: int(rank) for contig, rank in ranks_from_result(result).items()}
 
 
-def _stage_emit(ctx) -> ScaffoldingResult:
+def _stitch(
+    ordered: List[str],
+    components: Dict[int, int],
+    ranks: Dict[int, int],
+    forward: Dict[int, bool],
+    gap_before: Dict[int, int],
+) -> List[Scaffold]:
     """Stitch contigs in rank order with N-gap runs between them."""
-    ordered: List[str] = ctx.require("ordered")
-    links: List[LinkBundle] = ctx.require("links")
-    components: Dict[int, int] = ctx.require("components")
-    ranks: Dict[int, int] = ctx.require("ranks")
-    forward: Dict[int, bool] = ctx.require("forward")
-    gap_before: Dict[int, int] = ctx.require("gap_before")
-
     grouped: Dict[int, List[int]] = {}
     for contig in range(len(ordered)):
         grouped.setdefault(components[contig], []).append(contig)
@@ -439,112 +369,9 @@ def _stage_emit(ctx) -> ScaffoldingResult:
                 parts.append("N" * gap)
             parts.append(oriented)
         scaffolds.append(Scaffold(members=members, sequence="".join(parts)))
-
-    return ScaffoldingResult(
-        contigs=ordered,
-        scaffolds=scaffolds,
-        insert_size=ctx.require("insert_size"),
-        num_pairs=len(ctx.require("pairs")),
-        num_pairs_mapped=ctx.require("num_pairs_mapped"),
-        num_cross_links=len(ctx.require("observations")),
-        num_links_selected=len(links),
-        num_links_used=ctx.require("num_links_used"),
-        used_cycle_break=ctx.require("used_cycle_break"),
-    )
+    return scaffolds
 
 
-def _stage_emit_singletons(ctx) -> ScaffoldingResult:
-    """No trusted links: every contig is its own single-member scaffold."""
-    ordered: List[str] = ctx.require("ordered")
-    insert_size = ctx.require("insert_size")
-    scaffolds = [
-        Scaffold(
-            members=[ScaffoldMember(contig=i, forward=True, gap_before=0, position=1)],
-            sequence=sequence,
-        )
-        for i, sequence in enumerate(ordered)
-    ]
-    return ScaffoldingResult(
-        contigs=ordered,
-        scaffolds=scaffolds,
-        insert_size=insert_size or DEFAULT_INSERT_SIZE,
-        num_pairs=len(ctx.require("pairs")),
-        num_pairs_mapped=ctx.require("num_pairs_mapped"),
-        num_cross_links=len(ctx.require("observations")),
-        num_links_selected=0,
-    )
-
-
-def build_scaffolding_workflow() -> Workflow:
-    """Declare the scaffolding stage as an ordered workflow.
-
-    The two decision points of the stage — "any cross-contig evidence?"
-    and "any links that survived filtering?" — are
-    :class:`~repro.workflow.BranchStage` nodes, so a run on a library
-    with no usable pairing degrades to singleton scaffolds without
-    charging the cost model for jobs that never ran.  Expected initial
-    state keys: ``contigs``, ``pairs``, ``seed_k``, ``min_links``,
-    ``insert_size`` (``None`` = self-calibrate); the final
-    :class:`ScaffoldingResult` lands under ``scaffolding``.
-    """
-    workflow = Workflow(
-        "scaffolding",
-        description="read pairs → contig links → ordered gap-padded scaffolds",
-    )
-    workflow.add(ConvertStage("scaffolding/map-pairs", _stage_map_pairs))
-    workflow.add(
-        BranchStage(
-            "scaffolding/bundle",
-            condition=_has_observations,
-            then_stages=[
-                MapReduceStage(
-                    "scaffolding/link-bundling",
-                    records="observations",
-                    map_fn=_map_observation,
-                    reduce_fn=_reduce_bundle,
-                    output="bundles",
-                ),
-                ConvertStage(
-                    "scaffolding/select-links", _stage_select_links, output="links"
-                ),
-            ],
-        )
-    )
-    workflow.add(
-        BranchStage(
-            "scaffolding/layout",
-            condition=_has_links,
-            then_stages=[
-                PregelStage(
-                    "scaffolding/components-hash-min",
-                    job_factory=_components_job,
-                    collect=_collect_components,
-                    output="components",
-                ),
-                ConvertStage("scaffolding/orient-paths", _stage_orient),
-                PregelStage(
-                    "scaffolding/ordering-list-ranking",
-                    job_factory=_ordering_job,
-                    collect=_collect_ranks,
-                    output="ranks",
-                ),
-                ConvertStage("scaffolding/emit", _stage_emit, output="scaffolding"),
-            ],
-            else_stages=[
-                ConvertStage(
-                    "scaffolding/emit-singletons",
-                    _stage_emit_singletons,
-                    output="scaffolding",
-                ),
-            ],
-        )
-    )
-    return workflow
-
-
-# ----------------------------------------------------------------------
-# the stage driver
-# ----------------------------------------------------------------------
 def scaffold_contigs(
     contigs: Iterable[str],
     pairs: Iterable[ReadPair],
@@ -552,11 +379,8 @@ def scaffold_contigs(
     seed_k: int = 21,
     min_links: int = 2,
     insert_size: Optional[float] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
-    subscriber=None,
 ) -> ScaffoldingResult:
-    """Run the full scaffolding workflow over assembled contigs.
+    """Scaffold assembled contigs with paired-end reads.
 
     Parameters
     ----------
@@ -567,8 +391,8 @@ def scaffold_contigs(
         The paired-end reads the contigs were assembled from.
     executor:
         The :class:`~repro.workflow.executor.StageExecutor` the Pregel /
-        mini-MapReduce stages run on — passing the assembly's
-        ``ctx.executor`` makes the stage show up in the same pipeline
+        mini-MapReduce jobs run on — passing the assembly's
+        ``ctx.executor`` makes them show up in the same pipeline
         metrics and run on the same execution backend.
     seed_k:
         Seed length for read-to-contig mapping (the assembly k is a
@@ -581,22 +405,67 @@ def scaffold_contigs(
         median fragment length over pairs whose mates map to the same
         contig, falling back to :data:`DEFAULT_INSERT_SIZE` when no
         such pair exists.
-    checkpoint_dir / resume / subscriber:
-        Passed to the underlying
-        :class:`~repro.workflow.WorkflowRunner` for standalone runs;
-        leave at their defaults when scaffolding inside the assembly
-        workflow (which checkpoints the branch as a whole).
     """
-    workflow = build_scaffolding_workflow()
-    runner = WorkflowRunner(
-        executor=executor, checkpoint_dir=checkpoint_dir, subscriber=subscriber
+    ordered = sorted(contigs, key=lambda sequence: (-len(sequence), sequence))
+    pair_list = list(pairs)
+    contig_lengths = [len(sequence) for sequence in ordered]
+
+    # 1. map pairs; calibrate the insert size.
+    mapped: List[Tuple[ReadMapping, ReadMapping, int, int]] = []
+    if ordered:
+        mapped = _map_pairs(pair_list, ContigSeedIndex(ordered, seed_k=seed_k))
+    if insert_size is None:
+        insert_size = _calibrate_insert_size(mapped)
+    observations: List[PairLinkObservation] = []
+    for mapping1, mapping2, length1, length2 in mapped:
+        observation = observe_pair(
+            mapping1, mapping2, length1, length2, contig_lengths, insert_size
+        )
+        if observation is not None:
+            observations.append(observation)
+
+    # 2. bundle the observations; keep one well-supported link per end.
+    links: List[LinkBundle] = []
+    if observations:
+        bundles = executor.run_mapreduce(
+            "scaffolding/link-bundling", observations, _map_observation, _reduce_bundle
+        )
+        links = select_links(list(bundles.outputs), min_support=min_links)
+
+    if not links:
+        # No trusted links: every contig is its own single-member scaffold.
+        return ScaffoldingResult(
+            contigs=ordered,
+            scaffolds=[
+                Scaffold(
+                    members=[
+                        ScaffoldMember(contig=i, forward=True, gap_before=0, position=1)
+                    ],
+                    sequence=sequence,
+                )
+                for i, sequence in enumerate(ordered)
+            ],
+            insert_size=insert_size or DEFAULT_INSERT_SIZE,
+            num_pairs=len(pair_list),
+            num_pairs_mapped=len(mapped),
+            num_cross_links=len(observations),
+            num_links_selected=0,
+        )
+
+    # 3.-5. components, orientation, order, emission.
+    components = _components(executor, len(ordered), links)
+    predecessor, forward, gap_before, links_used, used_cycle_break = _orient_paths(
+        len(ordered), links
     )
-    state = {
-        "contigs": list(contigs),
-        "pairs": list(pairs),
-        "seed_k": seed_k,
-        "min_links": min_links,
-        "insert_size": insert_size,
-    }
-    ctx = runner.run(workflow, state=state, resume=resume)
-    return ctx.state["scaffolding"]
+    ranks = _ranks(executor, predecessor)
+    return ScaffoldingResult(
+        contigs=ordered,
+        scaffolds=_stitch(ordered, components, ranks, forward, gap_before),
+        insert_size=insert_size,
+        num_pairs=len(pair_list),
+        num_pairs_mapped=len(mapped),
+        num_cross_links=len(observations),
+        num_links_selected=len(links),
+        num_links_used=links_used,
+        used_cycle_break=used_cycle_break,
+    )

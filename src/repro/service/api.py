@@ -67,10 +67,10 @@ def job_progress(events: List[JobEvent]) -> Dict[str, Any]:
     Counts stage completions after the most recent ``started`` event,
     so a crash-recovered job reports the resumed attempt's progress
     (skipped-on-resume stages count as completed — they are).
-    Completion is tracked per schedule *index*, not per event: the
-    stages inside a :class:`~repro.workflow.stage.BranchStage` fire
-    their own hooks but reuse the enclosing stage's index, so counting
-    raw ``stage-end`` events would overshoot ``total_stages``.
+    Completion is tracked per schedule *index*, not per event, so a
+    log holding more than one ``stage-end`` for an index (job stores
+    written while the scaffolding stage still nested an inner stage
+    under its own index) cannot overshoot ``total_stages``.
     """
     completed: set = set()
     total: Optional[int] = None

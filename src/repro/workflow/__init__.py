@@ -3,22 +3,21 @@
 The paper's systems contribution is treating assembly as a *chain of
 Pregel/MapReduce jobs with in-memory handoff* (Section II).  This
 package is the public API for that idea: describe a computation as a
-named, ordered list of typed stages, then execute it on one executor
-with metering, lifecycle events, and checkpoint/resume.
+named, ordered list of stages, then execute it on one executor with
+metering, lifecycle events, and checkpoint/resume.
 
 * :class:`~repro.workflow.builder.Workflow` — the ordered stage list;
-* :mod:`~repro.workflow.stage` — typed stage descriptors
-  (:class:`PregelStage`, :class:`MapReduceStage`, :class:`ConvertStage`,
-  :class:`BranchStage`, or your own :class:`Stage` subclass);
+* :class:`~repro.workflow.stage.Stage` — a name and a function
+  ``fn(ctx)`` that launches its Pregel and mini-MapReduce jobs on
+  ``ctx.executor``;
 * :class:`~repro.workflow.runner.WorkflowRunner` — execution with
   event subscribers and pickle checkpoints;
 * :class:`~repro.workflow.executor.StageExecutor` — the shared engine
   + metrics substrate every stage runs on.
 
 The assembler (:func:`repro.assembler.pipeline.build_assembly_workflow`)
-and the scaffolder
-(:func:`repro.scaffold.scaffolder.build_scaffolding_workflow`) are the
-two in-tree workflows; every new scenario is expected to plug in here.
+is the in-tree workflow; paired-end scaffolding is its optional last
+stage, and every new scenario is expected to plug in here.
 """
 
 from .builder import Workflow
@@ -30,7 +29,7 @@ from .runner import (
     WorkflowEvent,
     WorkflowRunner,
 )
-from .stage import BranchStage, ConvertStage, MapReduceStage, PregelStage, Stage
+from .stage import Stage
 
 __all__ = [
     "Workflow",
@@ -44,9 +43,5 @@ __all__ = [
     "WorkflowContext",
     "WorkflowEvent",
     "WorkflowRunner",
-    "BranchStage",
-    "ConvertStage",
-    "MapReduceStage",
-    "PregelStage",
     "Stage",
 ]

@@ -2,18 +2,17 @@
 
 A :class:`Workflow` is the introspectable description of a multi-job
 computation — the five assembly operations of the paper's Figure 10,
-the scaffolding pipeline, or any user-composed strategy.  It says
-*what* runs in *which order*; the
+with scaffolding as an optional last stage, or any user-composed
+strategy.  It says *what* runs in *which order*; the
 :class:`~repro.workflow.runner.WorkflowRunner` decides *how* (backend,
 workers, checkpointing).
 
 Stages run in the order :meth:`Workflow.add` received them: the
-paper's job chains are linear, and their run-time decisions are
-:class:`~repro.workflow.stage.BranchStage` sub-paths.  That order is
-part of the workflow's contract, because checkpoints record their
-position in it.  A stage name, branch inner stages included, is used
-once per workflow: names key checkpoints, stage timings, events and
-fault injection.
+paper's job chains are linear, and their run-time decisions are plain
+``if``s inside a stage's function.  That order is part of the
+workflow's contract, because checkpoints record their position in it.
+A stage name is used once per workflow: names key checkpoints, stage
+timings, events and fault injection.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .stage import Stage
 
 
 class Workflow:
-    """A named, ordered list of :class:`~repro.workflow.stage.Stage` descriptors."""
+    """A named, ordered list of :class:`~repro.workflow.stage.Stage` objects."""
 
     def __init__(self, name: str, description: str = "") -> None:
         if not name:
@@ -36,12 +35,10 @@ class Workflow:
 
     def add(self, stage: Stage) -> Stage:
         """Append a stage; returns it so calls can be chained into locals."""
-        used = {name for existing in self._stages for name in existing.names()}
-        for name in stage.names():
-            if name in used:
-                raise WorkflowError(
-                    f"workflow {self.name!r} already has a stage named {name!r}"
-                )
+        if stage.name in self.stage_names():
+            raise WorkflowError(
+                f"workflow {self.name!r} already has a stage named {stage.name!r}"
+            )
         self._stages.append(stage)
         return stage
 
@@ -70,5 +67,5 @@ class Workflow:
         if self.description:
             lines.append(f"  {self.description}")
         for index, stage in enumerate(self._stages, start=1):
-            lines.append(f"  {index:2d}. {stage.name} [{stage.describe()}]")
+            lines.append(f"  {index:2d}. {stage.name}")
         return "\n".join(lines)

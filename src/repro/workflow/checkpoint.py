@@ -134,7 +134,10 @@ class CheckpointStore:
 
         The file name carries the workflow slug, so workflows sharing a
         directory never overwrite each other's checkpoints even when
-        their stage names coincide.
+        their stage names coincide.  A state that cannot be pickled (a
+        lock, a local function) raises
+        :class:`~repro.errors.CheckpointError` naming the stage, and
+        leaves no temp file behind.
         """
         stage = checkpoint.stage_names[checkpoint.completed - 1]
         path = self.directory / (
@@ -148,7 +151,7 @@ class CheckpointStore:
                 pickle.dump(
                     checkpoint.payload(), handle, protocol=pickle.HIGHEST_PROTOCOL
                 )
-        except (OSError, pickle.PicklingError) as exc:
+        except (OSError, pickle.PicklingError, TypeError, AttributeError) as exc:
             raise CheckpointError(
                 f"could not write checkpoint after stage {stage!r} "
                 f"to {self.directory}: {exc}"
@@ -192,8 +195,9 @@ class CheckpointStore:
         Candidates are ordered by the completed count in the file name,
         most advanced first, and only unpickled until one's payload
         confirms the workflow — so a resume costs one checkpoint load,
-        not the whole directory, and a truncated latest file degrades
-        to the previous one.
+        not the whole directory, and an unreadable latest file
+        (truncated, or pickled against a module that no longer imports)
+        degrades to the previous one.
         """
         for _, entry in sorted(self._candidates(workflow_name), reverse=True):
             payload = self._load(entry)
@@ -232,7 +236,14 @@ class CheckpointStore:
         try:
             with open(path, "rb") as handle:
                 payload = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ValueError):
+        except (
+            OSError,
+            pickle.UnpicklingError,
+            EOFError,
+            AttributeError,
+            ValueError,
+            ImportError,
+        ):
             return None
         if not isinstance(payload, dict):
             return None

@@ -6,14 +6,14 @@ output through a user-defined ``convert(v)`` function, instead of a
 round-trip through HDFS (Section II).  :class:`StageExecutor` is the
 execution substrate for that idea — it owns a single
 :class:`~repro.pregel.engine.PregelEngine` so every stage sees the same
-worker count and execution backend, runs the three primitive stage
+worker count and execution backend, runs the three primitive job
 kinds (Pregel job, mini-MapReduce job, in-memory conversion), and
 accumulates every stage's :class:`~repro.pregel.metrics.JobMetrics`
 into one :class:`~repro.pregel.metrics.PipelineMetrics` so the cost
 model can price the whole workflow (what Figure 12 measures).
 
 Workflows (:mod:`repro.workflow.builder`) declare *which* stages run in
-*what* order; the executor is the service they all share.
+*what* order; the executor is the service their functions all share.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class ConversionResult:
 
 
 class StageExecutor:
-    """Runs Pregel / mini-MapReduce / convert stages and meters them.
+    """Runs Pregel / mini-MapReduce / convert jobs and meters them.
 
     Takes :class:`~repro.runtime.base.RuntimeOptions` and/or its fields
     as keywords; they configure the one engine the Pregel stages run

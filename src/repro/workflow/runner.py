@@ -68,15 +68,11 @@ class WorkflowContext:
     """What a stage sees while it runs: the shared state and the executor."""
 
     def __init__(
-        self, runner: "WorkflowRunner", state: Optional[Dict[str, Any]] = None
+        self, executor: StageExecutor, state: Optional[Dict[str, Any]] = None
     ) -> None:
-        self._runner = runner
-        self.executor: StageExecutor = runner.executor
+        self.executor = executor
         self.state: Dict[str, Any] = state if state is not None else {}
 
-    # ------------------------------------------------------------------
-    # state access
-    # ------------------------------------------------------------------
     def require(self, key: str) -> Any:
         """``state[key]`` with a workflow-level error on absence."""
         try:
@@ -87,19 +83,13 @@ class WorkflowContext:
                 "stage that provides it run?"
             ) from None
 
-    # ------------------------------------------------------------------
-    # sub-stage execution (BranchStage bodies)
-    # ------------------------------------------------------------------
-    def run_substage(self, stage: Stage) -> None:
-        self._runner._execute(stage, self)
-
 
 class WorkflowRunner:
     """Executes workflows on an execution backend, with checkpointing.
 
     Takes :class:`~repro.runtime.base.RuntimeOptions` and/or its fields
-    as keywords for the executor it builds (or a ready ``executor``);
-    ``subscriber`` is registered first, as :meth:`subscribe` would.
+    as keywords for the executor it builds; ``subscriber`` is
+    registered first, as :meth:`subscribe` would.
     """
 
     def __init__(
@@ -107,16 +97,11 @@ class WorkflowRunner:
         options: Optional["RuntimeOptions"] = None,
         checkpoint_dir=None,
         subscriber: Optional[EventSubscriber] = None,
-        executor: Optional[StageExecutor] = None,
         **overrides: Any,
     ) -> None:
-        self._executor = (
-            executor if executor is not None else StageExecutor(options, **overrides)
-        )
+        self._executor = StageExecutor(options, **overrides)
         self._subscribers: List[EventSubscriber] = [subscriber] if subscriber else []
         self._store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
-        self._current_index = 0
-        self._total_stages = 0
 
     @property
     def executor(self) -> StageExecutor:
@@ -192,8 +177,7 @@ class WorkflowRunner:
         workflow.validate()
         order = workflow.stages()
         names = [stage.name for stage in order]
-        ctx = WorkflowContext(self, dict(state or {}))
-        self._total_stages = len(order)
+        ctx = WorkflowContext(self._executor, dict(state or {}))
         registry = get_registry()
         checkpoint_seconds = registry.histogram(
             "repro_checkpoint_write_seconds",
@@ -253,8 +237,7 @@ class WorkflowRunner:
 
             for index in range(completed, len(order)):
                 stage = order[index]
-                self._current_index = index
-                self._execute(stage, ctx)
+                self._execute(stage, ctx, index, len(order))
                 if self._store is not None:
                     save_started = time.perf_counter()
                     path = self._store.save(
@@ -316,20 +299,21 @@ class WorkflowRunner:
             )
         return checkpoint.completed, checkpoint
 
-    def _execute(self, stage: Stage, ctx: WorkflowContext) -> None:
-        index, total = self._current_index, self._total_stages
+    def _execute(
+        self, stage: Stage, ctx: WorkflowContext, index: int, total: int
+    ) -> None:
         self._emit(WorkflowEvent("stage-start", stage=stage, index=index, total=total))
         timeline = get_timeline()
         timeline.record("stage-start", stage=stage.name, index=index, total=total)
         started = time.perf_counter()
         # Stage-level profiling covers the master process; Pregel
         # worker processes profile their own compute and ship it back
-        # through the barrier channel.  profile_block is re-entrant
-        # safe, so BranchStage sub-stages simply ride their parent's
-        # profile.
+        # through the barrier channel.
         with get_profiler().profile_block(f"stage:{stage.name}"):
             with span(f"stage:{stage.name}", index=index):
-                stage.run(ctx)
+                value = stage.fn(ctx)
+                if stage.output is not None:
+                    ctx.state[stage.output] = value
         elapsed = time.perf_counter() - started
         timeline.record(
             "stage-end",

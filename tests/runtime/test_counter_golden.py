@@ -12,6 +12,12 @@ previous superstep routed); simplified S-V (``sv``) exercises the combiner
 path (received counters are sized on receipt, after combining).  The
 serial backend under a memory budget must not change a single counter,
 so it shares the unbudgeted digest.
+
+A paired ``scaffold=True`` assembly pins the scaffolding jobs too
+(link bundling, Hash-Min components, list-ranking order): its counter
+digest and a hash of the scaffolds it emits were recorded before the
+scaffolder became straight-line code on the assembly's executor, and
+the serial and two-process backends share both.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import pytest
 
 from repro.assembler import AssemblyConfig, PPAAssembler
 from repro.assembler.config import LABELING_LIST_RANKING, LABELING_SIMPLIFIED_SV
-from repro.dna.simulator import simulate_dataset
+from repro.dna.simulator import simulate_dataset, simulate_paired_dataset
 from repro.store import process_spill_stats
 
 #: (labeling_method, num_workers) -> SHA-256 over every SuperstepMetrics field.
@@ -34,6 +40,11 @@ GOLDEN = {
     (LABELING_LIST_RANKING, 2): "16d069c75a02a3cae87e1cde6c195b7fe17eb6dfdb0953159057fb1e9b1c7f57",
     (LABELING_SIMPLIFIED_SV, 2): "f7849d6934a2ed9d7615f906942244abdc883afeb017519dd854bea1d36b062b",
 }
+
+#: The paired scaffold=True assembly: counter digest over every job, and
+#: SHA-256 over each scaffold's sequence and member tuples.
+SCAFFOLD_COUNTER_GOLDEN = "d23927dde298b5cf4dcbb9955495f1f8d0f770c0aa629d18805a9fc1c97fea67"
+SCAFFOLDS_GOLDEN = "fa0c10e1abd25c38b24c04a1e38422e6d15447cbac876c1adc906e33b8e251fd"
 
 RUNTIMES = {
     "serial": dict(backend="serial", num_workers=4),
@@ -58,6 +69,21 @@ def counter_digest(pipeline_metrics) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
+def scaffolds_digest(scaffolding) -> str:
+    """SHA-256 over every scaffold's sequence and (contig, forward, gap, position) members."""
+    payload = [
+        [
+            scaffold.sequence,
+            [
+                [member.contig, member.forward, member.gap_before, member.position]
+                for member in scaffold.members
+            ],
+        ]
+        for scaffold in scaffolding.scaffolds
+    ]
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def reads():
     _genome, reads = simulate_dataset(
@@ -80,3 +106,38 @@ def test_every_superstep_counter_matches_the_recorded_digest(reads, labeling_met
     assert sum(step.messages_sent for step in steps) > 1000
     assert any(sum(step.worker_bytes_received) for step in steps)
     assert counter_digest(result.metrics) == GOLDEN[labeling_method, options["num_workers"]]
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    _genome, pairs = simulate_paired_dataset(
+        8000,
+        coverage=20,
+        insert_size_mean=600.0,
+        insert_size_std=60.0,
+        error_rate=0.005,
+        repeat_fraction=0.08,
+        repeat_length=120,
+        seed=2018,
+    )
+    return pairs
+
+
+@pytest.mark.parametrize("backend", ["serial", "multiprocess"])
+def test_scaffolding_counters_and_scaffolds_match_the_recorded_digests(pairs, backend):
+    config = AssemblyConfig(k=21, scaffold=True, backend=backend, num_workers=2)
+    result = PPAAssembler(config).assemble_paired(pairs)
+    scaffolding = result.scaffolding
+    assert [
+        job.job_name
+        for job in result.metrics.jobs
+        if job.job_name.startswith("scaffolding/")
+    ] == [
+        "scaffolding/link-bundling",
+        "scaffolding/components-hash-min",
+        "scaffolding/ordering-list-ranking",
+    ]
+    # The pin is only worth something if some contigs were joined.
+    assert scaffolding.num_joined() > 0
+    assert counter_digest(result.metrics) == SCAFFOLD_COUNTER_GOLDEN
+    assert scaffolds_digest(scaffolding) == SCAFFOLDS_GOLDEN

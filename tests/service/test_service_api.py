@@ -167,8 +167,9 @@ def test_scaffold_without_pairing_input_is_rejected(client):
 
 
 def test_job_progress_counts_branch_stages_once():
-    # A BranchStage fires hooks for itself AND its inner stages with
-    # the same schedule index; progress must not overshoot the total.
+    # Job stores written while the scaffolding stage nested an inner
+    # stage hold two stage-ends for one schedule index; progress must
+    # not overshoot the total.
     from repro.service.api import job_progress
     from repro.service.store import JobEvent
 

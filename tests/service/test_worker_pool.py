@@ -106,8 +106,7 @@ def test_scaffolded_job_writes_scaffold_artifacts(service):
     metrics = json.loads((result_dir / "metrics.json").read_text())
     assert metrics["scaffolds"] is not None
     assert metrics["scaffolds"]["count"] >= 1
-    # The scaffolding BranchStage and its inner stage share an index;
-    # reported progress must land exactly on the schedule length.
+    # Reported progress must land exactly on the schedule length.
     from repro.service.api import job_progress
 
     progress = job_progress(service.store.events(record.id))

@@ -14,7 +14,7 @@ import os
 import threading
 import time
 
-from repro.workflow import CheckpointStore, ConvertStage, Workflow, WorkflowRunner
+from repro.workflow import CheckpointStore, Stage, Workflow, WorkflowRunner
 from repro.workflow.checkpoint import (
     _TMP_PREFIX,
     ORPHAN_TMP_AGE_SECONDS,
@@ -30,7 +30,7 @@ def _counting_workflow(name: str, stages: int = 4) -> Workflow:
         ctx.state.setdefault("trace", []).append(ctx.state["count"])
 
     for index in range(stages):
-        workflow.add(ConvertStage(f"step-{index}", bump))
+        workflow.add(Stage(f"step-{index}", bump))
     return workflow
 
 

@@ -10,6 +10,8 @@ backends.
 from __future__ import annotations
 
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -17,8 +19,9 @@ from repro import AssemblyConfig, PPAAssembler
 from repro.dna import simulate_paired_dataset
 from repro.errors import CheckpointError
 from repro.workflow import (
+    CHECKPOINT_FORMAT,
     CheckpointStore,
-    ConvertStage,
+    Stage,
     Workflow,
     WorkflowRunner,
 )
@@ -123,7 +126,7 @@ def test_resume_of_completed_run_recomputes_nothing(paired_library, tmp_path):
 
 def test_strict_resume_without_checkpoint_raises(tmp_path):
     workflow = Workflow("strict")
-    workflow.add(ConvertStage("only", lambda ctx: None))
+    workflow.add(Stage("only", lambda ctx: None))
     runner = WorkflowRunner(num_workers=2, checkpoint_dir=tmp_path / "empty")
     with pytest.raises(CheckpointError, match="no checkpoint"):
         runner.resume(workflow)
@@ -131,7 +134,7 @@ def test_strict_resume_without_checkpoint_raises(tmp_path):
 
 def test_resume_without_checkpoint_dir_raises():
     workflow = Workflow("nodir")
-    workflow.add(ConvertStage("only", lambda ctx: None))
+    workflow.add(Stage("only", lambda ctx: None))
     with pytest.raises(CheckpointError, match="no checkpoint directory"):
         WorkflowRunner(num_workers=2).run(workflow, resume=True)
 
@@ -157,8 +160,8 @@ def test_mismatched_workflow_shape_refuses_to_resume(paired_library, tmp_path):
 def test_corrupt_checkpoint_files_degrade_to_earlier_ones(tmp_path):
     store = CheckpointStore(tmp_path)
     workflow = Workflow("robust")
-    workflow.add(ConvertStage("one", lambda ctx: 1, output="x"))
-    workflow.add(ConvertStage("two", lambda ctx: ctx.require("x") + 1, output="x"))
+    workflow.add(Stage("one", lambda ctx: 1, output="x"))
+    workflow.add(Stage("two", lambda ctx: ctx.require("x") + 1, output="x"))
     runner = WorkflowRunner(num_workers=2, checkpoint_dir=tmp_path)
     runner.run(workflow)
 
@@ -176,6 +179,86 @@ def test_corrupt_checkpoint_files_degrade_to_earlier_ones(tmp_path):
     assert ctx.state["x"] == 2
 
 
+def _pickled_against_a_vanished_module(tmp_path, workflow_name: str) -> bytes:
+    """A checkpoint payload whose state references a module that is gone."""
+    module_dir = tmp_path / "modules"
+    module_dir.mkdir()
+    (module_dir / "vanished_state_module.py").write_text("class Thing:\n    pass\n")
+    sys.path.insert(0, str(module_dir))
+    try:
+        import vanished_state_module
+
+        payload = {
+            "format": CHECKPOINT_FORMAT,
+            "workflow": workflow_name,
+            "stage_names": ["one", "two"],
+            "completed": 2,
+            "state": {"x": vanished_state_module.Thing()},
+            "metrics": None,
+            "seed_fingerprint": None,
+        }
+        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    finally:
+        sys.path.remove(str(module_dir))
+        sys.modules.pop("vanished_state_module", None)
+
+
+def _two_stage_workflow() -> Workflow:
+    workflow = Workflow("robust")
+    workflow.add(Stage("one", lambda ctx: 1, output="x"))
+    workflow.add(Stage("two", lambda ctx: ctx.require("x") + 1, output="x"))
+    return workflow
+
+
+def test_checkpoint_of_a_vanished_module_degrades_to_the_earlier_one(tmp_path):
+    checkpoints = tmp_path / "checkpoints"
+    workflow = _two_stage_workflow()
+    WorkflowRunner(num_workers=2, checkpoint_dir=checkpoints).run(workflow)
+    files = sorted(checkpoints.glob("checkpoint-*.pkl"))
+    files[-1].write_bytes(_pickled_against_a_vanished_module(tmp_path, "robust"))
+
+    latest = CheckpointStore(checkpoints).latest("robust")
+    assert latest is not None
+    assert latest.completed == 1
+    ctx = WorkflowRunner(num_workers=2, checkpoint_dir=checkpoints).run(
+        workflow, resume=True
+    )
+    assert ctx.state["x"] == 2
+
+
+def test_fresh_run_clears_a_checkpoint_of_a_vanished_module(tmp_path):
+    checkpoints = tmp_path / "checkpoints"
+    checkpoints.mkdir()
+    stale = checkpoints / "checkpoint-005-robust-two.pkl"
+    stale.write_bytes(_pickled_against_a_vanished_module(tmp_path, "robust"))
+
+    ctx = WorkflowRunner(num_workers=2, checkpoint_dir=checkpoints).run(
+        _two_stage_workflow(), state={"x": 0}
+    )
+    assert ctx.state["x"] == 2
+    assert not stale.exists()
+
+
+def _local_function():
+    def local():
+        return None
+
+    return local
+
+
+@pytest.mark.parametrize(
+    "make_value", [threading.Lock, _local_function], ids=["lock", "local-function"]
+)
+def test_unpicklable_state_raises_a_checkpoint_error_naming_the_stage(
+    tmp_path, make_value
+):
+    workflow = Workflow("unpicklable")
+    workflow.add(Stage("holds-it", lambda ctx: make_value(), output="value"))
+    with pytest.raises(CheckpointError, match="after stage 'holds-it'"):
+        WorkflowRunner(num_workers=2, checkpoint_dir=tmp_path).run(workflow)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fresh_run_clears_stale_checkpoints_from_previous_run(tmp_path):
     """A crashed re-run must not resume into an older run's leftovers.
 
@@ -185,12 +268,12 @@ def test_fresh_run_clears_stale_checkpoints_from_previous_run(tmp_path):
     """
     def build():
         workflow = Workflow("reruns")
-        workflow.add(ConvertStage("seed", lambda ctx: None))
+        workflow.add(Stage("seed", lambda ctx: None))
         workflow.add(
-            ConvertStage("inc1", lambda ctx: ctx.require("x") + 1, output="x")
+            Stage("inc1", lambda ctx: ctx.require("x") + 1, output="x")
         )
         workflow.add(
-            ConvertStage("inc2", lambda ctx: ctx.require("x") + 1, output="x")
+            Stage("inc2", lambda ctx: ctx.require("x") + 1, output="x")
         )
         return workflow
 
@@ -216,8 +299,8 @@ def test_resume_with_different_inputs_is_refused(tmp_path):
     """Same workflow shape, different seed state: resuming must not
     silently return the old run's results for the new inputs."""
     workflow = Workflow("inputs")
-    workflow.add(ConvertStage("double", lambda ctx: ctx.require("x") * 2, output="y"))
-    workflow.add(ConvertStage("tail", lambda ctx: None))
+    workflow.add(Stage("double", lambda ctx: ctx.require("x") * 2, output="y"))
+    workflow.add(Stage("tail", lambda ctx: None))
 
     # Crash during stage 2: stage 1's checkpoint is already on disk
     # (the end-of-stage hook fires before that stage's own checkpoint
@@ -243,8 +326,8 @@ def test_resume_without_seed_state_uses_the_checkpoints(tmp_path):
     """Omitting the seed state on resume is the natural call and must
     work — the checkpoint's state takes over regardless."""
     workflow = Workflow("stateless-resume")
-    workflow.add(ConvertStage("double", lambda ctx: ctx.require("x") * 2, output="y"))
-    workflow.add(ConvertStage("tail", lambda ctx: None))
+    workflow.add(Stage("double", lambda ctx: ctx.require("x") * 2, output="y"))
+    workflow.add(Stage("tail", lambda ctx: None))
 
     with pytest.raises(SimulatedCrash):
         WorkflowRunner(
@@ -280,7 +363,7 @@ def test_orphaned_tmp_files_are_swept_on_next_write(tmp_path):
     ancient = _time.time() - 2 * ORPHAN_TMP_AGE_SECONDS
     os.utime(orphan, (ancient, ancient))
     workflow = Workflow("sweeper")
-    workflow.add(ConvertStage("only", lambda ctx: None))
+    workflow.add(Stage("only", lambda ctx: None))
     WorkflowRunner(num_workers=2, checkpoint_dir=tmp_path).run(workflow)
     assert not list(tmp_path.glob("*.tmp"))
     assert list(tmp_path.glob("checkpoint-*.pkl"))
@@ -288,9 +371,9 @@ def test_orphaned_tmp_files_are_swept_on_next_write(tmp_path):
 
 def test_other_workflows_checkpoints_survive_clearing(tmp_path):
     one = Workflow("one")
-    one.add(ConvertStage("only", lambda ctx: 1, output="x"))
+    one.add(Stage("only", lambda ctx: 1, output="x"))
     other = Workflow("other")
-    other.add(ConvertStage("only", lambda ctx: 2, output="x"))
+    other.add(Stage("only", lambda ctx: 2, output="x"))
 
     WorkflowRunner(num_workers=2, checkpoint_dir=tmp_path).run(one)
     WorkflowRunner(num_workers=2, checkpoint_dir=tmp_path).run(other)
@@ -312,31 +395,10 @@ def test_assembly_checkpoints_do_not_repickle_reads(paired_library, tmp_path):
     assert latest.state["pairs"]  # scaffolding's input is still there
 
 
-def test_scaffold_contigs_resumes_on_a_shared_executor(tmp_path):
-    """scaffold_contigs runs on the executor it is handed (the assembly
-    passes its ``ctx.executor``), and a checkpointed resume must rebind
-    that executor's metrics without crashing."""
-    from repro.scaffold import scaffold_contigs
-    from repro.workflow import StageExecutor
-
-    contigs = ["ACGTACGTACGTACGTACGTAAAA", "TTTTCCCCGGGGAAAATTTTCCCC"]
-    first = scaffold_contigs(
-        contigs, [], StageExecutor(num_workers=2), seed_k=11, checkpoint_dir=tmp_path
-    )
-    executor = StageExecutor(num_workers=2)
-    resumed = scaffold_contigs(
-        contigs, [], executor, seed_k=11, checkpoint_dir=tmp_path, resume=True
-    )
-    assert resumed == first
-    assert [scaffold.sequence for scaffold in resumed.scaffolds] == sorted(
-        contigs, key=lambda s: (-len(s), s)
-    )
-
-
 def test_checkpoint_payload_is_plain_pickle(tmp_path):
     """Checkpoints must stay loadable with nothing but pickle."""
     workflow = Workflow("plain")
-    workflow.add(ConvertStage("only", lambda ctx: "payload", output="value"))
+    workflow.add(Stage("only", lambda ctx: "payload", output="value"))
     WorkflowRunner(num_workers=2, checkpoint_dir=tmp_path).run(workflow)
     (path,) = tmp_path.glob("checkpoint-*.pkl")
     with open(path, "rb") as handle:

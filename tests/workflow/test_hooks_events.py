@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.workflow import (
-    ConvertStage,
+    Stage,
     Workflow,
     WorkflowEvent,
     WorkflowRunner,
@@ -20,9 +20,9 @@ from repro.workflow import (
 
 def _three_stage_workflow() -> Workflow:
     workflow = Workflow("observed")
-    workflow.add(ConvertStage("a", lambda ctx: 1, output="a"))
-    workflow.add(ConvertStage("b", lambda ctx: 2, output="b"))
-    workflow.add(ConvertStage("c", lambda ctx: 3, output="c"))
+    workflow.add(Stage("a", lambda ctx: 1, output="a"))
+    workflow.add(Stage("b", lambda ctx: 2, output="b"))
+    workflow.add(Stage("c", lambda ctx: 3, output="c"))
     return workflow
 
 
