@@ -111,11 +111,6 @@ def _output_path() -> Path:
 
 
 def test_kmer_pipeline_speedup(benchmark):
-    if not vectorized.numpy_available():  # pragma: no cover - numpy baked in
-        import pytest
-
-        pytest.skip("NumPy unavailable; vectorized path disabled")
-
     scale = bench_scale()
     dataset = prepare_dataset(DATASET)
     sequences = [read.sequence for read in dataset.reads]

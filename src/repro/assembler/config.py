@@ -11,6 +11,7 @@ of simulated workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -65,21 +66,11 @@ class AssemblyConfig:
         ``"queue"`` always pickles batches through the queues.  Results
         are bit-identical either way; the serial backend ignores the
         flag (it has no process boundary).
-    partitioner:
-        Vertex-to-worker strategy for every Pregel stage: ``"hash"``
-        (default, the multiplicative hash the paper's numbers assume)
-        or ``"prefix_range"`` (contiguous k-mer-prefix ranges that keep
-        most DBG edges worker-local, shrinking the
-        ``cross_worker_messages`` counter).  Contig IDs embed the worker
-        that minted them, so runs with *different* partitioners label
-        contigs differently; serial and multiprocess runs with the
-        *same* partitioner stay bit-identical.
     use_vectorized:
         Run the NumPy batch kernels for the hot paths (DBG-construction
         phases and the columnar message plane).  Default on; contigs,
         aggregate histories and metrics are bit-identical either way,
-        and the flag silently falls back to the scalar reference path
-        when NumPy is unavailable.
+        and off pins the scalar reference path.
     scaffold:
         Run the paired-end scaffolding stage (:mod:`repro.scaffold`)
         after the final contig merge.  Off by default — it only has
@@ -114,7 +105,6 @@ class AssemblyConfig:
     num_workers: int = 4
     backend: str = "serial"
     message_plane: str = "shm"
-    partitioner: str = "hash"
     use_vectorized: bool = True
     scaffold: bool = False
     scaffold_min_links: int = 2
@@ -155,9 +145,10 @@ class AssemblyConfig:
             raise PipelineConfigError(
                 f"scaffold_min_links must be at least 1, got {self.scaffold_min_links}"
             )
-        if self.scaffold_insert_size is not None and self.scaffold_insert_size <= 0:
+        insert_size = self.scaffold_insert_size
+        if insert_size is not None and not (math.isfinite(insert_size) and insert_size > 0):
             raise PipelineConfigError(
-                f"scaffold_insert_size must be positive, got {self.scaffold_insert_size}"
+                f"scaffold_insert_size must be finite and positive, got {insert_size}"
             )
         try:
             self.runtime
@@ -177,7 +168,6 @@ class AssemblyConfig:
             num_workers=self.num_workers,
             backend=self.backend,
             columnar_messages=self.use_vectorized,
-            partitioner=self.partitioner,
             message_plane=self.message_plane,
             memory_budget_mb=self.memory_budget_mb,
         )

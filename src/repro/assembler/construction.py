@@ -130,7 +130,7 @@ def build_dbg(
     # The vectorized path consumes ``reads`` in bounded chunks, so an
     # iterator handed to it is never materialised; the scalar path
     # (whose MapReduce harness indexes records) makes a list.
-    if config.use_vectorized and vectorized.numpy_available():
+    if config.use_vectorized:
         return _build_dbg_vectorized(reads, config, chain)
     reads = list(reads)
 

@@ -246,7 +246,6 @@ def merge_contigs(
     """Run operation ③: group by label, stitch, and rewire the graph."""
     allocator = allocator or ContigIdAllocator()
     chain = labeling.chain
-    partitioner = HashPartitioner(config.num_workers)
 
     def map_node(node_id: int) -> Iterable[Tuple[int, int]]:
         label = labeling.labels.get(node_id)
@@ -297,7 +296,9 @@ def merge_contigs(
             "contig merging found inconsistent label groups: " + "; ".join(errors[:5])
         )
 
-    created_ids = _apply_to_graph(graph, stitched_groups, dropped, allocator, partitioner)
+    created_ids = _apply_to_graph(
+        graph, stitched_groups, dropped, allocator, job_chain.partitioner
+    )
     return MergingResult(
         contigs_created=created_ids,
         tips_dropped=len(dropped),

@@ -176,7 +176,6 @@ def _delete_tip(graph: DeBruijnGraph, outcome: _WalkOutcome) -> Tuple[int, int]:
 
 def _synthetic_phase_metrics(
     phase_index: int,
-    num_workers: int,
     walk_outcomes: List[_WalkOutcome],
     partitioner: HashPartitioner,
 ) -> JobMetrics:
@@ -186,6 +185,7 @@ def _synthetic_phase_metrics(
     hop of the longest dangling path (REQUEST out, DELETE back); every
     hop of every walked path is one message in each direction.
     """
+    num_workers = partitioner.num_workers
     metrics = JobMetrics(job_name=f"tip-removing/phase-{phase_index}", num_workers=num_workers)
     longest = max((outcome.hops for outcome in walk_outcomes), default=0)
     supersteps = max(2, 2 * max(longest, 1))
@@ -245,7 +245,7 @@ def remove_tips(
     job_chain: StageExecutor,
 ) -> TipRemovalResult:
     """Run operation ⑤ until no new dead-end vertex appears."""
-    partitioner = HashPartitioner(config.num_workers)
+    partitioner = job_chain.partitioner
     phases = 0
     tips_removed = 0
     kmers_deleted = 0
@@ -267,7 +267,7 @@ def remove_tips(
             if dangling_contigs_removed:
                 phases += 1
                 job_chain.pipeline_metrics.add(
-                    _synthetic_phase_metrics(phases, config.num_workers, [], partitioner)
+                    _synthetic_phase_metrics(phases, [], partitioner)
                 )
                 continue
             if phases == 0:
@@ -275,7 +275,7 @@ def remove_tips(
                 # phase; record it so the cost model charges for the scan.
                 phases = 1
                 job_chain.pipeline_metrics.add(
-                    _synthetic_phase_metrics(phases, config.num_workers, [], partitioner)
+                    _synthetic_phase_metrics(phases, [], partitioner)
                 )
             break
 
@@ -300,7 +300,7 @@ def remove_tips(
         phases += 1
         tips_removed += removed_this_phase
         job_chain.pipeline_metrics.add(
-            _synthetic_phase_metrics(phases, config.num_workers, phase_outcomes, partitioner)
+            _synthetic_phase_metrics(phases, phase_outcomes, partitioner)
         )
         if removed_this_phase == 0:
             break

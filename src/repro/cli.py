@@ -49,7 +49,6 @@ from . import __version__
 from .assembler import build_assembly_workflow
 from .assembler.config import LABELING_LIST_RANKING, LABELING_SIMPLIFIED_SV
 from .errors import DnaError, ReproError
-from .pregel.partitioner import PARTITIONER_NAMES
 from .runtime import available_backends
 from .runtime.base import MESSAGE_PLANES
 from .service.spec import CONFIG_FIELDS, JobSpec, run_job
@@ -141,14 +140,6 @@ def add_job_arguments(
         "through shared-memory arenas (default; auto-falls back to "
         "'queue' when /dev/shm is unusable), 'queue' always pickles "
         "batches through the queues; ignored by the serial backend",
-    )
-    parser.add_argument(
-        "--partitioner",
-        choices=PARTITIONER_NAMES,
-        default=None,
-        help="vertex-to-worker strategy: 'hash' (default) or "
-        "'prefix_range' (k-mer-prefix ranges that keep most DBG edges "
-        "worker-local, reducing cross-worker messages)",
     )
     parser.add_argument(
         "--memory-budget-mb",
@@ -367,7 +358,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"  k={config.k} workers={config.num_workers} "
             f"backend={config.backend} labeling={config.labeling_method} "
-            f"plane={config.message_plane} partitioner={config.partitioner}"
+            f"plane={config.message_plane}"
         )
 
     def on_event(event: WorkflowEvent) -> None:

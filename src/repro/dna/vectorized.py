@@ -16,22 +16,17 @@ tests in ``tests/dna/test_vectorized_parity.py`` assert this on random
 reads), so callers may switch between the two freely; the scalar
 implementations remain the reference oracle.
 
-NumPy is an optional dependency: importing this module never raises,
-and callers gate on :func:`numpy_available` (e.g.
-``AssemblyConfig.use_vectorized`` silently falls back to the scalar
-path when NumPy is missing).
+``AssemblyConfig.use_vectorized`` selects these kernels (on by
+default); off pins the scalar reference path.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import InvalidKmerError
+import numpy as np
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-except Exception:  # pragma: no cover - containers without numpy
-    np = None  # type: ignore[assignment]
+from ..errors import InvalidKmerError
 
 #: Largest window that fits a 64-bit lane.  Construction canonicalises
 #: (k+1)-mers, so with MAX_K = 31 windows go up to 32 bases.
@@ -47,19 +42,6 @@ _INVALID_CODE = 255
 
 #: Narrowest unsigned lane holding a packed piece of that many bases.
 _PIECE_LANES = {2: "uint8", 4: "uint8", 8: "uint16", 16: "uint32", 32: "uint64"}
-
-
-def numpy_available() -> bool:
-    """True when the NumPy-backed kernels can run in this interpreter."""
-    return np is not None
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise RuntimeError(
-            "NumPy is required for the vectorized k-mer kernels; "
-            "install numpy or use the scalar path"
-        )
 
 
 def _base_lut():
@@ -86,7 +68,6 @@ def encode_batch(sequences: Sequence[str]):
     Raises :class:`~repro.errors.InvalidKmerError` on any character
     outside ``ACGTN``, matching the scalar encoders.
     """
-    _require_numpy()
     joined = "N".join(sequences)
     try:
         raw = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
@@ -111,7 +92,6 @@ def sliding_window_ids(codes, window: int):
     break/N — always check ``valid``), and ``valid[i]`` is True when
     the window contains only A/C/G/T codes.
     """
-    _require_numpy()
     if not 1 <= window <= MAX_WINDOW:
         raise InvalidKmerError(f"window must be in [1, {MAX_WINDOW}], got {window}")
     num_windows = codes.size - window + 1
@@ -153,7 +133,6 @@ def extract_window_ids(sequences: Sequence[str], window: int):
     position order.  Returns ``(ids, counts)`` with
     ``counts[i] == number of windows emitted by read i``.
     """
-    _require_numpy()
     codes, starts, lengths = encode_batch(sequences)
     ids, valid = sliding_window_ids(codes, window)
     # Read i owns the windows starting in [starts[i], starts[i] + windows[i]);
@@ -174,7 +153,6 @@ def reverse_complement_ids(ids, k: int):
     reversal swaps 2-bit groups with five mask-and-shift rounds over
     the full 64-bit lane, then right-aligns the result.
     """
-    _require_numpy()
     if not 1 <= k <= MAX_WINDOW:
         raise InvalidKmerError(f"k must be in [1, {MAX_WINDOW}], got {k}")
     ids = ids.astype(np.uint64, copy=False)
@@ -198,7 +176,6 @@ def canonical_ids(ids, k: int):
     Returns ``(canonical, was_reverse_complemented)``; the boolean
     array carries the H/L polarity information of each observation.
     """
-    _require_numpy()
     rc = reverse_complement_ids(ids, k)
     was_rc = rc < ids
     return np.where(was_rc, rc, ids), was_rc
@@ -219,7 +196,6 @@ def edge_vertex_fields(edge_ids, k: int):
     their reverse-complement flags (the polarity labels), and the
     appended/prepended bases.  Returns a dict of parallel arrays.
     """
-    _require_numpy()
     edge_ids = edge_ids.astype(np.uint64, copy=False)
     kmer_mask = np.uint64((1 << (2 * k)) - 1)
     prefix_observed = edge_ids >> np.uint64(2)
@@ -247,7 +223,6 @@ def expand_slots(kmer_ids, positions, k: int):
     my_ports, neighbor_ports)`` with ports in the 0 = out / 1 = in
     coding of :mod:`repro.dbg.polarity`.
     """
-    _require_numpy()
     kmer_ids = kmer_ids.astype(np.uint64, copy=False)
     positions = positions.astype(np.uint64, copy=False)
     one = np.uint64(1)

@@ -38,10 +38,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-except Exception:  # pragma: no cover - containers without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 #: Batches smaller than this stay on the scalar path: array conversion
 #: has fixed overhead, and tiny batches are the realm of unit tests
@@ -210,7 +207,7 @@ def route_outbox(
     """
     num_workers = partitioner.num_workers
     targets = values = None
-    if columnar and np is not None and len(outbox) >= COLUMNAR_MIN_BATCH:
+    if columnar and len(outbox) >= COLUMNAR_MIN_BATCH:
         target_column, message_column = zip(*outbox)
         targets = _uint64_column(target_column)
         if targets is not None and combiner_vectorizable(combiner):
@@ -312,7 +309,7 @@ def merge_batches(
     ``min``/``sum`` without uint64 overflow) its exact values.
     """
     ordered = [batches_by_sender.get(sender, ()) for sender in range(num_workers)]
-    if np is not None and combiner_vectorizable(combiner):
+    if combiner_vectorizable(combiner):
         columnar_parts = []
         all_columnar = True
         for batch in ordered:

@@ -26,8 +26,7 @@ class SuperstepMetrics:
     # Raw (pre-combine) messages whose destination worker differs from
     # the sending worker — the traffic that actually crosses a process
     # (or, on a cluster, network) boundary.  messages_sent minus this
-    # is the worker-local delivery count; the locality-aware
-    # prefix_range partitioner exists to shrink this number.
+    # is the worker-local delivery count.
     cross_worker_messages: int = 0
     # Per-worker breakdowns; index == worker id.
     worker_compute_ops: List[int] = field(default_factory=list)

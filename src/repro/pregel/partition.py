@@ -30,12 +30,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .vertex import Vertex
+import numpy as np
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-except Exception:  # pragma: no cover - containers without numpy
-    np = None  # type: ignore[assignment]
+from .vertex import Vertex
 
 #: Anything here in a subclass body says its state is more than the slots.
 _PICKLE_HOOKS = frozenset(
@@ -54,7 +51,7 @@ def pack_partition(vertices: Dict[int, Vertex]) -> tuple:
         if type(vertex) is not cls:
             return ("objs", members)
     packed = None
-    if np is not None and getattr(cls, "columnar_state", False):
+    if getattr(cls, "columnar_state", False):
         packed = _pack_arrays(cls, members)
     if packed is None and _only_base_slots(cls, members):
         packed = (

@@ -1,9 +1,12 @@
 """The one BSP superstep driver, and the interface a runtime plugs into it.
 
 Every operation of the paper is a program on one Pregel loop, and the
-loop exists once: :meth:`ExecutionBackend.run` partitions the job,
-drives supersteps until global termination and folds per-worker reports
-into :class:`~repro.pregel.metrics.SuperstepMetrics`, and
+loop exists once: :meth:`ExecutionBackend.run` places the job's
+vertices with the backend's one
+:class:`~repro.pregel.partitioner.HashPartitioner` (the paper's hash
+placement, the same on every backend), drives supersteps until global
+termination and folds per-worker reports into
+:class:`~repro.pregel.metrics.SuperstepMetrics`, and
 :func:`run_worker_superstep` is the one per-worker body.  A runtime
 supplies only what differs — a :class:`JobSession` that launches the
 workers, steps them, collects their partitions and tears them down:
@@ -36,7 +39,7 @@ from ..pregel.aggregator import Aggregator, AggregatorRegistry
 from ..pregel.engine import JobResult, PregelJob
 from ..pregel.message import Combiner, route_outbox
 from ..pregel.metrics import JobMetrics, SuperstepMetrics
-from ..pregel.partitioner import ensure_partitioner, make_partitioner
+from ..pregel.partitioner import HashPartitioner
 from ..pregel.vertex import Vertex, VertexFactory, _estimate_size
 from ..pregel.worker import Worker
 from ..store.ledger import budget_mb_to_bytes
@@ -80,9 +83,6 @@ class RuntimeOptions:
         Whether qualifying integer-message jobs use the columnar batch
         path of :mod:`repro.pregel.message` (bit-identical results; off
         pins the scalar reference path).
-    partitioner:
-        Vertex-to-worker strategy, one of
-        :data:`~repro.pregel.partitioner.PARTITIONER_NAMES`.
     message_plane:
         Multiprocess superstep exchange, one of :data:`MESSAGE_PLANES`.
     memory_budget_mb:
@@ -96,7 +96,6 @@ class RuntimeOptions:
     num_workers: int = 4
     backend: str = "serial"
     columnar_messages: bool = True
-    partitioner: str = "hash"
     message_plane: str = "shm"
     memory_budget_mb: Optional[float] = None
 
@@ -104,7 +103,6 @@ class RuntimeOptions:
         if self.num_workers <= 0:
             raise InvalidJobError(f"num_workers must be positive, got {self.num_workers}")
         ensure_backend(self.backend)
-        ensure_partitioner(self.partitioner)
         if self.message_plane not in MESSAGE_PLANES:
             raise InvalidJobError(
                 f"unknown message plane {self.message_plane!r}; "
@@ -218,7 +216,7 @@ class SuperstepInstruments:
             "repro_pregel_cross_worker_messages_total",
             "Raw messages routed to a different worker than their "
             "sender, by job (the traffic that crosses a process or "
-            "network boundary; partitioner locality shrinks it).",
+            "network boundary).",
             labelnames=labels,
         ).labels(job_name)
         self._active = registry.gauge(
@@ -282,8 +280,8 @@ class WorkerPlan:
     job_name: str
     options: RuntimeOptions
     num_vertices: int
-    #: ``options.partitioner`` calibrated to this job's vertex IDs.
-    partitioner: Any
+    #: The backend's vertex placement, shared by every job it runs.
+    partitioner: HashPartitioner
     combiner: Optional[Combiner]
     vertex_factory: Optional[VertexFactory]
     #: Whose :meth:`~repro.pregel.vertex.Vertex.compute_partition` runs
@@ -422,8 +420,8 @@ class JobSession(ABC):
 class ExecutionBackend(ABC):
     """Runs one Pregel job to termination on ``num_workers`` workers.
 
-    This class owns partitioning (every backend builds the partitioner
-    from the same named strategy — ``"hash"`` by default) and the BSP
+    This class owns partitioning (every backend places vertices with
+    one :class:`~repro.pregel.partitioner.HashPartitioner`) and the BSP
     loop itself, so superstep counts, aggregate histories, per-superstep
     metrics and final vertex states cannot depend on which backend
     executed the job; a subclass only says how its :class:`JobSession`
@@ -440,7 +438,7 @@ class ExecutionBackend(ABC):
             options or RuntimeOptions(), **{**overrides, "backend": self.name}
         )
         self.num_workers = self.options.num_workers
-        self.partitioner = make_partitioner(self.options.partitioner, self.num_workers)
+        self.partitioner = HashPartitioner(self.num_workers)
 
     @abstractmethod
     def _session(self, plan: WorkerPlan, workers: List[Worker]) -> JobSession:
@@ -450,8 +448,7 @@ class ExecutionBackend(ABC):
         """Execute ``job`` until global termination and return the result."""
         initial_vertices = list(job.vertices)
         vertex_class = job_vertex_class(initial_vertices, job.vertex_factory)
-        partitioner = self.job_partitioner(initial_vertices)
-        workers = self.partition_into_workers(initial_vertices, partitioner)
+        workers = self.partition_into_workers(initial_vertices)
         # The flat list would otherwise pin every vertex in memory
         # regardless of what a spill plane evicts.
         del initial_vertices
@@ -467,7 +464,7 @@ class ExecutionBackend(ABC):
             job_name=job.name,
             options=self.options,
             num_vertices=num_vertices,
-            partitioner=partitioner,
+            partitioner=self.partitioner,
             combiner=job.combiner,
             vertex_factory=job.vertex_factory,
             vertex_class=vertex_class,
@@ -564,24 +561,12 @@ class ExecutionBackend(ABC):
     # ------------------------------------------------------------------
     # shared helpers
     # ------------------------------------------------------------------
-    def job_partitioner(self, vertices: Iterable[Vertex]):
-        """The partitioner instance to use for one job.
-
-        Range partitioning calibrates its ID-space width to the job's
-        initial vertex IDs (a deterministic function of the job, so
-        every backend computes the same calibration); hash partitioning
-        returns the shared instance unchanged.
-        """
-        return self.partitioner.for_job(vertex.vertex_id for vertex in vertices)
-
-    def partition_into_workers(
-        self, vertices: Iterable[Vertex], partitioner=None
-    ) -> List[Worker]:
-        """Assign vertices to per-worker partitions by partitioned vertex ID."""
-        partitioner = partitioner or self.partitioner
+    def partition_into_workers(self, vertices: Iterable[Vertex]) -> List[Worker]:
+        """Assign vertices to per-worker partitions by hashed vertex ID."""
+        worker_for = self.partitioner.worker_for
         workers = [Worker(worker_id) for worker_id in range(self.num_workers)]
         for vertex in vertices:
-            workers[partitioner.worker_for(vertex.vertex_id)].add_vertex(vertex)
+            workers[worker_for(vertex.vertex_id)].add_vertex(vertex)
         return workers
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

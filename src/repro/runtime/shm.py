@@ -46,10 +46,7 @@ import os
 import secrets
 from typing import Dict, List, Optional, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-except Exception:  # pragma: no cover - containers without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 try:  # pragma: no cover - platforms without shared memory support
     from multiprocessing import shared_memory as _shared_memory
@@ -110,7 +107,7 @@ def shm_plane_usable() -> bool:
     where ``/dev/shm`` allocation fails, forcing the queue fallback),
     then probes a real allocate/close/unlink round trip.
     """
-    if _shared_memory is None or np is None:
+    if _shared_memory is None:
         return False
     try:
         from ..service.faults import FaultPlan

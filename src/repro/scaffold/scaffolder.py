@@ -34,11 +34,13 @@ O(log n) superstep bound even for very long scaffold paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..dna.io_fastq import FastaRecord, ReadPair, write_fasta
 from ..dna.sequence import reverse_complement
+from ..errors import PipelineConfigError
 from ..pregel import PregelJob, min_combiner
 from ..ppa.hash_min import HashMinVertex
 from ..ppa.list_ranking import ListNode, build_vertices, ranks_from_result
@@ -404,8 +406,13 @@ def scaffold_contigs(
         The library's insert size; when None it is estimated as the
         median fragment length over pairs whose mates map to the same
         contig, falling back to :data:`DEFAULT_INSERT_SIZE` when no
-        such pair exists.
+        such pair exists.  A given size must be finite and positive
+        (:class:`~repro.errors.PipelineConfigError` otherwise).
     """
+    if insert_size is not None and not (math.isfinite(insert_size) and insert_size > 0):
+        raise PipelineConfigError(
+            f"insert_size must be finite and positive, got {insert_size}"
+        )
     ordered = sorted(contigs, key=lambda sequence: (-len(sequence), sequence))
     pair_list = list(pairs)
     contig_lengths = [len(sequence) for sequence in ordered]
@@ -445,7 +452,7 @@ def scaffold_contigs(
                 )
                 for i, sequence in enumerate(ordered)
             ],
-            insert_size=insert_size or DEFAULT_INSERT_SIZE,
+            insert_size=insert_size,
             num_pairs=len(pair_list),
             num_pairs_mapped=len(mapped),
             num_cross_links=len(observations),

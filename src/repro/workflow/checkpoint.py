@@ -104,6 +104,44 @@ class Checkpoint:
         }
 
 
+def _checkpoint_from(path: Path, payload: Dict[str, Any]) -> Checkpoint:
+    """The checkpoint a workflow-matching payload holds, checked field by field.
+
+    A payload that claims the workflow but lacks a field or holds one of
+    the wrong type raises :class:`~repro.errors.CheckpointError` naming
+    the file, like a format mismatch does.
+    """
+    stage_names = payload.get("stage_names")
+    completed = payload.get("completed")
+    problem = None
+    if not isinstance(stage_names, (list, tuple)) or not all(
+        isinstance(name, str) for name in stage_names
+    ):
+        problem = f"stage_names is {stage_names!r}, expected a list of names"
+    elif type(completed) is not int or not 0 <= completed <= len(stage_names):
+        problem = (
+            f"completed is {completed!r}, expected an integer in "
+            f"[0, {len(stage_names)}]"
+        )
+    elif not isinstance(payload.get("state"), dict):
+        problem = "state is not a dict"
+    elif not isinstance(payload.get("metrics"), PipelineMetrics):
+        problem = "metrics is not a PipelineMetrics"
+    if problem is not None:
+        raise CheckpointError(
+            f"checkpoint {path.name} is malformed: {problem} "
+            "(re-run without --resume to start fresh)"
+        )
+    return Checkpoint(
+        workflow=payload["workflow"],
+        stage_names=list(stage_names),
+        completed=completed,
+        state=payload["state"],
+        metrics=payload["metrics"],
+        seed_fingerprint=payload.get("seed_fingerprint"),
+    )
+
+
 class CheckpointStore:
     """One directory of checkpoints for one workflow run."""
 
@@ -209,14 +247,7 @@ class CheckpointStore:
                     f"{payload.get('format')!r}, expected {CHECKPOINT_FORMAT} "
                     "(re-run without --resume to start fresh)"
                 )
-            return Checkpoint(
-                workflow=payload["workflow"],
-                stage_names=list(payload["stage_names"]),
-                completed=int(payload["completed"]),
-                state=payload["state"],
-                metrics=payload["metrics"],
-                seed_fingerprint=payload.get("seed_fingerprint"),
-            )
+            return _checkpoint_from(entry, payload)
         return None
 
     def _candidates(self, workflow_name: str):

@@ -59,15 +59,11 @@ class StageExecutor:
         self.num_workers = self.options.num_workers
         self.backend = self.options.backend
         self.pipeline_metrics = PipelineMetrics()
-        # Shuffle keys (mini-MapReduce, conversions) are labels rather
-        # than dense k-mer IDs, so the shuffle partitioner stays the
-        # hash strategy regardless of the Pregel vertex partitioner.
-        self._partitioner = HashPartitioner(self.num_workers)
 
     @property
     def partitioner(self) -> HashPartitioner:
-        """The shuffle partitioner every stage of this executor uses."""
-        return self._partitioner
+        """The engine's vertex placement, which every stage of this executor uses."""
+        return self.engine.partitioner
 
     # ------------------------------------------------------------------
     # stages
@@ -112,8 +108,9 @@ class StageExecutor:
         step.worker_bytes_received = [0] * self.num_workers
 
         outputs: List[Any] = []
+        worker_for = self.partitioner.worker_for
         for vertex in vertices:
-            source_worker = self._partitioner.worker_for(vertex.vertex_id)
+            source_worker = worker_for(vertex.vertex_id)
             produced = list(convert_fn(vertex))
             step.worker_compute_ops[source_worker] += 1 + len(produced)
             step.compute_ops += 1 + len(produced)
@@ -122,7 +119,7 @@ class StageExecutor:
                 target_id = getattr(item, "vertex_id", None)
                 if target_id is None:
                     continue
-                destination = self._partitioner.worker_for(target_id)
+                destination = worker_for(target_id)
                 if destination != source_worker:
                     size = _estimate_size(getattr(item, "value", None)) + 16
                     step.worker_bytes_sent[source_worker] += size

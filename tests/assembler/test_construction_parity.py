@@ -3,7 +3,7 @@
 The vectorised path hashes and canonicalises only the *distinct*
 windows of each ingest chunk and weights them by their counts; the
 scalar path routes every pair one by one.  Over several chunks, worker
-counts and partitioner settings the two must agree on the graph and on
+counts the two must agree on the graph and on
 every field of both ``dbg-construction/*`` ``JobMetrics``.
 """
 
@@ -40,32 +40,29 @@ def reads():
     return simulator.simulate(genome)
 
 
-def _construct(reads, num_workers, partitioner, vectorized):
+def _construct(reads, num_workers, vectorized):
     config = AssemblyConfig(
         k=15,
         num_workers=num_workers,
-        partitioner=partitioner,
         use_vectorized=vectorized,
         memory_budget_mb=BUDGET_MB,
     )
     chain = StageExecutor(
         num_workers=num_workers,
         columnar_messages=vectorized,
-        partitioner=partitioner,
         memory_budget_mb=BUDGET_MB,
     )
     # An iterator: the vectorised path must not need a list.
     return build_dbg(iter(reads), config, chain), chain.pipeline_metrics.jobs
 
 
-@pytest.mark.parametrize("partitioner", ["hash", "prefix_range"])
 @pytest.mark.parametrize("num_workers", [4, 16])
-def test_construction_metrics_match_scalar_field_by_field(reads, num_workers, partitioner):
+def test_construction_metrics_match_scalar_field_by_field(reads, num_workers):
     budget_bytes = AssemblyConfig(memory_budget_mb=BUDGET_MB).runtime.memory_budget_bytes
     assert len(reads) > 4 * _chunk_reads_for_budget(budget_bytes)
 
-    fast, fast_jobs = _construct(reads, num_workers, partitioner, vectorized=True)
-    reference, reference_jobs = _construct(reads, num_workers, partitioner, vectorized=False)
+    fast, fast_jobs = _construct(reads, num_workers, vectorized=True)
+    reference, reference_jobs = _construct(reads, num_workers, vectorized=False)
 
     assert [job.job_name for job in fast_jobs] == JOB_NAMES
     assert [job.job_name for job in reference_jobs] == JOB_NAMES

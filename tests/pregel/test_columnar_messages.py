@@ -24,7 +24,7 @@ from repro.pregel.message import (
     route_outbox,
     sum_combiner,
 )
-from repro.pregel.partitioner import HashPartitioner, make_partitioner
+from repro.pregel.partitioner import HashPartitioner
 from repro.pregel.vertex import Vertex, _estimate_size
 from repro.ppa.hash_min import run_hash_min
 from repro.ppa.sv import GraphInput
@@ -74,10 +74,9 @@ def _route(outbox, partitioner, combiner=None, columnar=True):
     return route_outbox(outbox, sizes, partitioner, combiner, columnar)[0]
 
 
-def _assert_matches_fold(outboxes, combiner_factory=None, partitioner_name="hash"):
+def _assert_matches_fold(outboxes, combiner_factory=None):
     combiner = combiner_factory() if combiner_factory else None
-    targets = [target for outbox in outboxes for target, _ in outbox]
-    partitioner = make_partitioner(partitioner_name, len(outboxes)).for_job(targets)
+    partitioner = HashPartitioner(len(outboxes))
     want = _dict_fold(outboxes, partitioner, combiner)
     for columnar in (True, False):
         got = _route_and_merge(outboxes, partitioner, combiner, columnar)
@@ -121,10 +120,9 @@ def _outboxes(seed, senders, shape):
     seed=st.integers(0, 2**32),
     senders=st.integers(1, 5),
     shape=st.sampled_from(sorted(_SHAPES)),
-    partitioner_name=st.sampled_from(["hash", "prefix_range"]),
 )
-def test_columnar_deliver_matches_scalar(combiner_factory, seed, senders, shape, partitioner_name):
-    _assert_matches_fold(_outboxes(seed, senders, shape), combiner_factory, partitioner_name)
+def test_columnar_deliver_matches_scalar(combiner_factory, seed, senders, shape):
+    _assert_matches_fold(_outboxes(seed, senders, shape), combiner_factory)
 
 
 # The named behaviours below are pinned inputs of the same property, so
@@ -147,13 +145,10 @@ def test_mixed_columnar_and_scalar_senders_fold_in_sender_order():
     assert want[partitioner.worker_for(1)][1][-1] == "not-an-int"
 
 
-@pytest.mark.parametrize("partitioner_name", ["hash", "prefix_range"])
-def test_int_targets_with_other_payloads_hash_in_one_batch_and_bucket_like_the_scalar_path(
-    partitioner_name,
-):
+def test_int_targets_with_other_payloads_hash_in_one_batch_and_bucket_like_the_scalar_path():
     """Tuple payloads keep scalar batches, whichever way destinations are hashed."""
     rng = random.Random(11)
-    special = 1 << 63  # contig IDs: outside the calibrated plain-ID space
+    special = 1 << 63  # the SPECIAL marker contig IDs carry
     outboxes = [
         [
             (rng.randrange(2**40) | rng.choice((0, special)), ("resp", rng.randrange(2**62), index))
@@ -164,8 +159,7 @@ def test_int_targets_with_other_payloads_hash_in_one_batch_and_bucket_like_the_s
     # Targets outside the uint64 lane are hashed one by one.
     outboxes.append([(2**64 + index, ("req", index)) for index in range(COLUMNAR_MIN_BATCH)])
     outboxes.append([(index - 7, ("req", index)) for index in range(COLUMNAR_MIN_BATCH)])
-    targets = [target for outbox in outboxes for target, _ in outbox]
-    partitioner = make_partitioner(partitioner_name, len(outboxes)).for_job(targets)
+    partitioner = HashPartitioner(len(outboxes))
     want = _dict_fold(outboxes, partitioner, None)
     for columnar in (True, False):
         assert _route_and_merge(outboxes, partitioner, None, columnar) == want

@@ -142,6 +142,9 @@ def test_job_chain_plumbs_backend():
     chain = StageExecutor(num_workers=2, backend="multiprocess")
     assert chain.backend == "multiprocess"
     assert chain.engine.backend_name == "multiprocess"
+    # One vertex placement: the executor's conversions and the engine's
+    # Pregel jobs ask the same partitioner.
+    assert chain.partitioner is chain.engine.partitioner
 
 
 def _spans(tree, prefix):
@@ -174,7 +177,6 @@ def test_every_pregel_job_of_an_assembly_runs_under_the_configured_options(
         labeling_method=labeling_method,
         backend="multiprocess",
         num_workers=2,
-        partitioner="prefix_range",
     )
     tree = _traced_assembly(config, reads_from_strings([cycle + cycle[:5]]))
     jobs = _spans(tree, "pregel:")
@@ -207,7 +209,6 @@ def test_assembly_config_accepts_and_validates_backend():
     for bad, message in [
         ({"num_workers": 0}, "num_workers must be positive, got 0"),
         ({"backend": "spark"}, "unknown execution backend 'spark'"),
-        ({"partitioner": "round_robin"}, "unknown partitioner 'round_robin'"),
         ({"message_plane": "tcp"}, "unknown message plane 'tcp'"),
         ({"memory_budget_mb": 0}, "memory_budget_mb must be positive, got 0"),
         ({"memory_budget_mb": float("nan")}, "memory_budget_mb must be finite, got nan"),

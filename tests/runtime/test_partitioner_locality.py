@@ -1,15 +1,11 @@
-"""Locality: prefix-range partitioning must actually cut cross traffic.
+"""The ``cross_worker_messages`` counter is exact.
 
 ``cross_worker_messages`` counts raw (pre-combine) messages whose
 destination lives on a different worker than the sender — the traffic
-that crosses a process (or network) boundary.  On the path-shaped
-graphs a de Bruijn graph decomposes into, neighbouring vertex IDs are
-numerically adjacent, so contiguous ID ranges keep almost every edge
-worker-local while hash placement scatters them.  These tests pin both
-halves of the claim: the counter is *exact* (verified against a direct
-combinatorial count at superstep 0 and against the serial backend for
-every later superstep), and prefix_range is *measurably* lower than
-hash at 4 workers.
+that crosses a process (or network) boundary.  These tests pin it
+against a direct combinatorial count under the backend's hash placement
+at superstep 0, and against the serial backend for every later
+superstep on both multiprocess message planes.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ import pytest
 from repro.ppa.hash_min import run_hash_min
 from repro.ppa.sv import GraphInput
 from repro.pregel import PregelEngine
-from repro.pregel.partitioner import make_partitioner
 
 NUM_WORKERS = 4
 
@@ -27,25 +22,18 @@ NUM_WORKERS = 4
 PATH_EDGES = [(i, i + 1) for i in range(399)]
 
 
-def _run(backend, partitioner, message_plane="shm"):
-    engine = PregelEngine(
-        num_workers=NUM_WORKERS,
-        backend=backend,
-        partitioner=partitioner,
-        message_plane=message_plane,
-    )
+def _run(engine):
     return run_hash_min(GraphInput.from_edges(PATH_EDGES), engine=engine)
 
 
-def _expected_superstep0_counts(partitioner_name):
+def _expected_superstep0_counts(partitioner):
     """Direct count: at superstep 0 every vertex messages every neighbour.
 
-    Returns ``(total, local, cross)`` directed-message counts under the
-    calibrated partitioner; ``total == local + cross`` by construction,
-    which is the partition the counter claims to expose.
+    Returns ``(total, local, cross)`` directed-message counts under
+    ``partitioner``; ``total == local + cross`` by construction, which
+    is the partition the counter claims to expose.
     """
     adjacency = GraphInput.from_edges(PATH_EDGES).adjacency
-    partitioner = make_partitioner(partitioner_name, NUM_WORKERS).for_job(adjacency)
     total = local = 0
     for vertex, neighbors in adjacency.items():
         for neighbor in neighbors:
@@ -55,24 +43,31 @@ def _expected_superstep0_counts(partitioner_name):
     return total, local, total - local
 
 
-@pytest.mark.parametrize("partitioner", ["hash", "prefix_range"])
 @pytest.mark.parametrize("backend", ["serial", "multiprocess"])
-def test_superstep0_cross_counter_is_exact(backend, partitioner):
-    total, local, cross = _expected_superstep0_counts(partitioner)
-    step0 = _run(backend, partitioner).metrics.supersteps[0]
+def test_superstep0_cross_counter_is_exact(backend):
+    engine = PregelEngine(num_workers=NUM_WORKERS, backend=backend)
+    total, local, cross = _expected_superstep0_counts(engine.partitioner)
+    step0 = _run(engine).metrics.supersteps[0]
     # The counter is exactly "raw messages minus worker-local
     # deliveries" — verified against a direct combinatorial count on
     # both backends.
     assert step0.messages_sent == total
+    assert cross > 0
     assert step0.cross_worker_messages == cross
     assert step0.messages_sent - step0.cross_worker_messages == local
 
 
-@pytest.mark.parametrize("partitioner", ["hash", "prefix_range"])
-def test_cross_counter_identical_across_backends_and_planes(partitioner):
-    serial = _run("serial", partitioner)
-    mp_shm = _run("multiprocess", partitioner, message_plane="shm")
-    mp_queue = _run("multiprocess", partitioner, message_plane="queue")
+def test_cross_counter_identical_across_backends_and_planes():
+    def run(backend, message_plane="shm"):
+        return _run(
+            PregelEngine(
+                num_workers=NUM_WORKERS, backend=backend, message_plane=message_plane
+            )
+        )
+
+    serial = run("serial")
+    mp_shm = run("multiprocess", message_plane="shm")
+    mp_queue = run("multiprocess", message_plane="queue")
     serial_cross = [s.cross_worker_messages for s in serial.metrics.supersteps]
     assert [s.cross_worker_messages for s in mp_shm.metrics.supersteps] == serial_cross
     assert [s.cross_worker_messages for s in mp_queue.metrics.supersteps] == serial_cross
@@ -82,21 +77,3 @@ def test_cross_counter_identical_across_backends_and_planes(partitioner):
     # And the job summary exposes the same total.
     assert serial.metrics.summary()["cross_worker_messages"] == sum(serial_cross)
     assert serial.metrics.total_cross_worker_messages == sum(serial_cross)
-
-
-@pytest.mark.parametrize("backend", ["serial", "multiprocess"])
-def test_prefix_range_cuts_cross_traffic_on_path_graphs(backend):
-    hash_result = _run(backend, "hash")
-    range_result = _run(backend, "prefix_range")
-    hash_cross = hash_result.metrics.total_cross_worker_messages
-    range_cross = range_result.metrics.total_cross_worker_messages
-    # The totals the two placements split up are the same work.
-    assert hash_result.metrics.total_messages == range_result.metrics.total_messages
-    # On a path, contiguous ranges make only the 3 range boundaries
-    # (4 workers) cross edges; hash placement scatters ~3/4 of all
-    # traffic off-worker.  "Measurably lower" here is a 2× margin so
-    # the test stays robust to partitioner tweaks.
-    assert hash_cross > 0
-    assert range_cross * 2 < hash_cross
-    # Local + cross partitions the raw message count.
-    assert range_cross <= range_result.metrics.total_messages

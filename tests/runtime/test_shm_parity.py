@@ -1,7 +1,7 @@
-"""Parity matrix for the shm message plane and the prefix partitioner.
+"""Parity matrix for the shm message plane.
 
-The shared-memory message plane and the locality-aware partitioner are
-pure transport/placement optimisations: nothing observable may change.
+The shared-memory message plane is a pure transport optimisation:
+nothing observable may change.
 This suite drives ~20 seeded datasets (varying k, error rate, genome
 length, and a paired-end quarter that exercises scaffolding) through a
 serial *scalar* oracle (``use_vectorized=False`` — no columnar batches,
@@ -10,13 +10,9 @@ per-superstep :class:`~repro.pregel.metrics.PipelineMetrics` — including
 the ``cross_worker_messages`` counter — for:
 
 * the serial backend with columnar messages, and
-* the multiprocess backend, rotating deterministically through all four
-  message-plane × partitioner combinations so each combo is covered by
-  ~5 datasets without running the full 4-way product per dataset.
-
-Contig IDs embed the worker that minted them, so every comparison runs
-oracle and candidates under the *same* partitioner; cross-partitioner
-equality is deliberately not asserted.
+* the multiprocess backend, alternating deterministically between the
+  two message planes so each is covered by ~10 datasets without running
+  both per dataset.
 """
 
 from __future__ import annotations
@@ -29,14 +25,9 @@ from repro.ppa.hash_min import run_hash_min
 from repro.ppa.sv import GraphInput
 from repro.pregel import PregelEngine
 
-#: The four multiprocess (message_plane, partitioner) combinations;
-#: dataset ``index % 4`` selects one, so 20 datasets cover each 5×.
-MP_COMBOS = (
-    ("shm", "hash"),
-    ("shm", "prefix_range"),
-    ("queue", "hash"),
-    ("queue", "prefix_range"),
-)
+#: The multiprocess message planes; dataset ``index % 2`` selects one,
+#: so 20 datasets cover each 10×.
+MP_COMBOS = ("shm", "queue")
 
 #: (index, k, genome_length, error_rate, paired) — 20 seeded datasets.
 #: k cycles over the odd sizes 13..21, genome length sweeps 2000..4850,
@@ -48,7 +39,7 @@ DATASET_SPECS = [
 ]
 
 
-def _config(spec, backend, message_plane, partitioner, use_vectorized):
+def _config(spec, backend, message_plane, use_vectorized):
     index, k, _length, _error_rate, paired = spec
     return AssemblyConfig(
         k=k,
@@ -57,15 +48,14 @@ def _config(spec, backend, message_plane, partitioner, use_vectorized):
         num_workers=4,
         backend=backend,
         message_plane=message_plane,
-        partitioner=partitioner,
         use_vectorized=use_vectorized,
         scaffold=paired,
     )
 
 
-def _assemble(spec, backend, message_plane, partitioner, use_vectorized):
+def _assemble(spec, backend, message_plane, use_vectorized):
     index, k, length, error_rate, paired = spec
-    config = _config(spec, backend, message_plane, partitioner, use_vectorized)
+    config = _config(spec, backend, message_plane, use_vectorized)
     assembler = PPAAssembler(config)
     if paired:
         _genome, pairs = simulate_paired_dataset(
@@ -110,12 +100,11 @@ def _assert_result_parity(oracle, candidate):
 
 @pytest.mark.parametrize("spec", DATASET_SPECS, ids=lambda s: f"ds{s[0]:02d}-k{s[1]}-{'paired' if s[4] else 'single'}")
 def test_shm_and_partitioner_parity(spec):
-    message_plane, partitioner = MP_COMBOS[spec[0] % len(MP_COMBOS)]
-    # The oracle: serial backend, scalar message/kernels path, same
-    # partitioner as the candidates (contig IDs embed worker IDs).
-    oracle = _assemble(spec, "serial", "queue", partitioner, use_vectorized=False)
-    serial_columnar = _assemble(spec, "serial", message_plane, partitioner, use_vectorized=True)
-    multiprocess = _assemble(spec, "multiprocess", message_plane, partitioner, use_vectorized=True)
+    message_plane = MP_COMBOS[spec[0] % len(MP_COMBOS)]
+    # The oracle: serial backend, scalar message/kernels path.
+    oracle = _assemble(spec, "serial", "queue", use_vectorized=False)
+    serial_columnar = _assemble(spec, "serial", message_plane, use_vectorized=True)
+    multiprocess = _assemble(spec, "multiprocess", message_plane, use_vectorized=True)
     _assert_result_parity(oracle, serial_columnar)
     _assert_result_parity(oracle, multiprocess)
 
@@ -123,20 +112,18 @@ def test_shm_and_partitioner_parity(spec):
 # ----------------------------------------------------------------------
 # aggregate histories (not retained by AssemblyResult) at the job level
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("message_plane,partitioner", MP_COMBOS, ids=lambda v: str(v))
-def test_job_level_aggregate_parity(message_plane, partitioner):
-    """Per-superstep aggregate snapshots survive every plane/partitioner."""
+@pytest.mark.parametrize("message_plane", MP_COMBOS)
+def test_job_level_aggregate_parity(message_plane):
+    """Per-superstep aggregate snapshots survive every message plane."""
     edges = [(i, i + 1) for i in range(180)] + [(200 + i, 200 + (i + 1) % 40) for i in range(40)]
     graph = GraphInput.from_edges(edges)
 
-    def run(backend, plane, part):
-        engine = PregelEngine(
-            num_workers=4, backend=backend, partitioner=part, message_plane=plane
-        )
+    def run(backend, plane):
+        engine = PregelEngine(num_workers=4, backend=backend, message_plane=plane)
         return run_hash_min(graph, engine=engine)
 
-    oracle = run("serial", "queue", partitioner)
-    candidate = run("multiprocess", message_plane, partitioner)
+    oracle = run("serial", "queue")
+    candidate = run("multiprocess", message_plane)
     assert candidate.vertex_values() == oracle.vertex_values()
     assert candidate.aggregates == oracle.aggregates
     assert list(candidate.vertices) == list(oracle.vertices)

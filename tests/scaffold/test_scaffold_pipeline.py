@@ -132,3 +132,13 @@ def test_config_validation():
     tuned = AssemblyConfig().with_scaffolding(min_links=3, insert_size=450.0)
     assert tuned.scaffold and tuned.scaffold_min_links == 3
     assert tuned.scaffold_insert_size == 450.0
+
+
+@pytest.mark.parametrize("insert_size", [float("nan"), float("inf"), 0.0])
+def test_config_rejects_a_non_finite_or_non_positive_insert_size(insert_size):
+    from repro.errors import PipelineConfigError
+
+    # Accepted, a NaN or infinite size used to surface only inside the
+    # scaffolder, as a raw ValueError / OverflowError.
+    with pytest.raises(PipelineConfigError, match="must be finite and positive"):
+        AssemblyConfig(scaffold=True, scaffold_insert_size=insert_size)

@@ -211,3 +211,14 @@ def test_no_contigs_no_pairs_degenerate_cases():
     lone = scaffold_contigs(["ACGTACGTACGTACGTACGTACGTA"], [], chain, seed_k=11)
     assert len(lone.scaffolds) == 1
     assert lone.num_pairs_mapped == 0
+
+
+@pytest.mark.parametrize("insert_size", [float("nan"), float("inf"), 0.0, -5.0])
+def test_scaffold_contigs_rejects_a_non_finite_or_non_positive_insert_size(insert_size):
+    from repro.errors import PipelineConfigError
+
+    with pytest.raises(PipelineConfigError, match="insert_size must be finite and positive"):
+        scaffold_contigs(
+            ["ACGTACGTACGTACGTACGTACGTA"], [], StageExecutor(num_workers=2),
+            seed_k=11, insert_size=insert_size,
+        )

@@ -591,6 +591,13 @@ def test_spec_with_a_non_finite_memory_budget_is_invalid(budget):
         make_spec(memory_budget_mb=budget).validate()
 
 
+def test_spec_naming_a_partitioner_is_rejected_as_an_unknown_field():
+    # Vertex placement is the backend's one hash partitioner; no config
+    # field selects it.
+    with pytest.raises(InvalidJobSpecError, match="unknown config field.*partitioner"):
+        make_spec(partitioner="hash").validate()
+
+
 def test_store_survives_reopen(tmp_path):
     path = tmp_path / "jobs.sqlite3"
     first = JobStore(path)

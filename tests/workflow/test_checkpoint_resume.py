@@ -239,6 +239,33 @@ def test_fresh_run_clears_a_checkpoint_of_a_vanished_module(tmp_path):
     assert not stale.exists()
 
 
+def _without_stage_names(payload):
+    return {"format": payload["format"], "workflow": payload["workflow"]}
+
+
+def _with_a_bad_completed_count(payload):
+    return {**payload, "completed": "x"}
+
+
+@pytest.mark.parametrize(
+    "damage, field",
+    [(_without_stage_names, "stage_names"), (_with_a_bad_completed_count, "completed")],
+    ids=["no-stage-names", "completed-not-an-int"],
+)
+def test_malformed_checkpoint_raises_a_checkpoint_error_naming_the_file(
+    tmp_path, damage, field
+):
+    workflow = _two_stage_workflow()
+    WorkflowRunner(num_workers=2, checkpoint_dir=tmp_path).run(workflow)
+    latest = sorted(tmp_path.glob("checkpoint-*.pkl"))[-1]
+    latest.write_bytes(pickle.dumps(damage(pickle.loads(latest.read_bytes()))))
+
+    with pytest.raises(CheckpointError, match=f"{latest.name} is malformed: {field}"):
+        CheckpointStore(tmp_path).latest("robust")
+    with pytest.raises(CheckpointError, match=latest.name):
+        WorkflowRunner(num_workers=2, checkpoint_dir=tmp_path).run(workflow, resume=True)
+
+
 def _local_function():
     def local():
         return None
