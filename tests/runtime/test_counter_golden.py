@@ -18,6 +18,11 @@ A paired ``scaffold=True`` assembly pins the scaffolding jobs too
 digest and a hash of the scaffolds it emits were recorded before the
 scaffolder became straight-line code on the assembly's executor, and
 the serial and two-process backends share both.
+
+Two more pins cover what the chain view and the merge stitcher produce
+rather than what they count: the final graph of the list-ranking and
+S-V assemblies (every contig record and every k-mer adjacency entry) and
+the sorted contigs of each baseline assembler on the same reads.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import pytest
 
 from repro.assembler import AssemblyConfig, PPAAssembler
 from repro.assembler.config import LABELING_LIST_RANKING, LABELING_SIMPLIFIED_SV
+from repro.baselines import BASELINES
 from repro.dna.simulator import simulate_dataset, simulate_paired_dataset
 from repro.store import process_spill_stats
 
@@ -45,6 +51,19 @@ GOLDEN = {
 #: SHA-256 over each scaffold's sequence and member tuples.
 SCAFFOLD_COUNTER_GOLDEN = "d23927dde298b5cf4dcbb9955495f1f8d0f770c0aa629d18805a9fc1c97fea67"
 SCAFFOLDS_GOLDEN = "fa0c10e1abd25c38b24c04a1e38422e6d15447cbac876c1adc906e33b8e251fd"
+
+#: (labeling_method, k) -> SHA-256 over the final graph's contigs and k-mer
+#: adjacencies.  At k=21 the reads assemble into one contig; k=11 leaves
+#: ambiguous k-mers with via-contig adjacencies in the final graph.
+GRAPH_GOLDEN = {
+    (LABELING_LIST_RANKING, 21): "846a559e2bf9f5fd57b7c786207456c5ad1471f193e4f644ee98ab6a40226db9",
+    (LABELING_SIMPLIFIED_SV, 21): "15959b348953c00e49a944ea5e16934fb4a76c3ba26640c4ff6786baf50d7864",
+    (LABELING_LIST_RANKING, 11): "210e6cbee186c8b6f1311c0123e13e8ed48744c92c7457d98325a5491fcb395e",
+    (LABELING_SIMPLIFIED_SV, 11): "da149d4336fc4db1b1858aa4cc5e34ca5378d933895fd288a8d684795149461a",
+}
+
+#: SHA-256 over the sorted contigs of every baseline in BASELINES.
+BASELINES_GOLDEN = "2f8e8f6fcb02a3276e02956f21f6dffdbdca33357fe3f2ea51b976e8a02312db"
 
 RUNTIMES = {
     "serial": dict(backend="serial", num_workers=4),
@@ -84,6 +103,42 @@ def scaffolds_digest(scaffolding) -> str:
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
+def graph_digest(graph) -> str:
+    """SHA-256 over every contig record and every k-mer's adjacency entries."""
+    payload = {
+        "contigs": [
+            [
+                contig.contig_id,
+                contig.sequence,
+                contig.coverage,
+                dataclasses.astuple(contig.in_end),
+                dataclasses.astuple(contig.out_end),
+                contig.member_kmers,
+            ]
+            for contig in sorted(graph.contigs.values(), key=lambda item: item.contig_id)
+        ],
+        "kmers": [
+            [
+                kmer_id,
+                [
+                    [
+                        adjacency.neighbor_id,
+                        adjacency.my_port,
+                        adjacency.neighbor_port,
+                        adjacency.coverage,
+                        None
+                        if adjacency.via_contig is None
+                        else dataclasses.astuple(adjacency.via_contig),
+                    ]
+                    for adjacency in graph.kmers[kmer_id].adjacencies
+                ],
+            ]
+            for kmer_id in sorted(graph.kmers)
+        ],
+    }
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def reads():
     _genome, reads = simulate_dataset(
@@ -106,6 +161,29 @@ def test_every_superstep_counter_matches_the_recorded_digest(reads, labeling_met
     assert sum(step.messages_sent for step in steps) > 1000
     assert any(sum(step.worker_bytes_received) for step in steps)
     assert counter_digest(result.metrics) == GOLDEN[labeling_method, options["num_workers"]]
+
+
+@pytest.mark.parametrize("k", [21, 11])
+@pytest.mark.parametrize("labeling_method", [LABELING_LIST_RANKING, LABELING_SIMPLIFIED_SV])
+def test_final_graph_matches_the_recorded_digest(reads, labeling_method, k):
+    config = AssemblyConfig(k=k, labeling_method=labeling_method, num_workers=4)
+    result = PPAAssembler(config).assemble(reads)
+    assert result.graph.contigs
+    assert (k == 11) == any(
+        adjacency.via_contig is not None
+        for vertex in result.graph.kmers.values()
+        for adjacency in vertex.adjacencies
+    )
+    assert graph_digest(result.graph) == GRAPH_GOLDEN[labeling_method, k]
+
+
+def test_baseline_contigs_match_the_recorded_digest(reads):
+    payload = {
+        name: sorted(assembler_class(k=21).assemble(reads).contigs)
+        for name, assembler_class in sorted(BASELINES.items())
+    }
+    assert all(payload.values())
+    assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == BASELINES_GOLDEN
 
 
 @pytest.fixture(scope="module")
