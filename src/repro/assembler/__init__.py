@@ -10,7 +10,7 @@ operations into their own strategies.
 """
 
 from .bubble import BubbleResult, filter_bubbles
-from .chain import ChainGraph, ChainLink, ChainNode, build_chain_graph
+from .chain import ChainElement, build_chain_graph
 from .config import (
     LABELING_LIST_RANKING,
     LABELING_SIMPLIFIED_SV,
@@ -31,9 +31,7 @@ from .tips import TipRemovalResult, remove_tips
 __all__ = [
     "BubbleResult",
     "filter_bubbles",
-    "ChainGraph",
-    "ChainLink",
-    "ChainNode",
+    "ChainElement",
     "build_chain_graph",
     "LABELING_LIST_RANKING",
     "LABELING_SIMPLIFIED_SV",

@@ -21,7 +21,7 @@ labeling round (arrow ⑥ of Figure 10).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..dbg.contig_vertex import ContigVertexData
 from ..dbg.graph import DeBruijnGraph

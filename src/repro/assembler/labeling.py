@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..dbg.graph import DeBruijnGraph
 from ..dbg.kmer_vertex import TYPE_AMBIGUOUS
-from ..dbg.polarity import PORT_IN, PORT_OUT
 from ..dna.encoding import FLIP_BIT, flip_id, is_flipped, unflip_id
 from ..pregel import (
     ComputeContext,
@@ -44,7 +43,7 @@ from ..pregel import (
 from ..pregel.vertex import _estimate_size
 from ..workflow.executor import StageExecutor
 from ..ppa.sv import GraphInput, components_from_result, run_simplified_sv
-from .chain import ChainGraph, build_chain_graph
+from .chain import ChainElement, build_chain_graph, chain_neighbors
 from .config import (
     LABELING_LIST_RANKING,
     LABELING_SIMPLIFIED_SV,
@@ -64,7 +63,7 @@ class LabelingResult:
     """Output of operation ②."""
 
     labels: Dict[int, int]
-    chain: ChainGraph
+    chain: Dict[int, ChainElement]
     method: str
     metrics: List[JobMetrics] = field(default_factory=list)
     used_cycle_fallback: bool = False
@@ -76,13 +75,6 @@ class LabelingResult:
     @property
     def num_messages(self) -> int:
         return sum(job.total_messages for job in self.metrics)
-
-    def groups(self) -> Dict[int, List[int]]:
-        """Invert the labels: ``label -> [node ids]``."""
-        grouped: Dict[int, List[int]] = {}
-        for node_id, label in self.labels.items():
-            grouped.setdefault(label, []).append(node_id)
-        return grouped
 
 
 # ----------------------------------------------------------------------
@@ -125,12 +117,11 @@ class _EndRecognitionVertex(Vertex):
 
 def _run_end_recognition(
     graph: DeBruijnGraph,
-    chain: ChainGraph,
+    chain: Dict[int, ChainElement],
     job_chain: StageExecutor,
 ) -> Dict[int, Tuple[int, int]]:
     """Run the recognition job; returns the initial ID pair per chain node."""
     vertices: List[Vertex] = []
-    chain_ids = set(chain.nodes)
 
     for kmer_id, vertex in graph.kmers.items():
         if vertex.vertex_type() != TYPE_AMBIGUOUS:
@@ -144,14 +135,19 @@ def _run_end_recognition(
                 target = adjacency.via_contig.contig_id
             else:
                 target = adjacency.neighbor_id
-            if target in chain_ids:
+            if target in chain:
                 targets.append(target)
         vertices.append(
             _EndRecognitionVertex(kmer_id, value={"kind": "ambiguous"}, edges=targets)
         )
 
-    pair_view = chain.pair_view()
-    for node_id, pair in pair_view.items():
+    # The "ID pair" of Section IV-B: the neighbour on each side, or None
+    # where the side is a contig end.
+    for node_id, element in chain.items():
+        pair = tuple(
+            end.neighbor_id if end.neighbor_id in chain else None
+            for end in (element.in_end, element.out_end)
+        )
         vertices.append(
             _EndRecognitionVertex(node_id, value={"kind": "chain", "pair": pair}, edges=[])
         )
@@ -163,7 +159,7 @@ def _run_end_recognition(
         PregelJob(name="contig-labeling/end-recognition", vertices=vertices)
     )
     pairs: Dict[int, Tuple[int, int]] = {}
-    for node_id in chain.nodes:
+    for node_id in chain:
         pairs[node_id] = tuple(result.vertices[node_id].value["pair"])
     return pairs
 
@@ -329,22 +325,21 @@ def _run_bidirectional_list_ranking(
 # ----------------------------------------------------------------------
 # simplified S-V over the chain graph
 # ----------------------------------------------------------------------
-def _chain_graph_input(chain: ChainGraph, restrict_to: Optional[set] = None) -> GraphInput:
-    adjacency: Dict[int, List[int]] = {}
-    for node_id, node in chain.nodes.items():
-        if restrict_to is not None and node_id not in restrict_to:
-            continue
-        neighbors = []
-        for neighbor_id in node.neighbor_ids():
-            if restrict_to is not None and neighbor_id not in restrict_to:
-                continue
-            neighbors.append(neighbor_id)
-        adjacency[node_id] = neighbors
-    return GraphInput(adjacency)
+def _chain_graph_input(
+    chain: Dict[int, ChainElement], restrict_to: Optional[set] = None
+) -> GraphInput:
+    nodes = chain if restrict_to is None else restrict_to
+    return GraphInput(
+        {
+            node_id: chain_neighbors(nodes, element)
+            for node_id, element in chain.items()
+            if node_id in nodes
+        }
+    )
 
 
 def _run_sv_labeling(
-    chain: ChainGraph,
+    chain: Dict[int, ChainElement],
     job_chain: StageExecutor,
     restrict_to: Optional[set] = None,
     job_suffix: str = "",
@@ -363,7 +358,7 @@ def _run_sv_labeling(
 # ----------------------------------------------------------------------
 def _label_by_list_ranking(
     pairs: Dict[int, Tuple[int, int]],
-    chain: ChainGraph,
+    chain: Dict[int, ChainElement],
     job_chain: StageExecutor,
 ) -> Tuple[Dict[int, int], bool]:
     """Label paths by list ranking and cycles by S-V; returns (labels, used fallback)."""
@@ -397,7 +392,7 @@ def label_contigs(
     labels: Dict[int, int] = {}
     used_fallback = False
 
-    if not chain.nodes:
+    if not chain:
         return LabelingResult(labels={}, chain=chain, method=config.labeling_method)
 
     pairs = _run_end_recognition(graph, chain, job_chain)

@@ -21,53 +21,38 @@ of the new contig (Section IV-A's contig-neighbour triplet).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..dbg.contig_vertex import ContigEnd, ContigVertexData
 from ..dbg.graph import DeBruijnGraph
 from ..dbg.ids import ContigIdAllocator
-from ..dbg.kmer_vertex import ContigLink
+from ..dbg.kmer_vertex import ContigLink, KmerVertexData
 from ..dbg.polarity import PORT_IN, PORT_OUT, other_port
 from ..dna.encoding import NULL_ID
 from ..dna.sequence import reverse_complement
 from ..errors import GraphFormatError
 from ..workflow.executor import StageExecutor
 from ..pregel.partitioner import HashPartitioner
-from .chain import ChainGraph, ChainLink, ChainNode, KIND_CONTIG
+from .chain import ChainElement
 from .config import AssemblyConfig
 from .labeling import LabelingResult
 
 
 @dataclass
-class MergeBoundary:
-    """How one end of a freshly merged contig attaches to the graph."""
-
-    ambiguous_kmer: Optional[int]  # None for a dead end
-    ambiguous_port: Optional[int]
-    edge_coverage: int
-    terminal_node: int  # the chain node at this end of the path
-
-
-@dataclass
 class MergedContig:
-    """One stitched contig before it is written back into the graph."""
+    """One stitched contig before it is written back into the graph.
+
+    ``start`` and ``end`` are the contig's in and out ends; their
+    terminal chain nodes are ``member_nodes[0]`` and ``member_nodes[-1]``.
+    """
 
     sequence: str
     coverage: int
     member_nodes: List[int]
-    start: MergeBoundary
-    end: MergeBoundary
+    start: ContigEnd
+    end: ContigEnd
     is_cycle: bool = False
-
-
-@dataclass
-class DroppedTip:
-    """A dangling path that the merge-time tip check discarded."""
-
-    member_nodes: List[int]
-    length: int
-    boundaries: List[MergeBoundary] = field(default_factory=list)
 
 
 @dataclass
@@ -82,7 +67,7 @@ class MergingResult:
 # ----------------------------------------------------------------------
 # stitching one group
 # ----------------------------------------------------------------------
-def _oriented_sequence(node: ChainNode, entry_port: int) -> str:
+def _oriented_sequence(node: ChainElement, entry_port: int) -> str:
     """Node sequence read in the direction of the walk.
 
     Entering through the node's 5' side (``PORT_IN``) means the walk
@@ -94,45 +79,39 @@ def _oriented_sequence(node: ChainNode, entry_port: int) -> str:
     return reverse_complement(node.sequence)
 
 
-def _boundary_from_link(link: Optional[ChainLink], terminal_node: int) -> MergeBoundary:
-    if link is None:
-        return MergeBoundary(
-            ambiguous_kmer=None, ambiguous_port=None, edge_coverage=0, terminal_node=terminal_node
-        )
-    return MergeBoundary(
-        ambiguous_kmer=link.boundary_kmer,
-        ambiguous_port=link.boundary_port,
-        edge_coverage=link.edge_coverage,
-        terminal_node=terminal_node,
-    )
+def _end_on(node: ChainElement, port: int) -> ContigEnd:
+    return node.in_end if port == PORT_IN else node.out_end
+
+
+def _boundary(chain: Dict[int, ChainElement], end: ContigEnd) -> ContigEnd:
+    """The end a merged contig keeps: a chain node outside the group dangles."""
+    if end.neighbor_id in chain:
+        return ContigEnd(NULL_ID, 0, end.edge_coverage)
+    return end
 
 
 def _stitch_group(
-    group_nodes: List[ChainNode],
+    chain: Dict[int, ChainElement],
+    node_ids: List[int],
     k: int,
 ) -> Tuple[Optional[MergedContig], Optional[str]]:
-    """Order and stitch one label group.
+    """Order and stitch one label group of ``chain``.
 
     Returns ``(merged contig, error)``; ``error`` is a description when
     the group is structurally inconsistent (which indicates a labeling
     bug and is surfaced loudly by the caller).
     """
-    by_id = {node.node_id: node for node in group_nodes}
+    by_id = {node_id: chain[node_id] for node_id in node_ids}
 
     # Pick the starting vertex: a path end if one exists, otherwise the
     # group is a cycle and any vertex will do (paper: "we start
     # stitching from an arbitrary vertex").
     start_node = None
     start_entry_port = None
-    for node in sorted(group_nodes, key=lambda item: item.node_id):
+    for node_id in sorted(by_id):
+        node = by_id[node_id]
         for port in (PORT_IN, PORT_OUT):
-            link = node.link(port)
-            is_external = (
-                link is None
-                or link.is_boundary
-                or link.neighbor_id not in by_id
-            )
-            if is_external:
+            if _end_on(node, port).neighbor_id not in by_id:
                 start_node = node
                 start_entry_port = port
                 break
@@ -144,7 +123,7 @@ def _stitch_group(
     pure_cycle = start_node is None
     is_cycle = pure_cycle
     if pure_cycle:
-        start_node = min(group_nodes, key=lambda item: item.node_id)
+        start_node = by_id[min(by_id)]
         start_entry_port = PORT_IN
 
     # Walk the path, collecting oriented sequences.
@@ -155,8 +134,6 @@ def _stitch_group(
 
     current = start_node
     entry_port = start_entry_port
-    previous_node: Optional[ChainNode] = None
-    final_exit_link: Optional[ChainLink] = None
 
     while True:
         if current.node_id in visited:
@@ -169,34 +146,29 @@ def _stitch_group(
             # ambiguous k-mer keeps a dangling edge into the merged
             # (and deleted) node.
             is_cycle = pure_cycle
+            exit_end = ContigEnd()
             break
         visited.add(current.node_id)
         member_nodes.append(current.node_id)
         coverages.append(current.coverage)
         sequence_parts.append(_oriented_sequence(current, entry_port))
 
-        exit_port = other_port(entry_port)
-        exit_link = current.link(exit_port)
-        leaves_group = (
-            exit_link is None
-            or exit_link.is_boundary
-            or exit_link.neighbor_id not in by_id
-        )
-        if leaves_group:
-            final_exit_link = exit_link
+        exit_end = _end_on(current, other_port(entry_port))
+        if exit_end.neighbor_id not in by_id:
             break
 
-        coverages.append(exit_link.edge_coverage)
-        next_node = by_id[exit_link.neighbor_id]
-        next_entry = next_node.port_towards(current.node_id)
-        if next_entry is None:
+        coverages.append(exit_end.edge_coverage)
+        next_node = by_id[exit_end.neighbor_id]
+        if next_node.in_end.neighbor_id == current.node_id:
+            entry_port = PORT_IN
+        elif next_node.out_end.neighbor_id == current.node_id:
+            entry_port = PORT_OUT
+        else:
             return None, (
-                f"chain node {exit_link.neighbor_id:#x} has no link back to "
+                f"chain node {exit_end.neighbor_id:#x} has no link back to "
                 f"{current.node_id:#x}"
             )
-        previous_node = current
         current = next_node
-        entry_port = next_entry
 
     if len(member_nodes) != len(by_id) and not is_cycle:
         return None, (
@@ -211,22 +183,18 @@ def _stitch_group(
             return None, "consecutive chain elements do not overlap by k-1 characters"
         stitched += part[overlap:]
 
-    coverage = min(coverages) if coverages else 0
-    start_link = start_node.link(start_entry_port)
-    start_boundary = _boundary_from_link(
-        None if is_cycle else start_link, start_node.node_id
-    )
-    end_boundary = _boundary_from_link(
-        None if is_cycle else final_exit_link, member_nodes[-1]
-    )
-
+    if is_cycle:
+        start = end = ContigEnd()
+    else:
+        start = _boundary(chain, _end_on(start_node, start_entry_port))
+        end = _boundary(chain, exit_end)
     return (
         MergedContig(
             sequence=stitched,
-            coverage=coverage,
+            coverage=min(coverages),
             member_nodes=member_nodes,
-            start=start_boundary,
-            end=end_boundary,
+            start=start,
+            end=end,
             is_cycle=is_cycle,
         ),
         None,
@@ -253,39 +221,32 @@ def merge_contigs(
             return
         yield label, node_id
 
-    stitched_groups: List[MergedContig] = []
-    dropped: List[DroppedTip] = []
+    dropped: List[MergedContig] = []
     errors: List[str] = []
 
     def reduce_group(label: int, node_ids: List[int]) -> Iterable[MergedContig]:
-        nodes = [chain.nodes[node_id] for node_id in node_ids if node_id in chain.nodes]
-        if not nodes:
+        node_ids = [node_id for node_id in node_ids if node_id in chain]
+        if not node_ids:
             return
-        merged, error = _stitch_group(nodes, graph.k)
+        merged, error = _stitch_group(chain, node_ids, graph.k)
         if error is not None:
             errors.append(f"label {label:#x}: {error}")
             return
         # Merge-time tip check (Section IV-B, op ③): a dangling short
         # path is a tip and is not emitted as a contig.
-        dangles = merged.start.ambiguous_kmer is None or merged.end.ambiguous_kmer is None
+        dangles = merged.start.is_dead_end() or merged.end.is_dead_end()
         if (
             not merged.is_cycle
             and dangles
             and len(merged.sequence) <= config.tip_length_threshold
         ):
-            dropped.append(
-                DroppedTip(
-                    member_nodes=merged.member_nodes,
-                    length=len(merged.sequence),
-                    boundaries=[merged.start, merged.end],
-                )
-            )
+            dropped.append(merged)
             return
         yield merged
 
     mapreduce = job_chain.run_mapreduce(
         name="contig-merging/group-and-stitch",
-        records=list(chain.nodes),
+        records=list(chain),
         map_fn=map_node,
         reduce_fn=reduce_group,
     )
@@ -309,7 +270,7 @@ def merge_contigs(
 def _apply_to_graph(
     graph: DeBruijnGraph,
     merged_contigs: List[MergedContig],
-    dropped: List[DroppedTip],
+    dropped: List[MergedContig],
     allocator: ContigIdAllocator,
     partitioner: HashPartitioner,
 ) -> List[int]:
@@ -321,14 +282,12 @@ def _apply_to_graph(
         contig_id = allocator.allocate(worker)
         created.append(contig_id)
 
-        in_end = _contig_end(merged.start)
-        out_end = _contig_end(merged.end)
         contig = ContigVertexData(
             contig_id=contig_id,
             sequence=merged.sequence,
             coverage=merged.coverage,
-            in_end=in_end,
-            out_end=out_end,
+            in_end=merged.start,
+            out_end=merged.end,
             member_kmers=list(merged.member_nodes),
         )
 
@@ -337,35 +296,16 @@ def _apply_to_graph(
 
         # Rewire the two bordering ambiguous k-mers (if any) so they see
         # the new contig as a labelled edge to the k-mer on its far end.
-        _attach_boundary(
-            graph,
-            boundary=merged.start,
-            far_boundary=merged.end,
-            contig=contig,
-        )
-        _attach_boundary(
-            graph,
-            boundary=merged.end,
-            far_boundary=merged.start,
-            contig=contig,
-        )
+        link = ContigLink(contig_id=contig_id, length=contig.length, coverage=contig.coverage)
+        _attach_boundary(graph, merged.start, merged.member_nodes[0], merged.end, link)
+        _attach_boundary(graph, merged.end, merged.member_nodes[-1], merged.start, link)
 
     for tip in dropped:
         _remove_members(graph, tip.member_nodes)
-        for boundary in tip.boundaries:
-            _detach_boundary(graph, boundary)
+        _detach_boundary(graph, tip.start, tip.member_nodes[0])
+        _detach_boundary(graph, tip.end, tip.member_nodes[-1])
 
     return created
-
-
-def _contig_end(boundary: MergeBoundary) -> ContigEnd:
-    if boundary.ambiguous_kmer is None:
-        return ContigEnd(neighbor_id=NULL_ID, neighbor_port=0, edge_coverage=boundary.edge_coverage)
-    return ContigEnd(
-        neighbor_id=boundary.ambiguous_kmer,
-        neighbor_port=boundary.ambiguous_port if boundary.ambiguous_port is not None else 0,
-        edge_coverage=boundary.edge_coverage,
-    )
 
 
 def _remove_members(graph: DeBruijnGraph, member_nodes: List[int]) -> None:
@@ -377,45 +317,38 @@ def _remove_members(graph: DeBruijnGraph, member_nodes: List[int]) -> None:
             del graph.contigs[node_id]
 
 
+def _detach_boundary(
+    graph: DeBruijnGraph, boundary: ContigEnd, terminal_node: int
+) -> Optional[KmerVertexData]:
+    """Drop the edges the bordering ambiguous k-mer has into ``terminal_node``.
+
+    Returns that k-mer, or None when the end dangles.  The terminal node
+    is a k-mer in the first round (direct adjacency) and may be an
+    earlier contig in later rounds (via-contig adjacency).
+    """
+    ambiguous = graph.kmers.get(boundary.neighbor_id)
+    if ambiguous is None:
+        return None
+    ambiguous.remove_adjacency(terminal_node)
+    ambiguous.remove_contig_adjacency(terminal_node)
+    return ambiguous
+
+
 def _attach_boundary(
     graph: DeBruijnGraph,
-    boundary: MergeBoundary,
-    far_boundary: MergeBoundary,
-    contig: ContigVertexData,
+    boundary: ContigEnd,
+    terminal_node: int,
+    far_boundary: ContigEnd,
+    link: ContigLink,
 ) -> None:
     """Give a bordering ambiguous k-mer its via-contig adjacency entry."""
-    if boundary.ambiguous_kmer is None:
-        return
-    ambiguous = graph.kmers.get(boundary.ambiguous_kmer)
+    ambiguous = _detach_boundary(graph, boundary, terminal_node)
     if ambiguous is None:
         return
-    # Drop the old adjacency entry that pointed into the merged path.
-    # The terminal node is a k-mer in the first round (direct adjacency)
-    # and may be an earlier contig in later rounds (via-contig adjacency).
-    ambiguous.remove_adjacency(boundary.terminal_node)
-    ambiguous.remove_contig_adjacency(boundary.terminal_node)
-    far_kmer = far_boundary.ambiguous_kmer if far_boundary.ambiguous_kmer is not None else NULL_ID
-    far_port = far_boundary.ambiguous_port if far_boundary.ambiguous_port is not None else 0
-    my_port = boundary.ambiguous_port if boundary.ambiguous_port is not None else 0
     ambiguous.add_adjacency(
-        neighbor_id=far_kmer,
-        my_port=my_port,
-        neighbor_port=far_port,
+        neighbor_id=far_boundary.neighbor_id,
+        my_port=boundary.neighbor_port,
+        neighbor_port=far_boundary.neighbor_port,
         coverage=boundary.edge_coverage,
-        via_contig=ContigLink(
-            contig_id=contig.contig_id,
-            length=contig.length,
-            coverage=contig.coverage,
-        ),
+        via_contig=link,
     )
-
-
-def _detach_boundary(graph: DeBruijnGraph, boundary: MergeBoundary) -> None:
-    """Remove the edge a dropped tip used to have into an ambiguous k-mer."""
-    if boundary.ambiguous_kmer is None:
-        return
-    ambiguous = graph.kmers.get(boundary.ambiguous_kmer)
-    if ambiguous is None:
-        return
-    ambiguous.remove_adjacency(boundary.terminal_node)
-    ambiguous.remove_contig_adjacency(boundary.terminal_node)

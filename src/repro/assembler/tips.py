@@ -29,16 +29,14 @@ Figure 12 cost model can charge for the operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set, Tuple
 
 from ..dbg.graph import DeBruijnGraph
 from ..dbg.kmer_vertex import (
     TYPE_AMBIGUOUS,
     TYPE_DEAD_END,
-    TYPE_UNAMBIGUOUS,
     KmerAdjacency,
-    KmerVertexData,
 )
 from ..workflow.executor import StageExecutor
 from ..pregel.metrics import JobMetrics, SuperstepMetrics

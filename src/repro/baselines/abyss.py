@@ -28,8 +28,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from ..dbg.graph import DeBruijnGraph
 from ..dbg.polarity import PORT_IN, PORT_OUT
-from ..dna.alphabet import NUCLEOTIDES, BASE_TO_BITS
-from ..dna.encoding import canonical_encoded, decode_kmer, encode_kmer, reverse_complement_encoded
+from ..dna.encoding import canonical_encoded
 from ..dna.io_fastq import Read
 from ..dna.kmer import extract_canonical_kmer_ids
 from .base import BaselineAssembler, BaselineResult

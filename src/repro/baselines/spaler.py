@@ -18,10 +18,9 @@ on the simulated substrate).
 from __future__ import annotations
 
 import random
-from collections import Counter
 from typing import Dict, Iterable, List, Set, Tuple
 
-from ..assembler.chain import build_chain_graph
+from ..assembler.chain import build_chain_graph, chain_neighbors
 from ..assembler.merging import _stitch_group
 from ..dbg.graph import DeBruijnGraph
 from ..dbg.polarity import source_port, target_port
@@ -98,12 +97,12 @@ class SpalerLikeAssembler(BaselineAssembler):
         """
         rng = random.Random(self.seed)
         chain = build_chain_graph(graph, include_contigs=False)
-        if not chain.nodes:
+        if not chain:
             return [], 0
 
         # Segment = ordered list of chain node IDs.  Start with singletons.
-        segments: Dict[int, List[int]] = {node_id: [node_id] for node_id in chain.nodes}
-        node_to_segment: Dict[int, int] = {node_id: node_id for node_id in chain.nodes}
+        segments: Dict[int, List[int]] = {node_id: [node_id] for node_id in chain}
+        node_to_segment: Dict[int, int] = {node_id: node_id for node_id in chain}
 
         iterations = 0
         while iterations < 16:
@@ -112,21 +111,21 @@ class SpalerLikeAssembler(BaselineAssembler):
             # across this round; everything else merges with its chain
             # neighbour when both ends agree.
             sampled: Set[int] = {
-                node_id for node_id in chain.nodes if rng.random() < self.sample_fraction
+                node_id for node_id in chain if rng.random() < self.sample_fraction
             }
             merged_any = False
-            for node_id, node in chain.nodes.items():
+            for node_id, element in chain.items():
                 if node_id in sampled:
                     continue
-                for neighbor_id in node.neighbor_ids():
+                for neighbor_id in chain_neighbors(chain, element):
                     if neighbor_id in sampled:
                         continue
                     left_segment = node_to_segment[node_id]
-                    right_segment = node_to_segment.get(neighbor_id)
-                    if right_segment is None or left_segment == right_segment:
+                    right_segment = node_to_segment[neighbor_id]
+                    if left_segment == right_segment:
                         continue
                     # Merge the two segments (order is recovered at stitch
-                    # time from the chain links, so concatenation order
+                    # time from the chain ends, so concatenation order
                     # here does not matter).
                     segments[left_segment].extend(segments.pop(right_segment))
                     for member in segments[left_segment]:
@@ -137,8 +136,7 @@ class SpalerLikeAssembler(BaselineAssembler):
 
         contigs: List[str] = []
         for member_ids in segments.values():
-            nodes = [chain.nodes[node_id] for node_id in member_ids]
-            merged, error = _stitch_group(nodes, graph.k)
+            merged, error = _stitch_group(chain, member_ids, graph.k)
             if merged is None or error is not None:
                 continue
             if len(merged.sequence) >= self.k:

@@ -25,8 +25,7 @@ logarithmic in the longest path.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..dbg.graph import DeBruijnGraph
 from ..dbg.kmer_vertex import TYPE_AMBIGUOUS

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..assembler.chain import build_chain_graph
+from ..assembler.chain import ChainElement, build_chain_graph, chain_neighbors
 from ..assembler.merging import _stitch_group
 from ..dbg.graph import DeBruijnGraph
 
 
-def _union_find_components(chain_nodes: Dict[int, object]) -> Dict[int, List[int]]:
-    parent: Dict[int, int] = {node_id: node_id for node_id in chain_nodes}
+def _union_find_components(chain: Dict[int, ChainElement]) -> Dict[int, List[int]]:
+    parent: Dict[int, int] = {node_id: node_id for node_id in chain}
 
     def find(x: int) -> int:
         root = x
@@ -35,13 +35,12 @@ def _union_find_components(chain_nodes: Dict[int, object]) -> Dict[int, List[int
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for node_id, node in chain_nodes.items():
-        for neighbor_id in node.neighbor_ids():
-            if neighbor_id in parent:
-                union(node_id, neighbor_id)
+    for node_id, element in chain.items():
+        for neighbor_id in chain_neighbors(chain, element):
+            union(node_id, neighbor_id)
 
     groups: Dict[int, List[int]] = {}
-    for node_id in chain_nodes:
+    for node_id in chain:
         groups.setdefault(find(node_id), []).append(node_id)
     return groups
 
@@ -57,12 +56,11 @@ def extract_unambiguous_contigs(
     underlying graph is (ABySS's probing strategy inflates it).
     """
     chain = build_chain_graph(graph, include_contigs=False)
-    groups = _union_find_components(chain.nodes)
+    groups = _union_find_components(chain)
 
     contigs: List[str] = []
     for member_ids in groups.values():
-        nodes = [chain.nodes[node_id] for node_id in member_ids]
-        merged, error = _stitch_group(nodes, graph.k)
+        merged, error = _stitch_group(chain, member_ids, graph.k)
         if error is not None or merged is None:
             continue
         if len(merged.sequence) >= min_length:

@@ -11,10 +11,9 @@ one job to the next.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List
 
-from ..dna.encoding import is_null
 from ..errors import GraphFormatError
 from .contig_vertex import ContigVertexData
 from .kmer_vertex import (
@@ -23,7 +22,6 @@ from .kmer_vertex import (
     TYPE_UNAMBIGUOUS,
     KmerVertexData,
 )
-from .polarity import PORT_IN, PORT_OUT
 
 
 @dataclass

@@ -19,9 +19,9 @@ the edge connecting the two ambiguous k-mers", Section IV-A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..dna.encoding import NULL_ID, decode_kmer, is_null
+from ..dna.encoding import decode_kmer, is_null
 from .bitmap import AdjacencyBitmap, expand_bitmap
 from .polarity import (
     PORT_IN,

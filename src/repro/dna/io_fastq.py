@@ -17,7 +17,7 @@ DBG construction takes bare sequence strings from the reader
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, TypeVar, Union
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
-from ..errors import InvalidNucleotideError
 from .alphabet import AMBIGUOUS, complement_translation_table
 
 _COMPLEMENT_TABLE = complement_translation_table()

@@ -23,8 +23,8 @@ and therefore benchmark outputs, are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from .alphabet import NUCLEOTIDES
 from .io_fastq import Read, ReadPair

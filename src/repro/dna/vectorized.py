@@ -22,7 +22,7 @@ default); off pins the scalar reference path.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 

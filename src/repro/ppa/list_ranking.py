@@ -30,9 +30,7 @@ from ..pregel import (
     JobResult,
     PregelEngine,
     PregelJob,
-    Request,
     RequestRespondMixin,
-    Response,
     Vertex,
     split_responses,
 )

@@ -19,8 +19,8 @@ reduce work to the worker owning the key.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from .metrics import JobMetrics, SuperstepMetrics
 from .partitioner import HashPartitioner

@@ -21,7 +21,7 @@ message counts the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List
+from typing import Any, Dict, List
 
 from .vertex import ComputeContext, _estimate_size
 

@@ -16,7 +16,7 @@ current superstep number and aggregators through a per-superstep
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generic, Iterable, List, Optional, Tuple, TypeVar
+from typing import Any, Dict, Generic, Iterable, List, Tuple, TypeVar
 
 MessageT = TypeVar("MessageT")
 ValueT = TypeVar("ValueT")

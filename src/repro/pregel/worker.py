@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from ..errors import VertexNotFoundError
-from .aggregator import AggregatorRegistry
 from .vertex import ComputeContext, Vertex, VertexFactory
 
 

@@ -13,8 +13,6 @@ from dataclasses import asdict
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.assembler import AssemblyConfig
 from repro.assembler.construction import _chunk_reads_for_budget, build_dbg
 from repro.dna import ReadSimulationConfig, ReadSimulator, generate_genome

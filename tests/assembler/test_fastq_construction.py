@@ -15,8 +15,6 @@ from unittest import mock
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.assembler import AssemblyConfig
 from repro.assembler.construction import build_dbg
 from repro.dna import ReadSimulationConfig, ReadSimulator, generate_genome, io_fastq

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.assembler import AssemblyConfig, build_dbg, label_contigs, merge_contigs
-from repro.assembler.chain import build_chain_graph
+from repro.assembler.chain import build_chain_graph, chain_neighbors
 from repro.assembler.config import LABELING_SIMPLIFIED_SV
 from repro.dbg.ids import ContigIdAllocator
 from repro.dbg.kmer_vertex import TYPE_AMBIGUOUS
@@ -44,24 +44,28 @@ def test_chain_graph_excludes_ambiguous_vertices():
     chain = build_chain_graph(graph)
     ambiguous = set(graph.ambiguous_vertices())
     assert ambiguous
-    assert not (set(chain.nodes) & ambiguous)
-    # Chain nodes bordering an ambiguous vertex know it as a boundary.
+    assert not (set(chain) & ambiguous)
+    # A side that does not continue the path names the ambiguous vertex
+    # it stops against (or dangles).
     boundary_kmers = {
-        link.boundary_kmer
-        for node in chain.nodes.values()
-        for link in node.links.values()
-        if link is not None and link.is_boundary and link.boundary_kmer is not None
+        end.neighbor_id
+        for element in chain.values()
+        for end in (element.in_end, element.out_end)
+        if end.neighbor_id not in chain and not end.is_dead_end()
     }
-    assert boundary_kmers <= ambiguous
+    assert boundary_kmers and boundary_kmers <= ambiguous
 
 
-def test_chain_pair_view_has_two_slots_per_node():
+def test_single_path_chain_dangles_at_both_ends_only():
     reads = reads_from_strings(["GCTAAAGACA"])
     config = AssemblyConfig(k=5, coverage_threshold=0, num_workers=2)
     job_chain = StageExecutor(num_workers=2)
     graph = build_dbg(reads, config, job_chain).graph
-    pairs = build_chain_graph(graph).pair_view()
-    assert all(len(pair) == 2 for pair in pairs.values())
+    chain = build_chain_graph(graph)
+    ends = [end for element in chain.values() for end in (element.in_end, element.out_end)]
+    assert len(chain) == 6
+    assert sum(end.is_dead_end() for end in ends) == 2
+    assert all(end.is_dead_end() or end.neighbor_id in chain for end in ends)
 
 
 # ----------------------------------------------------------------------
@@ -81,8 +85,8 @@ def test_labels_partition_paths_at_ambiguous_vertices():
     assert labelled == set(graph.kmers) - set(graph.ambiguous_vertices()) or labelled
     # Adjacent unambiguous vertices share a label.
     chain = labeling.chain
-    for node_id, node in chain.nodes.items():
-        for neighbor_id in node.neighbor_ids():
+    for node_id, element in chain.items():
+        for neighbor_id in chain_neighbors(chain, element):
             assert labeling.labels[node_id] == labeling.labels[neighbor_id]
 
 

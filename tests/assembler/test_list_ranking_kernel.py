@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.assembler import AssemblyConfig, build_dbg, labeling
-from repro.assembler.chain import KIND_KMER, ChainGraph, ChainLink, ChainNode, build_chain_graph
-from repro.dbg.polarity import PORT_IN, PORT_OUT
+from repro.assembler.chain import ChainElement, build_chain_graph
+from repro.dbg.contig_vertex import ContigEnd
 from repro.dna.encoding import FLIP_BIT, flip_id
 from repro.dna.simulator import simulate_dataset
 from repro.pregel.vertex import _estimate_size
@@ -97,18 +97,19 @@ def chain_shapes(draw):
     return components, flips
 
 
-def _chain_graph(components, flips) -> ChainGraph:
-    chain = ChainGraph(k=5)
+def _chain_graph(components, flips):
+    chain = {}
     for is_cycle, nodes in components:
         length = len(nodes)
         for index, node_id in enumerate(nodes):
-            node = ChainNode(node_id=node_id, kind=KIND_KMER, sequence="", coverage=0)
-            before = nodes[index - 1] if is_cycle or index > 0 else None
-            after = nodes[(index + 1) % length] if is_cycle or index < length - 1 else None
-            back, ahead = (PORT_OUT, PORT_IN) if node_id in flips else (PORT_IN, PORT_OUT)
-            node.set_link(back, ChainLink(neighbor_id=before))
-            node.set_link(ahead, ChainLink(neighbor_id=after))
-            chain.add(node)
+            # A path's first and last node dangle on their outer side.
+            before = after = ContigEnd()
+            if is_cycle or index > 0:
+                before = ContigEnd(nodes[index - 1])
+            if is_cycle or index < length - 1:
+                after = ContigEnd(nodes[(index + 1) % length])
+            in_end, out_end = (after, before) if node_id in flips else (before, after)
+            chain[node_id] = ChainElement(node_id, "", 0, in_end, out_end)
     return chain
 
 
@@ -126,8 +127,11 @@ def _label(components, flips, backend, num_workers):
     # What contig-end recognition hands to list ranking: a boundary side
     # becomes the node's own flipped ID.
     pairs = {
-        node_id: tuple(flip_id(node_id) if side is None else side for side in pair)
-        for node_id, pair in chain.pair_view().items()
+        node_id: tuple(
+            end.neighbor_id if end.neighbor_id in chain else flip_id(node_id)
+            for end in (element.in_end, element.out_end)
+        )
+        for node_id, element in chain.items()
     }
     executor = StageExecutor(num_workers=num_workers, backend=backend)
     return labeling._label_by_list_ranking(pairs, chain, executor)

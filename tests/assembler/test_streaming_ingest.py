@@ -14,6 +14,7 @@ import tempfile
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 from repro import AssemblyConfig, PPAAssembler
@@ -162,7 +163,6 @@ def test_a_smaller_budget_never_raises_the_edge_count_peak():
     phase (i); no run is held back for a final merge, so a smaller
     budget cannot cost memory.  (Phase (ii) builds the same vertices
     under any budget.)"""
-    np = pytest.importorskip("numpy")
     _genome, reads = simulate_dataset(3_000, coverage=1_000.0, error_rate=0.0, seed=11)
 
     def traced_peak(budget_mb):

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.assembler import AssemblyConfig
 from repro.assembler.construction import build_dbg

@@ -9,9 +9,8 @@ included — for every window length a 64-bit lane can hold.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.dna import vectorized
 from repro.errors import InvalidKmerError

@@ -13,8 +13,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-pytest.importorskip("numpy")
-
 from repro.pregel.engine import PregelEngine, PregelJob
 from repro.pregel.message import (
     COLUMNAR_MIN_BATCH,

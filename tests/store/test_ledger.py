@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
+import numpy as np
 
 from repro.store.ledger import MemoryLedger, budget_mb_to_bytes, estimate_nbytes
 
@@ -32,7 +32,6 @@ def test_estimator_scales_with_content():
 
 
 def test_estimator_uses_numpy_nbytes_exactly():
-    np = pytest.importorskip("numpy")
     array = np.zeros(1000, dtype=np.int64)
     estimate = estimate_nbytes(array)
     assert estimate >= array.nbytes

@@ -12,11 +12,14 @@ from __future__ import annotations
 import pickle
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
 from repro import AssemblyConfig, PPAAssembler
-from repro.dna import simulate_paired_dataset
+from repro.assembler import chain as chain_module
+from repro.assembler.pipeline import ASSEMBLY_WORKFLOW_NAME
+from repro.dna import simulate_dataset, simulate_paired_dataset
 from repro.errors import CheckpointError
 from repro.workflow import (
     CHECKPOINT_FORMAT,
@@ -179,8 +182,20 @@ def test_corrupt_checkpoint_files_degrade_to_earlier_ones(tmp_path):
     assert ctx.state["x"] == 2
 
 
-def _pickled_against_a_vanished_module(tmp_path, workflow_name: str) -> bytes:
-    """A checkpoint payload whose state references a module that is gone."""
+def _pickled_against_a_vanished_module(tmp_path, payload_of, vanished="module") -> bytes:
+    """``payload_of(thing)`` pickled so that ``thing``'s class is gone on load.
+
+    ``"module"``: the class's whole module is gone.  ``"class"``: the
+    module still imports but no longer has the class — what an older
+    checkpoint's ``repro.assembler.chain.ChainGraph`` has become.
+    """
+    if vanished == "class":
+        thing_class = type("ChainGraph", (), {"__module__": chain_module.__name__})
+        chain_module.ChainGraph = thing_class
+        try:
+            return pickle.dumps(payload_of(thing_class()), protocol=pickle.HIGHEST_PROTOCOL)
+        finally:
+            del chain_module.ChainGraph
     module_dir = tmp_path / "modules"
     module_dir.mkdir()
     (module_dir / "vanished_state_module.py").write_text("class Thing:\n    pass\n")
@@ -188,19 +203,24 @@ def _pickled_against_a_vanished_module(tmp_path, workflow_name: str) -> bytes:
     try:
         import vanished_state_module
 
-        payload = {
-            "format": CHECKPOINT_FORMAT,
-            "workflow": workflow_name,
-            "stage_names": ["one", "two"],
-            "completed": 2,
-            "state": {"x": vanished_state_module.Thing()},
-            "metrics": None,
-            "seed_fingerprint": None,
-        }
-        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps(
+            payload_of(vanished_state_module.Thing()), protocol=pickle.HIGHEST_PROTOCOL
+        )
     finally:
         sys.path.remove(str(module_dir))
         sys.modules.pop("vanished_state_module", None)
+
+
+def _two_stage_payload(thing):
+    return {
+        "format": CHECKPOINT_FORMAT,
+        "workflow": "robust",
+        "stage_names": ["one", "two"],
+        "completed": 2,
+        "state": {"x": thing},
+        "metrics": None,
+        "seed_fingerprint": None,
+    }
 
 
 def _two_stage_workflow() -> Workflow:
@@ -215,7 +235,7 @@ def test_checkpoint_of_a_vanished_module_degrades_to_the_earlier_one(tmp_path):
     workflow = _two_stage_workflow()
     WorkflowRunner(num_workers=2, checkpoint_dir=checkpoints).run(workflow)
     files = sorted(checkpoints.glob("checkpoint-*.pkl"))
-    files[-1].write_bytes(_pickled_against_a_vanished_module(tmp_path, "robust"))
+    files[-1].write_bytes(_pickled_against_a_vanished_module(tmp_path, _two_stage_payload))
 
     latest = CheckpointStore(checkpoints).latest("robust")
     assert latest is not None
@@ -226,11 +246,44 @@ def test_checkpoint_of_a_vanished_module_degrades_to_the_earlier_one(tmp_path):
     assert ctx.state["x"] == 2
 
 
+def test_assembly_checkpoint_of_a_vanished_class_degrades_to_the_earlier_one(tmp_path):
+    """Checkpoints whose labeling names a class its module no longer has are skipped."""
+    _genome, reads = simulate_dataset(genome_length=3000, seed=7)
+    config = AssemblyConfig(k=15, num_workers=2)
+    baseline = PPAAssembler(config).assemble(reads)
+    checkpoints = tmp_path / "checkpoints"
+    PPAAssembler(config).assemble(reads, checkpoint_dir=checkpoints)
+    stale = 0
+    for path in checkpoints.glob("checkpoint-*.pkl"):
+        payload = pickle.loads(path.read_bytes())
+        labeling = payload["state"].get("labeling")
+        if labeling is None:
+            continue
+        stale += 1
+        path.write_bytes(
+            _pickled_against_a_vanished_module(
+                tmp_path,
+                lambda thing: {
+                    **payload,
+                    "state": {**payload["state"], "labeling": replace(labeling, chain=thing)},
+                },
+                vanished="class",
+            )
+        )
+    assert stale > 1
+
+    latest = CheckpointStore(checkpoints).latest(ASSEMBLY_WORKFLOW_NAME)
+    assert latest is not None
+    assert latest.stage_names[: latest.completed] == ["dbg-construction"]
+    resumed = PPAAssembler(config).assemble(reads, checkpoint_dir=checkpoints, resume=True)
+    assert resumed.contigs == baseline.contigs
+
+
 def test_fresh_run_clears_a_checkpoint_of_a_vanished_module(tmp_path):
     checkpoints = tmp_path / "checkpoints"
     checkpoints.mkdir()
     stale = checkpoints / "checkpoint-005-robust-two.pkl"
-    stale.write_bytes(_pickled_against_a_vanished_module(tmp_path, "robust"))
+    stale.write_bytes(_pickled_against_a_vanished_module(tmp_path, _two_stage_payload))
 
     ctx = WorkflowRunner(num_workers=2, checkpoint_dir=checkpoints).run(
         _two_stage_workflow(), state={"x": 0}
