@@ -67,7 +67,7 @@ def build_chain_graph(
     for vertex in graph.kmers.values():
         if vertex.vertex_type() == TYPE_AMBIGUOUS:
             continue
-        ends = [_NO_ADJACENCY, _NO_ADJACENCY]
+        ends = [_NO_ADJACENCY, _NO_ADJACENCY]  # indexed by port
         for adjacency in vertex.adjacencies:
             if adjacency.via_contig is not None:
                 # Second-round case: the adjacency is materialised by a

@@ -225,9 +225,6 @@ def merge_contigs(
     errors: List[str] = []
 
     def reduce_group(label: int, node_ids: List[int]) -> Iterable[MergedContig]:
-        node_ids = [node_id for node_id in node_ids if node_id in chain]
-        if not node_ids:
-            return
         merged, error = _stitch_group(chain, node_ids, graph.k)
         if error is not None:
             errors.append(f"label {label:#x}: {error}")
