@@ -28,13 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Tuple
 
+import numpy as np
+
 from ..dbg.bitmap import AdjacencyBitmap
 from ..dbg.graph import DeBruijnGraph
 from ..dbg.kmer_vertex import KmerAdjacency, KmerVertexData
 from ..dna import vectorized
 from ..dna.encoding import canonical_encoded
-from ..dna.io_fastq import Read, read_chunks
+from ..dna.io_fastq import FastqReads, Read, read_chunks
 from ..dna.kmer import extract_kplus1mers, validate_k
+from ..errors import NoKmersError
 from ..workflow.executor import StageExecutor
 from ..pregel.metrics import JobMetrics, SuperstepMetrics
 from .config import AssemblyConfig
@@ -120,10 +123,12 @@ def build_dbg(
 ) -> ConstructionResult:
     """Run operation ① over ``reads`` and return the de Bruijn graph.
 
-    With ``config.use_vectorized`` (and NumPy present) the two
-    mini-MapReduce phases run as NumPy batch kernels; contigs, graph
-    contents and metrics are bit-identical to the scalar path either
-    way (asserted by ``tests/dna/test_vectorized_parity.py``).
+    With ``config.use_vectorized`` the two mini-MapReduce phases run
+    as NumPy batch kernels; contigs, graph contents and metrics are
+    bit-identical to the scalar path either way (asserted by
+    ``tests/dna/test_vectorized_parity.py``).  Reads that hold no
+    (k+1)-mer at all raise :class:`~repro.errors.NoKmersError` on both
+    paths; reads whose (k+1)-mers θ merely filters out do not.
     """
     validate_k(config.k)
 
@@ -142,6 +147,8 @@ def build_dbg(
     )
     surviving: List[Tuple[int, int]] = phase1.outputs
     total_kplus1mers = phase1.metrics.supersteps[0].messages_sent
+    if not total_kplus1mers:
+        raise NoKmersError(len(reads), config.k)
     distinct = phase1.groups
 
     phase2 = chain.run_mapreduce(
@@ -202,7 +209,7 @@ def _chunk_reads_for_budget(budget_bytes) -> int:
     return max(_MIN_CHUNK_READS, min(_MAX_CHUNK_READS, derived))
 
 
-def _sum_by_key(np, keys, counts):
+def _sum_by_key(keys, counts):
     """``(distinct keys ascending, summed counts)`` of parallel arrays."""
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
@@ -213,7 +220,7 @@ def _sum_by_key(np, keys, counts):
     return sorted_keys[starts], summed
 
 
-def _merge_sorted_runs(np, runs):
+def _merge_sorted_runs(runs):
     """Merge of sorted ``(edges, counts)`` runs into one such run.
 
     Each run has ``edges`` sorted and unique within the run.
@@ -224,13 +231,12 @@ def _merge_sorted_runs(np, runs):
     if not runs:
         return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
     return _sum_by_key(
-        np,
         np.concatenate([edges for edges, _ in runs]),
         np.concatenate([counts for _, counts in runs]),
     )
 
 
-def _worker_sums(np, workers, num_workers, weights=None):
+def _worker_sums(workers, num_workers, weights=None):
     """Exact per-worker integer sums (bincount; float weights are exact
     here because every count stays far below 2**53)."""
     if weights is None:
@@ -240,7 +246,6 @@ def _worker_sums(np, workers, num_workers, weights=None):
 
 
 def _mapreduce_metrics(
-    np,
     name: str,
     num_workers: int,
     map_ops,
@@ -273,7 +278,7 @@ def _mapreduce_metrics(
 
 
 def _count_canonical_edges(
-    np, reads: Iterable[Read], config: AssemblyConfig, chain: StageExecutor
+    reads: Iterable[Read], config: AssemblyConfig, chain: StageExecutor
 ):
     """Phase (i) of the vectorized path, streamed chunk by chunk.
 
@@ -293,30 +298,32 @@ def _count_canonical_edges(
     shuffle_counts = np.zeros(num_workers, dtype=np.int64)
     runs: List[Tuple[Any, Any]] = []
     chunk_reads = _chunk_reads_for_budget(config.runtime.memory_budget_bytes)
-    if hasattr(reads, "sequence_chunks"):  # a FASTQ reader: no Read is ever built
-        chunks = reads.sequence_chunks(chunk_reads)
+    if isinstance(reads, FastqReads):  # one code array per block, no Read built
+        batches = reads.code_batches(chunk_reads)
     else:  # only the sequences are batched; a streamed Read is released early
-        chunks = read_chunks((read.sequence for read in reads), chunk_reads)
-    for sequences in chunks:
-        observed, per_read = vectorized.extract_window_ids(sequences, k + 1)
+        batches = map(
+            vectorized.encode_batch,
+            read_chunks((read.sequence for read in reads), chunk_reads),
+        )
+    for codes, starts, lengths in batches:
+        observed, per_read = vectorized.window_ids(codes, starts, lengths, k + 1)
         total_pairs += int(observed.size)
 
         sources = (
-            np.arange(read_index, read_index + len(sequences), dtype=np.int64)
-            % num_workers
+            np.arange(read_index, read_index + lengths.size, dtype=np.int64) % num_workers
         )
-        read_index += len(sequences)
-        map_ops += _worker_sums(np, sources, num_workers) + _worker_sums(
-            np, sources, num_workers, weights=per_read
+        read_index += lengths.size
+        map_ops += _worker_sums(sources, num_workers) + _worker_sums(
+            sources, num_workers, weights=per_read
         )
         # A pair's canonical form and destination depend on its key
         # alone: canonicalise the chunk's distinct windows, hash its
         # distinct edges, and weight both by their counts.
         distinct, occurrences = np.unique(observed, return_counts=True)
         canonical, _ = vectorized.canonical_ids(distinct, k + 1)
-        run = _sum_by_key(np, canonical, occurrences)
+        run = _sum_by_key(canonical, occurrences)
         shuffle_counts += _worker_sums(
-            np, partitioner.worker_for_array(run[0]), num_workers, weights=run[1]
+            partitioner.worker_for_array(run[0]), num_workers, weights=run[1]
         )
         runs.append(run)
         # Timsort's run-stack rule: merging while the lower run is at
@@ -326,13 +333,15 @@ def _count_canonical_edges(
         # distinct edges), quadratic when read errors keep adding edges.
         while len(runs) > 1 and runs[-2][0].size <= 2 * runs[-1][0].size:
             upper = runs.pop()
-            runs[-1] = _merge_sorted_runs(np, [runs[-1], upper])
+            runs[-1] = _merge_sorted_runs([runs[-1], upper])
 
-    unique_edges, edge_counts = _merge_sorted_runs(np, runs)
+    if not total_pairs:
+        raise NoKmersError(read_index, k)
+    unique_edges, edge_counts = _merge_sorted_runs(runs)
     return unique_edges, edge_counts, total_pairs, map_ops, shuffle_counts
 
 
-def _vertices_from_slots(np, k: int, slot_keys, slot_positions, slot_coverage):
+def _vertices_from_slots(k: int, slot_keys, slot_positions, slot_coverage):
     """One k-mer vertex per distinct key of ``slot_keys``, ascending.
 
     The parallel arrays hold each k-mer's occupied bitmap slots, sorted
@@ -397,24 +406,19 @@ def _build_dbg_vectorized(
     memory budget shrinks) plus the distinct-edge working set rather
     than the raw read volume.
     """
-    import numpy as np
-
     k = config.k
     num_workers = chain.num_workers
     partitioner = chain.partitioner
 
     # ---- phase (i): count canonical (k+1)-mers ------------------------
     unique_edges, edge_counts, total_pairs, map_ops, shuffle_counts = (
-        _count_canonical_edges(np, reads, config, chain)
+        _count_canonical_edges(reads, config, chain)
     )
     shuffle_bytes = 8 * shuffle_counts
     unique_destinations = partitioner.worker_for_array(unique_edges)
     survives = edge_counts > config.coverage_threshold
     reduce_ops = _worker_sums(
-        np,
-        unique_destinations,
-        num_workers,
-        weights=1 + edge_counts + survives,
+        unique_destinations, num_workers, weights=1 + edge_counts + survives
     )
 
     # Outputs ordered like the scalar reduce: by destination worker,
@@ -425,7 +429,6 @@ def _build_dbg_vectorized(
 
     chain.add_metrics(
         _mapreduce_metrics(
-            np,
             "dbg-construction/phase1-count-kplus1mers",
             num_workers,
             map_ops,
@@ -440,12 +443,12 @@ def _build_dbg_vectorized(
     # ---- phase (ii): build k-mer vertices -----------------------------
     fields = vectorized.edge_vertex_fields(surviving_edges, k)
     sources2 = np.arange(surviving_count, dtype=np.int64) % num_workers
-    map_ops2 = 3 * _worker_sums(np, sources2, num_workers)
+    map_ops2 = 3 * _worker_sums(sources2, num_workers)
     prefix_destinations = partitioner.worker_for_array(fields["prefix_id"])
     suffix_destinations = partitioner.worker_for_array(fields["suffix_id"])
     shuffle_bytes2 = _PHASE2_OUT_BYTES * _worker_sums(
-        np, prefix_destinations, num_workers
-    ) + _PHASE2_IN_BYTES * _worker_sums(np, suffix_destinations, num_workers)
+        prefix_destinations, num_workers
+    ) + _PHASE2_IN_BYTES * _worker_sums(suffix_destinations, num_workers)
 
     # One shuffle pair per edge endpoint: the bitmap slot is
     # class_index * 8 + (4 for out-neighbours) + base, exactly
@@ -487,11 +490,10 @@ def _build_dbg_vectorized(
     unique_kmers, pair_counts = np.unique(pair_keys, return_counts=True)
     kmer_destinations = partitioner.worker_for_array(unique_kmers)
     # Scalar reduce charges 1 + len(values) + 1 per group (one vertex out).
-    reduce_ops2 = _worker_sums(np, kmer_destinations, num_workers, weights=2 + pair_counts)
+    reduce_ops2 = _worker_sums(kmer_destinations, num_workers, weights=2 + pair_counts)
 
     chain.add_metrics(
         _mapreduce_metrics(
-            np,
             "dbg-construction/phase2-build-vertices",
             num_workers,
             map_ops2,
@@ -503,7 +505,7 @@ def _build_dbg_vectorized(
 
     # Vertices enter the graph in the scalar output order (destination
     # worker, then ascending k-mer ID).
-    vertices = _vertices_from_slots(np, k, slot_keys, slot_positions, slot_coverage)
+    vertices = _vertices_from_slots(k, slot_keys, slot_positions, slot_coverage)
     graph = DeBruijnGraph(k)
     for index in np.argsort(kmer_destinations, kind="stable").tolist():
         vertex = vertices[index]

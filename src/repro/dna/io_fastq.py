@@ -10,18 +10,24 @@ FASTQ is parsed a block of text at a time: a block's whole records are
 checked with a few C-level string calls, and the record-by-record
 parser runs only where a block holds blank lines or a bad record, so
 errors and their line numbers are those of a plain line-by-line parse.
-DBG construction takes bare sequence strings from the reader
-(:meth:`FastqReads.sequence_chunks`), never a :class:`Read` per record.
+A block keeps its sequence lines as one newline-joined string.  DBG
+construction takes each block as one uint8 code array, made from that
+string in one lookup-table pass in which the newline breaks windows
+(:meth:`FastqReads.code_batches`), and never builds a :class:`Read`
+or a per-record sequence string.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, TypeVar, Union
 
+import numpy as np
+
 from ..errors import FastqFormatError
+from . import vectorized
 from .alphabet import VALID_CHARACTERS
 
 PathOrHandle = Union[str, os.PathLike, TextIO]
@@ -97,8 +103,13 @@ _DELETE_VALID = str.maketrans("", "", _VALID_BASES)
 _DELETE_VALID_LINES = str.maketrans("", "", _VALID_BASES + "\n")
 
 #: Parallel header lines (``@`` included), upper-cased sequences and
-#: qualities of consecutive records.
-_Batch = Tuple[List[str], List[str], List[str]]
+#: qualities of consecutive records, as the record parser collects them.
+_Records = Tuple[List[str], List[str], List[str]]
+
+#: Consecutive records as the reader hands them out: header lines, the
+#: upper-cased sequences joined with newlines, quality lines, and the
+#: sequence lengths as an int64 array.
+_Batch = Tuple[List[str], str, List[str], np.ndarray]
 
 
 def _rejected_record(
@@ -143,27 +154,39 @@ def _read_block(handle: TextIO, first: bool) -> str:
         raise FastqFormatError(message) from None
 
 
+def _lengths(strings: List[str]) -> np.ndarray:
+    return np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+
+
+def _line_lengths(text: str) -> np.ndarray:
+    """Lengths of the newline-separated lines of ``text``."""
+    # "replace" keeps one byte per character, so offsets stay character offsets.
+    raw = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    return np.diff(np.flatnonzero(raw == ord("\n")), prepend=-1, append=len(text)) - 1
+
+
 def _checked_records(lines: List[str], whole: int, validate: bool) -> Optional[_Batch]:
-    """The records of ``lines[:whole]``, or None if any is irregular.
+    """The records of ``lines[:whole]`` (``whole > 0``), or None if any is irregular.
 
     A handful of C-level passes over the block: every header starts
     with ``@``, every separator with ``+``, one ``upper`` and one
-    ``translate`` over all sequences, and the length lists compare
-    equal.  Blank lines, damage and truncation all return None.
+    ``translate`` over all sequences, and the sequence lengths equal
+    the quality lengths.  Blank lines, damage and truncation all return
+    None.
     """
     headers = lines[0:whole:4]
-    joined = "\n".join(lines[1:whole:4]).upper()
+    text = "\n".join(lines[1:whole:4]).upper()
     if not (
         all(map(str.startswith, headers, repeat("@")))
         and all(map(str.startswith, lines[2:whole:4], repeat("+")))
-        and not (validate and joined.translate(_DELETE_VALID_LINES))
+        and not (validate and text.translate(_DELETE_VALID_LINES))
     ):
         return None
-    sequences = joined.split("\n") if whole else []
     qualities = lines[3:whole:4]
-    if list(map(len, sequences)) != list(map(len, qualities)):
+    lengths = _lengths(qualities)
+    if not np.array_equal(_line_lengths(text), lengths):
         return None
-    return headers, sequences, qualities
+    return headers, text, qualities, lengths
 
 
 def _parse_records(
@@ -172,9 +195,9 @@ def _parse_records(
     line_number: int,
     validate: bool,
     at_eof: bool,
-    batch: _Batch,
+    records: _Records,
 ) -> Tuple[int, int]:
-    """Parse ``lines[index:]`` record by record into ``batch``.
+    """Parse ``lines[index:]`` record by record into ``records``.
 
     The error path of the block parser, and the reference it must agree
     with: blank lines between records are skipped, and the first bad
@@ -184,7 +207,7 @@ def _parse_records(
     for the next block.  At the end of the file a missing line reads as
     ``""``, as ``readline`` returns there.
     """
-    headers, sequences, qualities = batch
+    headers, sequences, qualities = records
     end = len(lines)
 
     def line(position: int) -> str:
@@ -220,6 +243,11 @@ def _parse_records(
     return index, line_number
 
 
+def _joined(records: _Records) -> _Batch:
+    headers, sequences, qualities = records
+    return headers, "\n".join(sequences), qualities, _lengths(sequences)
+
+
 def _fastq_batches(source: PathOrHandle, validate: bool) -> Iterator[_Batch]:
     """Parse a FASTQ source a block at a time, one batch per block.
 
@@ -241,22 +269,23 @@ def _fastq_batches(source: PathOrHandle, validate: bool) -> Iterator[_Batch]:
             if at_eof and carry:
                 lines.append(carry)  # the last line has no newline
             whole = 0 if at_eof else len(lines) - len(lines) % 4
-            batch = _checked_records(lines, whole, validate)
-            index = whole
-            if batch is None:
-                batch, index = ([], [], []), 0
-            else:
+            checked = _checked_records(lines, whole, validate) if whole else None
+            index = 0
+            if checked is not None:
+                yield checked
+                index = whole
                 line_number += whole
+            records: _Records = ([], [], [])
             try:
                 index, line_number = _parse_records(
-                    lines, index, line_number, validate, at_eof, batch
+                    lines, index, line_number, validate, at_eof, records
                 )
             except FastqFormatError:
-                if batch[0]:
-                    yield batch
+                if records[0]:
+                    yield _joined(records)
                 raise
-            if batch[0]:
-                yield batch
+            if records[0]:
+                yield _joined(records)
             carry = "\n".join(lines[index:] + [carry])
     finally:
         if owns_handle:
@@ -264,18 +293,19 @@ def _fastq_batches(source: PathOrHandle, validate: bool) -> Iterator[_Batch]:
 
 
 def _batch_reads(batches: Iterator[_Batch]) -> Iterator[Read]:
-    for headers, sequences, qualities in batches:
-        yield from map(Read, [header[1:] for header in headers], sequences, qualities)
+    for headers, text, qualities, _ in batches:
+        names = [header[1:] for header in headers]
+        yield from map(Read, names, text.split("\n"), qualities)
 
 
 class FastqReads:
     """The records of one FASTQ file, parsed a block at a time.
 
-    A single-pass iterator of :class:`Read`.  :meth:`sequence_chunks`
-    hands out the same records as bare sequence strings instead, and
-    builds no ``Read`` at all; both draw from one pass over the file, so
-    use one or the other.  Nothing is opened until the first record is
-    asked for, and a handle passed in is never closed.
+    A single-pass iterator of :class:`Read`.  :meth:`code_batches` hands
+    out the same records as 2-bit code arrays instead, and builds no
+    ``Read`` at all; both draw from one pass over the file, so use one
+    or the other.  Nothing is opened until the first record is asked
+    for, and a handle passed in is never closed.
     """
 
     def __init__(self, source: PathOrHandle, validate: bool = True) -> None:
@@ -288,15 +318,19 @@ class FastqReads:
     def __next__(self) -> Read:
         return next(self._reads)
 
-    def sequence_chunks(self, chunk_reads: int) -> Iterator[List[str]]:
-        """Yield the upper-cased sequences in lists of at most ``chunk_reads``.
+    def code_batches(self, chunk_reads: int) -> Iterator[Tuple[np.ndarray, ...]]:
+        """Yield the sequences as ``(codes, starts, lengths)`` code batches.
 
-        Chunks are cut exactly as :func:`read_chunks` cuts the reads.
+        Each batch is what :func:`~repro.dna.vectorized.encode_batch`
+        returns for the same reads, and holds at most ``chunk_reads`` of
+        them; a batch never spans two blocks.  A character outside
+        ``ACGTN`` (possible only with ``validate=False``) raises
+        :class:`~repro.errors.InvalidKmerError` as ``encode_batch`` does.
         """
-        return read_chunks(
-            chain.from_iterable(sequences for _, sequences, _ in self._batches),
-            chunk_reads,
-        )
+        if chunk_reads <= 0:
+            raise ValueError(f"chunk_reads must be positive, got {chunk_reads}")
+        for _, text, _, lengths in self._batches:
+            yield from vectorized.encode_lines(text, lengths, chunk_reads)
 
 
 def parse_fastq(source: PathOrHandle, validate: bool = True) -> FastqReads:
@@ -311,9 +345,9 @@ def parse_fastq(source: PathOrHandle, validate: bool = True) -> FastqReads:
 
     The file is read in blocks of about a megabyte, and a block of
     well-formed records is checked with a few whole-block string calls.
-    The returned :class:`FastqReads` can also hand out sequences
-    without building a ``Read`` per record, which is how DBG
-    construction takes them.
+    The returned :class:`FastqReads` can also hand out each block's
+    sequences as one code array without building a ``Read`` per record,
+    which is how DBG construction takes them.
     """
     return FastqReads(source, validate)
 

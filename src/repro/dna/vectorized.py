@@ -4,10 +4,14 @@ The scalar encoders in :mod:`repro.dna.encoding` process one base per
 Python bytecode loop iteration; at benchmark scale the DBG-construction
 phase spends almost all of its time there.  This module provides the
 same operations as array kernels over whole *batches* of reads: bases
-are mapped to the paper's 2-bit code with a 256-entry lookup table,
-(k+1)-mer windows are packed by doubling (pieces of 1, 2, 4, 8, 16
-bases in ``uint8``/``uint16``/``uint32`` lanes, widened to ``uint64``
-only where the window's length uses them), and reverse complementation
+are mapped to the paper's 2-bit code with a 256-entry lookup table in
+one ``bytes.translate`` pass (a FASTQ block's newline-joined sequence
+lines are encoded whole, the newline breaking windows as ``N`` does),
+(k+1)-mer windows are packed from two overlapping pieces (pieces of 1,
+2, 4, ... P bases are built by doubling in ``uint8``/``uint16``/
+``uint32`` lanes up to the largest power of two P <= window, and a
+window is the piece at its start widened to ``uint64`` OR the masked
+tail of the piece ending where it ends), and reverse complementation
 is the classic 2-bit-group reversal bit-twiddle — no per-base Python
 loops anywhere.
 
@@ -32,9 +36,9 @@ from ..errors import InvalidKmerError
 #: (k+1)-mers, so with MAX_K = 31 windows go up to 32 bases.
 MAX_WINDOW = 32
 
-#: Code assigned to ``N`` (and the read separator) in the base LUT:
-#: any code >= 4 breaks a sliding window, mirroring the scalar path's
-#: split-on-N semantics.
+#: Code assigned to ``N`` (and to the newline between the reads of a
+#: FASTQ block) by the base LUT: any code >= 4 breaks a sliding window,
+#: mirroring the scalar path's split-on-N semantics.
 _BREAK_CODE = 4
 
 #: LUT slot for characters that are invalid even as separators.
@@ -44,16 +48,46 @@ _INVALID_CODE = 255
 _PIECE_LANES = {2: "uint8", 4: "uint8", 8: "uint16", 16: "uint32", 32: "uint64"}
 
 
-def _base_lut():
-    """256-entry ASCII -> 2-bit-code table (cached on first use)."""
-    lut = getattr(_base_lut, "_cache", None)
-    if lut is None:
-        lut = np.full(256, _INVALID_CODE, dtype=np.uint8)
-        for base, bits in (("A", 0), ("C", 1), ("G", 2), ("T", 3)):
-            lut[ord(base)] = bits
-        lut[ord("N")] = _BREAK_CODE
-        _base_lut._cache = lut
-    return lut
+def _lut(breaks: str) -> bytes:
+    """256-entry ASCII -> 2-bit-code table; ``N`` and ``breaks`` break windows."""
+    table = bytearray([_INVALID_CODE]) * 256
+    for bits, base in enumerate("ACGT"):
+        table[ord(base)] = bits
+    for character in "N" + breaks:
+        table[ord(character)] = _BREAK_CODE
+    return bytes(table)
+
+
+#: The LUT of :func:`encode_batch` (reads joined with ``N``) and the one
+#: of :func:`encode_lines` (reads joined with newlines).
+_BASE_LUT = _lut("")
+_LINES_LUT = _lut("\n")
+
+
+def _encode(text: str, lut: bytes):
+    """``text`` as a uint8 code array, in one ``bytes.translate`` pass.
+
+    Raises :class:`~repro.errors.InvalidKmerError` naming the first
+    character ``lut`` has no code for.
+    """
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise InvalidKmerError(
+            f"invalid non-ASCII base {exc.object[exc.start]!r} in read batch"
+        ) from None
+    codes = np.frombuffer(raw.translate(lut), dtype=np.uint8)
+    if codes.size and codes.max() == _INVALID_CODE:
+        bad = text[int(np.argmax(codes == _INVALID_CODE))]
+        raise InvalidKmerError(f"invalid base {bad!r} in read batch")
+    return codes
+
+
+def _starts(lengths):
+    """Offset of each read in a code array with one separator between reads."""
+    starts = np.zeros(lengths.size, dtype=np.int64)
+    np.cumsum(lengths[:-1] + 1, out=starts[1:])
+    return starts
 
 
 def encode_batch(sequences: Sequence[str]):
@@ -68,20 +102,28 @@ def encode_batch(sequences: Sequence[str]):
     Raises :class:`~repro.errors.InvalidKmerError` on any character
     outside ``ACGTN``, matching the scalar encoders.
     """
-    joined = "N".join(sequences)
-    try:
-        raw = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError as exc:
-        raise InvalidKmerError(f"invalid non-ASCII base in read batch: {exc}") from None
-    codes = _base_lut()[raw]
-    if codes.size and codes.max() == _INVALID_CODE:
-        bad = joined[int(np.argmax(codes == _INVALID_CODE))]
-        raise InvalidKmerError(f"invalid base {bad!r} in read batch")
+    codes = _encode("N".join(sequences), _BASE_LUT)
     lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
-    starts = np.zeros(len(sequences) + 1, dtype=np.int64)
-    if len(sequences):
-        np.cumsum(lengths + 1, out=starts[1:])
-    return codes, starts[:-1], lengths
+    return codes, _starts(lengths), lengths
+
+
+def encode_lines(text: str, lengths, chunk_reads: int):
+    """:func:`encode_batch` of reads given as newline-joined text.
+
+    ``text`` holds ``len(lengths)`` upper-cased reads of the given
+    lengths, one per line, as a FASTQ block's sequence lines are.  It is
+    encoded in one LUT pass in which the newline is the break code, so
+    the codes equal those of :func:`encode_batch` over the same reads.
+    Yields ``(codes, starts, lengths)`` of consecutive batches of at
+    most ``chunk_reads`` reads, each a view of the one code array.
+    """
+    codes = _encode(text, _LINES_LUT)
+    starts = _starts(lengths)
+    for first in range(0, lengths.size, chunk_reads):
+        batch = slice(first, first + chunk_reads)
+        offset = starts[first]
+        end = starts[batch][-1] + lengths[batch][-1]
+        yield codes[offset:end], starts[batch] - offset, lengths[batch]
 
 
 def sliding_window_ids(codes, window: int):
@@ -97,30 +139,57 @@ def sliding_window_ids(codes, window: int):
     num_windows = codes.size - window + 1
     if num_windows <= 0:
         return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=bool)
-    # Pieces of 1, 2, 4, 8, 16 (32) bases are built by doubling, each in
-    # the narrowest lane that holds it; the window is the pieces named
-    # by the binary decomposition of its length, first bases highest.
-    # Only those pieces are ever widened to 64 bits.  ``broken`` doubles
-    # alongside: does a piece contain a break code?
-    ids = invalid = None
+    # Pieces of 1, 2, 4, ... P bases are built by doubling, each in the
+    # narrowest lane that holds it, up to the largest power of two
+    # P <= window; ``broken`` doubles alongside: does a piece contain a
+    # break code?  A window is then two overlapping pieces: the one at
+    # its start, widened to 64 bits, and the last ``window - P`` bases
+    # of the one ending where it ends.  Shifts are multiplications by
+    # powers of four, which NumPy vectorises where it does not shift
+    # narrow lanes.
     piece = codes & np.uint8(3)
     broken = codes >= _BREAK_CODE
     span = 1
-    while True:
-        if window & span:
-            # The longer pieces come first in the window, the shorter after.
-            first = window & ~(2 * span - 1)
-            used = slice(first, first + num_windows)
-            lane = np.left_shift(piece[used], 2 * (window & (span - 1)), dtype=np.uint64)
-            ids = lane if ids is None else np.bitwise_or(ids, lane, out=ids)
-            invalid = broken[used] if invalid is None else invalid | broken[used]
-        if 2 * span > window:
-            break
-        wider = np.left_shift(piece[:-span], 2 * span, dtype=_PIECE_LANES[2 * span])
-        piece = np.bitwise_or(wider, piece[span:], out=wider)
+    while 2 * span <= window:
+        lane = np.dtype(_PIECE_LANES[2 * span])
+        if piece.dtype != lane:
+            piece = piece.astype(lane)
+        doubled = piece[:-span] * lane.type(1 << (2 * span))
+        doubled |= piece[span:]
+        piece = doubled
         broken = broken[:-span] | broken[span:]
         span *= 2
+    rest = window - span
+    ids = piece[:num_windows].astype(np.uint64)
+    invalid = broken[:num_windows]
+    if rest:
+        ids *= np.uint64(1 << (2 * rest))
+        tail = piece[rest : rest + num_windows]  # ``piece`` is ours to overwrite
+        tail &= piece.dtype.type((1 << (2 * rest)) - 1)
+        ids |= tail
+        invalid = invalid | broken[rest : rest + num_windows]
     return ids, ~invalid
+
+
+def window_ids(codes, starts, lengths, window: int):
+    """Observed packed window IDs of a code batch, plus per-read counts.
+
+    ``(codes, starts, lengths)`` is a batch as :func:`encode_batch` or
+    :func:`encode_lines` returns it.  Windows containing a break code
+    are dropped, and the IDs are emitted in read order, then position
+    order.  Returns ``(ids, counts)`` with ``counts[i] == number of
+    windows emitted by read i``.
+    """
+    ids, valid = sliding_window_ids(codes, window)
+    # Read i owns the windows starting in [starts[i], starts[i] + windows[i]);
+    # the broken ones among them are counted by bisecting the sorted
+    # positions of the broken windows, not by a cumsum over every window.
+    windows = np.maximum(lengths - (window - 1), 0)
+    broken = np.flatnonzero(~valid)
+    counts = windows - (
+        np.searchsorted(broken, starts + windows) - np.searchsorted(broken, starts)
+    )
+    return ids[valid], counts
 
 
 def extract_window_ids(sequences: Sequence[str], window: int):
@@ -133,17 +202,7 @@ def extract_window_ids(sequences: Sequence[str], window: int):
     position order.  Returns ``(ids, counts)`` with
     ``counts[i] == number of windows emitted by read i``.
     """
-    codes, starts, lengths = encode_batch(sequences)
-    ids, valid = sliding_window_ids(codes, window)
-    # Read i owns the windows starting in [starts[i], starts[i] + windows[i]);
-    # the broken ones among them are counted by bisecting the sorted
-    # positions of the broken windows, not by a cumsum over every window.
-    windows = np.maximum(lengths - (window - 1), 0)
-    broken = np.flatnonzero(~valid)
-    counts = windows - (
-        np.searchsorted(broken, starts + windows) - np.searchsorted(broken, starts)
-    )
-    return ids[valid], counts
+    return window_ids(*encode_batch(sequences), window)
 
 
 def reverse_complement_ids(ids, k: int):

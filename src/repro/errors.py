@@ -200,6 +200,28 @@ class PipelineConfigError(AssemblyError):
     """The assembly pipeline was configured inconsistently."""
 
 
+class NoKmersError(AssemblyError):
+    """The reads hold no (k+1)-mer, so there is no de Bruijn graph to build.
+
+    Raised by DBG construction for empty input, and for input whose
+    every read is shorter than k + 1 bases between ``N``s.
+    """
+
+    def __init__(self, num_reads: int, k: int) -> None:
+        detail = (
+            f"none of its {num_reads} reads has {k + 1} consecutive "
+            f"A/C/G/T bases (k={k})"
+            if num_reads
+            else "it has no reads"
+        )
+        super().__init__(f"no (k+1)-mer in the input: {detail}")
+        self.num_reads = num_reads
+        self.k = k
+
+    def __reduce__(self):
+        return (NoKmersError, (self.num_reads, self.k))
+
+
 class QualityError(ReproError):
     """Base class for errors raised during quality assessment."""
 

@@ -113,11 +113,12 @@ def test_branching_reads_create_ambiguous_vertex():
 
 
 def test_reads_with_n_are_split():
-    reads = reads_from_strings(["GCTAANAGACA"])
+    reads = reads_from_strings(["GCTAAGANAGACA"])
     result, _ = _build(reads, k=5)
     # Each N-free fragment is shorter than in the unsplit read, so fewer
-    # (k+1)-mers are produced than for the same read without N.
-    unsplit, _ = _build(reads_from_strings(["GCTAAAGACA"]), k=5)
+    # (k+1)-mers are produced than for the same read without N (the
+    # second fragment yields none at all).
+    unsplit, _ = _build(reads_from_strings(["GCTAAGAAGACA"]), k=5)
     assert result.distinct_kplus1mers < unsplit.distinct_kplus1mers
 
 

@@ -14,7 +14,6 @@ import tempfile
 import tracemalloc
 import weakref
 
-import numpy as np
 import pytest
 
 from repro import AssemblyConfig, PPAAssembler
@@ -170,7 +169,7 @@ def test_a_smaller_budget_never_raises_the_edge_count_peak():
         chain = StageExecutor(config.runtime)
         tracemalloc.start()
         try:
-            _count_canonical_edges(np, reads, config, chain)
+            _count_canonical_edges(reads, config, chain)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -36,7 +36,6 @@ def _materialise(k, slots):
     ]
     keys, positions, coverage = (list(column) for column in zip(*rows))
     return _vertices_from_slots(
-        np,
         k,
         np.array(keys, dtype=np.uint64),
         np.array(positions, dtype=np.int64),
@@ -129,4 +128,4 @@ def test_k31_uses_the_top_bits():
 
 def test_no_slots_no_vertices():
     empty = np.zeros(0, dtype=np.uint64)
-    assert _vertices_from_slots(np, 21, empty, empty.astype(np.int64), empty.astype(np.int64)) == []
+    assert _vertices_from_slots(21, empty, empty.astype(np.int64), empty.astype(np.int64)) == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pytest
 
 from repro.dna.io_fastq import (
@@ -12,6 +13,7 @@ from repro.dna.io_fastq import (
     reads_from_strings,
     write_fastq,
 )
+from repro.dna.vectorized import encode_batch
 
 
 def _fastq_text(reads):
@@ -57,12 +59,13 @@ def test_read_chunks_drains_generators_lazily():
     assert len(pulled) == 4
 
 
-def test_sequence_chunks_match_parse_fastq():
+def test_code_batches_match_parse_fastq():
     reads = reads_from_strings(["ACGTACGT", "TTTTCCCC", "GGGGAAAA"])
     text = _fastq_text(reads)
     whole = list(parse_fastq(io.StringIO(text)))
-    chunks = list(parse_fastq(io.StringIO(text)).sequence_chunks(2))
-    assert [len(chunk) for chunk in chunks] == [2, 1]
-    assert [sequence for chunk in chunks for sequence in chunk] == [
-        read.sequence for read in whole
-    ]
+    batches = list(parse_fastq(io.StringIO(text)).code_batches(2))
+    assert [lengths.size for _, _, lengths in batches] == [2, 1]
+    for batch, first in zip(batches, (0, 2)):
+        expected = encode_batch([read.sequence for read in whole[first : first + 2]])
+        for got, want in zip(batch, expected):
+            assert np.array_equal(got, want)

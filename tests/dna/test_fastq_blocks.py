@@ -6,7 +6,9 @@ next block.  With blocks of 1, 7 and 64 characters every boundary case
 occurs; the reads yielded and the error that ends the parse must still
 be those of the record-by-record reference in
 ``test_fastq_differential.py``, through ``Read`` iteration and through
-``sequence_chunks`` alike.
+``code_batches`` alike.  Under ``validate=False`` a read with a base
+outside ``ACGTN`` reaches the code batches, which then fail as
+``encode_batch`` fails on that read.
 """
 
 from __future__ import annotations
@@ -14,28 +16,39 @@ from __future__ import annotations
 import io
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dna import io_fastq
+from repro.dna.alphabet import VALID_CHARACTERS
 from repro.dna.io_fastq import parse_fastq
-from repro.errors import FastqFormatError
+from repro.dna.vectorized import encode_batch
+from repro.errors import FastqFormatError, InvalidKmerError
 
 from test_fastq_differential import DAMAGE, RECORDS, damaged_text, outcome, reference_parse
 
 CHUNK_READS = 3
 
 
-def chunk_outcome(reads):
-    """Every sequence chunk yielded, then how the parse ended."""
-    chunks = []
+def batch_outcome(reads):
+    """Every code batch yielded, then how the parse ended."""
+    batches = []
     try:
-        for chunk in reads.sequence_chunks(CHUNK_READS):
-            chunks.append(chunk)
+        for batch in reads.code_batches(CHUNK_READS):
+            batches.append(batch)
     except FastqFormatError as error:
-        return chunks, (error.message, error.line_number, str(error))
-    return chunks, None
+        return batches, (error.message, error.line_number, str(error))
+    except InvalidKmerError as error:
+        return batches, str(error)
+    return batches, None
+
+
+def encode_error(sequence):
+    with pytest.raises(InvalidKmerError) as error:
+        encode_batch([sequence])
+    return str(error.value)
 
 
 @pytest.fixture(scope="module")
@@ -56,14 +69,21 @@ def test_records_straddling_blocks_parse_unchanged(
     with mock.patch.object(io_fastq, "_BLOCK_CHARS", block_chars):
         for source in (io.StringIO(text), fastq_path):
             assert outcome(parse_fastq(source, validate=validate)) == (reads, error)
-        chunks, chunk_error = chunk_outcome(parse_fastq(io.StringIO(text), validate))
-    assert chunk_error == error
-    # Whole chunks only: an error drops the chunk it interrupts, as
-    # read_chunks over the same reads would.
-    assert all(len(chunk) == CHUNK_READS for chunk in chunks[:-1])
-    flat = [sequence for chunk in chunks for sequence in chunk]
-    kept = len(sequences) if error is None else len(sequences) // CHUNK_READS * CHUNK_READS
-    assert flat == sequences[:kept]
+        batches, batch_error = batch_outcome(parse_fastq(io.StringIO(text), validate))
+    # A batch never spans two blocks, so every read before the error
+    # arrives; a read the encoder rejects fails first, as encode_batch.
+    bad = next((seq for seq in sequences if set(seq) - VALID_CHARACTERS), None)
+    if bad is None:
+        assert batch_error == error
+    else:
+        assert batch_error == encode_error(bad)
+    assert all(lengths.size <= CHUNK_READS for _, _, lengths in batches)
+    delivered = 0
+    for batch in batches:
+        expected = encode_batch(sequences[delivered : delivered + batch[2].size])
+        assert all(np.array_equal(got, want) for got, want in zip(batch, expected))
+        delivered += batch[2].size
+    assert delivered == len(sequences) or bad is not None
 
 
 def test_a_handle_is_read_lazily_and_left_open():
