@@ -13,9 +13,11 @@ and, per end-to-end metric of ``BENCHMARK.json``, each side's median
 and quartiles and how many pairs the change won (ties count for
 neither side) — one table per workload, every workload of
 ``BENCHMARK.json`` unless ``--workload`` names some.  With ``--layers``
-each workload finishes with one ``--trace 1`` run per side on the last
-seed, printed as a markdown table of the per-layer rows of
-``BENCHMARK.json`` under the ``PROBLEM`` lines the traced runs wrote.
+each workload finishes with one ``--trace 1`` run per side on each of
+the last three pair seeds (a layer's share moves by several points
+between seeds, so one traced pair cannot show it holding), printed as a
+markdown table of each per-layer row's median over those runs, under
+the ``PROBLEM`` lines the traced runs wrote.
 The exit status is 1 when any run of the change, timed or traced, did
 not end ``"correct": true`` — a share floor tripped by a faster layer
 shows only there.  It only reads ``benchmarks/e2e``; the temporary
@@ -38,6 +40,9 @@ from typing import Dict, List
 
 REPO = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+
+#: ``--layers`` traces each side on this many of the last pair seeds.
+TRACED_SEEDS = 3
 
 
 def materialise(rev: str, directory: Path) -> None:
@@ -91,9 +96,8 @@ def measure_workload(
     """Run the pairs of one workload and print its tables; False when a
     run of the change, timed or traced, was not correct."""
     runs: Dict[str, List[Dict[str, object]]] = {side: [] for side in SIDES}
-    seed = args.first_seed
-    for pair in range(args.pairs):
-        seed = args.first_seed + pair
+    seeds = [args.first_seed + pair for pair in range(args.pairs)]
+    for pair, seed in enumerate(seeds):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
             report = run_once(trees[side], workload, seed, args.seconds)
@@ -106,11 +110,12 @@ def measure_workload(
             )
             for problem in report["problems"]:
                 print(problem, flush=True)
-    traced = {}
-    if args.layers:
-        traced = {
-            side: run_once(trees[side], workload, seed, args.seconds, trace=1) for side in SIDES
-        }
+    traced: Dict[str, List[Dict[str, object]]] = {side: [] for side in SIDES}
+    traced_seeds = seeds[-TRACED_SEEDS:] if args.layers else []
+    for index, seed in enumerate(traced_seeds):
+        order = SIDES if index % 2 == 0 else SIDES[::-1]
+        for side in order:
+            traced[side].append(run_once(trees[side], workload, seed, args.seconds, trace=1))
 
     print(f"\n# {workload}: {args.pairs} pairs, parent {args.parent}, {args.seconds:g} s per run")
     for side in SIDES:
@@ -130,20 +135,24 @@ def measure_workload(
         ratio = median(change) / median(parent) if median(parent) else float("nan")
         print(f"{name:<22}{quartiles(parent):<34}{quartiles(change):<34}"
               f"{ratio:<15.4f}{won}/{lost}/{len(parent) - won - lost}")
-    if traced:
-        print(f"\n# {workload}: per-layer metrics, one traced run per side on seed {seed}")
+    if traced_seeds:
+        print(f"\n# {workload}: per-layer metrics, median of {len(traced_seeds)} traced runs "
+              f"per side on seeds {', '.join(map(str, traced_seeds))}")
         for side in SIDES:
-            print(f"# {side}: correct={traced[side]['correct']}")
-            for problem in traced[side]["problems"]:
-                print(f"# {side}: {problem.lstrip('# ')}")
+            for seed, report in zip(traced_seeds, traced[side]):
+                print(f"# {side} seed {seed}: correct={report['correct']}")
+                for problem in report["problems"]:
+                    print(f"# {side} seed {seed}: {problem.lstrip('# ')}")
         print("| metric | parent | change | ratio |\n|---|---|---|---|")
         for entry in contract["per_layer"]:
-            parent, change = (traced[side]["metrics"][entry["name"]]["value"] for side in SIDES)
+            parent, change = (
+                median(report["metrics"][entry["name"]]["value"] for report in traced[side])
+                for side in SIDES
+            )
             ratio = f"{change / parent:.3f}" if parent else "–"
             print(f"| `{entry['name']}` | {parent:.6g} | {change:.6g} | {ratio} |")
     print(flush=True)
-    checked = runs["change"] + ([traced["change"]] if traced else [])
-    return all(report["correct"] for report in checked)
+    return all(report["correct"] for report in runs["change"] + traced["change"])
 
 
 def main() -> int:
@@ -164,8 +173,9 @@ def main() -> int:
     )
     parser.add_argument(
         "--layers", action="store_true",
-        help="finish each workload with one traced run per side on the last seed; print the "
-        "per-layer table and the traced runs' PROBLEM lines",
+        help=f"finish each workload with one traced run per side on each of the last "
+        f"{TRACED_SEEDS} seeds; print each per-layer row's median and the traced runs' "
+        "PROBLEM lines",
     )
     args = parser.parse_args()
 

@@ -56,19 +56,17 @@ class AssemblyConfig:
         Execution runtime for every Pregel stage: ``"serial"`` (default,
         the exact in-process cluster simulation the paper's tables are
         reproduced from) or ``"multiprocess"`` (shared-nothing worker
-        processes for wall-clock parallelism).  Both produce identical
-        contigs and metrics.
+        processes for wall-clock parallelism, at most
+        :data:`~repro.runtime.base.MAX_PROCESS_WORKERS` of them).  Both
+        produce identical contigs and metrics.
     message_plane:
-        Data plane for multiprocess superstep exchange: ``"shm"``
-        (default) writes columnar message batches into shared-memory
-        arenas and ships only descriptors through the queues, falling
-        back to ``"queue"`` automatically when ``/dev/shm`` is unusable;
-        ``"queue"`` always pickles batches through the queues.  Results
-        are bit-identical either way; the serial backend ignores the
-        flag (it has no process boundary).
+        Read by nothing: multiprocess message batches always travel
+        through the worker queues.  Still validated against
+        :data:`~repro.runtime.base.MESSAGE_PLANES` (``"shm"`` or
+        ``"queue"``), so a typo fails.
     use_vectorized:
         Run the NumPy batch kernels for the hot paths (DBG-construction
-        phases and the columnar message plane).  Default on; contigs,
+        phases and the columnar message batches).  Default on; contigs,
         aggregate histories and metrics are bit-identical either way,
         and off pins the scalar reference path.
     scaffold:

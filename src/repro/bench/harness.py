@@ -212,7 +212,7 @@ def ppa_config(num_workers: int = 16, **config_overrides) -> AssemblyConfig:
     """The PPA-assembler configuration used by every benchmark.
 
     ``config_overrides`` are the other :class:`AssemblyConfig` fields
-    (backend, labeling method, message plane, memory budget, …).
+    (backend, labeling method, memory budget, …).
     """
     return AssemblyConfig(
         k=BENCH_K,

@@ -50,7 +50,6 @@ from .assembler import build_assembly_workflow
 from .assembler.config import LABELING_LIST_RANKING, LABELING_SIMPLIFIED_SV
 from .errors import DnaError, ReproError
 from .runtime import available_backends
-from .runtime.base import MESSAGE_PLANES
 from .service.spec import CONFIG_FIELDS, JobSpec, run_job
 from .telemetry.report import RUN_FILES
 from .workflow import WorkflowEvent
@@ -131,15 +130,6 @@ def add_job_arguments(
         type=int,
         default=None,
         help="number of Pregel workers (default 4)",
-    )
-    parser.add_argument(
-        "--message-plane",
-        choices=MESSAGE_PLANES,
-        default=None,
-        help="multiprocess data plane: 'shm' exchanges message batches "
-        "through shared-memory arenas (default; auto-falls back to "
-        "'queue' when /dev/shm is unusable), 'queue' always pickles "
-        "batches through the queues; ignored by the serial backend",
     )
     parser.add_argument(
         "--memory-budget-mb",
@@ -357,8 +347,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("assembling " + " ".join(f"{k}={v}" for k, v in spec.input.items()))
         print(
             f"  k={config.k} workers={config.num_workers} "
-            f"backend={config.backend} labeling={config.labeling_method} "
-            f"plane={config.message_plane}"
+            f"backend={config.backend} labeling={config.labeling_method}"
         )
 
     def on_event(event: WorkflowEvent) -> None:

@@ -52,10 +52,18 @@ from ..telemetry import (
     start_remote_span,
 )
 
-#: Message-plane names accepted by the multiprocess backend ("shm"
-#: falls back to "queue" when shared memory is unusable; the serial
-#: backend has no process boundary, so the flag has no effect there).
+#: Values :attr:`RuntimeOptions.message_plane` accepts.  Every
+#: multiprocess batch travels through the worker queues whichever is
+#: named; the field is still validated so a typo fails.
 MESSAGE_PLANES = ("shm", "queue")
+
+#: Most worker processes one multiprocess job may start.  Each worker
+#: is a forked process holding a command queue, a data queue and its
+#: pipe descriptors, so a spec asking for thousands would exhaust the
+#: host's process and file-descriptor limits before the first
+#: superstep; no workload here gains beyond a few workers per core.
+#: Serial worker slots are simulated and stay unbounded.
+MAX_PROCESS_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,8 @@ class RuntimeOptions:
         path of :mod:`repro.pregel.message` (bit-identical results; off
         pins the scalar reference path).
     message_plane:
-        Multiprocess superstep exchange, one of :data:`MESSAGE_PLANES`.
+        Read by nothing: multiprocess batches always travel through the
+        worker queues.  Still validated against :data:`MESSAGE_PLANES`.
     memory_budget_mb:
         Soft cap on live megabytes, finite and positive; ``None``
         disables spilling.  DBG construction shrinks its ingest chunks
@@ -103,6 +112,11 @@ class RuntimeOptions:
         if self.num_workers <= 0:
             raise InvalidJobError(f"num_workers must be positive, got {self.num_workers}")
         ensure_backend(self.backend)
+        if self.backend == "multiprocess" and self.num_workers > MAX_PROCESS_WORKERS:
+            raise InvalidJobError(
+                f"num_workers must be at most {MAX_PROCESS_WORKERS} on the "
+                f"multiprocess backend, got {self.num_workers}"
+            )
         if self.message_plane not in MESSAGE_PLANES:
             raise InvalidJobError(
                 f"unknown message plane {self.message_plane!r}; "

@@ -9,12 +9,9 @@ cluster slot:
 * the per-destination batches of
   :func:`~repro.pregel.message.route_outbox` (combined sender-side when
   the job has a combiner, so the bytes that cross the process boundary
-  are the combined ones) are shipped either through the destination
-  worker's data queue (pickled) or —
-  for columnar batches on the default ``shm`` message plane — written
-  into the sender's shared-memory arena with only a
-  ``(name, offset, count)`` descriptor crossing the queue (see
-  :mod:`repro.runtime.shm`);
+  are the combined ones) are pickled through the destination worker's
+  data queue; a columnar batch is a few ndarrays, so it pickles as one
+  buffer per column;
 * each worker's report (counters, aggregator partials as plain
   ``(value, touched)`` state pairs, its span) is shipped to the master
   at the superstep barrier, mirroring how Pregel ships partial
@@ -50,7 +47,7 @@ import traceback
 from typing import Any, Dict, List, Optional
 
 from ..errors import BackendExecutionError
-from ..pregel.message import COLS, is_cols, merge_batches
+from ..pregel.message import merge_batches
 from ..pregel.partition import pack_partition, unpack_partition
 from ..pregel.vertex import Vertex
 from ..pregel.worker import Worker
@@ -64,7 +61,6 @@ from ..telemetry import (
 )
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.profiling import stats_state
-from . import shm as shm_plane
 from .base import (
     ExecutionBackend,
     JobSession,
@@ -98,23 +94,6 @@ _DEAD_GRACE_SECONDS = 2.0
 # ----------------------------------------------------------------------
 # worker-process side
 # ----------------------------------------------------------------------
-def _resolve_batch(batch, reader):
-    """Materialise a shared-memory descriptor into a columnar batch.
-
-    Queue batches (scalar lists and ``("cols", ...)`` tuples) pass
-    through unchanged; ``("shmb", name, offset, count)`` descriptors
-    are read out of the named arena segment.
-    """
-    if (
-        isinstance(batch, tuple)
-        and len(batch) == 4
-        and batch[0] == shm_plane.SHM_BATCH
-    ):
-        targets, values = reader.read(batch[1], batch[2], batch[3])
-        return (COLS, targets, values)
-    return batch
-
-
 def _worker_main(
     worker: Worker,
     plan: WorkerPlan,
@@ -133,12 +112,9 @@ def _worker_main(
     # lock may have been forked while another thread held it.
     gc.disable()
     worker_id, num_workers = worker.worker_id, plan.num_workers
-    arena_writer = None
-    arena_reader = None
     sampler = None
     try:
         own_queue = data_queues[worker_id]
-        arena_reader = shm_plane.ArenaReader()
         # Batches this worker sent to itself stay local (no pickling).
         local_batches: Dict[int, Any] = {}
         # Batches received early for a future superstep, keyed by superstep.
@@ -153,8 +129,7 @@ def _worker_main(
         ).labels(plan.job_name, worker_id)
         # Timeline events mirror the metric-delta transport: recorded
         # into a process-local buffer, drained at every barrier and
-        # shipped to the master inside the counters dict (either
-        # message plane — the control queue is plane-independent).
+        # shipped to the master inside the counters dict.
         local_timeline = TimelineRecorder() if timeline_enabled else None
         if local_timeline is not None:
             sampler = ResourceSampler(
@@ -167,11 +142,7 @@ def _worker_main(
                 if command[1]:  # collect: ship the final partition back
                     result_queue.put((worker_id, pack_partition(worker.vertices)))
                 break
-            _, superstep, previous_aggregates, trace_ctx, arena_names = command
-            if arena_names is not None:
-                if arena_writer is None:
-                    arena_writer = shm_plane.ArenaWriter(worker_id)
-                arena_writer.begin_superstep(superstep, arena_names)
+            _, superstep, previous_aggregates, trace_ctx = command
 
             # One profile per superstep: the raw pstats table ships at
             # the barrier and the master merges it, so per-worker CPU
@@ -195,8 +166,6 @@ def _worker_main(
                     arrived = staged.setdefault(superstep, {})
                 batches = staged.pop(superstep)
                 batches[worker_id] = local_batches.pop(superstep, [])
-                for sender in list(batches):
-                    batches[sender] = _resolve_batch(batches[sender], arena_reader)
                 inbox = merge_batches(batches, num_workers, plan.combiner)
 
             batches, report = run_worker_superstep(
@@ -208,10 +177,6 @@ def _worker_main(
                 if destination == worker_id:
                     local_batches[superstep + 1] = batch
                 else:
-                    if arena_writer is not None and is_cols(batch):
-                        descriptor = arena_writer.try_write(batch[1], batch[2])
-                        if descriptor is not None:
-                            batch = descriptor
                     data_queues[destination].put((superstep + 1, worker_id, batch))
             # What only a process boundary needs rides the counters dict.
             counters = report[0]
@@ -223,8 +188,6 @@ def _worker_main(
                 # the step finishes inside the sampling interval.
                 sampler.sample_once()
                 counters["timeline"] = local_timeline.drain_events()
-            if arena_writer is not None:
-                counters["arena_wanted"] = arena_writer.wanted_bytes
             if local_registry is not None:
                 counters["metrics"] = local_registry.drain_state()
             control_queue.put((_OK, worker_id, report))
@@ -242,13 +205,6 @@ def _worker_main(
     finally:
         if sampler is not None:
             sampler.stop()
-        # Workers only *attach* to arena segments — closing the local
-        # mappings is all that is required here; the master owns the
-        # unlink.
-        if arena_writer is not None:
-            arena_writer.close()
-        if arena_reader is not None:
-            arena_reader.close()
         # Undelivered final-superstep batches are intentionally discarded;
         # don't let their feeder threads block process exit.
         for data_queue in data_queues:
@@ -259,7 +215,7 @@ def _worker_main(
 # master side
 # ----------------------------------------------------------------------
 class _MultiprocessSession(JobSession):
-    """One job's worker processes, their queues and their arenas.
+    """One job's worker processes and their queues.
 
     Worker processes live for exactly one job: forking at launch time
     is what lets children inherit the job's vertices, combiner and
@@ -280,35 +236,18 @@ class _MultiprocessSession(JobSession):
         self._drain_queues: list = []
         self._control_queue = None
         self._result_queue = None
-        self._arena_pool: Optional[shm_plane.ArenaPool] = None
         #: Every process object, and the prefix of it that start()ed.
         self._processes: list = []
         self._started: list = []
         self._collected = False
 
     def launch(self) -> None:
-        backend, plan, context = self._backend, self._plan, self._backend._context
+        plan, context = self._plan, self._backend._context
         self._command_queues = [context.Queue() for _ in range(plan.num_workers)]
         data_queues = [context.Queue() for _ in range(plan.num_workers)]
         self._control_queue = context.Queue()
         self._result_queue = context.Queue()
         self._drain_queues = [self._control_queue, self._result_queue] + data_queues
-
-        # The shared-memory plane needs the columnar path (descriptors
-        # only describe array batches) and a host whose /dev/shm works;
-        # anything else degrades to the pickled queue plane, which is
-        # bit-identical, just slower.
-        if (
-            plan.options.message_plane == "shm"
-            and plan.options.columnar_messages
-            and shm_plane.shm_plane_usable()
-        ):
-            pool = shm_plane.ArenaPool(plan.num_workers, backend.shm_arena_bytes)
-            try:
-                pool.create_all()
-                self._arena_pool = pool
-            except Exception:
-                pool.unlink_all()
 
         workers, self._workers = self._workers, None
         self._processes = [
@@ -340,17 +279,8 @@ class _MultiprocessSession(JobSession):
         previous_aggregates: Dict[str, Any],
         trace_ctx: Optional[TraceContext],
     ) -> List[WorkerReport]:
-        pool = self._arena_pool
-        for worker_id, command_queue in enumerate(self._command_queues):
-            command_queue.put(
-                (
-                    _STEP,
-                    superstep,
-                    previous_aggregates,
-                    trace_ctx,
-                    pool.names(worker_id) if pool is not None else None,
-                )
-            )
+        for command_queue in self._command_queues:
+            command_queue.put((_STEP, superstep, previous_aggregates, trace_ctx))
         # One barrier: gather every worker's end-of-superstep report.
         reports: Dict[int, WorkerReport] = {}
         while len(reports) < self._plan.num_workers:
@@ -364,20 +294,13 @@ class _MultiprocessSession(JobSession):
 
         metrics_registry, timeline, profiler = get_registry(), get_timeline(), get_profiler()
         ordered = [reports[worker_id] for worker_id in range(self._plan.num_workers)]
-        for worker_id, report in enumerate(ordered):
+        for report in ordered:
             counters = report[0]
             metrics_state = counters.pop("metrics", None)
             if metrics_state is not None:
                 metrics_registry.merge_state(metrics_state)
             timeline.merge_events(counters.pop("timeline", None))
             profiler.merge_state(counters.pop("profile", None))
-            if pool is not None:
-                pool.request(worker_id, counters.get("arena_wanted", 0))
-        if pool is not None:
-            # The buffers read during this superstep are idle until
-            # superstep + 1 starts writing them: the only window where
-            # an undersized buffer may be replaced.
-            pool.grow_idle(superstep % 2)
         return ordered
 
     def collect(self) -> List[Dict[int, Vertex]]:
@@ -413,12 +336,6 @@ class _MultiprocessSession(JobSession):
                 process.join(timeout=_JOIN_SECONDS)
         for source_queue in self._command_queues + self._drain_queues:
             source_queue.cancel_join_thread()
-        # Unlink the arena segments last: every worker process has been
-        # joined or terminated by now, so no attachment can outlive
-        # this (and a worker that died mid-superstep could not have
-        # unlinked anything itself — workers never own segments).
-        if self._arena_pool is not None:
-            self._arena_pool.unlink_all()
 
     def _get_checked(self, source_queue, seen):
         """Blocking get that notices dead workers instead of hanging.
@@ -463,7 +380,6 @@ class MultiprocessBackend(ExecutionBackend):
         self,
         options: Optional[RuntimeOptions] = None,
         start_method: Optional[str] = None,
-        shm_arena_bytes: int = shm_plane.DEFAULT_ARENA_BYTES,
         **overrides: Any,
     ) -> None:
         super().__init__(options, **overrides)
@@ -471,7 +387,6 @@ class MultiprocessBackend(ExecutionBackend):
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
         self.start_method = start_method
-        self.shm_arena_bytes = shm_arena_bytes
         self._context = multiprocessing.get_context(start_method)
 
     def _session(self, plan: WorkerPlan, workers: List[Worker]) -> JobSession:

@@ -39,11 +39,6 @@ Injector kinds:
 ``delay_store_writes``
     Sleep ``seconds`` before every event-log write, widening race
     windows that are otherwise microseconds wide.
-``shm_alloc_fail``
-    Make the Pregel shared-memory message plane report allocation
-    failure, forcing the multiprocess backend onto its pickled-queue
-    fallback — what a host with an exhausted or missing ``/dev/shm``
-    looks like.  Results must be identical either way.
 
 This module is imported by the store and the worker on their hot paths,
 so the disabled case must stay near-free: no ``REPRO_FAULTS`` in the
@@ -69,7 +64,6 @@ FAULT_KINDS = (
     "corrupt_checkpoint",
     "raise_error",
     "delay_store_writes",
-    "shm_alloc_fail",
 )
 
 
@@ -194,10 +188,6 @@ class FaultPlan:
     def stall_heartbeat(self, attempt: Optional[int]) -> bool:
         """True when this attempt's heartbeat renewals should be skipped."""
         return self._first("stall_heartbeat", attempt) is not None
-
-    def shm_alloc_fail(self, attempt: Optional[int] = None) -> bool:
-        """True when shared-memory arena allocation should report failure."""
-        return self._first("shm_alloc_fail", attempt) is not None
 
     def on_stage_start(
         self,

@@ -97,16 +97,6 @@ class ProcessWorkerPool:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        try:
-            # A previous service incarnation SIGKILLed wholesale (the
-            # crash-recovery path) strands the arena segments of worker
-            # processes nobody observed dying; reclaim them before
-            # spawning fresh workers.
-            from ..runtime.shm import sweep_dead_masters
-
-            sweep_dead_masters()
-        except Exception:  # pragma: no cover - sweep must never block start-up
-            pass
         with self._lock:
             if self._slots and not self._stopping:
                 return  # already running
@@ -186,20 +176,8 @@ class ProcessWorkerPool:
         process = slot["process"]
         reason = _death_reason(process.exitcode)
         incarnation = slot["incarnation"]
-        dead_pid = process.pid
         process.join()
         slot["process"] = None
-        # A SIGKILLed worker was the Pregel *master* of whatever backend
-        # it was running and never reached the unlink path of its
-        # shared-memory arenas; sweep them by the PID baked into their
-        # segment names so /dev/shm cannot accumulate leaks.
-        if dead_pid is not None:
-            try:
-                from ..runtime.shm import sweep_master_segments
-
-                sweep_master_segments(dead_pid)
-            except Exception:  # noqa: BLE001 — supervision must survive sweep hiccups
-                pass
         get_registry().counter(
             "repro_worker_deaths_total",
             "Worker processes that exited, by reason.",
@@ -237,15 +215,6 @@ class ProcessWorkerPool:
             )
 
     def _reap_once(self) -> None:
-        try:
-            # An orphaned master from a killed prior incarnation may
-            # outlive our start-up sweep (it self-fences only after
-            # noticing orphanhood); reclaim its arenas once it dies.
-            from ..runtime.shm import sweep_dead_masters
-
-            sweep_dead_masters()
-        except Exception:  # noqa: BLE001 — sweep must never break reaping
-            pass
         try:
             reclaims = self.store.reap_expired()
         except Exception:  # noqa: BLE001

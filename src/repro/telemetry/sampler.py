@@ -24,10 +24,9 @@ attribute lookup per would-be event.
 
 Cross-process transport mirrors metric deltas: multiprocess workers
 record into a local recorder and :meth:`TimelineRecorder.drain_events`
-ships the per-superstep delta over the barrier counter channel (both
-message planes), where the master folds it back in with
-:meth:`TimelineRecorder.merge_events` — one coherent timeline per run
-regardless of backend.  :func:`write_timeline` persists it as JSONL,
+ships the per-superstep delta over the barrier counter channel, where
+the master folds it back in with :meth:`TimelineRecorder.merge_events`
+— one coherent timeline per run regardless of backend.  :func:`write_timeline` persists it as JSONL,
 one event object per line, ordered by timestamp.
 """
 

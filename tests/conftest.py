@@ -2,40 +2,10 @@
 
 from __future__ import annotations
 
-import glob
-import time
-
 import pytest
 
 from repro.assembler import AssemblyConfig
 from repro.dna.simulator import simulate_dataset
-
-
-def _shm_segments() -> set:
-    """Names of every POSIX shared-memory segment currently present."""
-    return set(glob.glob("/dev/shm/psm_*"))
-
-
-@pytest.fixture(autouse=True)
-def no_shm_segment_leaks():
-    """Fail any test that leaks a shared-memory segment.
-
-    The multiprocess backend's shm message plane allocates ``psm_*``
-    segments under ``/dev/shm``; its contract is that every orderly,
-    aborted, or killed-worker exit path unlinks all of them.  This
-    fixture snapshots the segments before each test and, with a short
-    grace period for worker-process teardown still in flight, asserts
-    nothing new survives the test.  On platforms without ``/dev/shm``
-    (no tmpfs) the glob is simply empty on both sides.
-    """
-    before = _shm_segments()
-    yield
-    leaked = _shm_segments() - before
-    deadline = time.monotonic() + 2.0
-    while leaked and time.monotonic() < deadline:
-        time.sleep(0.05)
-        leaked = _shm_segments() - before
-    assert not leaked, f"test leaked shared-memory segments: {sorted(leaked)}"
 
 
 @pytest.fixture(scope="session")

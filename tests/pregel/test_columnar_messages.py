@@ -221,7 +221,7 @@ def test_engine_results_identical_with_and_without_columnar():
     assert columnar.aggregates == scalar.aggregates
 
 
-def test_hash_min_parity_across_message_planes():
+def test_hash_min_parity_across_message_paths_and_backends():
     rng = random.Random(3)
     adjacency = {}
     count = 400

@@ -95,7 +95,7 @@ def _unknown_target():
 
 
 def _failed_fork():
-    backend = MultiprocessBackend(num_workers=2, message_plane="queue")
+    backend = MultiprocessBackend(num_workers=2)
     backend._context = _SecondStartFails(backend._context)
     with pytest.raises(OSError, match="Resource temporarily unavailable"):
         backend.run(_idle_job())

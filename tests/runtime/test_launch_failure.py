@@ -1,23 +1,23 @@
-"""A launch that fails half-way must leave nothing behind.
+"""A job whose workers fail must fail loudly and leave nothing behind.
 
 ``ExecutionBackend.run`` wraps launch-to-teardown in one ``with``
 block that ends in ``close``, so a backend that dies while bringing
 its workers up — the second ``fork`` hitting ``EAGAIN``, a spill
-failing while the serial plane adopts the partitions — still unlinks
-its shared-memory arenas, stops the workers it did start, and closes
-its spill store.
+failing while the serial plane adopts the partitions — still stops the
+workers it did start and closes its spill store.  A worker process
+killed mid-superstep is noticed at the barrier instead of hanging it.
 """
 
 from __future__ import annotations
 
-import glob
 import os
+import signal
 
 import pytest
 
-from repro.pregel import PregelJob, Vertex
+from repro.errors import BackendExecutionError
+from repro.pregel import PregelJob, Vertex, min_combiner
 from repro.runtime import MultiprocessBackend, SerialBackend
-from repro.runtime.shm import shm_plane_usable
 from repro.store.spill import SpillManager
 
 
@@ -51,15 +51,11 @@ class _SecondStartFails:
         return process
 
 
-@pytest.mark.skipif(
-    not shm_plane_usable(), reason="POSIX shared memory not usable on this host"
-)
-def test_failed_second_fork_leaks_no_segment_and_no_worker():
-    backend = MultiprocessBackend(num_workers=2, message_plane="shm")
+def test_failed_second_fork_leaves_no_worker_running():
+    backend = MultiprocessBackend(num_workers=2)
     context = backend._context = _SecondStartFails(backend._context)
     with pytest.raises(OSError, match="Resource temporarily unavailable"):
         backend.run(_job())
-    assert glob.glob(f"/dev/shm/psm_repro_{os.getpid()}_*") == []
     first = context.processes[0]
     assert first.pid is not None, "the first worker was never started"
     assert not first.is_alive()
@@ -81,3 +77,31 @@ def test_failed_adoption_closes_the_spill_store(monkeypatch):
     with pytest.raises(OSError, match="No space left on device"):
         SerialBackend(num_workers=2, memory_budget_mb=0.0001).run(_job())
     assert closed == ["serial:launch"]
+
+
+class SuicidalVertex(Vertex):
+    """Floods minima around a ring; SIGKILLs its own worker at superstep 2."""
+
+    def compute(self, messages, ctx):
+        if ctx.superstep == 2 and self.vertex_id == 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        best = min(messages) if messages else self.value
+        if ctx.superstep == 0 or best < self.value:
+            self.value = min(self.value, best)
+            for neighbor in self.edges:
+                ctx.send(neighbor, self.value)
+        self.vote_to_halt()
+
+
+def test_worker_killed_mid_superstep_raises_backend_execution_error():
+    # The worker owning vertex 0 dies inside superstep 2, with messages
+    # in flight both ways; the master must raise instead of waiting on
+    # the barrier forever.
+    size = 400
+    vertices = [
+        SuicidalVertex(i, value=i, edges=[(i + 1) % size, (i - 1) % size])
+        for i in range(size)
+    ]
+    job = PregelJob(name="ring-killed", vertices=vertices, combiner=min_combiner())
+    with pytest.raises(BackendExecutionError, match="exited"):
+        MultiprocessBackend(num_workers=2).run(job)

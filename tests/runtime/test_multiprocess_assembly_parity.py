@@ -1,18 +1,16 @@
-"""Parity matrix for the shm message plane.
+"""Parity matrix: columnar messages and worker processes change nothing.
 
-The shared-memory message plane is a pure transport optimisation:
-nothing observable may change.
-This suite drives ~20 seeded datasets (varying k, error rate, genome
-length, and a paired-end quarter that exercises scaffolding) through a
-serial *scalar* oracle (``use_vectorized=False`` — no columnar batches,
-no NumPy kernels) and asserts bit-identical contigs, scaffolds, and
-per-superstep :class:`~repro.pregel.metrics.PipelineMetrics` — including
-the ``cross_worker_messages`` counter — for:
+Neither the columnar batch path nor the multiprocess backend may change
+anything observable.  This suite drives 20 seeded datasets (varying k,
+error rate, genome length, and a paired-end quarter that exercises
+scaffolding) through a serial *scalar* oracle (``use_vectorized=False``
+— no columnar batches, no NumPy kernels) and asserts bit-identical
+contigs, scaffolds, and per-superstep
+:class:`~repro.pregel.metrics.PipelineMetrics` — including the
+``cross_worker_messages`` counter — for:
 
 * the serial backend with columnar messages, and
-* the multiprocess backend, alternating deterministically between the
-  two message planes so each is covered by ~10 datasets without running
-  both per dataset.
+* the multiprocess backend with columnar messages.
 """
 
 from __future__ import annotations
@@ -25,10 +23,6 @@ from repro.ppa.hash_min import run_hash_min
 from repro.ppa.sv import GraphInput
 from repro.pregel import PregelEngine
 
-#: The multiprocess message planes; dataset ``index % 2`` selects one,
-#: so 20 datasets cover each 10×.
-MP_COMBOS = ("shm", "queue")
-
 #: (index, k, genome_length, error_rate, paired) — 20 seeded datasets.
 #: k cycles over the odd sizes 13..21, genome length sweeps 2000..4850,
 #: error rate cycles clean/low/high, and every fourth dataset is a
@@ -39,7 +33,7 @@ DATASET_SPECS = [
 ]
 
 
-def _config(spec, backend, message_plane, use_vectorized):
+def _config(spec, backend, use_vectorized):
     index, k, _length, _error_rate, paired = spec
     return AssemblyConfig(
         k=k,
@@ -47,15 +41,14 @@ def _config(spec, backend, message_plane, use_vectorized):
         tip_length_threshold=40,
         num_workers=4,
         backend=backend,
-        message_plane=message_plane,
         use_vectorized=use_vectorized,
         scaffold=paired,
     )
 
 
-def _assemble(spec, backend, message_plane, use_vectorized):
+def _assemble(spec, backend, use_vectorized):
     index, k, length, error_rate, paired = spec
-    config = _config(spec, backend, message_plane, use_vectorized)
+    config = _config(spec, backend, use_vectorized)
     assembler = PPAAssembler(config)
     if paired:
         _genome, pairs = simulate_paired_dataset(
@@ -99,12 +92,11 @@ def _assert_result_parity(oracle, candidate):
 
 
 @pytest.mark.parametrize("spec", DATASET_SPECS, ids=lambda s: f"ds{s[0]:02d}-k{s[1]}-{'paired' if s[4] else 'single'}")
-def test_shm_and_partitioner_parity(spec):
-    message_plane = MP_COMBOS[spec[0] % len(MP_COMBOS)]
+def test_columnar_and_multiprocess_parity(spec):
     # The oracle: serial backend, scalar message/kernels path.
-    oracle = _assemble(spec, "serial", "queue", use_vectorized=False)
-    serial_columnar = _assemble(spec, "serial", message_plane, use_vectorized=True)
-    multiprocess = _assemble(spec, "multiprocess", message_plane, use_vectorized=True)
+    oracle = _assemble(spec, "serial", use_vectorized=False)
+    serial_columnar = _assemble(spec, "serial", use_vectorized=True)
+    multiprocess = _assemble(spec, "multiprocess", use_vectorized=True)
     _assert_result_parity(oracle, serial_columnar)
     _assert_result_parity(oracle, multiprocess)
 
@@ -112,18 +104,16 @@ def test_shm_and_partitioner_parity(spec):
 # ----------------------------------------------------------------------
 # aggregate histories (not retained by AssemblyResult) at the job level
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("message_plane", MP_COMBOS)
-def test_job_level_aggregate_parity(message_plane):
-    """Per-superstep aggregate snapshots survive every message plane."""
+def test_job_level_aggregate_parity():
+    """Per-superstep aggregate snapshots survive the process boundary."""
     edges = [(i, i + 1) for i in range(180)] + [(200 + i, 200 + (i + 1) % 40) for i in range(40)]
     graph = GraphInput.from_edges(edges)
 
-    def run(backend, plane):
-        engine = PregelEngine(num_workers=4, backend=backend, message_plane=plane)
-        return run_hash_min(graph, engine=engine)
+    def run(backend):
+        return run_hash_min(graph, engine=PregelEngine(num_workers=4, backend=backend))
 
-    oracle = run("serial", "queue")
-    candidate = run("multiprocess", message_plane)
+    oracle = run("serial")
+    candidate = run("multiprocess")
     assert candidate.vertex_values() == oracle.vertex_values()
     assert candidate.aggregates == oracle.aggregates
     assert list(candidate.vertices) == list(oracle.vertices)

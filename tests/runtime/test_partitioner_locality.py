@@ -5,7 +5,7 @@ destination lives on a different worker than the sender — the traffic
 that crosses a process (or network) boundary.  These tests pin it
 against a direct combinatorial count under the backend's hash placement
 at superstep 0, and against the serial backend for every later
-superstep on both multiprocess message planes.
+superstep on the multiprocess backend.
 """
 
 from __future__ import annotations
@@ -57,20 +57,11 @@ def test_superstep0_cross_counter_is_exact(backend):
     assert step0.messages_sent - step0.cross_worker_messages == local
 
 
-def test_cross_counter_identical_across_backends_and_planes():
-    def run(backend, message_plane="shm"):
-        return _run(
-            PregelEngine(
-                num_workers=NUM_WORKERS, backend=backend, message_plane=message_plane
-            )
-        )
-
-    serial = run("serial")
-    mp_shm = run("multiprocess", message_plane="shm")
-    mp_queue = run("multiprocess", message_plane="queue")
+def test_cross_counter_identical_across_backends():
+    serial = _run(PregelEngine(num_workers=NUM_WORKERS, backend="serial"))
+    multiprocess = _run(PregelEngine(num_workers=NUM_WORKERS, backend="multiprocess"))
     serial_cross = [s.cross_worker_messages for s in serial.metrics.supersteps]
-    assert [s.cross_worker_messages for s in mp_shm.metrics.supersteps] == serial_cross
-    assert [s.cross_worker_messages for s in mp_queue.metrics.supersteps] == serial_cross
+    assert [s.cross_worker_messages for s in multiprocess.metrics.supersteps] == serial_cross
     # Cross is a subset of all raw messages, superstep by superstep.
     for step in serial.metrics.supersteps:
         assert 0 <= step.cross_worker_messages <= step.messages_sent

@@ -1,4 +1,4 @@
-"""Real parallelism: multiprocess + shm must beat serial on ≥2 cores.
+"""Real parallelism: multiprocess must beat serial on ≥2 cores.
 
 The parity suite proves the multiprocess backend changes nothing
 observable; this test proves it changes the one thing it exists for —
@@ -54,16 +54,16 @@ def _job():
     )
 
 
-def _timed(backend, message_plane="shm"):
-    engine = PregelEngine(num_workers=NUM_WORKERS, backend=backend, message_plane=message_plane)
+def _timed(backend):
+    engine = PregelEngine(num_workers=NUM_WORKERS, backend=backend)
     started = time.perf_counter()
     result = engine.run(_job())
     return result, time.perf_counter() - started
 
 
-def test_multiprocess_shm_beats_serial_on_compute_bound_work():
+def test_multiprocess_beats_serial_on_compute_bound_work():
     serial_result, serial_seconds = _timed("serial")
-    mp_result, mp_seconds = _timed("multiprocess", message_plane="shm")
+    mp_result, mp_seconds = _timed("multiprocess")
     assert mp_result.vertex_values() == serial_result.vertex_values()
     if serial_seconds < 1.0:
         pytest.skip(
@@ -71,6 +71,6 @@ def test_multiprocess_shm_beats_serial_on_compute_bound_work():
             "robust wall-clock comparison on a shared runner"
         )
     assert mp_seconds < serial_seconds, (
-        f"multiprocess+shm ({mp_seconds:.2f}s) should beat serial "
+        f"multiprocess ({mp_seconds:.2f}s) should beat serial "
         f"({serial_seconds:.2f}s) on a {os.cpu_count()}-core host"
     )

@@ -28,13 +28,12 @@ def paired_library():
     return pairs
 
 
-def _config(backend="serial", message_plane="shm", budget=None):
+def _config(backend="serial", budget=None):
     return AssemblyConfig(
         k=17,
         scaffold=True,
         num_workers=2,
         backend=backend,
-        message_plane=message_plane,
         memory_budget_mb=budget,
     )
 
@@ -63,14 +62,11 @@ def test_serial_budgeted_run_is_bit_identical_and_spills(paired_library):
     assert delta["load_events"] > 0
 
 
-@pytest.mark.parametrize("message_plane", ["shm", "queue"])
-def test_multiprocess_budgeted_run_is_bit_identical(paired_library, message_plane):
-    baseline = PPAAssembler(
-        _config(backend="multiprocess", message_plane=message_plane)
-    ).assemble_paired(paired_library)
-    config = _config(
-        backend="multiprocess", message_plane=message_plane, budget=TINY_BUDGET_MB
+def test_multiprocess_budgeted_run_is_bit_identical(paired_library):
+    baseline = PPAAssembler(_config(backend="multiprocess")).assemble_paired(
+        paired_library
     )
+    config = _config(backend="multiprocess", budget=TINY_BUDGET_MB)
     before = process_spill_stats().snapshot()
     budgeted = PPAAssembler(config).assemble_paired(paired_library)
     delta = process_spill_stats().delta_since(before)

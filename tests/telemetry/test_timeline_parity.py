@@ -68,12 +68,9 @@ def _run_with_timeline(backend: str, **engine_kwargs) -> TimelineRecorder:
     return recorder
 
 
-@pytest.mark.parametrize("message_plane", ["shm", "queue"])
-def test_superstep_events_identical_serial_vs_multiprocess(message_plane):
+def test_superstep_events_identical_serial_vs_multiprocess():
     serial = _superstep_sequence(_run_with_timeline("serial"))
-    multi = _superstep_sequence(
-        _run_with_timeline("multiprocess", message_plane=message_plane)
-    )
+    multi = _superstep_sequence(_run_with_timeline("multiprocess"))
     assert serial, "serial run recorded no superstep events"
     assert serial == multi
 

@@ -222,7 +222,7 @@ def test_submit_verb_and_one_shot_cli_build_the_same_input_block():
     # The same flags must make the same JobSpec on both surfaces — the
     # input block (regression: --insert-std used to be dropped by
     # `submit` unless --insert-size was also given), every config field
-    # (regression: `submit` lacked --message-plane) and
+    # (regression: `submit` once lacked a config flag) and
     # the contig cutoff.
     from repro.cli import spec_from_args
     from repro.service.cli import _build_spec, build_service_parser
@@ -230,7 +230,7 @@ def test_submit_verb_and_one_shot_cli_build_the_same_input_block():
     argv = [
         "--simulate", "2000", "--scaffold", "--insert-std", "80",
         "--labeling", "sv",
-        "--message-plane", "queue", "--memory-budget-mb", "2",
+        "--backend", "multiprocess", "--memory-budget-mb", "2",
         "--min-links", "3", "--min-contig", "50",
     ]
     submitted = _build_spec(build_service_parser().parse_args(["submit", *argv]))
@@ -240,7 +240,7 @@ def test_submit_verb_and_one_shot_cli_build_the_same_input_block():
     assert submitted.input["insert_std"] == 80.0
     assert submitted.input["mode"] == "simulate"
     config = submitted.assembly_config()
-    assert config.message_plane == "queue"
+    assert config.backend == "multiprocess"
     assert (config.labeling_method, config.scaffold_min_links) == ("sv", 3)
     assert submitted.min_contig == 50
 
