@@ -85,7 +85,7 @@ def _bench_stages(sequences, reads):
     stages["preaggregate-counts"] = (scalar_seconds, vector_seconds)
 
     def run_construction(use_vectorized):
-        chain = StageExecutor(num_workers=NUM_WORKERS, columnar_messages=use_vectorized)
+        chain = StageExecutor(num_workers=NUM_WORKERS)
         config = AssemblyConfig(k=BENCH_K, use_vectorized=use_vectorized)
         return build_dbg(reads, config, chain), chain
 

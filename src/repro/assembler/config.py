@@ -65,10 +65,10 @@ class AssemblyConfig:
         :data:`~repro.runtime.base.MESSAGE_PLANES` (``"shm"`` or
         ``"queue"``), so a typo fails.
     use_vectorized:
-        Run the NumPy batch kernels for the hot paths (DBG-construction
-        phases and the columnar message batches).  Default on; contigs,
-        aggregate histories and metrics are bit-identical either way,
-        and off pins the scalar reference path.
+        Run the NumPy batch kernels of the DBG-construction phases.
+        Default on; contigs, aggregate histories and metrics are
+        bit-identical either way, and off pins the scalar reference
+        path.
     scaffold:
         Run the paired-end scaffolding stage (:mod:`repro.scaffold`)
         after the final contig merge.  Off by default — it only has
@@ -165,7 +165,6 @@ class AssemblyConfig:
         return RuntimeOptions(
             num_workers=self.num_workers,
             backend=self.backend,
-            columnar_messages=self.use_vectorized,
             message_plane=self.message_plane,
             memory_budget_mb=self.memory_budget_mb,
         )

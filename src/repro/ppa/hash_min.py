@@ -27,10 +27,6 @@ from .sv import GraphInput
 class HashMinVertex(Vertex):
     """``value`` is the smallest component label seen so far."""
 
-    # State is (int label, [int neighbour IDs]): partitions leave the
-    # process (to the master, to spill files) as arrays.
-    columnar_state = True
-
     def compute(self, messages: List[int], ctx: ComputeContext) -> None:
         if ctx.superstep == 0:
             # Seed the flood with our own ID.

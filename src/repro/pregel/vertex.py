@@ -179,15 +179,6 @@ class Vertex(Generic[ValueT, MessageT]):
     ``halted`` implements vote-to-halt: a halted vertex is skipped by
     the engine until a message arrives for it, which reactivates it.
 
-    ``columnar_state`` (class attribute, default False) marks vertex
-    classes whose entire state is small non-negative integers —
-    ``value`` an int and ``edges`` a plain list of ints.  Partitions of
-    such vertices leave their process (multiprocess worker to master,
-    serial spill plane to disk) as a few ndarrays instead of per-object
-    pickles — see :mod:`repro.pregel.partition`; results are identical,
-    only the transfer is cheaper.  Opting in is a promise that
-    ``cls(vertex_id, value, edges)`` reconstructs the vertex.
-
     A worker runs its whole partition for a superstep through one
     :meth:`compute_partition` call on the job's vertex class — the one
     class every initial vertex has (and the vertex factory builds), or
@@ -199,9 +190,6 @@ class Vertex(Generic[ValueT, MessageT]):
     """
 
     __slots__ = ("vertex_id", "value", "edges", "halted")
-
-    #: Opt-in for the columnar vertex-state transfer (see class docstring).
-    columnar_state = False
 
     def __init__(self, vertex_id: int, value: ValueT = None, edges: Any = None) -> None:
         self.vertex_id = vertex_id

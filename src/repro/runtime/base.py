@@ -87,10 +87,6 @@ class RuntimeOptions:
         ``"multiprocess"``).
     backend:
         Name of a registered :class:`ExecutionBackend`.
-    columnar_messages:
-        Whether qualifying integer-message jobs use the columnar batch
-        path of :mod:`repro.pregel.message` (bit-identical results; off
-        pins the scalar reference path).
     message_plane:
         Read by nothing: multiprocess batches always travel through the
         worker queues.  Still validated against :data:`MESSAGE_PLANES`.
@@ -104,7 +100,6 @@ class RuntimeOptions:
 
     num_workers: int = 4
     backend: str = "serial"
-    columnar_messages: bool = True
     message_plane: str = "shm"
     memory_budget_mb: Optional[float] = None
 
@@ -358,7 +353,7 @@ def run_worker_superstep(
     )
     worker_messages.inc(counters["messages_sent"])
     batches, routed_messages, routed_bytes = route_outbox(
-        outbox, sizes, plan.partitioner, plan.combiner, plan.options.columnar_messages
+        outbox, sizes, plan.partitioner, plan.combiner
     )
     counters["routed_messages"] = routed_messages
     counters["routed_bytes"] = routed_bytes

@@ -10,8 +10,7 @@ cluster slot:
   :func:`~repro.pregel.message.route_outbox` (combined sender-side when
   the job has a combiner, so the bytes that cross the process boundary
   are the combined ones) are pickled through the destination worker's
-  data queue; a columnar batch is a few ndarrays, so it pickles as one
-  buffer per column;
+  data queue as ``(target, message)`` lists;
 * each worker's report (counters, aggregator partials as plain
   ``(value, touched)`` state pairs, its span) is shipped to the master
   at the superstep barrier, mirroring how Pregel ships partial
@@ -40,6 +39,7 @@ from __future__ import annotations
 import cProfile
 import gc
 import multiprocessing
+import os
 import pickle
 import queue as queue_module
 import time
@@ -94,6 +94,21 @@ _DEAD_GRACE_SECONDS = 2.0
 # ----------------------------------------------------------------------
 # worker-process side
 # ----------------------------------------------------------------------
+def _get_while_parent_lives(source_queue, parent_pid: int):
+    """``source_queue.get()``, or ``None`` once the process ``parent_pid`` is gone.
+
+    An orphan is re-parented, so its parent pid changes: a master that
+    died without stopping its workers (``os._exit``, SIGKILL) leaves
+    nothing to wait for.
+    """
+    while True:
+        try:
+            return source_queue.get(timeout=_POLL_SECONDS)
+        except queue_module.Empty:
+            if os.getppid() != parent_pid:
+                return None
+
+
 def _worker_main(
     worker: Worker,
     plan: WorkerPlan,
@@ -111,6 +126,9 @@ def _worker_main(
     # for one job, so there is nothing to restore — and the helper's
     # lock may have been forked while another thread held it.
     gc.disable()
+    # The master under ``fork`` and ``spawn``; the fork server (which
+    # exits with the master) under ``forkserver``.
+    parent_pid = os.getppid()
     worker_id, num_workers = worker.worker_id, plan.num_workers
     sampler = None
     try:
@@ -137,7 +155,9 @@ def _worker_main(
             ).start()
 
         while True:
-            command = command_queue.get()
+            command = _get_while_parent_lives(command_queue, parent_pid)
+            if command is None:
+                return
             if command[0] == _STOP:
                 if command[1]:  # collect: ship the final partition back
                     result_queue.put((worker_id, pack_partition(worker.vertices)))
@@ -161,7 +181,10 @@ def _worker_main(
                 expected = set(range(num_workers)) - {worker_id}
                 arrived = staged.setdefault(superstep, {})
                 while set(arrived) != expected:
-                    for_superstep, sender, batch = own_queue.get()
+                    item = _get_while_parent_lives(own_queue, parent_pid)
+                    if item is None:
+                        return
+                    for_superstep, sender, batch = item
                     staged.setdefault(for_superstep, {})[sender] = batch
                     arrived = staged.setdefault(superstep, {})
                 batches = staged.pop(superstep)
@@ -209,6 +232,10 @@ def _worker_main(
         # don't let their feeder threads block process exit.
         for data_queue in data_queues:
             data_queue.cancel_join_thread()
+        if os.getppid() != parent_pid:
+            # Nobody reads reports any more: do not wait on their feeders.
+            control_queue.cancel_join_thread()
+            result_queue.cancel_join_thread()
 
 
 # ----------------------------------------------------------------------

@@ -138,23 +138,6 @@ class FaultPlan:
             raise ValueError(f"{ENV_VAR} must be a JSON list of injectors")
         return cls(injectors=[FaultInjector.from_dict(entry) for entry in payload])
 
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    key: value
-                    for key, value in (
-                        ("kind", injector.kind),
-                        ("stage", injector.stage),
-                        ("attempts", list(injector.attempts) if injector.attempts is not None else None),
-                        ("seconds", injector.seconds or None),
-                    )
-                    if value is not None
-                }
-                for injector in self.injectors
-            ]
-        )
-
     @property
     def enabled(self) -> bool:
         return bool(self.injectors)

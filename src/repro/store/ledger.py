@@ -10,8 +10,8 @@ when each is needed again: the plane knows its schedule exactly and
 evicts by next use.
 
 Sizes come from :func:`estimate_nbytes`, a deterministic heuristic —
-exact for the numpy arrays that dominate the columnar pipeline
-(``.nbytes`` plus object header), sampled for containers.  It is an
+exact for numpy arrays (``.nbytes`` plus object header), sampled for
+containers.  It is an
 *estimate*: the point is relative ordering and a stable trigger
 threshold, not byte-perfect accounting, and determinism matters more
 than precision because the parity suite requires identical spill

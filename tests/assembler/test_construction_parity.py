@@ -45,11 +45,7 @@ def _construct(reads, num_workers, vectorized):
         use_vectorized=vectorized,
         memory_budget_mb=BUDGET_MB,
     )
-    chain = StageExecutor(
-        num_workers=num_workers,
-        columnar_messages=vectorized,
-        memory_budget_mb=BUDGET_MB,
-    )
+    chain = StageExecutor(num_workers=num_workers, memory_budget_mb=BUDGET_MB)
     # An iterator: the vectorised path must not need a list.
     return build_dbg(iter(reads), config, chain), chain.pipeline_metrics.jobs
 

@@ -2,8 +2,8 @@
 
 The vectorized module must be bit-identical to the scalar encoders on
 arbitrary reads — round-trips, canonical forms, polarity labels and
-N-splitting — and the vectorized construction/columnar-message paths
-must leave contigs, aggregate histories and metrics unchanged.
+N-splitting — and the vectorized construction path must leave
+contigs, aggregate histories and metrics unchanged.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ def simulated_reads():
 def test_construction_parity(simulated_reads):
     config_fast = AssemblyConfig(k=15, use_vectorized=True)
     config_reference = AssemblyConfig(k=15, use_vectorized=False)
-    chain_fast = StageExecutor(num_workers=4, columnar_messages=True)
-    chain_reference = StageExecutor(num_workers=4, columnar_messages=False)
+    chain_fast = StageExecutor(num_workers=4)
+    chain_reference = StageExecutor(num_workers=4)
 
     fast = build_dbg(simulated_reads, config_fast, chain_fast)
     reference = build_dbg(simulated_reads, config_reference, chain_reference)

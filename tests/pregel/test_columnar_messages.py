@@ -1,9 +1,11 @@
-"""Parity tests for the columnar message path.
+"""Parity tests for the target column of ``route_outbox``.
 
-The columnar batches of ``route_outbox``/``merge_batches`` must be
-observationally identical to the scalar reference: same delivered
-inboxes (keys, ordering, value types), same cross-worker counts, and
-same job-level results for jobs that flow through an execution backend.
+An outbox of at least ``ARRAY_HASH_MIN_BATCH`` messages whose targets
+all fit uint64 has its destination workers hashed as one column by
+``worker_for_array``; every other outbox is hashed message by message.
+Either way the receiver must get what the reference fold delivers: the
+same inboxes (keys, ordering, value types), the same routed counts and
+bytes, and the same job-level results.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.pregel import message
 from repro.pregel.engine import PregelEngine, PregelJob
 from repro.pregel.message import (
-    COLUMNAR_MIN_BATCH,
-    is_cols,
+    ARRAY_HASH_MIN_BATCH,
     merge_batches,
     min_combiner,
     route_outbox,
@@ -28,27 +30,37 @@ from repro.ppa.hash_min import run_hash_min
 from repro.ppa.sv import GraphInput
 
 
+class _CountingPartitioner(HashPartitioner):
+    """Counts how many outboxes were hashed as one column."""
+
+    array_calls = 0
+
+    def worker_for_array(self, keys):
+        self.array_calls += 1
+        return super().worker_for_array(keys)
+
+
 def _dict_fold(outboxes, partitioner, combiner):
     """The reference: every message folded at delivery, in sender then post order."""
     inboxes = {}
     for outbox in outboxes:
-        for target, message in outbox:
+        for target, payload in outbox:
             inbox = inboxes.setdefault(partitioner.worker_for(target), {})
             if combiner is not None and target in inbox:
-                inbox[target] = [combiner.combine(inbox[target][0], message)]
+                inbox[target] = [combiner.combine(inbox[target][0], payload)]
             else:
-                inbox.setdefault(target, []).append(message)
+                inbox.setdefault(target, []).append(payload)
     return inboxes
 
 
-def _route_and_merge(outboxes, partitioner, combiner, columnar):
+def _route_and_merge(outboxes, partitioner, combiner):
     """One outbox per sender through the pair; also checks the routed totals."""
     received = {}
     workers = range(len(outboxes))
     for sender, outbox in enumerate(outboxes):
-        sizes = [_estimate_size(message) for _, message in outbox]
+        sizes = [_estimate_size(payload) for _, payload in outbox]
         batches, routed_messages, routed_bytes = route_outbox(
-            outbox, sizes, partitioner, combiner, columnar
+            outbox, sizes, partitioner, combiner
         )
         # Raw (pre-combine) totals per destination; everything not routed
         # to the sender itself is the cross-worker count.
@@ -66,30 +78,37 @@ def _route_and_merge(outboxes, partitioner, combiner, columnar):
     }
 
 
-def _route(outbox, partitioner, combiner=None, columnar=True):
+def _route(outbox, partitioner, combiner=None):
     """The batches of one outbox."""
-    sizes = [_estimate_size(message) for _, message in outbox]
-    return route_outbox(outbox, sizes, partitioner, combiner, columnar)[0]
+    sizes = [_estimate_size(payload) for _, payload in outbox]
+    return route_outbox(outbox, sizes, partitioner, combiner)[0]
+
+
+def _per_message_batches(outbox, partitioner):
+    """The batches ``worker_for`` gives each message, keyed in first-routed order."""
+    batches = {}
+    for pair in outbox:
+        batches.setdefault(partitioner.worker_for(pair[0]), []).append(pair)
+    return batches
 
 
 def _assert_matches_fold(outboxes, combiner_factory=None):
     combiner = combiner_factory() if combiner_factory else None
     partitioner = HashPartitioner(len(outboxes))
     want = _dict_fold(outboxes, partitioner, combiner)
-    for columnar in (True, False):
-        got = _route_and_merge(outboxes, partitioner, combiner, columnar)
-        assert got == want
-        # dict ordering (insertion order) must match too — downstream
-        # vertex auto-creation iterates inboxes in this order.
-        for worker in want:
-            assert list(got[worker]) == list(want[worker])
-            for messages in got[worker].values():
-                assert all(type(value) is int for value in messages)
+    got = _route_and_merge(outboxes, partitioner, combiner)
+    assert got == want
+    # dict ordering (insertion order) must match too — downstream
+    # vertex auto-creation iterates inboxes in this order.
+    for worker in want:
+        assert list(got[worker]) == list(want[worker])
+        for messages in got[worker].values():
+            assert all(type(value) is int for value in messages)
     return want
 
 
-#: name -> (target space, value range); sizes straddle COLUMNAR_MIN_BATCH
-#: so one draw mixes columnar and scalar senders.
+#: name -> (target space, value range); sizes straddle ARRAY_HASH_MIN_BATCH
+#: so one draw mixes column-hashed and per-message-hashed senders.
 _SHAPES = {
     "wide": (2**62, (0, 2**40)),
     "duplicate-heavy": (20, (0, 2**62)),
@@ -104,7 +123,7 @@ def _outboxes(seed, senders, shape):
     return [
         [
             (rng.randrange(target_space), rng.randrange(*value_range))
-            for _ in range(rng.choice((0, 5, COLUMNAR_MIN_BATCH - 1, COLUMNAR_MIN_BATCH, 400)))
+            for _ in range(rng.choice((0, 5, ARRAY_HASH_MIN_BATCH - 1, ARRAY_HASH_MIN_BATCH, 400)))
         ]
         for _ in range(senders)
     ]
@@ -132,19 +151,18 @@ def test_duplicate_heavy_batches_match():
 
 
 def test_mixed_columnar_and_scalar_senders_fold_in_sender_order():
-    """A receiver holding both kinds of batch folds them pair by pair."""
-    big = [(index % 50, index) for index in range(COLUMNAR_MIN_BATCH * 2)]
+    """A column-hashed sender and a per-message one fold in sender-id order."""
+    big = [(index % 50, index) for index in range(ARRAY_HASH_MIN_BATCH * 2)]
     mixed = [(1, "not-an-int"), (2, 5)]
-    partitioner = HashPartitioner(2)
-    assert all(is_cols(batch) for batch in _route(big, partitioner).values())
-    assert not any(is_cols(batch) for batch in _route(mixed, partitioner).values())
+    partitioner = _CountingPartitioner(2)
     want = _dict_fold([big, mixed], partitioner, None)
-    assert _route_and_merge([big, mixed], partitioner, None, columnar=True) == want
+    assert _route_and_merge([big, mixed], partitioner, None) == want
+    assert partitioner.array_calls == 1
     assert want[partitioner.worker_for(1)][1][-1] == "not-an-int"
 
 
 def test_int_targets_with_other_payloads_hash_in_one_batch_and_bucket_like_the_scalar_path():
-    """Tuple payloads keep scalar batches, whichever way destinations are hashed."""
+    """Tuple payloads: each message lands where ``worker_for`` puts it."""
     rng = random.Random(11)
     special = 1 << 63  # the SPECIAL marker contig IDs carry
     outboxes = [
@@ -152,49 +170,59 @@ def test_int_targets_with_other_payloads_hash_in_one_batch_and_bucket_like_the_s
             (rng.randrange(2**40) | rng.choice((0, special)), ("resp", rng.randrange(2**62), index))
             for index in range(size)
         ]
-        for size in (400, COLUMNAR_MIN_BATCH, 5)
+        for size in (400, ARRAY_HASH_MIN_BATCH, 5)
     ]
-    # Targets outside the uint64 lane are hashed one by one.
-    outboxes.append([(2**64 + index, ("req", index)) for index in range(COLUMNAR_MIN_BATCH)])
-    outboxes.append([(index - 7, ("req", index)) for index in range(COLUMNAR_MIN_BATCH)])
-    partitioner = HashPartitioner(len(outboxes))
+    partitioner = _CountingPartitioner(len(outboxes))
     want = _dict_fold(outboxes, partitioner, None)
-    for columnar in (True, False):
-        assert _route_and_merge(outboxes, partitioner, None, columnar) == want
+    assert _route_and_merge(outboxes, partitioner, None) == want
     for outbox in outboxes:
-        vectorized = _route(outbox, partitioner, columnar=True)
-        scalar = _route(outbox, partitioner, columnar=False)
-        assert vectorized == scalar
+        expected = _per_message_batches(outbox, partitioner)
+        batches = _route(outbox, partitioner)
+        assert batches == expected
         # First-routed order: the spill ledger ages inboxes in it.
-        assert list(vectorized) == list(scalar)
+        assert list(batches) == list(expected)
+    # Only the two outboxes of at least ARRAY_HASH_MIN_BATCH were one column
+    # (each routed twice above).
+    assert partitioner.array_calls == 4
 
 
 def test_small_batches_stay_scalar():
-    partitioner = HashPartitioner(2)
-    batches = _route([(1, 2), (3, 4)], partitioner)
-    assert batches and not any(is_cols(batch) for batch in batches.values())
+    """Below ARRAY_HASH_MIN_BATCH messages every destination is hashed alone."""
+    partitioner = _CountingPartitioner(2)
+    short = [(index, index) for index in range(ARRAY_HASH_MIN_BATCH - 1)]
+    assert _route(short, partitioner) == _per_message_batches(short, partitioner)
+    assert partitioner.array_calls == 0
+    _route(short + [(7, 7)], partitioner)
+    assert partitioner.array_calls == 1
     _assert_matches_fold([[(1, 2), (3, 4)], []])
 
 
 def test_sum_overflow_falls_back_to_python_ints():
-    """Sums that would wrap a uint64 lane must stay exact, on either side."""
+    """Sums past the uint64 range stay exact Python ints, on either side."""
     huge = (1 << 63) + 11
-    sender_side = [(5, huge), (5, huge), (6, 1)] * COLUMNAR_MIN_BATCH
+    sender_side = [(5, huge), (5, huge), (6, 1)] * ARRAY_HASH_MIN_BATCH
     want = _assert_matches_fold([sender_side], sum_combiner)
-    assert want[0][5] == [2 * COLUMNAR_MIN_BATCH * huge]
-    # Each sender's own sum fits the lane; only the receiver's fold overflows.
-    receiver_side = [[(5, 1 << 55)] * COLUMNAR_MIN_BATCH] * 4
+    assert want[0][5] == [2 * ARRAY_HASH_MIN_BATCH * huge]
+    # Each sender's own sum stays below 2**63; only the receiver's fold reaches it.
+    receiver_side = [[(5, 1 << 55)] * ARRAY_HASH_MIN_BATCH] * 4
     want = _assert_matches_fold(receiver_side, sum_combiner)
-    assert [m for inbox in want.values() for m in inbox[5]] == [4 * COLUMNAR_MIN_BATCH << 55]
+    assert [m for inbox in want.values() for m in inbox[5]] == [4 * ARRAY_HASH_MIN_BATCH << 55]
 
 
 def test_negative_values_fall_back():
-    batch = [(index, -index) for index in range(COLUMNAR_MIN_BATCH * 2)]
-    _assert_matches_fold([batch, batch], None)
+    """A target outside the uint64 lane sends the whole outbox to ``worker_for``."""
+    for first_target in (-7, 2**64):
+        outbox = [(first_target + index, -index) for index in range(ARRAY_HASH_MIN_BATCH * 2)]
+        partitioner = _CountingPartitioner(3)
+        batches = _route(outbox, partitioner)
+        assert partitioner.array_calls == 0
+        expected = _per_message_batches(outbox, partitioner)
+        assert batches == expected and list(batches) == list(expected)
+        _assert_matches_fold([outbox, outbox], None)
 
 
 class FloodVertex(Vertex):
-    """Sends enough messages per superstep to trigger the columnar path."""
+    """Sends enough messages per superstep to hash whole target columns."""
 
     def compute(self, messages, ctx):
         if ctx.superstep >= 3:
@@ -213,15 +241,17 @@ def _flood_job():
     return PregelJob(name="flood", vertices=vertices)
 
 
-def test_engine_results_identical_with_and_without_columnar():
+def test_engine_results_identical_with_and_without_columnar(monkeypatch):
+    """Hashing each outbox as a column or message by message: the same job."""
     columnar = PregelEngine(num_workers=4, backend="serial").run(_flood_job())
-    scalar = PregelEngine(num_workers=4, backend="serial", columnar_messages=False).run(_flood_job())
+    monkeypatch.setattr(message, "ARRAY_HASH_MIN_BATCH", float("inf"))
+    scalar = PregelEngine(num_workers=4, backend="serial").run(_flood_job())
     assert columnar.vertex_values() == scalar.vertex_values()
     assert columnar.metrics == scalar.metrics
     assert columnar.aggregates == scalar.aggregates
 
 
-def test_hash_min_parity_across_message_paths_and_backends():
+def test_hash_min_parity_across_message_paths_and_backends(monkeypatch):
     rng = random.Random(3)
     adjacency = {}
     count = 400
@@ -236,14 +266,16 @@ def test_hash_min_parity_across_message_paths_and_backends():
                 adjacency[neighbor] = sorted(set(adjacency[neighbor]) | {index})
     graph = GraphInput(adjacency=adjacency)
 
-    columnar = run_hash_min(graph, engine=PregelEngine(num_workers=4, backend="serial"))
-    scalar = run_hash_min(
-        graph, engine=PregelEngine(num_workers=4, backend="serial", columnar_messages=False)
-    )
+    serial = run_hash_min(graph, engine=PregelEngine(num_workers=4, backend="serial"))
     multiprocess = run_hash_min(graph, engine=PregelEngine(num_workers=4, backend="multiprocess"))
+    with monkeypatch.context() as patch:
+        patch.setattr(message, "ARRAY_HASH_MIN_BATCH", float("inf"))
+        per_message = run_hash_min(graph, engine=PregelEngine(num_workers=4, backend="serial"))
 
-    assert columnar.vertex_values() == scalar.vertex_values()
-    assert columnar.metrics == scalar.metrics
-    assert columnar.aggregates == scalar.aggregates
-    assert columnar.vertex_values() == multiprocess.vertex_values()
-    assert columnar.metrics.summary() == multiprocess.metrics.summary()
+    assert serial.vertex_values() == per_message.vertex_values()
+    assert serial.metrics == per_message.metrics
+    assert serial.aggregates == per_message.aggregates
+    assert serial.vertex_values() == multiprocess.vertex_values()
+    assert serial.metrics.summary() == multiprocess.metrics.summary()
+    assert serial.metrics.supersteps == multiprocess.metrics.supersteps
+    assert serial.aggregates == multiprocess.aggregates

@@ -116,3 +116,33 @@ def test_router_post_time_combining_matches_deliver_time_fold():
     inboxes = _deliver(outboxes, partitioner, Combiner(record_first))
     assert inboxes == {partitioner.worker_for(1): {1: [3]}}
     assert seen == [(3, 9), (5, 3)]
+
+
+@pytest.mark.parametrize("size", [3, 100], ids=["per-message-hash", "array-hash"])
+def test_min_and_sum_combiners_fold_in_sender_order(size):
+    """Sender id first, then posting order, whichever way targets were hashed."""
+    partitioner = HashPartitioner(3)
+    posted = [
+        [(index % 5, f"{sender}.{index};") for index in range(size)] for sender in range(3)
+    ]
+    in_order = {}
+    for outbox in posted:
+        for target, text in outbox:
+            in_order[target] = in_order.get(target, "") + text
+    # ``sum_combiner`` is ``+``: on strings the result spells the fold order.
+    delivered = _deliver(posted, partitioner, sum_combiner())
+    assert {
+        target: messages for inbox in delivered.values() for target, messages in inbox.items()
+    } == {target: [text] for target, text in in_order.items()}
+    # ``min`` keeps its left operand on a tie: 1.0, 1 and True are all
+    # equal, so the survivor's type names the first message folded.
+    ties = [[(index % 5, (1.0, 1, True)[(sender + index) % 3]) for index in range(size)]
+            for sender in range(3)]
+    delivered = _deliver(ties, partitioner, min_combiner())
+    first = {}
+    for outbox in ties:
+        for target, value in outbox:
+            first.setdefault(target, value)
+    assert {
+        target: type(messages[0]) for inbox in delivered.values() for target, messages in inbox.items()
+    } == {target: type(value) for target, value in first.items()}

@@ -4,14 +4,13 @@ Both places that serialise a partition — the serial spill plane and the
 multiprocess collect path — ship :func:`pack_partition` payloads, so the
 reference is ``pickle.loads(pickle.dumps(worker))``: same classes, same
 four slots, same instance dicts, and the same *dict order*, whichever
-of the three shapes the vertices allowed.
+of the two shapes the vertices allowed.
 """
 
 from __future__ import annotations
 
 import pickle
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.ppa.hash_min import HashMinVertex
@@ -117,32 +116,22 @@ def test_codec_round_trip_equals_pickling_the_worker(makeup, states, odd_one):
         min_size=1,
         max_size=12,
     ),
-    misfit=st.sampled_from(["fits", -1, 2**64, "label", None]),
+    odd_value=st.sampled_from(["unchanged", -1, 2**64, "label", None]),
 )
-def test_columnar_state_classes_take_arrays_unless_a_value_does_not_fit(states, misfit):
+def test_hash_min_partitions_take_the_list_column_shape(states, odd_value):
+    """Whatever the labels hold, a Hash-Min partition ships as list columns."""
     worker = Worker(0)
     for vertex_id, (value, edges, halted) in states.items():
         vertex = HashMinVertex(vertex_id, value, edges)
         vertex.halted = halted
         worker.add_vertex(vertex)
-    if misfit != "fits":
-        next(iter(worker.vertices.values())).value = misfit
-    shape, rebuilt, reference = _round_trip(worker)
-    assert rebuilt == reference
-    assert shape == ("vcols" if misfit == "fits" else "lcols")
-
-
-def test_hash_min_partitions_still_take_the_ndarray_shape():
-    worker = Worker(0)
-    for vertex_id in (5, 2**63 + 1, 9):
-        worker.add_vertex(HashMinVertex(vertex_id, value=vertex_id, edges=[5, 9]))
-    worker.vertices[9].vote_to_halt()
+    if odd_value != "unchanged":
+        next(iter(worker.vertices.values())).value = odd_value
     payload = pack_partition(worker.vertices)
-    assert payload[0] == "vcols" and payload[1] is HashMinVertex
-    assert all(isinstance(column, np.ndarray) for column in payload[2:])
-    assert payload[2].tolist() == [5, 2**63 + 1, 9]  # dict order, not sorted
-    rebuilt = unpack_partition(payload)
-    assert _state(rebuilt) == _state(worker.vertices)
+    assert payload[0] == "lcols" and payload[1] is HashMinVertex
+    assert payload[2] == list(states)  # dict order, not sorted
+    _shape, rebuilt, reference = _round_trip(worker)
+    assert rebuilt == reference
 
 
 def test_shared_state_stays_shared_and_an_empty_partition_round_trips():

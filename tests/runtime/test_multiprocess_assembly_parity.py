@@ -1,16 +1,16 @@
-"""Parity matrix: columnar messages and worker processes change nothing.
+"""Parity matrix: the columnar construction kernels and worker processes change nothing.
 
-Neither the columnar batch path nor the multiprocess backend may change
-anything observable.  This suite drives 20 seeded datasets (varying k,
-error rate, genome length, and a paired-end quarter that exercises
-scaffolding) through a serial *scalar* oracle (``use_vectorized=False``
-— no columnar batches, no NumPy kernels) and asserts bit-identical
-contigs, scaffolds, and per-superstep
+Neither the NumPy (columnar) DBG-construction kernels nor the
+multiprocess backend may change anything observable.  This suite
+drives 20 seeded datasets (varying k, error rate, genome length, and a
+paired-end quarter that exercises scaffolding) through a serial
+*scalar* oracle (``use_vectorized=False`` — no NumPy kernels) and
+asserts bit-identical contigs, scaffolds, and per-superstep
 :class:`~repro.pregel.metrics.PipelineMetrics` — including the
 ``cross_worker_messages`` counter — for:
 
-* the serial backend with columnar messages, and
-* the multiprocess backend with columnar messages.
+* the serial backend with the NumPy kernels, and
+* the multiprocess backend with the NumPy kernels.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _assert_result_parity(oracle, candidate):
 
 @pytest.mark.parametrize("spec", DATASET_SPECS, ids=lambda s: f"ds{s[0]:02d}-k{s[1]}-{'paired' if s[4] else 'single'}")
 def test_columnar_and_multiprocess_parity(spec):
-    # The oracle: serial backend, scalar message/kernels path.
+    # The oracle: serial backend, scalar construction kernels.
     oracle = _assemble(spec, "serial", use_vectorized=False)
     serial_columnar = _assemble(spec, "serial", use_vectorized=True)
     multiprocess = _assemble(spec, "multiprocess", use_vectorized=True)
