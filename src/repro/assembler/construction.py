@@ -25,8 +25,10 @@ canonical writing, which keeps them consistent with Property 1.
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Tuple
+from typing import Any, Deque, Iterable, List, Tuple
 
 import numpy as np
 
@@ -176,7 +178,7 @@ def build_dbg(
 # ----------------------------------------------------------------------
 # The kernels below reproduce the two mini-MapReduce phases as NumPy
 # batch operations.  Per-read map UDF calls become one batched window
-# extraction; per-key dict accumulation becomes an ``np.unique``
+# extraction; per-key dict accumulation becomes a sort-and-count
 # segment-reduce.  The shuffle/compute counters the cost model consumes
 # are recomputed from array lengths with the exact formulas
 # :class:`~repro.pregel.mapreduce.MiniMapReduce` charges, so the
@@ -200,12 +202,34 @@ _MAX_CHUNK_READS = 8192
 #: Only the chunk-size derivation uses this; results never depend on it.
 _CHUNK_BYTES_PER_READ = 4096
 
+#: Threads that count ingest chunks while the calling thread parses and
+#: encodes the next ones.  The window kernel and the sort release the
+#: GIL, so two chunks are counted at once.
+_COUNT_THREADS = 2
+
+
+def _chunks_in_flight(budget_bytes) -> int:
+    """Chunks counted at once under ``budget_bytes`` (None = unlimited):
+    :data:`_COUNT_THREADS`, or as many smallest chunks as the budget
+    holds, but at least one."""
+    if budget_bytes is None:
+        return _COUNT_THREADS
+    fits = int(budget_bytes) // (_CHUNK_BYTES_PER_READ * _MIN_CHUNK_READS)
+    return max(1, min(_COUNT_THREADS, fits))
+
 
 def _chunk_reads_for_budget(budget_bytes) -> int:
-    """Reads per ingest chunk under ``budget_bytes`` (None = unlimited)."""
+    """Reads per ingest chunk under ``budget_bytes`` (None = unlimited).
+
+    The budget is split across the chunks in flight, so their kernel
+    temporaries together stay within it, or within one smallest chunk's
+    when the budget is below that.
+    """
     if budget_bytes is None:
         return _MAX_CHUNK_READS
-    derived = int(budget_bytes) // _CHUNK_BYTES_PER_READ
+    derived = int(budget_bytes) // (
+        _CHUNK_BYTES_PER_READ * _chunks_in_flight(budget_bytes)
+    )
     return max(_MIN_CHUNK_READS, min(_MAX_CHUNK_READS, derived))
 
 
@@ -277,6 +301,43 @@ def _mapreduce_metrics(
     return metrics
 
 
+def _count_chunk(codes, starts, lengths, first_read: int, k: int, partitioner):
+    """Phase (i) of one code batch whose first read is ``first_read``.
+
+    Returns ``(pairs, map_ops, shuffle_counts, run)``: the batch's
+    (k+1)-mer count, the map side's per-worker charge, the pairs each
+    worker receives, and the sorted run of its distinct canonical edges
+    with their counts.  Runs on a counting thread.
+    """
+    num_workers = partitioner.num_workers
+    observed, per_read = vectorized.window_ids(codes, starts, lengths, k + 1)
+    sources = np.arange(first_read, first_read + lengths.size, dtype=np.int64) % num_workers
+    map_ops = _worker_sums(sources, num_workers) + _worker_sums(
+        sources, num_workers, weights=per_read
+    )
+    # A pair's canonical form and destination depend on its key alone:
+    # count the distinct windows (``observed`` is a fresh array, sorted
+    # in place), canonicalise them, and hash the distinct edges, each
+    # weighted by its count.
+    observed.sort()
+    is_first = np.ones(observed.size, dtype=bool)
+    is_first[1:] = observed[1:] != observed[:-1]
+    firsts = np.flatnonzero(is_first)
+    canonical, _ = vectorized.canonical_ids(observed[firsts], k + 1)
+    run = _sum_by_key(canonical, np.diff(firsts, append=observed.size))
+    shuffle_counts = _worker_sums(
+        partitioner.worker_for_array(run[0]), num_workers, weights=run[1]
+    )
+    return int(observed.size), map_ops, shuffle_counts, run
+
+
+def _counted_here(count, *args) -> Future:
+    """``count(*args)`` run on the calling thread, as a done future."""
+    future: Future = Future()
+    future.set_result(count(*args))
+    return future
+
+
 def _count_canonical_edges(
     reads: Iterable[Read], config: AssemblyConfig, chain: StageExecutor
 ):
@@ -287,17 +348,24 @@ def _count_canonical_edges(
     their coverage, and what the map side of the phase is charged.  A
     function of its own so that the last chunk's arrays and the sorted
     runs are gone before phase (ii) allocates.
+
+    This thread parses and encodes the chunks; :func:`_count_chunk`
+    runs on a pool of :data:`_COUNT_THREADS` threads, created and joined
+    here, with at most :func:`_chunks_in_flight` chunks counted and not
+    yet folded.  Results are folded in the order the chunks were read,
+    so every array and counter is the one a single thread computes.
     """
     k = config.k
     num_workers = chain.num_workers
-    partitioner = chain.partitioner
 
     total_pairs = 0
     read_index = 0
     map_ops = np.zeros(num_workers, dtype=np.int64)
     shuffle_counts = np.zeros(num_workers, dtype=np.int64)
     runs: List[Tuple[Any, Any]] = []
-    chunk_reads = _chunk_reads_for_budget(config.runtime.memory_budget_bytes)
+    budget_bytes = config.runtime.memory_budget_bytes
+    chunk_reads = _chunk_reads_for_budget(budget_bytes)
+    in_flight = _chunks_in_flight(budget_bytes)
     if isinstance(reads, FastqReads):  # one code array per block, no Read built
         batches = reads.code_batches(chunk_reads)
     else:  # only the sequences are batched; a streamed Read is released early
@@ -305,26 +373,13 @@ def _count_canonical_edges(
             vectorized.encode_batch,
             read_chunks((read.sequence for read in reads), chunk_reads),
         )
-    for codes, starts, lengths in batches:
-        observed, per_read = vectorized.window_ids(codes, starts, lengths, k + 1)
-        total_pairs += int(observed.size)
 
-        sources = (
-            np.arange(read_index, read_index + lengths.size, dtype=np.int64) % num_workers
-        )
-        read_index += lengths.size
-        map_ops += _worker_sums(sources, num_workers) + _worker_sums(
-            sources, num_workers, weights=per_read
-        )
-        # A pair's canonical form and destination depend on its key
-        # alone: canonicalise the chunk's distinct windows, hash its
-        # distinct edges, and weight both by their counts.
-        distinct, occurrences = np.unique(observed, return_counts=True)
-        canonical, _ = vectorized.canonical_ids(distinct, k + 1)
-        run = _sum_by_key(canonical, occurrences)
-        shuffle_counts += _worker_sums(
-            partitioner.worker_for_array(run[0]), num_workers, weights=run[1]
-        )
+    def fold(counted: Future) -> None:
+        nonlocal total_pairs, map_ops, shuffle_counts
+        pairs, chunk_map_ops, chunk_shuffle_counts, run = counted.result()
+        total_pairs += pairs
+        map_ops += chunk_map_ops
+        shuffle_counts += chunk_shuffle_counts
         runs.append(run)
         # Timsort's run-stack rule: merging while the lower run is at
         # most twice the upper keeps the stack logarithmic in the number
@@ -334,6 +389,29 @@ def _count_canonical_edges(
         while len(runs) > 1 and runs[-2][0].size <= 2 * runs[-1][0].size:
             upper = runs.pop()
             runs[-1] = _merge_sorted_runs([runs[-1], upper])
+
+    with ThreadPoolExecutor(max_workers=_COUNT_THREADS) as pool:
+        # The pool starts its threads on first use.  A chunk goes to it
+        # only when this thread has a later chunk to parse meanwhile and
+        # the budget allows more than one chunk in flight; the last
+        # chunk, and every chunk under a one-chunk budget, is counted
+        # here, so a one-chunk input starts no thread at all.
+        count = pool.submit if in_flight > 1 else _counted_here
+        pending: Deque[Future] = deque()
+        held = None  # the newest chunk, waiting to see if another follows
+        for codes, starts, lengths in batches:
+            if held is not None:
+                while len(pending) >= in_flight:
+                    fold(pending.popleft())
+                pending.append(count(_count_chunk, *held))
+            held = (codes, starts, lengths, read_index, k, chain.partitioner)
+            read_index += lengths.size
+        if held is not None:
+            while len(pending) >= in_flight:
+                fold(pending.popleft())
+            pending.append(_counted_here(_count_chunk, *held))
+        while pending:
+            fold(pending.popleft())
 
     if not total_pairs:
         raise NoKmersError(read_index, k)
@@ -422,7 +500,7 @@ def _build_dbg_vectorized(
     )
 
     # Outputs ordered like the scalar reduce: by destination worker,
-    # then ascending key (np.unique already sorted the keys).
+    # then ascending key (the merged runs are sorted).
     surviving_order = np.argsort(unique_destinations[survives], kind="stable")
     surviving_edges = unique_edges[survives][surviving_order]
     surviving_coverage = edge_counts[survives][surviving_order]

@@ -6,23 +6,26 @@ simulator writes FASTQ so the full pipeline — file on disk, parse,
 assemble — matches what a user of the original toolkit would do;
 assembled contigs are written as FASTA, which is what QUAST consumes.
 
-FASTQ is parsed a block of text at a time: a block's whole records are
-checked with a few C-level string calls, and the record-by-record
-parser runs only where a block holds blank lines or a bad record, so
-errors and their line numbers are those of a plain line-by-line parse.
-A block keeps its sequence lines as one newline-joined string.  DBG
-construction takes each block as one uint8 code array, made from that
-string in one lookup-table pass in which the newline breaks windows
-(:meth:`FastqReads.code_batches`), and never builds a :class:`Read`
-or a per-record sequence string.
+FASTQ is parsed a block of text at a time.  One NumPy scanner works on
+a block's ASCII bytes: the newline offsets give every line, the ``@``
+and ``+`` lines and the sequence/quality lengths are checked by
+indexing, and the sequence lines are gathered through the base lookup
+table with the newline as the break code.  That yields the block's
+sequences as one uint8 code array, which DBG construction takes
+(:meth:`FastqReads.code_batches`) without building a :class:`Read`, a
+per-line string or a ``str.split``; the text is split into lines only
+when ``Read`` records are asked for.  A block the scanner does not
+accept (blank lines, a bad record, a byte that is not ASCII) goes to
+the record-by-record parser, so errors and their line numbers are those
+of a plain line-by-line parse.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import islice, repeat
-from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, TypeVar, Union
+from itertools import chain, islice
+from typing import Iterable, Iterator, List, NamedTuple, Optional, TextIO, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -91,25 +94,61 @@ def _open_for_writing(target: PathOrHandle) -> tuple[TextIO, bool]:
 # ----------------------------------------------------------------------
 # FASTQ
 # ----------------------------------------------------------------------
-#: Characters read from the handle per block.  Each block is split into
-#: lines once; a record the block boundary cuts waits for the next one.
+#: Characters read from the handle per block.  A record the block
+#: boundary cuts waits for the next one.
 _BLOCK_CHARS = 1 << 20
 
 _VALID_BASES = "".join(sorted(VALID_CHARACTERS))
 #: ``sequence.translate`` with this table deletes every valid base, so
 #: whatever is left of a sequence line is invalid (one C call per record).
 _DELETE_VALID = str.maketrans("", "", _VALID_BASES)
-#: The same for a block's sequence lines joined with newlines.
-_DELETE_VALID_LINES = str.maketrans("", "", _VALID_BASES + "\n")
 
-#: Parallel header lines (``@`` included), upper-cased sequences and
-#: qualities of consecutive records, as the record parser collects them.
-_Records = Tuple[List[str], List[str], List[str]]
+_NEWLINE, _HEADER, _SEPARATOR = b"\n@+"
+#: Which of a record's four lines is its sequence.
+_SEQUENCE_LINE = np.array([False, True, False, False])
 
-#: Consecutive records as the reader hands them out: header lines, the
-#: upper-cased sequences joined with newlines, quality lines, and the
-#: sequence lengths as an int64 array.
-_Batch = Tuple[List[str], str, List[str], np.ndarray]
+
+class _ScannedRecords(NamedTuple):
+    """Whole records the block scanner accepted.
+
+    ``text`` is the records' text, four newline-terminated lines each;
+    ``codes`` their sequence lines as one code array, the newline
+    between two lines being the break code.  ``text`` is split into
+    lines only when :class:`Read` records are asked for.
+    """
+
+    text: str
+    codes: np.ndarray
+    lengths: np.ndarray
+
+    def reads(self) -> Iterator[Read]:
+        lines = self.text.split("\n")
+        names = [header[1:] for header in lines[0:-1:4]]
+        sequences = "\n".join(lines[1::4]).upper().split("\n")
+        return map(Read, names, sequences, lines[3::4])
+
+    def code_batches(self, chunk_reads: int) -> Iterator[Tuple[np.ndarray, ...]]:
+        return vectorized.line_batches(self.codes, self.lengths, chunk_reads)
+
+
+class _ParsedRecords(NamedTuple):
+    """Records the record-by-record parser collected: header lines
+    (``@`` included), upper-cased sequences and quality lines."""
+
+    headers: List[str]
+    sequences: List[str]
+    qualities: List[str]
+
+    def reads(self) -> Iterator[Read]:
+        names = [header[1:] for header in self.headers]
+        return map(Read, names, self.sequences, self.qualities)
+
+    def code_batches(self, chunk_reads: int) -> Iterator[Tuple[np.ndarray, ...]]:
+        codes, _, lengths = vectorized.encode_batch(self.sequences)
+        return vectorized.line_batches(codes, lengths, chunk_reads)
+
+
+_NO_RECORDS = _ScannedRecords("", np.zeros(0, np.uint8), np.zeros(0, np.int64))
 
 
 def _rejected_record(
@@ -154,39 +193,41 @@ def _read_block(handle: TextIO, first: bool) -> str:
         raise FastqFormatError(message) from None
 
 
-def _lengths(strings: List[str]) -> np.ndarray:
-    return np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+def _scan_block(text: str) -> Optional[_ScannedRecords]:
+    """The whole records ``text`` starts with, or None if any is irregular.
 
-
-def _line_lengths(text: str) -> np.ndarray:
-    """Lengths of the newline-separated lines of ``text``."""
-    # "replace" keeps one byte per character, so offsets stay character offsets.
-    raw = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
-    return np.diff(np.flatnonzero(raw == ord("\n")), prepend=-1, append=len(text)) - 1
-
-
-def _checked_records(lines: List[str], whole: int, validate: bool) -> Optional[_Batch]:
-    """The records of ``lines[:whole]`` (``whole > 0``), or None if any is irregular.
-
-    A handful of C-level passes over the block: every header starts
-    with ``@``, every separator with ``+``, one ``upper`` and one
-    ``translate`` over all sequences, and the sequence lengths equal
-    the quality lengths.  Blank lines, damage and truncation all return
-    None.
+    One NumPy pass over the text's ASCII bytes: the newline offsets
+    give every line; each header must start with ``@`` and each
+    separator with ``+``, each quality line must be as long as its
+    sequence line, and the sequence lines, gathered with their
+    newlines through the sequence-line LUT, must hold only bases of
+    either case and ``N``.  A blank line, a byte that is not ASCII, any
+    other base and any damage return None: the parser rejects the
+    record, or keeps it under ``validate=False``.
     """
-    headers = lines[0:whole:4]
-    text = "\n".join(lines[1:whole:4]).upper()
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    array = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(array == _NEWLINE)
+    ends = ends[: ends.size - ends.size % 4]
+    if not ends.size:
+        return _NO_RECORDS
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
     if not (
-        all(map(str.startswith, headers, repeat("@")))
-        and all(map(str.startswith, lines[2:whole:4], repeat("+")))
-        and not (validate and text.translate(_DELETE_VALID_LINES))
+        np.all(array[starts[0::4]] == _HEADER)
+        and np.all(array[starts[2::4]] == _SEPARATOR)
+        and np.array_equal(lengths[1::4], lengths[3::4])
     ):
         return None
-    qualities = lines[3:whole:4]
-    lengths = _lengths(qualities)
-    if not np.array_equal(_line_lengths(text), lengths):
+    end = int(ends[-1]) + 1
+    sequence_bytes = np.repeat(np.tile(_SEQUENCE_LINE, ends.size // 4), lengths + 1)
+    codes = vectorized.line_codes(array[:end][sequence_bytes][:-1].tobytes())
+    if codes.size and codes.max() == vectorized.INVALID_CODE:
         return None
-    return headers, text, qualities, lengths
+    return _ScannedRecords(text[:end], codes, lengths[1::4])
 
 
 def _parse_records(
@@ -195,13 +236,13 @@ def _parse_records(
     line_number: int,
     validate: bool,
     at_eof: bool,
-    records: _Records,
+    records: _ParsedRecords,
 ) -> Tuple[int, int]:
     """Parse ``lines[index:]`` record by record into ``records``.
 
-    The error path of the block parser, and the reference it must agree
-    with: blank lines between records are skipped, and the first bad
-    record raises with its line number.  Returns ``(index,
+    The error path of the block scanner, and the reference it must
+    agree with: blank lines between records are skipped, and the first
+    bad record raises with its line number.  Returns ``(index,
     line_number)`` of the first line left unparsed: before the end of
     the file, a record whose four lines are not all in ``lines`` waits
     for the next block.  At the end of the file a missing line reads as
@@ -243,18 +284,16 @@ def _parse_records(
     return index, line_number
 
 
-def _joined(records: _Records) -> _Batch:
-    headers, sequences, qualities = records
-    return headers, "\n".join(sequences), qualities, _lengths(sequences)
+_Records = Union[_ScannedRecords, _ParsedRecords]
 
 
-def _fastq_batches(source: PathOrHandle, validate: bool) -> Iterator[_Batch]:
+def _fastq_batches(source: PathOrHandle, validate: bool) -> Iterator[_Records]:
     """Parse a FASTQ source a block at a time, one batch per block.
 
-    The block's whole records go through :func:`_checked_records`; the
-    few lines after them, and every line of a block that fails a check,
-    go through :func:`_parse_records`, so the records yielded before an
-    error and the error itself are those of a record-by-record parse.
+    The block's whole records go through :func:`_scan_block`; a block
+    the scanner rejects, and the lines the file ends with, go through
+    :func:`_parse_records`, so the records yielded before an error and
+    the error itself are those of a record-by-record parse.
     """
     handle, owns_handle = _open_for_reading(source)
     try:
@@ -264,38 +303,35 @@ def _fastq_batches(source: PathOrHandle, validate: bool) -> Iterator[_Batch]:
         while not at_eof:
             block = _read_block(handle, first=line_number == 0 and not carry)
             at_eof = not block
-            lines = (carry + block).split("\n")
+            text = carry + block
+            if at_eof and text and not text.endswith("\n"):
+                text += "\n"  # the last line has no newline
+            scanned = _scan_block(text)
+            if scanned is not None:
+                if scanned.lengths.size:
+                    yield scanned
+                line_number += 4 * scanned.lengths.size
+                text = text[len(scanned.text) :]
+                if not (at_eof and text):  # what is left waits for the next block
+                    carry = text
+                    continue
+            lines = text.split("\n")
             carry = lines.pop()  # a line the block cut ("" after a newline)
-            if at_eof and carry:
-                lines.append(carry)  # the last line has no newline
-            whole = 0 if at_eof else len(lines) - len(lines) % 4
-            checked = _checked_records(lines, whole, validate) if whole else None
-            index = 0
-            if checked is not None:
-                yield checked
-                index = whole
-                line_number += whole
-            records: _Records = ([], [], [])
+            records = _ParsedRecords([], [], [])
             try:
                 index, line_number = _parse_records(
-                    lines, index, line_number, validate, at_eof, records
+                    lines, 0, line_number, validate, at_eof, records
                 )
             except FastqFormatError:
-                if records[0]:
-                    yield _joined(records)
+                if records.headers:
+                    yield records
                 raise
-            if records[0]:
-                yield _joined(records)
+            if records.headers:
+                yield records
             carry = "\n".join(lines[index:] + [carry])
     finally:
         if owns_handle:
             handle.close()
-
-
-def _batch_reads(batches: Iterator[_Batch]) -> Iterator[Read]:
-    for headers, text, qualities, _ in batches:
-        names = [header[1:] for header in headers]
-        yield from map(Read, names, text.split("\n"), qualities)
 
 
 class FastqReads:
@@ -310,7 +346,7 @@ class FastqReads:
 
     def __init__(self, source: PathOrHandle, validate: bool = True) -> None:
         self._batches = _fastq_batches(source, validate)
-        self._reads = _batch_reads(self._batches)
+        self._reads = chain.from_iterable(batch.reads() for batch in self._batches)
 
     def __iter__(self) -> FastqReads:
         return self
@@ -329,8 +365,8 @@ class FastqReads:
         """
         if chunk_reads <= 0:
             raise ValueError(f"chunk_reads must be positive, got {chunk_reads}")
-        for _, text, _, lengths in self._batches:
-            yield from vectorized.encode_lines(text, lengths, chunk_reads)
+        for batch in self._batches:
+            yield from batch.code_batches(chunk_reads)
 
 
 def parse_fastq(source: PathOrHandle, validate: bool = True) -> FastqReads:
@@ -344,8 +380,8 @@ def parse_fastq(source: PathOrHandle, validate: bool = True) -> FastqReads:
     (a gzip-compressed file, say) fails as :class:`FastqFormatError`.
 
     The file is read in blocks of about a megabyte, and a block of
-    well-formed records is checked with a few whole-block string calls.
-    The returned :class:`FastqReads` can also hand out each block's
+    well-formed records is checked and encoded by one NumPy scan of its
+    bytes.  The returned :class:`FastqReads` can also hand out each block's
     sequences as one code array without building a ``Read`` per record,
     which is how DBG construction takes them.
     """

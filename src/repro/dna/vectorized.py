@@ -5,8 +5,8 @@ Python bytecode loop iteration; at benchmark scale the DBG-construction
 phase spends almost all of its time there.  This module provides the
 same operations as array kernels over whole *batches* of reads: bases
 are mapped to the paper's 2-bit code with a 256-entry lookup table in
-one ``bytes.translate`` pass (a FASTQ block's newline-joined sequence
-lines are encoded whole, the newline breaking windows as ``N`` does),
+one ``bytes.translate`` pass (a FASTQ block's sequence lines are
+encoded whole, the newline breaking windows as ``N`` does),
 (k+1)-mer windows are packed from two overlapping pieces (pieces of 1,
 2, 4, ... P bases are built by doubling in ``uint8``/``uint16``/
 ``uint32`` lanes up to the largest power of two P <= window, and a
@@ -42,26 +42,28 @@ MAX_WINDOW = 32
 _BREAK_CODE = 4
 
 #: LUT slot for characters that are invalid even as separators.
-_INVALID_CODE = 255
+INVALID_CODE = 255
 
 #: Narrowest unsigned lane holding a packed piece of that many bases.
 _PIECE_LANES = {2: "uint8", 4: "uint8", 8: "uint16", 16: "uint32", 32: "uint64"}
 
 
-def _lut(breaks: str) -> bytes:
-    """256-entry ASCII -> 2-bit-code table; ``N`` and ``breaks`` break windows."""
-    table = bytearray([_INVALID_CODE]) * 256
-    for bits, base in enumerate("ACGT"):
-        table[ord(base)] = bits
-    for character in "N" + breaks:
+def _lut(bases: str, breaks: str) -> bytes:
+    """256-entry ASCII -> 2-bit-code table: the i-th character of
+    ``bases`` gets code ``i % 4``, and ``breaks`` break windows."""
+    table = bytearray([INVALID_CODE]) * 256
+    for bits, base in enumerate(bases):
+        table[ord(base)] = bits % 4
+    for character in breaks:
         table[ord(character)] = _BREAK_CODE
     return bytes(table)
 
 
-#: The LUT of :func:`encode_batch` (reads joined with ``N``) and the one
-#: of :func:`encode_lines` (reads joined with newlines).
-_BASE_LUT = _lut("")
-_LINES_LUT = _lut("\n")
+#: The LUT of :func:`encode_batch` (upper-case reads joined with ``N``)
+#: and the one of FASTQ sequence lines (either case, the newline
+#: breaking windows).
+_BASE_LUT = _lut("ACGT", "N")
+_LINES_LUT = _lut("ACGTacgt", "Nn\n")
 
 
 def _encode(text: str, lut: bytes):
@@ -77,8 +79,8 @@ def _encode(text: str, lut: bytes):
             f"invalid non-ASCII base {exc.object[exc.start]!r} in read batch"
         ) from None
     codes = np.frombuffer(raw.translate(lut), dtype=np.uint8)
-    if codes.size and codes.max() == _INVALID_CODE:
-        bad = text[int(np.argmax(codes == _INVALID_CODE))]
+    if codes.size and codes.max() == INVALID_CODE:
+        bad = text[int(np.argmax(codes == INVALID_CODE))]
         raise InvalidKmerError(f"invalid base {bad!r} in read batch")
     return codes
 
@@ -107,17 +109,26 @@ def encode_batch(sequences: Sequence[str]):
     return codes, _starts(lengths), lengths
 
 
-def encode_lines(text: str, lengths, chunk_reads: int):
-    """:func:`encode_batch` of reads given as newline-joined text.
+def line_codes(raw: bytes):
+    """ASCII FASTQ text as a uint8 array under the sequence-line LUT.
 
-    ``text`` holds ``len(lengths)`` upper-cased reads of the given
-    lengths, one per line, as a FASTQ block's sequence lines are.  It is
-    encoded in one LUT pass in which the newline is the break code, so
-    the codes equal those of :func:`encode_batch` over the same reads.
-    Yields ``(codes, starts, lengths)`` of consecutive batches of at
-    most ``chunk_reads`` reads, each a view of the one code array.
+    Bases of either case get their 2-bit code, ``N`` and the newline
+    the break code, and every other byte :data:`INVALID_CODE`; one
+    ``bytes.translate`` pass.
     """
-    codes = _encode(text, _LINES_LUT)
+    return np.frombuffer(raw.translate(_LINES_LUT), dtype=np.uint8)
+
+
+def line_batches(codes, lengths, chunk_reads: int):
+    """Consecutive ``(codes, starts, lengths)`` batches of reads given as
+    one code array with a break code between reads.
+
+    ``codes`` holds ``len(lengths)`` reads of the given lengths, as
+    :func:`line_codes` makes of a FASTQ block's sequence lines and
+    :func:`encode_batch` of a list of reads.  Each batch holds at most
+    ``chunk_reads`` reads and is a view of ``codes``, equal to what
+    :func:`encode_batch` returns for the same reads.
+    """
     starts = _starts(lengths)
     for first in range(0, lengths.size, chunk_reads):
         batch = slice(first, first + chunk_reads)
@@ -175,7 +186,7 @@ def window_ids(codes, starts, lengths, window: int):
     """Observed packed window IDs of a code batch, plus per-read counts.
 
     ``(codes, starts, lengths)`` is a batch as :func:`encode_batch` or
-    :func:`encode_lines` returns it.  Windows containing a break code
+    :func:`line_batches` returns it.  Windows containing a break code
     are dropped, and the IDs are emitted in read order, then position
     order.  Returns ``(ids, counts)`` with ``counts[i] == number of
     windows emitted by read i``.
