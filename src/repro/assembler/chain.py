@@ -30,6 +30,7 @@ from ..dbg.graph import DeBruijnGraph
 from ..dbg.kmer_vertex import TYPE_AMBIGUOUS
 from ..dbg.polarity import PORT_IN, PORT_OUT
 from ..dna.encoding import NULL_ID
+from ..dna.vectorized import decode_ids
 
 
 class ChainElement(NamedTuple):
@@ -64,9 +65,11 @@ def build_chain_graph(
     Figure 10).
     """
     chain: Dict[int, ChainElement] = {}
-    for vertex in graph.kmers.values():
-        if vertex.vertex_type() == TYPE_AMBIGUOUS:
-            continue
+    unambiguous = [
+        vertex for vertex in graph.kmers.values() if vertex.vertex_type() != TYPE_AMBIGUOUS
+    ]
+    sequences = decode_ids([vertex.kmer_id for vertex in unambiguous], graph.k)
+    for vertex, sequence in zip(unambiguous, sequences):
         ends = [_NO_ADJACENCY, _NO_ADJACENCY]  # indexed by port
         for adjacency in vertex.adjacencies:
             if adjacency.via_contig is not None:
@@ -80,7 +83,7 @@ def build_chain_graph(
                 end = ContigEnd(adjacency.neighbor_id, adjacency.neighbor_port, adjacency.coverage)
             ends[adjacency.my_port] = end
         chain[vertex.kmer_id] = ChainElement(
-            vertex.kmer_id, vertex.sequence(), vertex.min_coverage(), ends[PORT_IN], ends[PORT_OUT]
+            vertex.kmer_id, sequence, vertex.min_coverage(), ends[PORT_IN], ends[PORT_OUT]
         )
     if include_contigs:
         for contig in graph.contigs.values():

@@ -170,13 +170,14 @@ def _run_end_recognition(
 class _BidirectionalLRVertex(Vertex):
     """Pointer-doubling over the ID pair (Figure 11).
 
-    ``value``: ``{"pair": [a, b], "done": [bool, bool]}`` where a slot
-    is done once it holds a flipped contig-end ID.  One round takes two
-    supersteps: an even "ask" superstep in which every unfinished slot
-    sends the vertex's own ID to the slot's current target, and an odd
-    "answer" superstep in which each vertex answers every request with
-    the pair element that is *not* the requester (tagged with its own
-    ID so the requester knows which slot to update).
+    ``value`` is the ID pair ``[a, b]`` itself; a slot is done exactly
+    when it holds a flipped contig-end ID (``pair[i] & FLIP_BIT``).  One
+    round takes two supersteps: an even "ask" superstep in which every
+    unfinished slot sends the vertex's own ID to the slot's current
+    target, and an odd "answer" superstep in which each vertex answers
+    every request with the pair element that is *not* the requester
+    (tagged with its own ID so the requester knows which slot to
+    update).
 
     The job has no other vertex class, so each worker runs its whole
     partition through :meth:`compute_partition` in one loop per
@@ -187,6 +188,7 @@ class _BidirectionalLRVertex(Vertex):
     def compute_partition(cls, vertices, inbox, ctx):
         get = inbox.get
         outgoing = []
+        send = outgoing.append
         compute_calls = degrees = asking = 0
         if ctx.superstep % 2 == 1:
             # Answer: every vertex that ran votes to halt.
@@ -199,25 +201,32 @@ class _BidirectionalLRVertex(Vertex):
                 compute_calls += 1
                 degrees += len(vertex.edges)
                 vertex.halted = True
-                first, second = vertex.value["pair"]
+                first, second = vertex.value
+                # The element away from the requester.  When both
+                # elements are the requester (only on a cycle), or
+                # neither is (a cycle whose vertices advance at
+                # different speeds), the first element keeps the cycle
+                # spinning until the S-V fallback labels it.
+                if len(messages) == 1:
+                    # A path interior vertex is asked by one side at a
+                    # time far more often than by both.
+                    message = messages[0]
+                    if message[0] == _REQUEST:
+                        sender = message[1]
+                        away = second if first == sender and second != sender else first
+                        send((sender, (_RESPONSE, vertex_id, away)))
+                    continue
                 answered = set()
                 for kind, sender in messages:
                     if kind != _REQUEST or sender in answered:
                         continue
                     answered.add(sender)
-                    # The element away from the requester.  When both
-                    # elements are the requester (only on a cycle), or
-                    # neither is (a cycle whose vertices advance at
-                    # different speeds), the first element keeps the
-                    # cycle spinning until the S-V fallback labels it.
                     away = second if first == sender and second != sender else first
-                    outgoing.append((sender, (_RESPONSE, vertex_id, away)))
+                    send((sender, (_RESPONSE, vertex_id, away)))
             ctx.send_batch(outgoing, _RESPONSE_SIZE)
             return compute_calls, degrees, 0
 
         # Apply the responses, then ask again for every unfinished slot.
-        # A slot is done exactly when its element is flipped, so ``done``
-        # only changes where a response moves the element.
         for vertex_id, vertex in vertices.items():
             messages = get(vertex_id)
             if messages is None:
@@ -226,29 +235,28 @@ class _BidirectionalLRVertex(Vertex):
                 messages = ()
             compute_calls += 1
             degrees += len(vertex.edges)
-            value = vertex.value
-            pair = value["pair"]
-            done = value["done"]
+            pair = vertex.value
             for message in messages:
                 if message[0] != _RESPONSE:
                     continue
                 _, responder, away = message
-                if not done[0] and pair[0] == responder:
+                if not pair[0] & FLIP_BIT and pair[0] == responder:
                     pair[0] = away
-                    done[0] = (away & FLIP_BIT) != 0
-                elif not done[1] and pair[1] == responder:
+                elif not pair[1] & FLIP_BIT and pair[1] == responder:
                     pair[1] = away
-                    done[1] = (away & FLIP_BIT) != 0
-            if done[0] and done[1]:
+            first, second = pair
+            first_open = not first & FLIP_BIT
+            second_open = not second & FLIP_BIT
+            if not (first_open or second_open):
                 vertex.halted = True
                 continue
             asking += 1
             # One request object per send: a shared one would pickle as a
             # back-reference wherever both land in one batch or inbox.
-            if not done[0]:
-                outgoing.append((pair[0], (_REQUEST, vertex_id)))
-            if not done[1]:
-                outgoing.append((pair[1], (_REQUEST, vertex_id)))
+            if first_open:
+                send((first, (_REQUEST, vertex_id)))
+            if second_open:
+                send((second, (_REQUEST, vertex_id)))
         if asking:
             ctx.aggregate("active", asking)
         ctx.send_batch(outgoing, _REQUEST_SIZE)
@@ -287,14 +295,7 @@ def _run_bidirectional_list_ranking(
 ) -> Tuple[Dict[int, int], List[int]]:
     """Run LR; returns (labels for finished nodes, node IDs still unfinished)."""
     vertices = [
-        _BidirectionalLRVertex(
-            node_id,
-            value={
-                "pair": list(pair),
-                "done": [is_flipped(pair[0]), is_flipped(pair[1])],
-            },
-        )
-        for node_id, pair in pairs.items()
+        _BidirectionalLRVertex(node_id, value=list(pair)) for node_id, pair in pairs.items()
     ]
     if not vertices:
         return {}, []
@@ -311,12 +312,9 @@ def _run_bidirectional_list_ranking(
     labels: Dict[int, int] = {}
     unfinished: List[int] = []
     for node_id, vertex in result.vertices.items():
-        done = vertex.value["done"]
-        pair = vertex.value["pair"]
-        if done[0] and done[1]:
-            end_a = unflip_id(pair[0])
-            end_b = unflip_id(pair[1])
-            labels[node_id] = min(end_a, end_b)
+        end_a, end_b = vertex.value
+        if is_flipped(end_a) and is_flipped(end_b):
+            labels[node_id] = min(unflip_id(end_a), unflip_id(end_b))
         else:
             unfinished.append(node_id)
     return labels, unfinished

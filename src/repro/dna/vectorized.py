@@ -26,7 +26,7 @@ default); off pins the scalar reference path.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -238,6 +238,25 @@ def reverse_complement_ids(ids, k: int):
     x = ((x >> np.uint64(16)) & shorts) | ((x & shorts) << np.uint64(16))
     x = (x >> np.uint64(32)) | (x << np.uint64(32))
     return x >> np.uint64(64 - 2 * k)
+
+
+#: 2-bit code -> ASCII base, the inverse of :data:`_BASE_LUT`.
+_CODE_BASES = np.frombuffer(b"ACGT", dtype=np.uint8)
+
+
+def decode_ids(ids, k: int) -> List[str]:
+    """Vectorized :func:`~repro.dna.encoding.decode_kmer` over many IDs.
+
+    Every 2-bit group of every ID is shifted down, masked and looked up
+    in one array pass; the strings are slices of one decoded text.
+    """
+    if not 1 <= k <= MAX_WINDOW:
+        raise InvalidKmerError(f"k must be in [1, {MAX_WINDOW}], got {k}")
+    ids = np.asarray(ids, dtype=np.uint64)
+    shifts = np.arange(2 * (k - 1), -1, -2, dtype=np.uint64)
+    codes = (ids[:, None] >> shifts) & np.uint64(3)
+    text = _CODE_BASES[codes].tobytes().decode("ascii")
+    return [text[start : start + k] for start in range(0, len(text), k)]
 
 
 def canonical_ids(ids, k: int):

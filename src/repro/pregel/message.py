@@ -1,15 +1,26 @@
-"""The one message path of the Pregel engine: combiners and the routing pair.
+"""The message path of the Pregel engine: combiners, hashing and delivery.
 
 Messages sent during superstep *s* are delivered at the start of
-superstep *s+1*.  Every execution backend moves them with the same two
-functions: :func:`route_outbox` groups one worker's outbox into a batch
-per destination worker, and :func:`merge_batches` folds the batches a
-worker received, in sender-id order, into its per-vertex inbox.  A
-batch is a list of ``(target, message)`` pairs.  An optional
-:class:`Combiner` merges messages addressed to the same vertex
-sender-side, which is how real Pregel systems (and the paper's Pregel+)
-reduce network traffic; the raw (pre-combine) message and byte totals
-the paper reports are counted where messages are sent, in
+superstep *s+1*.  Every execution backend hashes a worker's outbox with
+:func:`hash_destinations`, which also totals what was routed to each
+destination worker.  What happens next depends on where the receiver
+lives:
+
+* the serial backend runs its workers in id order in one process, so
+  :func:`deliver_outbox` folds each worker's outbox straight into the
+  next superstep's per-vertex inboxes as soon as the worker has run;
+* the multiprocess backend groups each outbox into one batch per
+  destination worker (:func:`group_batches`, or :func:`route_outbox`
+  for both steps), ships the batches, and the receiver folds them in
+  sender-id order with :func:`merge_batches`.
+
+Both give the same inboxes, key order included: appending senders in
+id order is exactly the sender-id fold.  A batch is a list of
+``(target, message)`` pairs.  An optional :class:`Combiner` merges
+messages addressed to the same vertex sender-side, which is how real
+Pregel systems (and the paper's Pregel+) reduce network traffic; the
+raw (pre-combine) message and byte totals the paper reports are
+counted where messages are sent, in
 :class:`~repro.pregel.vertex.ComputeContext`.
 
 An outbox of at least :data:`ARRAY_HASH_MIN_BATCH` messages whose
@@ -17,7 +28,7 @@ targets are all plain non-negative integers below 2**64 has its
 destination workers hashed in one
 :meth:`~repro.pregel.partitioner.HashPartitioner.worker_for_array`
 call; any other outbox is hashed message by message.  Both give the
-same destinations, so the batches are identical either way.
+same destinations, so the inboxes are identical either way.
 """
 
 from __future__ import annotations
@@ -81,27 +92,18 @@ def _uint64_targets(outbox):
         return None
 
 
-def route_outbox(
-    outbox: List[Tuple[int, Any]],
-    sizes: List[int],
-    partitioner,
-    combiner: Optional[Combiner],
-) -> Tuple[Dict[int, List[Tuple[int, Any]]], List[int], List[int]]:
-    """Group an outbox into per-destination batches, combining sender-side.
+def hash_destinations(
+    outbox: List[Tuple[int, Any]], sizes: List[int], partitioner
+) -> Tuple[List[int], List[int], List[int]]:
+    """The destination worker of every outbox entry, and the routed totals.
 
-    With a combiner, each destination batch carries at most one message
-    per target vertex — this happens *before* a batch leaves its worker,
-    so combined traffic is what crosses a process boundary, exactly like
-    the sender-side combining of real Pregel systems.  Batches are keyed
-    in first-routed order.
-
-    Returns ``(batches, routed_messages, routed_bytes)``.  The two lists
-    hold, per destination worker, how many raw (pre-combine) outbox
-    messages were routed to it and the sum of their ``sizes`` (the
-    cost-model size of each outbox entry, as recorded when it was sent).
-    They are what the destination receives next superstep unless a
-    combiner merges messages on the way, and everything routed to a
-    worker other than the sender is the cross-worker traffic.
+    Returns ``(destinations, routed_messages, routed_bytes)``.  The two
+    lists hold, per destination worker, how many raw (pre-combine)
+    outbox messages were routed to it and the sum of their ``sizes``
+    (the cost-model size of each outbox entry, as recorded when it was
+    sent).  They are what the destination receives next superstep
+    unless a combiner merges messages on the way, and everything routed
+    to a worker other than the sender is the cross-worker traffic.
     """
     num_workers = partitioner.num_workers
     targets = _uint64_targets(outbox) if len(outbox) >= ARRAY_HASH_MIN_BATCH else None
@@ -113,23 +115,37 @@ def route_outbox(
         for destination, size in zip(destinations, sizes):
             routed_messages[destination] += 1
             routed_bytes[destination] += size
-    else:
-        raw_destinations = partitioner.worker_for_array(targets)
-        routed_messages = np.bincount(raw_destinations, minlength=num_workers).tolist()
-        # bincount weighs in float64, which is exact here: one
-        # superstep's bytes stay far below 2**53.
-        routed_bytes = (
-            np.bincount(raw_destinations, weights=sizes, minlength=num_workers)
-            .astype(np.int64)
-            .tolist()
-        )
-        destinations = raw_destinations.tolist()
+        return destinations, routed_messages, routed_bytes
+    raw_destinations = partitioner.worker_for_array(targets)
+    routed_messages = np.bincount(raw_destinations, minlength=num_workers).tolist()
+    # bincount weighs in float64, which is exact here: one superstep's
+    # bytes stay far below 2**53.
+    routed_bytes = (
+        np.bincount(raw_destinations, weights=sizes, minlength=num_workers)
+        .astype(np.int64)
+        .tolist()
+    )
+    return raw_destinations.tolist(), routed_messages, routed_bytes
 
+
+def group_batches(
+    outbox: List[Tuple[int, Any]],
+    destinations: List[int],
+    combiner: Optional[Combiner],
+) -> Dict[int, List[Tuple[int, Any]]]:
+    """Group an outbox into per-destination batches, combining sender-side.
+
+    With a combiner, each destination batch carries at most one message
+    per target vertex — this happens *before* a batch leaves its worker,
+    so combined traffic is what crosses a process boundary, exactly like
+    the sender-side combining of real Pregel systems.  Batches are keyed
+    in first-routed order.
+    """
     if combiner is None:
         batches = {destination: [] for destination in dict.fromkeys(destinations)}
         for pair, destination in zip(outbox, destinations):
             batches[destination].append(pair)
-        return batches, routed_messages, routed_bytes
+        return batches
     combined: Dict[int, Dict[int, Any]] = {
         destination: {} for destination in dict.fromkeys(destinations)
     }
@@ -139,8 +155,36 @@ def route_outbox(
             slot[target_id] = combiner.combine(slot[target_id], message)
         else:
             slot[target_id] = message
-    batches = {destination: list(slot.items()) for destination, slot in combined.items()}
-    return batches, routed_messages, routed_bytes
+    return {destination: list(slot.items()) for destination, slot in combined.items()}
+
+
+def route_outbox(
+    outbox: List[Tuple[int, Any]],
+    sizes: List[int],
+    partitioner,
+    combiner: Optional[Combiner],
+) -> Tuple[Dict[int, List[Tuple[int, Any]]], List[int], List[int]]:
+    """:func:`hash_destinations`, then :func:`group_batches`.
+
+    Returns ``(batches, routed_messages, routed_bytes)``.
+    """
+    destinations, routed_messages, routed_bytes = hash_destinations(
+        outbox, sizes, partitioner
+    )
+    return group_batches(outbox, destinations, combiner), routed_messages, routed_bytes
+
+
+def _fold(
+    inbox: Dict[int, List[Any]],
+    batch: List[Tuple[int, Any]],
+    combiner: Optional[Combiner],
+) -> None:
+    """Append one sender's batch to ``inbox``, combining where it can."""
+    for target_id, message in batch:
+        if combiner is not None and target_id in inbox:
+            inbox[target_id] = [combiner.combine(inbox[target_id][0], message)]
+        else:
+            inbox.setdefault(target_id, []).append(message)
 
 
 def merge_batches(
@@ -156,9 +200,35 @@ def merge_batches(
     """
     inbox: Dict[int, List[Any]] = {}
     for sender in range(num_workers):
-        for target_id, message in batches_by_sender.get(sender, ()):
-            if combiner is not None and target_id in inbox:
-                inbox[target_id] = [combiner.combine(inbox[target_id][0], message)]
-            else:
-                inbox.setdefault(target_id, []).append(message)
+        _fold(inbox, batches_by_sender.get(sender, ()), combiner)
     return inbox
+
+
+def deliver_outbox(
+    inboxes: List[Dict[int, List[Any]]],
+    outbox: List[Tuple[int, Any]],
+    destinations: List[int],
+    combiner: Optional[Combiner],
+) -> None:
+    """Fold one sender's outbox into ``inboxes[destination]``, in place.
+
+    ``inboxes`` holds one per-vertex inbox per worker.  Called once per
+    sender in sender-id order, this builds exactly the inboxes
+    :func:`route_outbox` + :func:`merge_batches` deliver — vertices
+    keyed in first-delivered order — without building the per-sender
+    batches when there is no combiner.  With one, the sender's messages
+    are combined first (:func:`group_batches`), so a combine that is
+    not associative in floating point, such as a float sum, folds in
+    the same order too.
+    """
+    if combiner is not None:
+        for destination, batch in group_batches(outbox, destinations, combiner).items():
+            _fold(inboxes[destination], batch, combiner)
+        return
+    for (target_id, message), destination in zip(outbox, destinations):
+        inbox = inboxes[destination]
+        messages = inbox.get(target_id)
+        if messages is None:
+            inbox[target_id] = [message]
+        else:
+            messages.append(message)

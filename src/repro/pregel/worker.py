@@ -52,7 +52,7 @@ class Worker:
         each (same order), and a dictionary of per-worker counters for
         this superstep.  What the worker *received* is not among them:
         it is known from what was routed to it (see
-        :func:`~repro.pregel.message.route_outbox`).
+        :func:`~repro.pregel.message.hash_destinations`).
         """
         outbox: List[Tuple[int, Any]] = []
         ctx = ComputeContext(

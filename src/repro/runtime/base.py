@@ -37,7 +37,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Type
 from ..errors import InvalidJobError, SuperstepLimitExceededError, UnknownBackendError
 from ..pregel.aggregator import Aggregator, AggregatorRegistry
 from ..pregel.engine import JobResult, PregelJob
-from ..pregel.message import Combiner, route_outbox
+from ..pregel.message import Combiner, hash_destinations
 from ..pregel.metrics import JobMetrics, SuperstepMetrics
 from ..pregel.partitioner import HashPartitioner
 from ..pregel.vertex import Vertex, VertexFactory, _estimate_size
@@ -142,7 +142,10 @@ _pause_found_enabled = False
 
 @contextmanager
 def collector_paused() -> Iterator[None]:
-    """Pause CPython's automatic cyclic collection for one Pregel job.
+    """Pause CPython's automatic cyclic collection for one Pregel job or run.
+
+    ``ExecutionBackend.run`` holds it around every job and
+    ``WorkflowRunner`` around every workflow run (usable as a decorator).
 
     A message is a young container that survives until the next barrier
     and is then freed by reference count — the worst case for a
@@ -318,13 +321,14 @@ def run_worker_superstep(
     previous_aggregates: Dict[str, Any],
     trace_ctx: Optional[TraceContext],
     worker_messages,
-) -> Tuple[Dict[int, Any], WorkerReport]:
-    """Run one worker's share of a superstep and route what it sent.
+) -> Tuple[List[Tuple[int, Any]], List[int], WorkerReport]:
+    """Run one worker's share of a superstep and hash what it sent.
 
-    ``inbox`` is the worker's :func:`~repro.pregel.message.merge_batches`
-    result for this superstep; ``worker_messages`` is its child of
-    :func:`worker_messages_counter`.  Returns the outgoing batches by
-    destination worker and the worker's report.
+    ``inbox`` is what the previous superstep delivered to this worker;
+    ``worker_messages`` is its child of :func:`worker_messages_counter`.
+    Returns the outbox, each entry's destination worker (same order;
+    see :func:`~repro.pregel.message.hash_destinations`) and the
+    worker's report.  Delivering the outbox is up to the backend.
     """
     aggregator_copies = {
         name: aggregator.fresh_copy() for name, aggregator in plan.aggregators.items()
@@ -352,8 +356,8 @@ def run_worker_superstep(
         else None
     )
     worker_messages.inc(counters["messages_sent"])
-    batches, routed_messages, routed_bytes = route_outbox(
-        outbox, sizes, plan.partitioner, plan.combiner
+    destinations, routed_messages, routed_bytes = hash_destinations(
+        outbox, sizes, plan.partitioner
     )
     counters["routed_messages"] = routed_messages
     counters["routed_bytes"] = routed_bytes
@@ -368,7 +372,7 @@ def run_worker_superstep(
     aggregator_states = {
         name: copy.dump_state() for name, copy in aggregator_copies.items()
     }
-    return batches, (counters, aggregator_states, span_dict)
+    return outbox, destinations, (counters, aggregator_states, span_dict)
 
 
 def job_vertex_class(
@@ -414,7 +418,7 @@ class JobSession(ABC):
         trace_ctx: Optional[TraceContext],
     ) -> List[WorkerReport]:
         """Run :func:`run_worker_superstep` on every worker and deliver
-        the batches for the next superstep; reports in worker-id order."""
+        the outboxes for the next superstep; reports in worker-id order."""
 
     @abstractmethod
     def collect(self) -> List[Dict[int, Vertex]]:

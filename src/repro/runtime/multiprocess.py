@@ -7,7 +7,7 @@ cluster slot:
 * every worker process owns its hash partition of vertices for the
   whole job (vertices never migrate);
 * the per-destination batches of
-  :func:`~repro.pregel.message.route_outbox` (combined sender-side when
+  :func:`~repro.pregel.message.group_batches` (combined sender-side when
   the job has a combiner, so the bytes that cross the process boundary
   are the combined ones) are pickled through the destination worker's
   data queue as ``(target, message)`` lists;
@@ -47,7 +47,7 @@ import traceback
 from typing import Any, Dict, List, Optional
 
 from ..errors import BackendExecutionError
-from ..pregel.message import merge_batches
+from ..pregel.message import group_batches, merge_batches
 from ..pregel.partition import pack_partition, unpack_partition
 from ..pregel.vertex import Vertex
 from ..pregel.worker import Worker
@@ -191,10 +191,12 @@ def _worker_main(
                 batches[worker_id] = local_batches.pop(superstep, [])
                 inbox = merge_batches(batches, num_workers, plan.combiner)
 
-            batches, report = run_worker_superstep(
+            outbox, destinations, report = run_worker_superstep(
                 worker, plan, superstep, inbox, previous_aggregates, trace_ctx,
                 worker_messages,
             )
+            batches = group_batches(outbox, destinations, plan.combiner)
+            del outbox, destinations
             for destination in range(num_workers):
                 batch = batches.get(destination, [])
                 if destination == worker_id:

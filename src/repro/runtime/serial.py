@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..pregel.message import merge_batches
+from ..pregel.message import deliver_outbox
 from ..pregel.vertex import Vertex
 from ..pregel.worker import Worker
 from ..telemetry import TraceContext, get_registry
@@ -61,23 +61,22 @@ class _SerialSession(JobSession):
         trace_ctx: Optional[TraceContext],
     ) -> List[WorkerReport]:
         plan, plane, inboxes = self._plan, self._plane, self._inboxes
-        # outgoing[destination][sender] is one routed batch, destinations
-        # keyed in first-routed order.
-        outgoing: Dict[int, Dict[int, Any]] = {}
+        # Workers run in id order, so folding each outbox in as soon as
+        # its worker has run is the receivers' sender-id fold.
+        delivered: List[Dict[int, List[Any]]] = [{} for _ in range(plan.num_workers)]
         reports = []
         for worker_id in range(plan.num_workers):
             if plane is None:
                 worker = self._workers[worker_id]
-                inbox = inboxes.get(worker_id, {})
+                inbox = inboxes.pop(worker_id, {})
             else:
                 worker = plane.worker(worker_id)
                 inbox = plane.take_inbox(worker_id, inboxes)
-            batches, report = run_worker_superstep(
+            outbox, destinations, report = run_worker_superstep(
                 worker, plan, superstep, inbox, previous_aggregates, trace_ctx,
                 self._worker_messages[worker_id],
             )
-            for destination, batch in batches.items():
-                outgoing.setdefault(destination, {})[worker_id] = batch
+            deliver_outbox(delivered, outbox, destinations, plan.combiner)
             reports.append(report)
             if plane is not None:
                 # Execution mutated the partition (values, factory-made
@@ -88,10 +87,7 @@ class _SerialSession(JobSession):
                 plane.reaccount(worker)
                 plane.rebalance(exclude_worker=worker_id)
 
-        inboxes = {
-            destination: merge_batches(batches, plan.num_workers, plan.combiner)
-            for destination, batches in outgoing.items()
-        }
+        inboxes = {worker_id: inbox for worker_id, inbox in enumerate(delivered) if inbox}
         self._inboxes = inboxes if plane is None else plane.stash_inboxes(inboxes)
         return reports
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..errors import CheckpointError, WorkflowError
+from ..runtime.base import collector_paused
 from ..telemetry import get_profiler, get_registry, get_timeline, span
 from .builder import Workflow
 from .checkpoint import Checkpoint, CheckpointStore, state_fingerprint
@@ -167,6 +168,11 @@ class WorkflowRunner:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    # The whole run, not only its Pregel jobs: construction, the chain
+    # view and merging build long-lived objects by the thousand, and
+    # every automatic full pass would re-walk all of them to free
+    # nothing.  Cyclic garbage is reclaimed after the run.
+    @collector_paused()
     def _run(
         self,
         workflow: Workflow,

@@ -91,7 +91,7 @@ def test_canonical_and_polarity_match_scalar(k):
         assert got_rc == want_rc
 
 
-@pytest.mark.parametrize("k", [5, 21])
+@pytest.mark.parametrize("k", [1, 5, 21, 31])
 def test_round_trip_through_decode(k):
     sequences = [s for s in random_reads(seed=300 + k, with_ns=False) if len(s) >= k]
     ids, counts = vectorized.extract_window_ids(sequences, k)
@@ -100,6 +100,10 @@ def test_round_trip_through_decode(k):
         assert count == len(sequence) - k + 1
         for start in range(count):
             assert decode_kmer(next(decoded), k) == sequence[start : start + k]
+    # The array decoder agrees with the scalar one on every ID, as a list too.
+    assert vectorized.decode_ids(ids, k) == [decode_kmer(encoded, k) for encoded in ids.tolist()]
+    assert vectorized.decode_ids(ids.tolist(), k) == vectorized.decode_ids(ids, k)
+    assert vectorized.decode_ids([], k) == []
 
 
 @pytest.mark.parametrize("k", [5, 15, 21])

@@ -179,7 +179,7 @@ def test_int_targets_with_other_payloads_hash_in_one_batch_and_bucket_like_the_s
         expected = _per_message_batches(outbox, partitioner)
         batches = _route(outbox, partitioner)
         assert batches == expected
-        # First-routed order: the spill ledger ages inboxes in it.
+        # Keyed in first-routed order, as `group_batches` documents.
         assert list(batches) == list(expected)
     # Only the two outboxes of at least ARRAY_HASH_MIN_BATCH were one column
     # (each routed twice above).

@@ -7,6 +7,11 @@ pauses automatic collection from just before ``launch`` until ``close``
 has returned and puts back the state it found — on every exit path, for
 nested and concurrent jobs, and in worker processes however they were
 started.  Cyclic garbage made inside a job is reclaimed after it.
+
+``WorkflowRunner`` holds the same pause over a whole workflow run, so
+the stages between Pregel jobs (construction, the chain view, merging)
+run without automatic collection too, and the jobs nested inside the
+run do not switch it back on.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import weakref
 
 import pytest
 
-from repro.assembler import AssemblyConfig, build_dbg
+from repro.assembler import AssemblyConfig, PPAAssembler, build_dbg
 from repro.assembler import labeling
 from repro.assembler.chain import build_chain_graph
 from repro.dna.simulator import simulate_dataset
@@ -248,3 +253,75 @@ def test_cycles_made_inside_a_job_are_reclaimed_after_it():
     assert _SURVIVED_THE_JOB == [True] * 2000
     gc.collect()
     assert all(loop() is None for loop in loops)
+
+
+# -- the whole workflow run ------------------------------------------------
+@pytest.fixture(scope="module")
+def small_reads():
+    _genome, reads = simulate_dataset(
+        genome_length=1500, coverage=10.0, error_rate=0.005, seed=7
+    )
+    return reads
+
+
+def _assemble(reads, subscriber):
+    config = AssemblyConfig(k=15, num_workers=2)
+    return PPAAssembler(config).assemble(reads, subscriber=subscriber)
+
+
+class _StageFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("enabled_before", [True, False], ids=["caller-on", "caller-off"])
+def test_every_stage_of_an_assembly_runs_with_the_collector_paused(small_reads, enabled_before):
+    seen = []
+
+    def subscriber(event):
+        if event.kind in ("stage-start", "stage-end"):
+            seen.append((event.kind, event.stage.name, gc.isenabled()))
+
+    assert gc.isenabled()
+    try:
+        if not enabled_before:
+            gc.disable()
+        result = _assemble(small_reads, subscriber)
+        assert gc.isenabled() == enabled_before
+    finally:
+        gc.enable()
+    assert result.num_contigs() > 0
+    # Labeling's Pregel jobs end inside the run: every stage-end after
+    # them still finds the collector off.
+    assert any(name.startswith("contig-labeling") for _kind, name, _on in seen), seen
+    assert [on for _kind, _name, on in seen] == [False] * len(seen)
+
+
+def _failing_reads(reads):
+    yield from reads[:50]
+    raise _StageFailed("the read source broke")
+
+
+def _failing_subscriber(event):
+    # Raised at a stage boundary after labeling's Pregel jobs have run.
+    if event.kind == "stage-start" and event.stage.name.startswith("contig-merging"):
+        raise _StageFailed(event.stage.name)
+
+
+@pytest.mark.parametrize("enabled_before", [True, False], ids=["caller-on", "caller-off"])
+@pytest.mark.parametrize("failure", ["stage-raises", "subscriber-raises"])
+def test_a_failed_assembly_leaves_the_collector_as_it_found_it(
+    small_reads, failure, enabled_before
+):
+    if failure == "stage-raises":
+        reads, subscriber = _failing_reads(small_reads), None
+    else:
+        reads, subscriber = small_reads, _failing_subscriber
+    assert gc.isenabled()
+    try:
+        if not enabled_before:
+            gc.disable()
+        with pytest.raises(_StageFailed):
+            _assemble(reads, subscriber)
+        assert gc.isenabled() == enabled_before
+    finally:
+        gc.enable()
