@@ -207,15 +207,6 @@ class _BidirectionalLRVertex(Vertex):
                 # neither is (a cycle whose vertices advance at
                 # different speeds), the first element keeps the cycle
                 # spinning until the S-V fallback labels it.
-                if len(messages) == 1:
-                    # A path interior vertex is asked by one side at a
-                    # time far more often than by both.
-                    message = messages[0]
-                    if message[0] == _REQUEST:
-                        sender = message[1]
-                        away = second if first == sender and second != sender else first
-                        send((sender, (_RESPONSE, vertex_id, away)))
-                    continue
                 answered = set()
                 for kind, sender in messages:
                     if kind != _REQUEST or sender in answered:

@@ -243,20 +243,28 @@ def reverse_complement_ids(ids, k: int):
 #: 2-bit code -> ASCII base, the inverse of :data:`_BASE_LUT`.
 _CODE_BASES = np.frombuffer(b"ACGT", dtype=np.uint8)
 
+#: IDs decoded per array pass: bounds the ``len x k`` uint64 code
+#: temporary (≈2 MB at k = 31) whatever the number of IDs.
+DECODE_BLOCK = 8192
+
 
 def decode_ids(ids, k: int) -> List[str]:
     """Vectorized :func:`~repro.dna.encoding.decode_kmer` over many IDs.
 
-    Every 2-bit group of every ID is shifted down, masked and looked up
-    in one array pass; the strings are slices of one decoded text.
+    Every 2-bit group of a block of :data:`DECODE_BLOCK` IDs is shifted
+    down, masked and looked up in one array pass; the strings are
+    slices of the block's decoded text.
     """
     if not 1 <= k <= MAX_WINDOW:
         raise InvalidKmerError(f"k must be in [1, {MAX_WINDOW}], got {k}")
     ids = np.asarray(ids, dtype=np.uint64)
     shifts = np.arange(2 * (k - 1), -1, -2, dtype=np.uint64)
-    codes = (ids[:, None] >> shifts) & np.uint64(3)
-    text = _CODE_BASES[codes].tobytes().decode("ascii")
-    return [text[start : start + k] for start in range(0, len(text), k)]
+    sequences: List[str] = []
+    for start in range(0, len(ids), DECODE_BLOCK):
+        codes = (ids[start : start + DECODE_BLOCK, None] >> shifts) & np.uint64(3)
+        text = _CODE_BASES[codes].tobytes().decode("ascii")
+        sequences.extend(text[offset : offset + k] for offset in range(0, len(text), k))
+    return sequences
 
 
 def canonical_ids(ids, k: int):

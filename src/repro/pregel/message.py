@@ -10,9 +10,9 @@ lives:
   :func:`deliver_outbox` folds each worker's outbox straight into the
   next superstep's per-vertex inboxes as soon as the worker has run;
 * the multiprocess backend groups each outbox into one batch per
-  destination worker (:func:`group_batches`, or :func:`route_outbox`
-  for both steps), ships the batches, and the receiver folds them in
-  sender-id order with :func:`merge_batches`.
+  destination worker with :func:`group_batches`, ships the batches,
+  and the receiver folds them in sender-id order with
+  :func:`merge_batches`.
 
 Both give the same inboxes, key order included: appending senders in
 id order is exactly the sender-id fold.  A batch is a list of
@@ -158,22 +158,6 @@ def group_batches(
     return {destination: list(slot.items()) for destination, slot in combined.items()}
 
 
-def route_outbox(
-    outbox: List[Tuple[int, Any]],
-    sizes: List[int],
-    partitioner,
-    combiner: Optional[Combiner],
-) -> Tuple[Dict[int, List[Tuple[int, Any]]], List[int], List[int]]:
-    """:func:`hash_destinations`, then :func:`group_batches`.
-
-    Returns ``(batches, routed_messages, routed_bytes)``.
-    """
-    destinations, routed_messages, routed_bytes = hash_destinations(
-        outbox, sizes, partitioner
-    )
-    return group_batches(outbox, destinations, combiner), routed_messages, routed_bytes
-
-
 def _fold(
     inbox: Dict[int, List[Any]],
     batch: List[Tuple[int, Any]],
@@ -214,7 +198,7 @@ def deliver_outbox(
 
     ``inboxes`` holds one per-vertex inbox per worker.  Called once per
     sender in sender-id order, this builds exactly the inboxes
-    :func:`route_outbox` + :func:`merge_batches` deliver — vertices
+    :func:`group_batches` + :func:`merge_batches` deliver — vertices
     keyed in first-delivered order — without building the per-sender
     batches when there is no combiner.  With one, the sender's messages
     are combined first (:func:`group_batches`), so a combine that is

@@ -92,7 +92,7 @@ def test_canonical_and_polarity_match_scalar(k):
 
 
 @pytest.mark.parametrize("k", [1, 5, 21, 31])
-def test_round_trip_through_decode(k):
+def test_round_trip_through_decode(k, monkeypatch):
     sequences = [s for s in random_reads(seed=300 + k, with_ns=False) if len(s) >= k]
     ids, counts = vectorized.extract_window_ids(sequences, k)
     decoded = iter(ids.tolist())
@@ -104,6 +104,11 @@ def test_round_trip_through_decode(k):
     assert vectorized.decode_ids(ids, k) == [decode_kmer(encoded, k) for encoded in ids.tolist()]
     assert vectorized.decode_ids(ids.tolist(), k) == vectorized.decode_ids(ids, k)
     assert vectorized.decode_ids([], k) == []
+    # Blocks that split the IDs unevenly decode the same strings.
+    whole = vectorized.decode_ids(ids, k)
+    monkeypatch.setattr(vectorized, "DECODE_BLOCK", 7)
+    assert len(ids) > 7 * 3
+    assert vectorized.decode_ids(ids, k) == whole
 
 
 @pytest.mark.parametrize("k", [5, 15, 21])

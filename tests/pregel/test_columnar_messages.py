@@ -1,4 +1,4 @@
-"""Parity tests for the target column of ``route_outbox``.
+"""Parity tests for the target column of ``hash_destinations``.
 
 An outbox of at least ``ARRAY_HASH_MIN_BATCH`` messages whose targets
 all fit uint64 has its destination workers hashed as one column by
@@ -19,9 +19,10 @@ from repro.pregel import message
 from repro.pregel.engine import PregelEngine, PregelJob
 from repro.pregel.message import (
     ARRAY_HASH_MIN_BATCH,
+    group_batches,
+    hash_destinations,
     merge_batches,
     min_combiner,
-    route_outbox,
     sum_combiner,
 )
 from repro.pregel.partitioner import HashPartitioner
@@ -59,12 +60,12 @@ def _route_and_merge(outboxes, partitioner, combiner):
     workers = range(len(outboxes))
     for sender, outbox in enumerate(outboxes):
         sizes = [_estimate_size(payload) for _, payload in outbox]
-        batches, routed_messages, routed_bytes = route_outbox(
-            outbox, sizes, partitioner, combiner
-        )
+        hashed, routed_messages, routed_bytes = hash_destinations(outbox, sizes, partitioner)
+        batches = group_batches(outbox, hashed, combiner)
         # Raw (pre-combine) totals per destination; everything not routed
         # to the sender itself is the cross-worker count.
         destinations = [partitioner.worker_for(target) for target, _ in outbox]
+        assert hashed == destinations
         assert routed_messages == [destinations.count(worker) for worker in workers]
         assert routed_bytes == [
             sum(size for size, destination in zip(sizes, destinations) if destination == worker)
@@ -81,7 +82,8 @@ def _route_and_merge(outboxes, partitioner, combiner):
 def _route(outbox, partitioner, combiner=None):
     """The batches of one outbox."""
     sizes = [_estimate_size(payload) for _, payload in outbox]
-    return route_outbox(outbox, sizes, partitioner, combiner)[0]
+    destinations = hash_destinations(outbox, sizes, partitioner)[0]
+    return group_batches(outbox, destinations, combiner)
 
 
 def _per_message_batches(outbox, partitioner):

@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 
 from repro.pregel.message import (
     Combiner,
+    group_batches,
+    hash_destinations,
     merge_batches,
     min_combiner,
-    route_outbox,
     sum_combiner,
 )
 from repro.pregel.partitioner import HashPartitioner
@@ -73,11 +74,12 @@ def test_custom_combiner():
 def _route(outbox, partitioner, combiner):
     """The batches of one outbox."""
     sizes = [_estimate_size(message) for _, message in outbox]
-    return route_outbox(outbox, sizes, partitioner, combiner)[0]
+    destinations = hash_destinations(outbox, sizes, partitioner)[0]
+    return group_batches(outbox, destinations, combiner)
 
 
 def _deliver(outboxes, partitioner, combiner=None):
-    """One outbox per sender through route_outbox, then merge_batches."""
+    """One outbox per sender through group_batches, then merge_batches."""
     received = {}
     for sender, outbox in enumerate(outboxes):
         batches = _route(outbox, partitioner, combiner)

@@ -3,7 +3,7 @@
 The serial backend runs its workers in id order and hands each
 worker's outbox to ``deliver_outbox`` as soon as the worker has run;
 the multiprocess backend groups outboxes into per-destination batches
-(``route_outbox``) and folds them at the receiver in sender-id order
+(``group_batches``) and folds them at the receiver in sender-id order
 (``merge_batches``).  The property below drives random outboxes over
 1-8 workers through both, with no combiner, ``min_combiner()`` and a
 float-sum combiner, with and without the serial spill plane, and
@@ -19,7 +19,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.pregel import PregelJob, Vertex, VertexFactory
-from repro.pregel.message import merge_batches, min_combiner, route_outbox, sum_combiner
+from repro.pregel.message import (
+    group_batches,
+    hash_destinations,
+    merge_batches,
+    min_combiner,
+    sum_combiner,
+)
 from repro.pregel.vertex import _estimate_size
 from repro.runtime import SerialBackend
 from repro.runtime.base import run_worker_superstep
@@ -57,7 +63,7 @@ class _ScriptedVertex(Vertex):
 
 
 class _BatchedSession(_SerialSession):
-    """The reference: ``route_outbox`` per sender, ``merge_batches`` per receiver."""
+    """The reference: ``group_batches`` per sender, ``merge_batches`` per receiver."""
 
     def step(self, superstep, previous_aggregates, trace_ctx):
         plan = self._plan
@@ -70,9 +76,10 @@ class _BatchedSession(_SerialSession):
                 previous_aggregates, trace_ctx, self._worker_messages[worker_id],
             )
             sizes = [_estimate_size(message) for _target, message in outbox]
-            batches, routed_messages, routed_bytes = route_outbox(
-                outbox, sizes, plan.partitioner, plan.combiner
+            destinations, routed_messages, routed_bytes = hash_destinations(
+                outbox, sizes, plan.partitioner
             )
+            batches = group_batches(outbox, destinations, plan.combiner)
             counters = report[0]
             assert counters["routed_messages"] == routed_messages
             assert counters["routed_bytes"] == routed_bytes
