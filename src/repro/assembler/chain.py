@@ -27,9 +27,9 @@ from typing import Container, Dict, List, NamedTuple
 
 from ..dbg.contig_vertex import ContigEnd
 from ..dbg.graph import DeBruijnGraph
-from ..dbg.kmer_vertex import TYPE_AMBIGUOUS
+from ..dbg.kmer_vertex import TYPE_DEAD_END, TYPE_UNAMBIGUOUS
 from ..dbg.polarity import PORT_IN, PORT_OUT
-from ..dna.encoding import NULL_ID
+from ..dna.encoding import NULL_ID, is_null
 from ..dna.vectorized import decode_ids
 
 
@@ -65,25 +65,25 @@ def build_chain_graph(
     Figure 10).
     """
     chain: Dict[int, ChainElement] = {}
-    unambiguous = [
-        vertex for vertex in graph.kmers.values() if vertex.vertex_type() != TYPE_AMBIGUOUS
-    ]
-    sequences = decode_ids([vertex.kmer_id for vertex in unambiguous], graph.k)
-    for vertex, sequence in zip(unambiguous, sequences):
+    # Column k-mers are read as entry tuples; none is materialised.
+    unambiguous = list(graph.kmers.select((TYPE_DEAD_END, TYPE_UNAMBIGUOUS)))
+    sequences = decode_ids([kmer_id for kmer_id, _ in unambiguous], graph.k)
+    for (kmer_id, entries), sequence in zip(unambiguous, sequences):
         ends = [_NO_ADJACENCY, _NO_ADJACENCY]  # indexed by port
-        for adjacency in vertex.adjacencies:
-            if adjacency.via_contig is not None:
+        for neighbor_id, my_port, neighbor_port, coverage, via_contig in entries:
+            if via_contig is not None:
                 # Second-round case: the adjacency is materialised by a
                 # contig, which is the immediate neighbour; the entry's
                 # ``neighbor_id`` is what lies beyond it.
-                end = ContigEnd(adjacency.via_contig.contig_id, 0, adjacency.coverage)
-            elif adjacency.is_dead_end():
-                end = ContigEnd(NULL_ID, 0, adjacency.coverage)
+                end = ContigEnd(via_contig.contig_id, 0, coverage)
+            elif is_null(neighbor_id):
+                end = ContigEnd(NULL_ID, 0, coverage)
             else:
-                end = ContigEnd(adjacency.neighbor_id, adjacency.neighbor_port, adjacency.coverage)
-            ends[adjacency.my_port] = end
-        chain[vertex.kmer_id] = ChainElement(
-            vertex.kmer_id, sequence, vertex.min_coverage(), ends[PORT_IN], ends[PORT_OUT]
+                end = ContigEnd(neighbor_id, neighbor_port, coverage)
+            ends[my_port] = end
+        min_coverage = min((entry[3] for entry in entries), default=0)
+        chain[kmer_id] = ChainElement(
+            kmer_id, sequence, min_coverage, ends[PORT_IN], ends[PORT_OUT]
         )
     if include_contigs:
         for contig in graph.contigs.values():

@@ -34,7 +34,8 @@ import numpy as np
 
 from ..dbg.bitmap import AdjacencyBitmap
 from ..dbg.graph import DeBruijnGraph
-from ..dbg.kmer_vertex import KmerAdjacency, KmerVertexData
+from ..dbg.kmer_table import KmerTable
+from ..dbg.kmer_vertex import KmerVertexData
 from ..dna import vectorized
 from ..dna.encoding import canonical_encoded
 from ..dna.io_fastq import FastqReads, Read, read_chunks
@@ -54,6 +55,8 @@ class ConstructionResult:
     distinct_kplus1mers: int
     surviving_kplus1mers: int
     filtered_kplus1mers: int
+    #: Reads too short (or too broken by ``N``) to hold one (k+1)-mer.
+    reads_without_kplus1mer: int
 
 
 def _phase1_map_factory(k: int):
@@ -151,6 +154,9 @@ def build_dbg(
     total_kplus1mers = phase1.metrics.supersteps[0].messages_sent
     if not total_kplus1mers:
         raise NoKmersError(len(reads), config.k)
+    without_kplus1mer = sum(
+        next(extract_kplus1mers(read.sequence, config.k), None) is None for read in reads
+    )
     distinct = phase1.groups
 
     phase2 = chain.run_mapreduce(
@@ -170,6 +176,7 @@ def build_dbg(
         distinct_kplus1mers=distinct,
         surviving_kplus1mers=len(surviving),
         filtered_kplus1mers=distinct - len(surviving),
+        reads_without_kplus1mer=without_kplus1mer,
     )
 
 
@@ -304,10 +311,11 @@ def _mapreduce_metrics(
 def _count_chunk(codes, starts, lengths, first_read: int, k: int, partitioner):
     """Phase (i) of one code batch whose first read is ``first_read``.
 
-    Returns ``(pairs, map_ops, shuffle_counts, run)``: the batch's
-    (k+1)-mer count, the map side's per-worker charge, the pairs each
-    worker receives, and the sorted run of its distinct canonical edges
-    with their counts.  Runs on a counting thread.
+    Returns ``(pairs, empty_reads, map_ops, shuffle_counts, run)``: the
+    batch's (k+1)-mer count, its reads without one, the map side's
+    per-worker charge, the pairs each worker receives, and the sorted
+    run of its distinct canonical edges with their counts.  Runs on a
+    counting thread.
     """
     num_workers = partitioner.num_workers
     observed, per_read = vectorized.window_ids(codes, starts, lengths, k + 1)
@@ -328,7 +336,8 @@ def _count_chunk(codes, starts, lengths, first_read: int, k: int, partitioner):
     shuffle_counts = _worker_sums(
         partitioner.worker_for_array(run[0]), num_workers, weights=run[1]
     )
-    return int(observed.size), map_ops, shuffle_counts, run
+    empty_reads = int(np.count_nonzero(per_read == 0))
+    return int(observed.size), empty_reads, map_ops, shuffle_counts, run
 
 
 def _counted_here(count, *args) -> Future:
@@ -343,9 +352,10 @@ def _count_canonical_edges(
 ):
     """Phase (i) of the vectorized path, streamed chunk by chunk.
 
-    Returns ``(unique_edges, edge_counts, total_pairs, map_ops,
-    shuffle_counts)``: the distinct canonical (k+1)-mers ascending with
-    their coverage, and what the map side of the phase is charged.  A
+    Returns ``(unique_edges, edge_counts, total_pairs, empty_reads,
+    map_ops, shuffle_counts)``: the distinct canonical (k+1)-mers
+    ascending with their coverage, the reads without a (k+1)-mer, and
+    what the map side of the phase is charged.  A
     function of its own so that the last chunk's arrays and the sorted
     runs are gone before phase (ii) allocates.
 
@@ -359,6 +369,7 @@ def _count_canonical_edges(
     num_workers = chain.num_workers
 
     total_pairs = 0
+    empty_reads = 0
     read_index = 0
     map_ops = np.zeros(num_workers, dtype=np.int64)
     shuffle_counts = np.zeros(num_workers, dtype=np.int64)
@@ -375,9 +386,10 @@ def _count_canonical_edges(
         )
 
     def fold(counted: Future) -> None:
-        nonlocal total_pairs, map_ops, shuffle_counts
-        pairs, chunk_map_ops, chunk_shuffle_counts, run = counted.result()
+        nonlocal total_pairs, empty_reads, map_ops, shuffle_counts
+        pairs, chunk_empty_reads, chunk_map_ops, chunk_shuffle_counts, run = counted.result()
         total_pairs += pairs
+        empty_reads += chunk_empty_reads
         map_ops += chunk_map_ops
         shuffle_counts += chunk_shuffle_counts
         runs.append(run)
@@ -416,58 +428,7 @@ def _count_canonical_edges(
     if not total_pairs:
         raise NoKmersError(read_index, k)
     unique_edges, edge_counts = _merge_sorted_runs(runs)
-    return unique_edges, edge_counts, total_pairs, map_ops, shuffle_counts
-
-
-def _vertices_from_slots(k: int, slot_keys, slot_positions, slot_coverage):
-    """One k-mer vertex per distinct key of ``slot_keys``, ascending.
-
-    The parallel arrays hold each k-mer's occupied bitmap slots, sorted
-    by (k-mer, slot) with coverage already summed per slot.  Equal to
-    ``KmerVertexData.from_bitmap`` over the same slots, adjacency order
-    included, with neighbours and ports computed for all slots at once.
-    """
-    neighbors, my_ports, neighbor_ports = vectorized.expand_slots(
-        slot_keys, slot_positions, k
-    )
-    # Two slots of one k-mer can name the same (neighbour, ports) —
-    # palindromes and self-loops — and their coverage must be summed.
-    ports = 2 * my_ports + neighbor_ports
-    order = np.lexsort((ports, neighbors, slot_keys))
-    keys, nexts, sides = slot_keys[order], neighbors[order], ports[order]
-    collides = (
-        (keys[1:] == keys[:-1]) & (nexts[1:] == nexts[:-1]) & (sides[1:] == sides[:-1])
-    )
-    collided = set(keys[1:][collides].tolist())
-
-    is_first = np.ones(slot_keys.size, dtype=bool)
-    is_first[1:] = slot_keys[1:] != slot_keys[:-1]
-    bounds = np.flatnonzero(is_first).tolist()
-    bounds.append(int(slot_keys.size))
-    adjacencies = list(
-        map(
-            KmerAdjacency,
-            neighbors.tolist(),
-            my_ports.tolist(),
-            neighbor_ports.tolist(),
-            slot_coverage.tolist(),
-        )
-    )
-    vertices = []
-    for kmer_id, start, end in zip(slot_keys[is_first].tolist(), bounds, bounds[1:]):
-        if kmer_id in collided:
-            vertex = KmerVertexData(kmer_id, k)
-            for adjacency in adjacencies[start:end]:
-                vertex.add_adjacency(
-                    adjacency.neighbor_id,
-                    adjacency.my_port,
-                    adjacency.neighbor_port,
-                    adjacency.coverage,
-                )
-        else:
-            vertex = KmerVertexData(kmer_id, k, adjacencies[start:end])
-        vertices.append(vertex)
-    return vertices
+    return unique_edges, edge_counts, total_pairs, empty_reads, map_ops, shuffle_counts
 
 
 def _build_dbg_vectorized(
@@ -489,7 +450,7 @@ def _build_dbg_vectorized(
     partitioner = chain.partitioner
 
     # ---- phase (i): count canonical (k+1)-mers ------------------------
-    unique_edges, edge_counts, total_pairs, map_ops, shuffle_counts = (
+    unique_edges, edge_counts, total_pairs, empty_reads, map_ops, shuffle_counts = (
         _count_canonical_edges(reads, config, chain)
     )
     shuffle_bytes = 8 * shuffle_counts
@@ -581,18 +542,21 @@ def _build_dbg_vectorized(
         )
     )
 
-    # Vertices enter the graph in the scalar output order (destination
-    # worker, then ascending k-mer ID).
-    vertices = _vertices_from_slots(k, slot_keys, slot_positions, slot_coverage)
-    graph = DeBruijnGraph(k)
-    for index in np.argsort(kmer_destinations, kind="stable").tolist():
-        vertex = vertices[index]
-        graph.kmers[vertex.kmer_id] = vertex
+    # The k-mers stay columns, iterated in the scalar output order
+    # (destination worker, then ascending k-mer ID).
+    kmers = KmerTable.from_slots(
+        k,
+        slot_keys,
+        slot_positions,
+        slot_coverage,
+        np.argsort(kmer_destinations, kind="stable"),
+    )
 
     return ConstructionResult(
-        graph=graph,
+        graph=DeBruijnGraph(k, kmers),
         total_kplus1mers=total_pairs,
         distinct_kplus1mers=distinct,
         surviving_kplus1mers=surviving_count,
         filtered_kplus1mers=distinct - surviving_count,
+        reads_without_kplus1mer=empty_reads,
     )

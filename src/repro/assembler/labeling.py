@@ -123,18 +123,13 @@ def _run_end_recognition(
     """Run the recognition job; returns the initial ID pair per chain node."""
     vertices: List[Vertex] = []
 
-    for kmer_id, vertex in graph.kmers.items():
-        if vertex.vertex_type() != TYPE_AMBIGUOUS:
-            continue
+    for kmer_id, entries in graph.kmers.select((TYPE_AMBIGUOUS,)):
         # An ambiguous vertex notifies the chain element on the other
         # side of each of its adjacency entries (a k-mer, or the contig
         # materialising the edge).
         targets = []
-        for adjacency in vertex.adjacencies:
-            if adjacency.via_contig is not None:
-                target = adjacency.via_contig.contig_id
-            else:
-                target = adjacency.neighbor_id
+        for neighbor_id, _, _, _, via_contig in entries:
+            target = neighbor_id if via_contig is None else via_contig.contig_id
             if target in chain:
                 targets.append(target)
         vertices.append(

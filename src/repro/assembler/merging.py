@@ -273,6 +273,11 @@ def _apply_to_graph(
 ) -> List[int]:
     """Write merged contigs into the graph and clean up merged/dropped nodes."""
     created: List[int] = []
+    # Boundary k-mers are never chain nodes, so every member can go first.
+    _remove_members(
+        graph,
+        [node for group in merged_contigs + dropped for node in group.member_nodes],
+    )
 
     for merged in merged_contigs:
         worker = partitioner.worker_for(merged.member_nodes[0])
@@ -288,7 +293,6 @@ def _apply_to_graph(
             member_kmers=list(merged.member_nodes),
         )
 
-        _remove_members(graph, merged.member_nodes)
         graph.add_contig(contig)
 
         # Rewire the two bordering ambiguous k-mers (if any) so they see
@@ -298,7 +302,6 @@ def _apply_to_graph(
         _attach_boundary(graph, merged.end, merged.member_nodes[-1], merged.start, link)
 
     for tip in dropped:
-        _remove_members(graph, tip.member_nodes)
         _detach_boundary(graph, tip.start, tip.member_nodes[0])
         _detach_boundary(graph, tip.end, tip.member_nodes[-1])
 
@@ -306,12 +309,12 @@ def _apply_to_graph(
 
 
 def _remove_members(graph: DeBruijnGraph, member_nodes: List[int]) -> None:
-    """Delete merged chain nodes (k-mers or earlier contigs) from the graph."""
-    for node_id in member_nodes:
-        if node_id in graph.kmers:
-            del graph.kmers[node_id]
-        elif node_id in graph.contigs:
-            del graph.contigs[node_id]
+    """Delete merged chain nodes (k-mers or earlier contigs) from the graph.
+
+    The k-mers go in one pass over the table's columns (their alive bits
+    are cleared; none is materialised)."""
+    for node_id in graph.kmers.discard(member_nodes):
+        graph.contigs.pop(node_id, None)
 
 
 def _detach_boundary(

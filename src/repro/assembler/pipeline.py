@@ -62,6 +62,7 @@ def _stage_construction(ctx) -> None:
         kmer_vertices=graph.kmer_count(),
         distinct_kplus1mers=construction.distinct_kplus1mers,
         filtered_kplus1mers=construction.filtered_kplus1mers,
+        reads_without_kplus1mer=construction.reads_without_kplus1mer,
     )
 
 

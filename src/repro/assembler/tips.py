@@ -256,11 +256,7 @@ def remove_tips(
         contigs_deleted += dangling_contigs_removed
         tips_removed += dangling_contigs_removed
 
-        dead_ends = [
-            kmer_id
-            for kmer_id, vertex in graph.kmers.items()
-            if vertex.vertex_type() == TYPE_DEAD_END
-        ]
+        dead_ends = graph.vertices_of_type(TYPE_DEAD_END)
         if not dead_ends:
             if dangling_contigs_removed:
                 phases += 1

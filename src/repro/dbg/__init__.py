@@ -22,6 +22,7 @@ from .bitmap import (
 from .contig_vertex import END_IN, END_OUT, ContigEnd, ContigVertexData
 from .graph import DeBruijnGraph, GraphStatistics
 from .ids import ContigIdAllocator, describe_id
+from .kmer_table import KmerTable
 from .kmer_vertex import (
     TYPE_AMBIGUOUS,
     TYPE_DEAD_END,
@@ -71,6 +72,7 @@ __all__ = [
     "TYPE_UNAMBIGUOUS",
     "ContigLink",
     "KmerAdjacency",
+    "KmerTable",
     "KmerVertexData",
     "LABEL_H",
     "LABEL_L",

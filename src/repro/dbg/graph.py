@@ -7,21 +7,36 @@ operations in :mod:`repro.assembler` read and write this structure;
 inside a Pregel job the same information is carried in vertex values,
 and the graph object is what the in-memory ``convert`` steps pass from
 one job to the next.
+
+``kmers`` is a :class:`~repro.dbg.kmer_table.KmerTable`: the k-mers
+vectorized construction produces stay NumPy columns (ID, adjacency
+entries, vertex type, alive bit) until something fetches one, which
+turns it into a :class:`~repro.dbg.kmer_vertex.KmerVertexData` kept in
+the table's overlay.  First-round labeling reads the columns and
+merging deletes the chain k-mers by clearing alive bits, so only the
+few ambiguous k-mers that merging rewires ever become objects.
+Contigs are plain :class:`~repro.dbg.contig_vertex.ContigVertexData`
+records in ``contigs``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Optional
 
+from ..dna.encoding import is_null
 from ..errors import GraphFormatError
 from .contig_vertex import ContigVertexData
+from .kmer_table import KmerTable
 from .kmer_vertex import (
     TYPE_AMBIGUOUS,
     TYPE_DEAD_END,
     TYPE_UNAMBIGUOUS,
     KmerVertexData,
 )
+
+
+_ALL_TYPES = (TYPE_DEAD_END, TYPE_UNAMBIGUOUS, TYPE_AMBIGUOUS)
 
 
 @dataclass
@@ -51,11 +66,11 @@ class GraphStatistics:
 class DeBruijnGraph:
     """Canonical-k-mer de Bruijn graph plus merged contigs."""
 
-    def __init__(self, k: int) -> None:
+    def __init__(self, k: int, kmers: Optional[KmerTable] = None) -> None:
         if k < 1:
             raise GraphFormatError(f"k must be positive, got {k}")
         self.k = k
-        self.kmers: Dict[int, KmerVertexData] = {}
+        self.kmers = KmerTable(k) if kmers is None else kmers
         self.contigs: Dict[int, ContigVertexData] = {}
 
     # ------------------------------------------------------------------
@@ -91,10 +106,20 @@ class DeBruijnGraph:
         self.contigs[contig.contig_id] = contig
 
     def remove_kmer(self, kmer_id: int) -> None:
-        """Delete a k-mer vertex and every adjacency entry pointing at it."""
-        self.kmers.pop(kmer_id, None)
-        for vertex in self.kmers.values():
-            vertex.remove_adjacency(kmer_id)
+        """Delete a k-mer vertex and every adjacency entry pointing at it.
+
+        Adjacency is mirrored (a via-contig entry names the k-mer beyond
+        the contig, which holds the mirror entry), so only the
+        neighbours the k-mer's own entries name are touched.
+        """
+        entries = self.kmers.entries(kmer_id)
+        if entries is None:
+            return
+        del self.kmers[kmer_id]
+        for neighbor_id, *_ in entries:
+            neighbor = self.kmers.get(neighbor_id)
+            if neighbor is not None:
+                neighbor.remove_adjacency(kmer_id)
 
     def remove_contig(self, contig_id: int) -> None:
         """Delete a contig vertex and the k-mer adjacency entries through it."""
@@ -125,37 +150,27 @@ class DeBruijnGraph:
         # (except one-entry self-loops), so halve the directed total.
         directed = 0
         self_loops = 0
-        for vertex in self.kmers.values():
-            for adjacency in vertex.adjacencies:
-                if adjacency.is_dead_end():
+        for kmer_id, entries in self.kmers.select(_ALL_TYPES):
+            for neighbor_id, *_ in entries:
+                if is_null(neighbor_id):
                     continue
-                if adjacency.neighbor_id == vertex.kmer_id:
+                if neighbor_id == kmer_id:
                     self_loops += 1
                 else:
                     directed += 1
         return directed // 2 + self_loops
 
     def vertices_of_type(self, vertex_type: str) -> List[int]:
-        return [
-            kmer_id
-            for kmer_id, vertex in self.kmers.items()
-            if vertex.vertex_type() == vertex_type
-        ]
+        return self.kmers.ids_of_type((vertex_type,))
 
     def ambiguous_vertices(self) -> List[int]:
         return self.vertices_of_type(TYPE_AMBIGUOUS)
 
     def unambiguous_vertices(self) -> List[int]:
-        return [
-            kmer_id
-            for kmer_id, vertex in self.kmers.items()
-            if vertex.vertex_type() != TYPE_AMBIGUOUS
-        ]
+        return self.kmers.ids_of_type((TYPE_DEAD_END, TYPE_UNAMBIGUOUS))
 
     def statistics(self) -> GraphStatistics:
-        by_type: Dict[str, int] = {TYPE_DEAD_END: 0, TYPE_UNAMBIGUOUS: 0, TYPE_AMBIGUOUS: 0}
-        for vertex in self.kmers.values():
-            by_type[vertex.vertex_type()] += 1
+        by_type = self.kmers.type_counts()
         return GraphStatistics(
             k=self.k,
             num_kmer_vertices=len(self.kmers),

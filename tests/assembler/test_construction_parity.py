@@ -70,6 +70,7 @@ def test_construction_metrics_match_scalar_field_by_field(reads, num_workers):
         "distinct_kplus1mers",
         "surviving_kplus1mers",
         "filtered_kplus1mers",
+        "reads_without_kplus1mer",
     ):
         assert getattr(fast, name) == getattr(reference, name), name
     assert reference.filtered_kplus1mers > 0

@@ -27,6 +27,7 @@ RESULT_FIELDS = [
     "distinct_kplus1mers",
     "surviving_kplus1mers",
     "filtered_kplus1mers",
+    "reads_without_kplus1mer",
 ]
 
 

@@ -4,7 +4,9 @@ An empty FASTQ, reads all shorter than k + 1 and reads that are only
 ``N`` leave DBG construction with no window to count.  That is a
 :class:`NoKmersError` before any Pregel job, and the CLI reports it in
 one line with exit status 1.  Input whose (k+1)-mers the coverage
-threshold θ merely filters out still assembles to zero contigs.
+threshold θ merely filters out still assembles to zero contigs, and a
+library where only some reads lack a (k+1)-mer assembles and reports
+how many such reads it held.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.assembler import build_dbg
 from repro.assembler import pipeline
 from repro.cli import main
 from repro.dna.io_fastq import parse_fastq, reads_from_strings, write_fastq
+from repro.dna.simulator import simulate_dataset
 from repro.errors import AssemblyError, NoKmersError
 from repro.workflow import StageExecutor
 
@@ -89,3 +92,17 @@ def test_cli_exits_1_with_one_line(fastq_path, extra, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("repro-assemble: assembly failed: no (k+1)-mer in the input")
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_reads_without_a_kplus1mer_are_counted_not_fatal(vectorized, tmp_path):
+    """A library where only some reads are shorter than k + 1 assembles
+    and reports how many such reads it held."""
+    _genome, reads = simulate_dataset(genome_length=3000, seed=7)
+    path = tmp_path / "mixed.fastq"
+    short = NO_KMER_INPUTS["short"] + NO_KMER_INPUTS["just-short"] + NO_KMER_INPUTS["n-split"]
+    write_fastq(list(reads) + reads_from_strings(short), path)
+    config = AssemblyConfig(k=K, num_workers=2, use_vectorized=vectorized)
+    result = PPAAssembler(config).assemble(parse_fastq(path))
+    assert result.num_contigs() > 0
+    assert result.stage("dbg-construction").detail["reads_without_kplus1mer"] == len(short)

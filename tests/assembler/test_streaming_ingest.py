@@ -190,7 +190,7 @@ def _counted(reads, config):
 
 
 def _assert_same_counts(got, want):
-    assert len(got) == len(want) == 5
+    assert len(got) == len(want) == 6
     for got_part, want_part in zip(got, want):
         if isinstance(want_part, np.ndarray):
             assert got_part.dtype == want_part.dtype

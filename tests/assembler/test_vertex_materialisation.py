@@ -1,10 +1,12 @@
 """Array expansion of bitmap slots against the scalar oracle.
 
 The vectorized construction path computes neighbour IDs and ports for
-every ``(k-mer, bitmap slot)`` at once; ``KmerVertexData.from_bitmap``
+every ``(k-mer, bitmap slot)`` at once and keeps them as the columns of
+a :class:`~repro.dbg.kmer_table.KmerTable`; ``KmerVertexData.from_bitmap``
 (``expand_bitmap`` → ``neighbor_kmer_id`` → ``add_adjacency``) is the
-scalar path's expansion and the reference here.  Adjacency lists are
-compared *in order*: downstream jobs iterate them.
+scalar path's expansion and the reference for every k-mer the table
+materialises, and for the vertex type its column records.  Adjacency
+lists are compared *in order*: downstream jobs iterate them.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.assembler.construction import _vertices_from_slots
 from repro.dbg.bitmap import AdjacencyBitmap
-from repro.dbg.kmer_vertex import KmerVertexData
+from repro.dbg.kmer_table import KmerTable
+from repro.dbg.kmer_vertex import TYPE_AMBIGUOUS, TYPE_DEAD_END, TYPE_UNAMBIGUOUS, KmerVertexData
 from repro.dna.encoding import canonical_encoded, encode_kmer, reverse_complement_encoded
 
 KS = (3, 4, 15, 21, 31)
@@ -27,24 +29,36 @@ def _oracle(kmer_id, k, positions, coverages):
     return KmerVertexData.from_bitmap(kmer_id, k, bitmap)
 
 
-def _materialise(k, slots):
-    """``slots``: ``{kmer_id: {position: coverage}}`` → vertices, ascending."""
+def _table(k, slots):
+    """``slots``: ``{kmer_id: {position: coverage}}`` → a table, ascending."""
     rows = [
         (kmer_id, position, coverage)
         for kmer_id in sorted(slots)
         for position, coverage in sorted(slots[kmer_id].items())
     ]
     keys, positions, coverage = (list(column) for column in zip(*rows))
-    return _vertices_from_slots(
+    return KmerTable.from_slots(
         k,
         np.array(keys, dtype=np.uint64),
         np.array(positions, dtype=np.int64),
         np.array(coverage, dtype=np.int64),
+        np.arange(len(slots)),
     )
 
 
+def _materialise(k, slots):
+    """The table's k-mers as vertices, ascending, plus the column types."""
+    table = _table(k, slots)
+    types = {
+        kmer_id: vertex_type
+        for vertex_type in (TYPE_DEAD_END, TYPE_UNAMBIGUOUS, TYPE_AMBIGUOUS)
+        for kmer_id in table.ids_of_type((vertex_type,))
+    }
+    return [table[kmer_id] for kmer_id in table], types
+
+
 def _assert_equal_to_oracle(k, slots):
-    vertices = _materialise(k, slots)
+    vertices, types = _materialise(k, slots)
     assert [vertex.kmer_id for vertex in vertices] == sorted(slots)
     for vertex in vertices:
         occupied = slots[vertex.kmer_id]
@@ -52,6 +66,7 @@ def _assert_equal_to_oracle(k, slots):
         expected = _oracle(vertex.kmer_id, k, positions, [occupied[p] for p in positions])
         assert vertex == expected
         assert vertex.adjacencies == expected.adjacencies  # same order
+        assert types[vertex.kmer_id] == expected.vertex_type()
         assert type(vertex.kmer_id) is int
         for adjacency in vertex.adjacencies:
             assert {type(field) for field in (
@@ -128,4 +143,7 @@ def test_k31_uses_the_top_bits():
 
 def test_no_slots_no_vertices():
     empty = np.zeros(0, dtype=np.uint64)
-    assert _vertices_from_slots(21, empty, empty.astype(np.int64), empty.astype(np.int64)) == []
+    table = KmerTable.from_slots(
+        21, empty, empty.astype(np.int64), empty.astype(np.int64), empty.astype(np.int64)
+    )
+    assert len(table) == 0 and list(table) == [] and table.get(0) is None
